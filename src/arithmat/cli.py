@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import covariants, element, fastmul, numeric, search
-from .errors import ArithmatError
+from .errors import ArithmatError, DimensionMismatchError
 from .field import (
     Element,
     EssentialPair,
@@ -84,12 +84,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _matrix_text(M: ExactMatrix) -> str:
-    return "\n".join(
-        "[" + ", ".join(str(e) for e in M.row(i)) + "]" for i in range(M.rows)
-    )
-
-
 def _matrix_json(M: ExactMatrix):
     return [[str(e) for e in M.row(i)] for i in range(M.rows)]
 
@@ -113,7 +107,7 @@ def _cmd_matrix(args) -> int:
         M = symbolic_arithmetic_matrix(F)
     else:
         M = arithmetic_matrix(F, Element.from_text(F, args.coords))
-    _emit(args, _matrix_text(M), {"command": "matrix", "pair": args.pair, "matrix": _matrix_json(M)})
+    _emit(args, repr(M), {"command": "matrix", "pair": args.pair, "matrix": _matrix_json(M)})
     return 0
 
 
@@ -224,6 +218,8 @@ def _cmd_diag_check(args) -> int:
 
 def _cmd_bench(args) -> int:
     m = args.size
+    if m < 1:
+        raise DimensionMismatchError(f"size must be at least 1, got {m}")
     rng = random.Random(20259)
     A = ExactMatrix(m, m, [rng.randint(-99, 99) for _ in range(m * m)])
     B = ExactMatrix(m, m, [rng.randint(-99, 99) for _ in range(m * m)])

@@ -1,11 +1,14 @@
-"""Ring arithmetic on elements, implemented through their matrices.
+"""Ring arithmetic on elements, on their integer multiplication matrices.
 
-The product of alpha and beta is read off by applying alpha's multiplication
-matrix to beta's coordinate column (the matrix of a product is the product of
-the matrices, and column 1 of a matrix is its element's coordinates).  Norm,
-trace, inverse and the characteristic polynomial are the determinant, trace,
-inverse-matrix column and characteristic polynomial of the same matrix.  An
-independent resultant-based norm is provided as a cross-check oracle.
+An element with coordinates x over the common denominator d has the matrix
+N = A / d, with A the integer matrix of d*x (``field.integer_matrix``).  Each
+operation is integer linear algebra on A, divided by a power of d once: mul
+applies A to the other element's column, trace sums A's diagonal, norm is
+det A by Bareiss elimination, inverse is d * A^-1 e1 by a fraction-free
+solve, and char_poly is Le Verrier over the integers.  Since A^k is the
+matrix of (d*alpha)^k, whose coordinates A^(k-1) (d*x) cost one
+matrix-vector product, each power sum tr(A^k) is one diagonal evaluation.
+An independent resultant-based norm is provided as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FieldMismatchError, ZeroElementError
-from .field import Element, NumberField, arithmetic_matrix, basis_change_matrix
+from .field import Element, NumberField, basis_change_matrix
+from .field import integer_matrix, integer_trace, scaled_coords
 from .polyring import ExactMatrix, UniPoly, det_exact, resultant
 
 
@@ -42,19 +46,23 @@ def scale(F: NumberField, c, alpha: Element) -> Element:
 def mul(F: NumberField, alpha: Element, beta: Element) -> Element:
     """Exact product: alpha's matrix applied to beta's coordinate column."""
     _require_same_field(F, alpha, beta)
-    return Element(F, arithmetic_matrix(F, alpha).apply(list(beta.coords)))
+    rows, d = integer_matrix(F, alpha)
+    ys, e = scaled_coords(beta.coords)
+    return Element(F, [Fraction(sum(r * y for r, y in zip(row, ys)), d * e) for row in rows])
 
 
 def trace(F: NumberField, alpha: Element) -> Fraction:
     """Trace of alpha: the trace of its multiplication matrix."""
     _require_same_field(F, alpha)
-    return arithmetic_matrix(F, alpha).trace()
+    xs, d = scaled_coords(alpha.coords)
+    return Fraction(integer_trace(F, xs), d)
 
 
 def norm(F: NumberField, alpha: Element) -> Fraction:
     """Norm of alpha: the determinant of its multiplication matrix."""
     _require_same_field(F, alpha)
-    return det_exact(arithmetic_matrix(F, alpha))
+    rows, d = integer_matrix(F, alpha)
+    return Fraction(det_exact(rows), d**F.n)
 
 
 def norm_resultant_oracle(F: NumberField, alpha: Element) -> Fraction:
@@ -73,30 +81,28 @@ def inverse(F: NumberField, alpha: Element) -> Element:
     _require_same_field(F, alpha)
     if alpha.is_zero():
         raise ZeroElementError("cannot invert the zero element")
-    inv = arithmetic_matrix(F, alpha).inverse()
-    return Element(F, inv.column(0))
+    rows, d = integer_matrix(F, alpha)
+    column = ExactMatrix.from_rows(rows).inverse(columns=(0,)).column(0)
+    return Element(F, [d * c for c in column])
 
 
 def char_poly(F: NumberField, alpha: Element) -> UniPoly:
     """Monic degree-n characteristic polynomial of alpha's matrix.
 
-    Computed by the Faddeev-LeVerrier recurrence over exact rationals, which
-    avoids symbolic determinants entirely.
+    Power sums p_k = tr(A^k), then Newton's identities, exact over the integers.
     """
     _require_same_field(F, alpha)
     n = F.n
-    N = arithmetic_matrix(F, alpha)
-    ident = ExactMatrix.identity(n)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = N
-    c = -M.trace()
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
-        M = N @ (M + c * ident)
-        c = -M.trace() / k
-        coeffs[n - k] = c
-    return UniPoly(coeffs)
+    rows, d = integer_matrix(F, alpha)
+    power, _ = scaled_coords(alpha.coords)
+    sums = [integer_trace(F, power)]
+    for _ in range(n - 1):
+        power = [sum(r * v for r, v in zip(row, power)) for row in rows]
+        sums.append(integer_trace(F, power))
+    coeffs = [0] * n + [1]
+    for k in range(1, n + 1):
+        coeffs[n - k] = -sum(coeffs[n - k + i] * sums[i - 1] for i in range(1, k + 1)) // k
+    return UniPoly([Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)])
 
 
 def is_integral(F: NumberField, alpha: Element) -> bool:

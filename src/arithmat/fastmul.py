@@ -21,14 +21,15 @@ remaindering reconstructs the exact integer coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
+    ArithmatError,
     DimensionMismatchError,
     FieldMismatchError,
     NonIntegerEntryError,
 )
-from .field import Element, NumberField, arithmetic_matrix, basis_change_matrix
+from .field import Element, NumberField, arithmetic_matrix, basis_change_matrix, scaled_coords
+from .forms import prime_divisors
 from .polyring import ExactMatrix, UniPoly
 
 
@@ -49,21 +50,15 @@ class MulCounter:
         return f"MulCounter(mults={self.scalar_mults}, adds={self.scalar_adds})"
 
 
+def _as_int(v) -> int:
+    """The exact integer value of an entry; fractions and symbolic entries raise."""
+    if isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1):
+        return int(v)
+    raise NonIntegerEntryError(f"integer algorithm fed the non-integer entry {v!r}")
+
+
 def _int_rows(M: ExactMatrix) -> list[list[int]]:
-    rows = []
-    for i in range(M.rows):
-        row = []
-        for e in M.row(i):
-            if isinstance(e, Fraction):
-                if e.denominator != 1:
-                    raise NonIntegerEntryError("integer matrix algorithm fed a fraction")
-                row.append(e.numerator)
-            elif isinstance(e, int):
-                row.append(e)
-            else:
-                raise NonIntegerEntryError("integer matrix algorithm fed a symbolic entry")
-        rows.append(row)
-    return rows
+    return [[_as_int(e) for e in M.row(i)] for i in range(M.rows)]
 
 
 def schoolbook_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = None) -> ExactMatrix:
@@ -120,9 +115,10 @@ def ww_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = Non
 
     Y = [[0] * m for _ in range(m)]
     for (i, j), z in Z.items():
-        s = X[i][j] + z
-        assert s % 2 == 0
-        Y[i][j] = s // 2
+        half, odd = divmod(X[i][j] + z, 2)
+        if odd:
+            raise ArithmatError("correction term X + Z is odd, so the product is not exact")
+        Y[i][j] = half
         counter.tally(adds=1)
     for j in range(1, m):
         Y[0][j] = Y[0][0] + Y[j][j] - Y[j][0]
@@ -281,22 +277,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _factor_small(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _primitive_root(p: int) -> int:
-    factors = _factor_small(p - 1)
+    factors = prime_divisors(p - 1)
     g = 2
     while True:
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
@@ -353,14 +335,6 @@ def _convolve_mod(F: list[int], G: list[int], size: int, p: int, g: int) -> list
     _ntt(fa, p, ginv)
     ninv = pow(size, p - 2, p)
     return [x * ninv % p for x in fa]
-
-
-def _as_int(v) -> int:
-    if isinstance(v, Fraction):
-        if v.denominator != 1:
-            raise NonIntegerEntryError("convolution inputs must be integers")
-        return v.numerator
-    return int(v)
 
 
 def exact_convolve(F: list[int], G: list[int]) -> list[int]:
@@ -438,16 +412,17 @@ def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
     AZ = basis_change_matrix(F)
     ca = AZ.apply(list(alpha.coords))
     cb = AZ.apply(list(beta.coords))
-    da = lcm(*(c.denominator for c in ca))
-    db = lcm(*(c.denominator for c in cb))
-    ia = [int(c * da) for c in ca]
-    ib = [int(c * db) for c in cb]
+    ia, da = scaled_coords(ca)
+    ib, db = scaled_coords(cb)
     conv = exact_convolve(ia, ib)
     prod = UniPoly([Fraction(v, da * db) for v in conv])
     f = F.pair.form.dehomogenized()
     _, reduced = prod.divmod(f)
-    power_coeffs = [reduced.coeff(k) for k in range(F.n)]
-    back = AZ.inverse().apply(power_coeffs)
+    # back substitution through the upper-triangular basis change
+    n = F.n
+    back = [reduced.coeff(k) for k in range(n)]
+    for i in range(n - 1, -1, -1):
+        back[i] = (back[i] - sum(AZ[i, j] * back[j] for j in range(i + 1, n))) / AZ[i, i]
     return Element(F, back)
 
 

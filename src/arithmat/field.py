@@ -20,6 +20,7 @@ agree identically.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -178,10 +179,10 @@ def make_field(pair: EssentialPair) -> NumberField:
             f"form discriminant {D} is not divisible by a0^2 = {a0 * a0}"
         )
     if form.degree <= 5:
-        if not is_irreducible(form):
+        if not is_irreducible(form, D):
             raise ReducibleFormError("form is reducible over the rationals")
     else:
-        cert = irreducibility_certificate(form)
+        cert = irreducibility_certificate(form, D)
         if cert is not True:
             raise ReducibleFormError(
                 "form is reducible or could not be certified irreducible"
@@ -194,8 +195,15 @@ def make_field(pair: EssentialPair) -> NumberField:
 # ----------------------------------------------------------------------
 
 
-def _entries_standard(n: int, a, xs):
-    """Entries for a0 = 1; a is 1-indexed (a[1]..a[n+1]), xs 0-indexed."""
+def _quotient(v, k: int):
+    """v / k, kept an integer when k divides v (always so for a validated pair)."""
+    if isinstance(v, int) and v % k == 0:
+        return v // k
+    return v * Fraction(1, k)
+
+
+def _standard_entry(n: int, a, xs):
+    """Entry function (i, j) -> N[i][j] for a0 = 1; a is 1-indexed (a[1]..a[n+1]), xs 0-indexed."""
 
     def entry(i, j):
         if j == 1:
@@ -208,40 +216,38 @@ def _entries_standard(n: int, a, xs):
         acc = xs[0] if i == j else 0
         return acc - sum(a[k] * xs[k + i - j - 1] for k in range(j, m + 1))
 
-    return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return entry
 
 
-def _entries_generalized(n: int, a, a0: int, xs):
-    """Explicit entries for a general pair; reduces to the standard ones at a0=1."""
-    q0 = Fraction(1, a0)
-    q00 = Fraction(1, a0 * a0)
+def _generalized_entry(n: int, a, a0: int, xs):
+    """Explicit entries for a general pair; reduces to the standard ones at a0=1.
+
+    The pair enters only through the exact quotients a1/a0, a1/a0^2, a2/a0
+    and a1*a_{n+1}/a0, so integer coordinates give integer entries.
+    """
+    c1 = _quotient(a[1], a0)
+    c11 = _quotient(a[1], a0 * a0)
+    c2 = _quotient(a[2], a0)
+    c1n = _quotient(a[1] * a[n + 1], a0)
     if n == 2:
-        return [
-            [xs[0], -(a[1] * a[3] * q00) * xs[1]],
-            [xs[1], xs[0] - (a[2] * q0) * xs[1]],
-        ]
+        rows = [[xs[0], -(c11 * a[3]) * xs[1]], [xs[1], xs[0] - c2 * xs[1]]]
+        return lambda i, j: rows[i - 1][j - 1]
 
     def entry(i, j):
         if j == 1:
             return xs[i - 1]
         if j == 2:
             if i == 1:
-                return -(a[1] * a[n + 1] * q0) * xs[n - 1]
+                return -c1n * xs[n - 1]
             if i == 2:
-                return (
-                    xs[0]
-                    - (a[2] * q0) * xs[1]
-                    - sum(a[k] * xs[k - 1] for k in range(3, n + 1))
-                )
+                return xs[0] - c2 * xs[1] - sum(a[k] * xs[k - 1] for k in range(3, n + 1))
             if i == 3:
-                return (a[1] * q00) * xs[1]
-            return (a[1] * q0) * xs[i - 2]
+                return c11 * xs[1]
+            return c1 * xs[i - 2]
         # j >= 3
         if i == 1:
             if j == n:
-                return -(a[1] * a[n + 1] * q0) * xs[1] - a[n + 1] * sum(
-                    a[k] * xs[k] for k in range(2, n)
-                )
+                return -c1n * xs[1] - a[n + 1] * sum(a[k] * xs[k] for k in range(2, n))
             return -a[n + 1] * sum(a[k] * xs[k + n - j] for k in range(1, j))
         if i == 2:
             return -a[j] * xs[1] - a0 * sum(
@@ -250,19 +256,26 @@ def _entries_generalized(n: int, a, a0: int, xs):
         if j <= i - 2:
             return sum(a[k] * xs[k + i - j - 1] for k in range(1, j))
         if j == i - 1:
-            return (a[1] * q0) * xs[1] + sum(a[k] * xs[k] for k in range(2, i - 1))
+            return c1 * xs[1] + sum(a[k] * xs[k] for k in range(2, i - 1))
         m = min(n - i + j, n + 1)
         acc = xs[0] if i == j else 0
         return acc - sum(a[k] * xs[k + i - j - 1] for k in range(j, m + 1))
 
-    return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return entry
 
 
-def _entries_substitution(n: int, a, a0: int, xs):
+def _entry_function(n: int, coeffs, a0: int, xs):
+    a = {k + 1: c for k, c in enumerate(coeffs)}
+    if a0 == 1:
+        return _standard_entry(n, a, xs)
+    return _generalized_entry(n, a, a0, xs)
+
+
+def _entries_substitution(n: int, coeffs, a0: int, xs):
     """Generalized entries via x1 -> x1/a0 followed by diag(1, 1/a0, 1, ...) conjugation."""
     subbed = list(xs)
     subbed[1] = xs[1] * Fraction(1, a0)
-    rows = _entries_standard(n, a, subbed)
+    rows = _matrix_rows(n, coeffs, 1, subbed)
     for j in range(n):
         rows[1][j] = rows[1][j] * a0
     for i in range(n):
@@ -271,13 +284,11 @@ def _entries_substitution(n: int, a, a0: int, xs):
 
 
 def _matrix_rows(n: int, coeffs, a0: int, xs, method: str = "explicit"):
-    a = {k + 1: c for k, c in enumerate(coeffs)}
-    if a0 == 1:
-        return _entries_standard(n, a, list(xs))
-    if method == "explicit":
-        return _entries_generalized(n, a, a0, list(xs))
+    if a0 == 1 or method == "explicit":
+        entry = _entry_function(n, coeffs, a0, xs)
+        return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     if method == "substitution":
-        return _entries_substitution(n, a, a0, list(xs))
+        return _entries_substitution(n, coeffs, a0, xs)
     raise ValueError(f"unknown construction method {method!r}")
 
 
@@ -286,14 +297,38 @@ def _flatten(rows) -> ExactMatrix:
     return ExactMatrix(n, n, [e for row in rows for e in row])
 
 
+def scaled_coords(coords) -> tuple[list[int], int]:
+    """Integer numerators of rational coordinates over their common denominator d."""
+    d = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (d // c.denominator) for c in coords], d
+
+
+def integer_matrix(F: NumberField, alpha: Element) -> tuple[list[list[int]], int]:
+    """Alpha's arithmetic matrix as integer rows over one common denominator d."""
+    if alpha.field != F:
+        raise FieldMismatchError("element belongs to a different field")
+    xs, d = scaled_coords(alpha.coords)
+    return _matrix_rows(F.n, F.pair.form.coeffs, F.a0, xs), d
+
+
+def integer_trace(F: NumberField, xs: Sequence[int]) -> int:
+    """Trace of the arithmetic matrix on integer coordinates, from its diagonal alone."""
+    entry = _entry_function(F.n, F.pair.form.coeffs, F.a0, xs)
+    return sum(entry(i, i) for i in range(1, F.n + 1))
+
+
 def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") -> ExactMatrix:
     """The n x n multiplication matrix of alpha over the omega-basis.
 
     Column 1 carries alpha's coordinates; integer coordinates give integer
-    entries and conversely.
+    entries and conversely.  The explicit route divides the integer matrix by
+    its common denominator; the substitution route is an independent oracle.
     """
     if alpha.field != F:
         raise FieldMismatchError("element belongs to a different field")
+    if method == "explicit" or F.a0 == 1:
+        rows, d = integer_matrix(F, alpha)
+        return ExactMatrix(F.n, F.n, [Fraction(v, d) for row in rows for v in row])
     return _flatten(_matrix_rows(F.n, F.pair.form.coeffs, F.a0, alpha.coords, method))
 
 

@@ -9,10 +9,9 @@ degree exactly n.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ArithmatError, UnsupportedDegreeError, ZeroPolynomialError
-from .polyring import UniPoly, det_bareiss, sylvester_matrix
+from .polyring import UniPoly, det_bareiss
 
 # Primes used for the sufficient irreducibility accept.  A form that is
 # irreducible modulo any of these (with degree preserved) is irreducible.
@@ -78,22 +77,28 @@ def evaluate(B: BinaryForm, x: int, y: int) -> int:
 
 
 def form_discriminant(B: BinaryForm) -> int:
-    """Exact discriminant via the Sylvester determinant of B(x,1) and its derivative.
+    """Exact discriminant via the Sylvester determinant of B(x,1) and its derivative."""
+    return coeffs_discriminant(B.coeffs)
 
-    The sign follows the degree: negated when n = 2, 3 (mod 4).  The division
-    by the leading coefficient is always exact; a non-exact division would
-    indicate a construction bug and raises.
+
+def coeffs_discriminant(coeffs) -> int:
+    """Discriminant of the form with integer coefficients (a1, ..., a_{n+1}).
+
+    The integer Sylvester determinant, negated when n = 2, 3 (mod 4), over
+    a1; that division is always exact, and raises if it is not.
     """
-    n = B.degree
-    f = B.dehomogenized()
-    det = det_bareiss(sylvester_matrix(f, f.derivative()))
-    s = 1 if n % 4 in (2, 3) else 0
-    value = (-det if s else det) / Fraction(B.coeffs[0])
-    if value.denominator != 1:
+    n = len(coeffs) - 1
+    size = 2 * n - 1
+    deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
+    rows = [[0] * i + list(coeffs) + [0] * (size - i - n - 1) for i in range(n - 1)]
+    rows += [[0] * i + deriv + [0] * (size - i - n) for i in range(n)]
+    det = det_bareiss(rows)
+    value, rem = divmod(-det if n % 4 in (2, 3) else det, coeffs[0])
+    if rem:
         raise ArithmatError(
             "discriminant division by the leading coefficient was not exact"
         )
-    return int(value)
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +225,7 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int) -> bool:
     x_itself = [0, 1] if n > 1 else [(-f[0]) % p]
     if _gfp_trim([(a - b) % p for a, b in _pad_pair(xq, x_itself)]):
         return False
-    for q in _prime_divisors(n):
+    for q in prime_divisors(n):
         h = _gfp_powmod_x(p ** (n // q), f, p)
         diff = _gfp_trim([(a - b) % p for a, b in _pad_pair(h, x_itself)])
         if not diff:
@@ -235,7 +240,7 @@ def _pad_pair(a, b):
     return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
-def _prime_divisors(n: int) -> list[int]:
+def prime_divisors(n: int) -> list[int]:
     out = []
     d = 2
     while d * d <= n:
@@ -271,46 +276,47 @@ def _quadratic_factor_exists(cs: tuple[int, ...], bound: int) -> bool:
     return False
 
 
-def is_irreducible(B: BinaryForm) -> bool:
+def _cheap_decision(B: BinaryForm, disc: int | None):
+    """False on a zero discriminant or a rational root, True when degree <= 3
+    or irreducible modulo a small prime (degree preserved), else None."""
+    cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
+    if (form_discriminant(B) if disc is None else disc) == 0:
+        return False
+    if _has_rational_root(cs):
+        return False
+    if B.degree <= 3:
+        return True
+    for p in _ACCEPT_PRIMES:
+        if cs[-1] % p and _gfp_is_irreducible(cs, p):
+            return True
+    return None
+
+
+def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     """Exact irreducibility of B(x,1) over the rationals, degrees 2 to 5.
 
     Rational roots are excluded first; degrees 4 and 5 then search for an
     integer quadratic factor with coefficients below a Mignotte-style bound.
     A fast sufficient accept (irreducibility modulo a small prime) runs before
-    the exhaustive phase.
+    the exhaustive phase.  ``disc`` is the form's discriminant, if known.
     """
     n = B.degree
     if n > 5:
         raise UnsupportedDegreeError(f"exact irreducibility supports degree <= 5, got {n}")
-    cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
-    if form_discriminant(B) == 0:
-        return False
-    if _has_rational_root(cs):
-        return False
-    if n <= 3:
-        return True
-    for p in _ACCEPT_PRIMES:
-        if cs[-1] % p and _gfp_is_irreducible(cs, p):
-            return True
+    decided = _cheap_decision(B, disc)
+    if decided is not None:
+        return decided
     bound = (1 << n) * (1 + math.ceil(B.norm2()))
-    return not _quadratic_factor_exists(cs, bound)
+    return not _quadratic_factor_exists(_primitive_monic_sign(tuple(reversed(B.coeffs))), bound)
 
 
-def irreducibility_certificate(B: BinaryForm):
+def irreducibility_certificate(B: BinaryForm, disc: int | None = None):
     """Cheap one-sided test usable at any degree.
 
     Returns True when irreducibility is certified (mod-p accept), False when
     reducibility is certified (zero discriminant or a rational root), and
-    None when undecided.
+    None when undecided.  ``disc`` is the form's discriminant, if known.
     """
     if B.degree <= 5:
-        return is_irreducible(B)
-    cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
-    if form_discriminant(B) == 0:
-        return False
-    if _has_rational_root(cs):
-        return False
-    for p in _ACCEPT_PRIMES:
-        if cs[-1] % p and _gfp_is_irreducible(cs, p):
-            return True
-    return None
+        return is_irreducible(B, disc)
+    return _cheap_decision(B, disc)

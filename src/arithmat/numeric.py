@@ -79,6 +79,10 @@ def find_roots(B: BinaryForm) -> list[complex]:
     return sorted(polished, key=lambda w: (w.real, w.imag))
 
 
+def _floats(M) -> np.ndarray:
+    return np.array([[float(e) for e in M.row(i)] for i in range(M.rows)])
+
+
 class EmbeddingData:
     """Roots, the Vandermonde matrix, and the complex basis-embedding matrix.
 
@@ -101,10 +105,7 @@ class EmbeddingData:
         self.xi = np.array(
             [[z**j for j in range(n)] for z in self.roots], dtype=complex
         )
-        az = np.array(
-            [[float(basis_change_matrix(F)[i, j]) for j in range(n)] for i in range(n)]
-        )
-        self.gamma = self.xi @ az
+        self.gamma = self.xi @ _floats(basis_change_matrix(F))
         det2 = complex(np.linalg.det(self.gamma)) ** 2
         if abs(det2 - F.disc) > 1e-6 * max(1.0, abs(F.disc)):
             raise ArithmatError(
@@ -124,9 +125,7 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     multiplication matrix are the embedding images of the element.
     """
     emb = EmbeddingData(F)
-    n = F.n
-    N = arithmetic_matrix(F, alpha)
-    Nf = np.array([[float(N[i, j]) for j in range(n)] for i in range(n)])
+    Nf = _floats(arithmetic_matrix(F, alpha))
     theta = np.diag(emb.embed(alpha))
     return float(np.max(np.abs(emb.gamma @ Nf - theta @ emb.gamma)))
 
@@ -134,9 +133,7 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
 def eigenvalue_match_residual(F: NumberField, alpha: Element) -> float:
     """Distance between the eigenvalues of N and the embedded images of alpha."""
     emb = EmbeddingData(F)
-    n = F.n
-    N = arithmetic_matrix(F, alpha)
-    Nf = np.array([[float(N[i, j]) for j in range(n)] for i in range(n)])
+    Nf = _floats(arithmetic_matrix(F, alpha))
     eigs = sorted(np.linalg.eigvals(Nf), key=lambda w: (w.real, w.imag))
     images = sorted(emb.embed(alpha), key=lambda w: (w.real, w.imag))
     return float(max(abs(e - k) for e, k in zip(eigs, images)))

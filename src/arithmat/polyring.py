@@ -5,12 +5,14 @@ multivariate polynomials (MultiPoly) are sparse maps from exponent tuples to
 Fraction, and ExactMatrix is a dense matrix whose entries are either Fraction
 scalars or MultiPoly values (symbolic mode).  Everything here is immutable
 after construction and every operation is a pure function, so values can be
-shared freely between threads.
+shared freely between threads.  Determinants and inverses share one
+fraction-free (Bareiss) elimination over the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -30,8 +32,11 @@ def _frac(x) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer or 'p/q' token into a Fraction."""
-    return Fraction(text.strip())
+    """Parse an integer or 'p/q' token into a Fraction (ValueError when malformed)."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -614,29 +619,26 @@ class ExactMatrix:
             [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
         )
 
-    def inverse(self) -> ExactMatrix:
-        """Exact inverse via Gauss-Jordan elimination (rational entries only)."""
+    def inverse(self, columns: Sequence[int] | None = None) -> ExactMatrix:
+        """Exact inverse, or only the listed columns of it, by fraction-free elimination."""
         if not self.is_square():
             raise NonSquareMatrixError("inverse of a non-square matrix")
         if self.is_symbolic():
             raise NonSquareMatrixError("symbolic inverse is not supported")
         n = self.rows
-        aug = [
-            list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return ExactMatrix.from_rows([row[n:] for row in aug])
+        cols = range(n) if columns is None else columns
+        rows, scales = _integer_rows(self)
+        # with S = diag(scales), A^-1 e_j = (S A)^-1 (scales[j] e_j)
+        a = [row + [scales[i] * (i == j) for j in cols] for i, row in enumerate(rows)]
+        if n and _eliminate(a, n) == 0:
+            raise SingularMatrixError("matrix is singular")
+        det = a[n - 1][n - 1] if n else 1
+        # back substitution for det * x, exact in integers (Cramer)
+        for c in range(n, n + len(cols)):
+            for i in range(n - 1, -1, -1):
+                row = a[i]
+                row[c] = (det * row[c] - sum(row[j] * a[j][c] for j in range(i + 1, n))) // row[i]
+        return ExactMatrix(n, len(cols), [Fraction(v, det) for row in a for v in row[n:]])
 
     def trace(self):
         if not self.is_square():
@@ -653,33 +655,51 @@ class ExactMatrix:
         )
 
 
-def det_bareiss(M: ExactMatrix) -> Fraction:
-    """Fraction-free (Bareiss) determinant for rational-entry matrices."""
-    if not M.is_square():
-        raise NonSquareMatrixError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return Fraction(1)
-    a = [list(M.row(i)) for i in range(n)]
+def _integer_rows(M: ExactMatrix) -> tuple[list[list[int]], list[int]]:
+    """Rows scaled to integers by the lcm of their denominators, and the scales."""
+    rows, scales = [], []
+    for i in range(M.rows):
+        row = M.row(i)
+        scale = lcm(*(e.denominator for e in row))
+        rows.append([e.numerator * (scale // e.denominator) for e in row])
+        scales.append(scale)
+    return rows, scales
+
+
+def _eliminate(a: list[list[int]], n: int) -> int:
+    """Bareiss elimination in place on n integer rows, possibly augmented; every
+    division is exact.  Returns the determinant of the leading n x n block."""
     sign = 1
-    prev = Fraction(1)
+    prev = 1
+    width = len(a[0]) if a else 0
     for k in range(n - 1):
         if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        akk = a[k][k]
+        rowk = a[k]
+        akk = rowk[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * akk - aik * rowk[j]) / prev
-            rowi[k] = Fraction(0)
+            aik = rowi[k]
+            for j in range(k + 1, width):
+                rowi[j] = (rowi[j] * akk - aik * rowk[j]) // prev
+            rowi[k] = 0
         prev = akk
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def det_bareiss(M):
+    """Fraction-free determinant of square integer rows (an int) or of a
+    rational ExactMatrix, whose rows are scaled to integers first (a Fraction)."""
+    if not isinstance(M, ExactMatrix):
+        return _eliminate([list(row) for row in M], len(M))
+    if not M.is_square():
+        raise NonSquareMatrixError("determinant of a non-square matrix")
+    rows, scales = _integer_rows(M)
+    return Fraction(_eliminate(rows, M.rows), prod(scales))
 
 
 def det_cofactor(M: ExactMatrix):
@@ -707,9 +727,9 @@ def det_cofactor(M: ExactMatrix):
     return det(tuple(range(n)), 0)
 
 
-def det_exact(M: ExactMatrix):
-    """Exact determinant: Bareiss for rational entries, cofactor for symbolic."""
-    if M.is_symbolic():
+def det_exact(M):
+    """Exact determinant: Bareiss for integer rows or rational entries, cofactor for symbolic."""
+    if isinstance(M, ExactMatrix) and M.is_symbolic():
         return det_cofactor(M)
     return det_bareiss(M)
 

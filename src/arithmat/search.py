@@ -16,10 +16,16 @@ from dataclasses import dataclass, field as dataclass_field
 from math import isqrt
 
 from .element import char_poly, inverse, is_integral, norm, trace
-from .errors import DegenerateElementError, ReducibleFormError, UnsupportedDegreeError
+from .errors import (
+    ArithmatError,
+    DegenerateElementError,
+    ReducibleFormError,
+    UnsupportedDegreeError,
+)
 from .field import Element, EssentialPair, NumberField, make_field
 from .forms import (
     BinaryForm,
+    coeffs_discriminant,
     form_discriminant,
     irreducibility_certificate,
     is_irreducible,
@@ -78,53 +84,13 @@ def _cands_deg4(a1, a2_values, rng, target):
                         yield (a, b, c, d, e)
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Integer Bareiss determinant with exact divisions."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * akk - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]
-
-
-def _disc_int(coeffs: tuple[int, ...]) -> int:
-    """Discriminant of a binary form given as plain ints (any degree)."""
-    n = len(coeffs) - 1
-    size = 2 * n - 1
-    high = list(coeffs)
-    deriv = [(n + 1 - k) * coeffs[k - 1] for k in range(1, n + 1)]
-    rows = []
-    for i in range(n - 1):
-        rows.append([0] * i + high + [0] * (size - i - n - 1))
-    for i in range(n):
-        rows.append([0] * i + deriv + [0] * (size - i - n))
-    det = _det_int(rows)
-    value = -det if n % 4 in (2, 3) else det
-    assert value % coeffs[0] == 0
-    return value // coeffs[0]
-
-
 def _cands_deg5(a1, a2_values, rng, target):
     for b in a2_values:
         for c in rng:
             for d in rng:
                 for e in rng:
                     for f in rng:
-                        if f and _disc_int((a1, b, c, d, e, f)) == target:
+                        if f and coeffs_discriminant((a1, b, c, d, e, f)) == target:
                             yield (a1, b, c, d, e, f)
 
 
@@ -160,7 +126,7 @@ def search_essential_pairs(
         rng = range(-box, box + 1)
         out = []
         for coeffs in gen(a1, a2_values, rng, target):
-            if is_irreducible(BinaryForm(coeffs)):
+            if is_irreducible(BinaryForm(coeffs), target):
                 out.append((a0, coeffs))
         return out
 
@@ -245,7 +211,7 @@ def verify_tables(rows: list[tuple[int, int, tuple[int, ...]]]) -> TableReport:
         if coeffs[1] % a0:
             report.failures.append((idx, row, f"a0 does not divide a2={coeffs[1]}"))
             continue
-        if not is_irreducible(B):
+        if not is_irreducible(B, D):
             report.failures.append((idx, row, "form is reducible"))
     return report
 
@@ -267,6 +233,12 @@ def load_bundled_table(name: str) -> list[tuple[int, int, tuple[int, ...]]]:
 # ----------------------------------------------------------------------
 
 
+def _integral(value, what: str) -> int:
+    if value.denominator != 1:
+        raise ArithmatError(f"integral element with a non-integral {what}: {value}")
+    return int(value)
+
+
 def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair | None:
     """Build an essential pair from a degree-n integral element, if one results.
 
@@ -284,15 +256,12 @@ def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair
         )
     if not is_integral(F, alpha):
         return None
-    assert D.denominator == 1
-    D = int(D)
-    n_val = norm(F, alpha)
-    assert n_val.denominator == 1
-    if (F.disc * int(n_val)) % D:
+    D = _integral(D, "discriminant")
+    n_val = _integral(norm(F, alpha), "norm")
+    if (F.disc * n_val) % D:
         return None
-    k = n_val * trace(F, inverse(F, alpha))
-    assert k.denominator == 1
-    if (F.disc * int(k) * int(k)) % D:
+    k = _integral(n_val * trace(F, inverse(F, alpha)), "N * Tr(1/alpha)")
+    if (F.disc * k * k) % D:
         return None
     ratio, rem = divmod(D, F.disc)
     if rem or ratio <= 0:
@@ -311,5 +280,8 @@ def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair
         if F.n <= 5 or irreducibility_certificate(pair.form) is False:
             raise
         built = NumberField(pair, F.n, D // (a0 * a0))
-    assert built.disc == F.disc
+    if built.disc != F.disc:
+        raise ArithmatError(
+            f"pair built from the element has discriminant {built.disc}, not {F.disc}"
+        )
     return pair

@@ -139,6 +139,13 @@ class TestBenchCommand:
         assert (m, algo, mults) == ("4", "ww", "46")
         assert int(ns) > 0
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    @pytest.mark.parametrize("algo", ["schoolbook", "ww", "recursive"])
+    def test_size_below_one_is_a_typed_error(self, capsys, size, algo):
+        code, out, err = run(capsys, "bench", "--size", size, "--algo", algo)
+        assert (code, out) == (2, "")
+        assert "DimensionMismatchError" in err
+
     def test_recursive_any_size(self, capsys):
         code, out, _ = run(capsys, "bench", "--size", "5", "--algo", "recursive")
         assert code == 0
@@ -149,6 +156,13 @@ class TestExitCodesAndDeterminism:
     def test_parse_error_is_one(self, capsys):
         code, _, err = run(capsys, "disc", "--form", "oops")
         assert code == 1
+
+    def test_zero_denominator_is_a_parse_error(self, capsys):
+        code, out, err = run(
+            capsys, "mul", "--pair", "1:1,1,-1", "--a", "1/0,1", "--b", "1,1"
+        )
+        assert (code, out) == (1, "")
+        assert "zero denominator" in err
 
     def test_unknown_command_is_one(self, capsys):
         assert run(capsys, "nonsense")[0] == 1
