@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from . import covariants, element, fastmul, numeric, search
+from . import covariants, element, fastmul, search
 from .errors import ArithmatError, DimensionMismatchError
 from .field import (
     Element,
@@ -204,6 +204,8 @@ def _cmd_syzygy(args) -> int:
 
 
 def _cmd_diag_check(args) -> int:
+    from . import numeric  # numpy is imported for this command only
+
     F = make_field(EssentialPair.from_text(args.pair))
     alpha = Element.from_text(F, args.coords)
     residual = numeric.diagonalization_residual(F, alpha)

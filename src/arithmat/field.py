@@ -77,12 +77,13 @@ class EssentialPair:
 class NumberField:
     """Validated field context: pair, degree, and trusted discriminant."""
 
-    __slots__ = ("pair", "n", "disc")
+    __slots__ = ("pair", "n", "disc", "embedding")
 
     def __init__(self, pair: EssentialPair, n: int, disc: int):
         self.pair = pair
         self.n = n
         self.disc = disc
+        self.embedding = None  # numeric.EmbeddingData, kept once built
 
     @property
     def a0(self) -> int:

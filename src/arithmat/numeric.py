@@ -106,6 +106,7 @@ class EmbeddingData:
             [[z**j for j in range(n)] for z in self.roots], dtype=complex
         )
         self.gamma = self.xi @ _floats(basis_change_matrix(F))
+        self.xi.flags.writeable = self.gamma.flags.writeable = False
         det2 = complex(np.linalg.det(self.gamma)) ** 2
         if abs(det2 - F.disc) > 1e-6 * max(1.0, abs(F.disc)):
             raise ArithmatError(
@@ -118,13 +119,23 @@ class EmbeddingData:
         return self.gamma @ x
 
 
+def embedding_data(F: NumberField) -> EmbeddingData:
+    """F's EmbeddingData, built on first use and kept on the field.
+
+    Only a successful build is kept, so a failing one raises on every call.
+    """
+    if F.embedding is None:
+        F.embedding = EmbeddingData(F)
+    return F.embedding
+
+
 def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     """Max-norm of Gamma*N - Theta*Gamma, Theta the diagonal of embedded images.
 
     A small residual certifies numerically that the eigenvalues of the
     multiplication matrix are the embedding images of the element.
     """
-    emb = EmbeddingData(F)
+    emb = embedding_data(F)
     Nf = _floats(arithmetic_matrix(F, alpha))
     theta = np.diag(emb.embed(alpha))
     return float(np.max(np.abs(emb.gamma @ Nf - theta @ emb.gamma)))
@@ -132,7 +143,7 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
 
 def eigenvalue_match_residual(F: NumberField, alpha: Element) -> float:
     """Distance between the eigenvalues of N and the embedded images of alpha."""
-    emb = EmbeddingData(F)
+    emb = embedding_data(F)
     Nf = _floats(arithmetic_matrix(F, alpha))
     eigs = sorted(np.linalg.eigvals(Nf), key=lambda w: (w.real, w.imag))
     images = sorted(emb.embed(alpha), key=lambda w: (w.real, w.imag))
@@ -161,7 +172,7 @@ def dh_cubic_form(F: NumberField) -> BinaryForm:
     """
     if F.n != 3:
         raise UnsupportedDegreeError("the cubic reconstruction needs degree 3")
-    emb = EmbeddingData(F)
+    emb = embedding_data(F)
     g = emb.gamma
     # coefficients of the product of three linear forms in x, y
     coeffs = [0j, 0j, 0j, 0j]  # x^3, x^2 y, x y^2, y^3
@@ -202,7 +213,7 @@ def quartic_subform(F: NumberField, i: int, j: int) -> tuple[BinaryForm, int]:
         raise UnsupportedDegreeError("subforms are a quartic construction")
     if not ({i, j} <= {2, 3, 4}) or i == j:
         raise ArithmatError("need distinct i, j in {2, 3, 4}")
-    emb = EmbeddingData(F)
+    emb = embedding_data(F)
     g = emb.gamma
     adj = np.linalg.det(g) * np.linalg.inv(g)
     prod = [(1 + 0j)]

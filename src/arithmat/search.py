@@ -3,17 +3,21 @@
 The search enumerates coefficient boxes |a_i| <= height * a0^2 for each
 scale factor a0, keeping forms whose discriminant is exactly disc * a0^2,
 that satisfy the divisibility conditions, and that are irreducible.  The
-inner loops run on plain integers with per-degree discriminant formulas
-(Horner in the last coefficient), falling back to the Sylvester determinant
-for degree 5.  The box may be sharded over worker threads; results are
-merged and sorted so the output is independent of the sharding.
+inner loops run on plain integers with explicit per-degree discriminant
+formulas, quintic included.  Degree 2 solves for the last coefficient
+directly; degrees 3-5 try as the last coefficient only the divisors of the
+polynomial's constant term that lie in the box (rational root theorem).
+Each (a0, a1) slice of the box is one task; jobs > 1 runs the tasks on a
+thread pool, whose threads share the interpreter lock and so do not run in
+parallel.  Results are merged and sorted, so the output is independent of
+jobs.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .element import char_poly, inverse, is_integral, norm, trace
 from .errors import (
@@ -25,7 +29,6 @@ from .errors import (
 from .field import Element, EssentialPair, NumberField, make_field
 from .forms import (
     BinaryForm,
-    coeffs_discriminant,
     form_discriminant,
     irreducibility_certificate,
     is_irreducible,
@@ -33,27 +36,49 @@ from .forms import (
 from .polyring import poly_discriminant
 
 
+class _Divisors(dict):
+    """The nonzero x of rng that divide g, in rng order, keyed by g.
+
+    Each generator below fixes every coefficient but the last, x, which
+    leaves disc - target as an integer polynomial P(x).  A nonzero integer
+    root of P divides P(0) (rational root theorem), and one with |x| <= B
+    divides lcm(1..B) too, so it is among self[gcd(P(0), self.lcm)].  When
+    P(0) = 0 that gcd is the lcm itself, and every x is tried.
+    """
+
+    def __init__(self, rng):
+        super().__init__()
+        self.rng = rng
+        self.lcm = lcm(*range(1, max(map(abs, rng), default=0) + 1))
+
+    def __missing__(self, g):
+        xs = self[g] = [x for x in self.rng if x and not g % x]
+        return xs
+
+
 def _cands_deg2(a1, a2_values, rng, target):
-    a = a1
     for b in a2_values:
-        b2 = b * b
-        for c in rng:
-            if c and b2 - 4 * a * c == target:
-                yield (a, b, c)
+        c, rem = divmod(b * b - target, 4 * a1)
+        if c and not rem and c in rng:
+            yield (a1, b, c)
 
 
 def _cands_deg3(a1, a2_values, rng, target):
     a = a1
     k2 = -27 * a * a
+    divisors = _Divisors(rng)
+    L = divisors.lcm
     for b in a2_values:
         b2 = b * b
         b3 = b2 * b
         for c in rng:
-            k0 = b2 * c * c - 4 * a * c**3
-            k1 = 18 * a * b * c - 4 * b3
-            for d in rng:
-                if d and (k2 * d + k1) * d + k0 == target:
-                    yield (a, b, c, d)
+            k0 = b2 * c * c - 4 * a * c**3 - target
+            ds = divisors[gcd(k0, L)]
+            if ds:
+                k1 = 18 * a * b * c - 4 * b3
+                for d in ds:
+                    if (k2 * d + k1) * d + k0 == 0:
+                        yield (a, b, c, d)
 
 
 def _cands_deg4(a1, a2_values, rng, target):
@@ -61,6 +86,8 @@ def _cands_deg4(a1, a2_values, rng, target):
     aa = a * a
     k3 = 256 * aa * a
     r2 = -27 * aa
+    divisors = _Divisors(rng)
+    L = divisors.lcm
     for b in a2_values:
         b2 = b * b
         b3 = b2 * b
@@ -75,23 +102,90 @@ def _cands_deg4(a1, a2_values, rng, target):
             r1 = 18 * a * b * c - 4 * b3
             r0 = -4 * a * c3 + b2 * c2
             for d in rng:
-                d2 = d * d
-                k2 = k2d * d + k2b
-                k1 = (q2 * d + q1) * d + q0
-                k0 = d2 * ((r2 * d + r1) * d + r0)
-                for e in rng:
-                    if e and ((k3 * e + k2) * e + k1) * e + k0 == target:
-                        yield (a, b, c, d, e)
+                k0 = d * d * ((r2 * d + r1) * d + r0) - target
+                es = divisors[gcd(k0, L)]
+                if es:
+                    k2 = k2d * d + k2b
+                    k1 = (q2 * d + q1) * d + q0
+                    for e in es:
+                        if ((k3 * e + k2) * e + k1) * e + k0 == 0:
+                            yield (a, b, c, d, e)
 
 
 def _cands_deg5(a1, a2_values, rng, target):
+    # disc = K4 f^4 + K3 f^3 + K2 f^2 + K1 f + K0 with K4 = 3125 a^4 and
+    # K_i = sum_j kij e^j; each kij is a polynomial in d whose coefficients
+    # kij_m (of d^m) are set in the loop over the last coefficient they use.
+    # K0 = e^2 disc(a, b, c, d, e), so k05..k02 are _cands_deg4's k3..k0.
+    a = a1
+    aa = a * a
+    a3 = aa * a
+    K4 = 3125 * aa * aa
+    k05 = 256 * a3
+    k02_4 = -27 * aa
+    k10_5 = 108 * aa
+    k13_1 = -1600 * a3
+    k21_2 = 2250 * a3
+    divisors = _Divisors(rng)
+    L = divisors.lcm
     for b in a2_values:
+        b2 = b * b
+        b4 = b2 * b2
+        ab = a * b
+        aab = aa * b
+        k04_1 = -192 * aab
+        k12_2 = 1020 * aab
+        k20_3 = -900 * aab
+        k31 = -2500 * a3 * b
         for c in rng:
+            c2 = c * c
+            c3 = c2 * c
+            ac = a * c
+            t = 4 * ac - b2
+            k04_0 = -128 * aa * c2 + 144 * ab * b * c - 27 * b4
+            k03_2 = 6 * a * (24 * ac - b2)
+            k03_1 = -2 * b * c * (40 * ac - 9 * b2)
+            k03_0 = 4 * c3 * t
+            k02_3 = 2 * b * (9 * ac - 2 * b2)
+            k02_2 = -c2 * t
+            k10_4 = -8 * b * (9 * ac - 2 * b2)
+            k10_3 = 4 * c2 * t
+            k11_3 = -6 * a * (105 * ac - 4 * b2)
+            k11_2 = 4 * b * c * (89 * ac - 20 * b2)
+            k11_1 = -18 * c3 * t
+            k12_1 = 2 * (280 * aa * c2 - 373 * ab * b * c + 72 * b4)
+            k12_0 = 6 * b * c2 * t
+            k13_0 = 4 * ab * (40 * ac - 9 * b2)
+            k20_2 = 825 * aa * c2 + 560 * ab * b * c - 128 * b4
+            k20_1 = -18 * b * c2 * (35 * ac - 8 * b2)
+            k20_0 = 27 * c2 * c2 * t
+            k21_1 = -10 * ab * (205 * ac - 16 * b2)
+            k21_0 = -12 * c * (75 * aa * c2 - 85 * ab * b * c + 16 * b4)
+            k22 = 50 * aa * (40 * ac - b2)
+            k30_1 = -250 * aa * (15 * ac - 8 * b2)
+            k30_0 = 2 * b * (1125 * aa * c2 - 800 * ab * b * c + 128 * b4)
             for d in rng:
+                dd = d * d
+                k04 = k04_1 * d + k04_0
+                k03 = (k03_2 * d + k03_1) * d + k03_0
+                k02 = dd * ((k02_4 * d + k02_3) * d + k02_2)
+                k10 = dd * d * ((k10_5 * d + k10_4) * d + k10_3)
+                k11 = d * ((k11_3 * d + k11_2) * d + k11_1)
+                k12 = (k12_2 * d + k12_1) * d + k12_0
+                k13 = k13_1 * d + k13_0
+                k20 = ((k20_3 * d + k20_2) * d + k20_1) * d + k20_0
+                k21 = (k21_2 * d + k21_1) * d + k21_0
+                k30 = k30_1 * d + k30_0
                 for e in rng:
-                    for f in rng:
-                        if f and coeffs_discriminant((a1, b, c, d, e, f)) == target:
-                            yield (a1, b, c, d, e, f)
+                    k0 = e * e * (((k05 * e + k04) * e + k03) * e + k02) - target
+                    fs = divisors[gcd(k0, L)]
+                    if fs:
+                        k1 = ((k13 * e + k12) * e + k11) * e + k10
+                        k2 = (k22 * e + k21) * e + k20
+                        k3 = k31 * e + k30
+                        for f in fs:
+                            if (((K4 * f + k3) * f + k2) * f + k1) * f + k0 == 0:
+                                yield (a, b, c, d, e, f)
 
 
 _CANDIDATE_GENS = {2: _cands_deg2, 3: _cands_deg3, 4: _cands_deg4, 5: _cands_deg5}

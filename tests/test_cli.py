@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import arithmat
 from arithmat.cli import run_command
 from arithmat.search import bundled_table_path
 
@@ -129,6 +134,19 @@ class TestDiagCheckCommand:
         )
         assert code == 0
         assert float(out.strip()) < 1e-8
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(pathlib.Path(arithmat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, arithmat.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout.strip()) == (0, "False"), result.stderr
 
 
 class TestBenchCommand:

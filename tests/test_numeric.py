@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from arithmat import element as el
-from arithmat.errors import ArithmatError, RoundingError, UnsupportedDegreeError, ZeroDiscriminantError
+from arithmat import numeric
+from arithmat.errors import (
+    ArithmatError,
+    RootConvergenceError,
+    RoundingError,
+    UnsupportedDegreeError,
+    ZeroDiscriminantError,
+)
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm, form_discriminant
 from arithmat.numeric import (
@@ -13,6 +20,7 @@ from arithmat.numeric import (
     dh_cubic_form,
     diagonalization_residual,
     eigenvalue_match_residual,
+    embedding_data,
     find_roots,
     quartic_subform,
 )
@@ -91,6 +99,51 @@ class TestEmbeddingData:
             numeric = complex(np.prod(emb.embed(alpha)))
             exact = float(el.norm(F, alpha))
             assert abs(numeric - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+class TestEmbeddingCache:
+    def test_built_once_per_field(self):
+        rng = random.Random(11)
+        F = util.random_field(rng, 4)
+        emb = embedding_data(F)
+        assert embedding_data(F) is emb is F.embedding
+        alpha = util.random_element(F, rng)
+        diagonalization_residual(F, alpha)
+        assert F.embedding is emb
+
+    def test_cached_residuals_match_a_fresh_build(self):
+        rng = random.Random(12)
+        for n in (2, 3, 4, 5, 8):
+            F = util.random_field(rng, n)
+            alpha = util.random_element(F, rng)
+            diagonalization_residual(F, F.one())  # builds the cache
+            fresh = make_field(F.pair)
+            assert fresh.embedding is None
+            assert diagonalization_residual(F, alpha) == diagonalization_residual(fresh, alpha)
+            assert eigenvalue_match_residual(F, alpha) == eigenvalue_match_residual(
+                make_field(F.pair), alpha
+            )
+
+    def test_failed_build_is_not_kept(self, monkeypatch):
+        rng = random.Random(13)
+        F = util.random_field(rng, 3)
+
+        def fail(B):
+            raise RootConvergenceError("forced")
+
+        monkeypatch.setattr(numeric, "find_roots", fail)
+        for _ in range(2):
+            with pytest.raises(RootConvergenceError):
+                diagonalization_residual(F, F.one())
+            assert F.embedding is None
+        monkeypatch.undo()
+        assert diagonalization_residual(F, F.one()) < 1e-12
+        assert F.embedding is not None
+
+    def test_cached_arrays_are_read_only(self):
+        F = util.random_field(random.Random(14), 3)
+        with pytest.raises(ValueError):
+            embedding_data(F).gamma[0, 0] = 0
 
 
 class TestDiagonalization:

@@ -1,11 +1,15 @@
 import random
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithmat import element as el
+from arithmat import search
 from arithmat.errors import DegenerateElementError, UnsupportedDegreeError
 from arithmat.field import EssentialPair, make_field
-from arithmat.forms import BinaryForm, form_discriminant
+from arithmat.forms import BinaryForm, coeffs_discriminant, form_discriminant
 from arithmat.polyring import det_cofactor, sylvester_matrix
 from arithmat.search import (
     essential_pair_from_element,
@@ -21,9 +25,9 @@ import util
 class TestFastDiscriminants:
     def test_formula_paths_match_sylvester_route(self):
         rng = random.Random(0)
-        from arithmat.search import _cands_deg2, _cands_deg3, _cands_deg4
+        from arithmat.search import _cands_deg2, _cands_deg3, _cands_deg4, _cands_deg5
 
-        for gen, n in ((_cands_deg2, 2), (_cands_deg3, 3), (_cands_deg4, 4)):
+        for gen, n in ((_cands_deg2, 2), (_cands_deg3, 3), (_cands_deg4, 4), (_cands_deg5, 5)):
             for _ in range(200):
                 cs = [rng.randint(1, 6)] + [rng.randint(-6, 6) for _ in range(n)]
                 if cs[-1] == 0:
@@ -44,6 +48,54 @@ class TestFastDiscriminants:
             det = det_cofactor(sylvester_matrix(f, f.derivative()))
             expected = (-det if n % 4 in (2, 3) else det) / cs[0]
             assert form_discriminant(BinaryForm(cs)) == expected
+
+
+@lru_cache(maxsize=None)
+def box_discriminants(n, a1, a2, box):
+    """(coeffs, discriminant) over the box with a1, a2 fixed, last coefficient first."""
+    out = []
+    for rest in product(range(-box, box + 1), repeat=n - 1):
+        if rest[-1]:
+            coeffs = (a1, a2) + rest
+            out.append((coeffs, coeffs_discriminant(coeffs)))
+    return out
+
+
+@st.composite
+def generator_cases(draw, n):
+    a1 = draw(st.integers(1, 5))
+    box = draw(st.integers(1, 2 if n == 5 else 6))
+    a0 = draw(st.integers(1, 3))
+    a2_all = list(range(-box, box + 1, a0))
+    start = draw(st.integers(0, len(a2_all) - 1))
+    a2_values = a2_all[start : start + 3]
+    # target 0, a discriminant from the box or from twice the box, or
+    # D(prefix, 0) so that P(0) = 0
+    kind = draw(st.sampled_from(("zero", "hit", "wide", "p0")))
+    target = 0
+    if kind != "zero":
+        a2 = draw(st.sampled_from(a2_values))
+        bound = 2 * box if kind == "wide" else box
+        rest = draw(st.lists(st.integers(-bound, bound), min_size=n - 1, max_size=n - 1))
+        if kind == "p0":
+            rest[-1] = 0
+        target = coeffs_discriminant((a1, a2, *rest))
+    return a1, a2_values, box, target
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_candidate_generators_match_brute_force(n, data):
+    a1, a2_values, box, target = data.draw(generator_cases(n))
+    gen = getattr(search, f"_cands_deg{n}")
+    expected = [
+        coeffs
+        for a2 in a2_values
+        for coeffs, disc in box_discriminants(n, a1, a2, box)
+        if disc == target
+    ]
+    assert list(gen(a1, a2_values, range(-box, box + 1), target)) == expected
 
 
 class TestSearch:
