@@ -189,7 +189,7 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_syzygy(args) -> int:
-    if args.cubic:
+    if args.cubic is not None:
         form = BinaryForm.from_text(args.cubic)
         ok = covariants.cubic_syzygy_check(form) and covariants.cubic_norm_equation_check(form)
     else:

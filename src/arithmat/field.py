@@ -162,6 +162,10 @@ def make_field(pair: EssentialPair) -> NumberField:
     Checks, in order: positivity of a0, the divisibility conditions
     a0^2 | a1 and a0 | a2, a nonzero form discriminant divisible by a0^2,
     and irreducibility of the form.  Each failure raises its own error type.
+    Irreducibility is exact through degree 5 (`is_irreducible`); above, the
+    form must be certified by `irreducibility_certificate` (Eisenstein at a
+    prime below 50, or irreducible modulo one), else ReducibleFormError
+    says it could not be certified.
     """
     a0 = pair.a0
     form = pair.form

@@ -13,8 +13,8 @@ import math
 from .errors import ArithmatError, UnsupportedDegreeError, ZeroPolynomialError
 from .polyring import UniPoly, det_bareiss
 
-# Primes used for the sufficient irreducibility accept.  A form that is
-# irreducible modulo any of these (with degree preserved) is irreducible.
+# Primes used for the sufficient irreducibility accepts.  A form that is
+# Eisenstein at one of these, or irreducible modulo one, is irreducible.
 _ACCEPT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -165,29 +165,22 @@ def _gfp_trim(a):
 def _gfp_mulmod(a, b, f, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    # reduce modulo monic f
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    # reduce modulo monic f, taking residues once at the end
     df = len(f) - 1
     for k in range(len(out) - 1, df - 1, -1):
-        c = out[k]
-        if not c:
-            continue
-        out[k] = 0
-        for j in range(df):
-            out[k - df + j] = (out[k - df + j] - c * f[j]) % p
-    return _gfp_trim(out)
+        c = out[k] % p
+        if c:
+            for j in range(df):
+                out[k - df + j] -= c * f[j]
+    return _gfp_trim([v % p for v in out[:df]])
 
 
 def _gfp_powmod_x(e: int, f, p):
     """x^e modulo the monic polynomial f over GF(p)."""
-    result = [1]
-    if len(f) - 1 == 1:
-        base = _gfp_trim([(-f[0]) % p])
-    else:
-        base = [0, 1]
+    result, base = [1], [0, 1]
     while e:
         if e & 1:
             result = _gfp_mulmod(result, base, f, p)
@@ -214,30 +207,32 @@ def _gfp_gcd(a, b, p):
 
 
 def _gfp_is_irreducible(cs: tuple[int, ...], p: int) -> bool:
-    """Rabin's irreducibility test for the reduction of cs modulo p."""
+    """Irreducibility of the reduction f of cs modulo p, degree n preserved.
+
+    f is irreducible exactly when gcd(x^(p^k) - x, f) = 1 for k = 1 .. n/2
+    (no factor of degree k, repeated ones included).  Row i of the Frobenius
+    matrix Q is x^(ip) mod f, so h -> h^p is the vector-matrix product hQ.
+    """
     if cs[-1] % p == 0:
         return False
     n = len(cs) - 1
     inv = pow(cs[-1] % p, p - 2, p)
     f = [(c * inv) % p for c in cs]
-    # x^(p^n) == x mod f
-    xq = _gfp_powmod_x(p**n, f, p)
-    x_itself = [0, 1] if n > 1 else [(-f[0]) % p]
-    if _gfp_trim([(a - b) % p for a, b in _pad_pair(xq, x_itself)]):
-        return False
-    for q in prime_divisors(n):
-        h = _gfp_powmod_x(p ** (n // q), f, p)
-        diff = _gfp_trim([(a - b) % p for a, b in _pad_pair(h, x_itself)])
-        if not diff:
-            return False
-        if len(_gfp_gcd(list(f), diff, p)) != 1:
+    xp = _gfp_powmod_x(p, f, p)
+    h, rows = xp + [0] * (n - len(xp)), [[1]]
+    for k in range(1, n // 2 + 1):
+        if k > 1:
+            while len(rows) < n:
+                rows.append(_gfp_mulmod(rows[-1], xp, f, p))
+            out = [0] * n
+            for c, row in zip(h, rows):
+                for j, q in enumerate(row):
+                    out[j] += c * q
+            h = [v % p for v in out]
+        diff = _gfp_trim([h[0], (h[1] - 1) % p] + h[2:])
+        if not diff or len(_gfp_gcd(f, diff, p)) != 1:
             return False
     return True
-
-
-def _pad_pair(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -277,9 +272,16 @@ def _quadratic_factor_exists(cs: tuple[int, ...], bound: int) -> bool:
 
 
 def _cheap_decision(B: BinaryForm, disc: int | None):
-    """False on a zero discriminant or a rational root, True when degree <= 3
-    or irreducible modulo a small prime (degree preserved), else None."""
+    """True when Eisenstein at a small prime (either orientation), False on a
+    zero discriminant or a rational root, True when degree <= 3 or
+    irreducible modulo a small prime, else None."""
     cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
+    if any(
+        f[-1] % p and f[0] % (p * p) and not any(c % p for c in f[:-1])
+        for f in (cs, cs[::-1])
+        for p in _ACCEPT_PRIMES
+    ):
+        return True
     if (form_discriminant(B) if disc is None else disc) == 0:
         return False
     if _has_rational_root(cs):
@@ -295,10 +297,11 @@ def _cheap_decision(B: BinaryForm, disc: int | None):
 def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     """Exact irreducibility of B(x,1) over the rationals, degrees 2 to 5.
 
-    Rational roots are excluded first; degrees 4 and 5 then search for an
-    integer quadratic factor with coefficients below a Mignotte-style bound.
-    A fast sufficient accept (irreducibility modulo a small prime) runs before
-    the exhaustive phase.  ``disc`` is the form's discriminant, if known.
+    Eisenstein forms (at a prime below 50, either orientation) are accepted
+    and rational roots rejected first; degrees 4 and 5 are then accepted when
+    irreducible modulo a prime below 50 (a Frobenius-matrix distinct-degree
+    scan), else decided by a search for an integer quadratic factor below a
+    Mignotte-style bound.  ``disc`` is the form's discriminant, if known.
     """
     n = B.degree
     if n > 5:
@@ -313,9 +316,10 @@ def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
 def irreducibility_certificate(B: BinaryForm, disc: int | None = None):
     """Cheap one-sided test usable at any degree.
 
-    Returns True when irreducibility is certified (mod-p accept), False when
-    reducibility is certified (zero discriminant or a rational root), and
-    None when undecided.  ``disc`` is the form's discriminant, if known.
+    Degrees 2 to 5 go to `is_irreducible`.  Above, True certifies
+    irreducibility (Eisenstein or irreducible modulo a prime below 50), False
+    reducibility (zero discriminant or a rational root), and None is
+    undecided, as for x^6 + 108.  ``disc`` is the form's discriminant, if known.
     """
     if B.degree <= 5:
         return is_irreducible(B, disc)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arithmat
 from arithmat.cli import run_command
@@ -182,6 +185,12 @@ class TestExitCodesAndDeterminism:
         assert (code, out) == (1, "")
         assert "zero denominator" in err
 
+    @pytest.mark.parametrize("flag", ["--cubic", "--quartic"])
+    def test_empty_syzygy_form_is_a_parse_error(self, capsys, flag):
+        code, out, err = run(capsys, "syzygy", flag, "")
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+
     def test_unknown_command_is_one(self, capsys):
         assert run(capsys, "nonsense")[0] == 1
 
@@ -201,3 +210,55 @@ class TestExitCodesAndDeterminism:
             first = run(capsys, *argv)
             second = run(capsys, *argv)
             assert first == second
+
+
+_PAIRS = ["1:1,1,-1", "2:4,-2,-3,1,1", "1:1,1,0,-2,-1", "1:1,0,0,0,0,0,3", "1:1,0,0,0,0,0,108",
+          "0:1,1", "-1:1,1,-1", "1:0,1,1", "1:1,2,1", "2:2,2,1,1,1", "a:b", "1:", ""]
+_COORDS = ["0,1", "1,1", "0,0", "3,5", "1/2,1/3", "1/0,1", "1,2,3,4", "0,1,0,0", "0,0,0,0",
+           "1,0,0,0,0,0", "0,1,0,0,0,0", "1", "1,,2", "x", ""]
+_FORMS = ["1,1,0,-2,-1", "4,-2,-3,1,1", "1,1,-2,-1", "1,2,1", "1,0,0,0,0,0,108", "0,1,1",
+          "1,0", "1", "x", ""]
+_INTS = ["-275", "513", "0", "1", "-1", "2", "3", "4", "5", "6", "x", ""]
+# box and matrix sizes stay small, so every search or bench call is quick
+_SIZES = ["-1", "0", "1", "2", "x", ""]
+_FLAG_VALUES = {
+    "--pair": _PAIRS, "--coords": _COORDS, "--a": _COORDS, "--b": _COORDS,
+    "--form": _FORMS, "--cubic": _FORMS, "--quartic": _FORMS,
+    "--disc": _INTS, "--degree": _INTS,
+    "--height": _SIZES, "--max-a0": _SIZES, "--jobs": _SIZES, "--size": _SIZES,
+    "--via": ["matrix", "fft", "x"], "--algo": ["schoolbook", "ww", "recursive", "x"],
+    "--file": [str(bundled_table_path("quintic")), "nope.txt", ".", ""],
+    "--json": None, "--symbolic": None,
+}
+_ELEMENT = ["--pair", "--a"]
+_COMMAND_FLAGS = {
+    "disc": ["--form"],
+    "matrix": ["--pair", "--coords", "--symbolic"],
+    **{name: _ELEMENT for name in ("inv", "norm", "trace", "charpoly")},
+    "add": _ELEMENT + ["--b"],
+    "mul": _ELEMENT + ["--b", "--via"],
+    "search": ["--disc", "--degree", "--height", "--max-a0", "--jobs"],
+    "verify-tables": ["--file"],
+    "syzygy": ["--cubic", "--quartic"],
+    "diag-check": ["--pair", "--coords"],
+    "bench": ["--size", "--algo"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_random_argv_ends_in_an_exit_code_without_traceback(data):
+    # each flag of the subcommand mostly present, plus a few drawn from all flags;
+    # an exception escaping run_command fails the test with its traceback
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = [f for f in _COMMAND_FLAGS[command] if data.draw(st.integers(0, 5))]
+    flags += data.draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=2))
+    argv = ["--json"] * data.draw(st.integers(0, 1)) + [command]
+    for flag in flags:
+        values = _FLAG_VALUES[flag]
+        argv += [flag] if values is None else [flag, data.draw(st.sampled_from(values))]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,11 +1,19 @@
+import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arithmat.errors import UnsupportedDegreeError, ZeroPolynomialError
+from arithmat.errors import ReducibleFormError, UnsupportedDegreeError, ZeroPolynomialError
+from arithmat.field import EssentialPair, make_field
 from arithmat.forms import (
     BinaryForm,
+    _gfp_is_irreducible,
+    _has_rational_root,
+    _primitive_monic_sign,
+    _quadratic_factor_exists,
     evaluate,
     form_discriminant,
     irreducibility_certificate,
@@ -143,6 +151,73 @@ class TestIrreducibility:
         assert irreducibility_certificate(BinaryForm([1, 0, 0, 0, 0, -1, 1])) is True
         # x^6 - 1 factors; certificate refutes via rational root
         assert irreducibility_certificate(BinaryForm([1, 0, 0, 0, 0, 0, -1])) is False
+
+
+def _has_monic_divisor_mod_p(cs, p):
+    """Brute force: a monic g over GF(p), 1 <= deg g <= n/2, divides cs mod p."""
+    n = len(cs) - 1
+    inv = pow(cs[-1], p - 2, p)
+    f = [c * inv % p for c in cs]
+    for d in range(1, n // 2 + 1):
+        for low in product(range(p), repeat=d):
+            r = list(f)
+            for k in range(n, d - 1, -1):
+                c = r[k]
+                for j, g in enumerate(low):
+                    r[k - d + j] = (r[k - d + j] - c * g) % p
+                r[k] = 0
+            if not any(r):
+                return True
+    return False
+
+
+class TestModPIrreducibility:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from((2, 3, 5, 7)),
+        st.lists(st.integers(-20, 20), min_size=1, max_size=6),
+        st.integers(1, 20),
+    )
+    def test_matches_brute_force_divisor_search(self, p, low, lead):
+        cs = (*low, lead)
+        if lead % p == 0:
+            assert _gfp_is_irreducible(cs, p) is False
+        else:
+            assert _gfp_is_irreducible(cs, p) is not _has_monic_divisor_mod_p(cs, p)
+
+    def test_repeated_factor_is_reducible(self):
+        # (x^2 + x + 1)^2 mod 2: no linear factor, a repeated quadratic one
+        assert _gfp_is_irreducible((1, 0, 1, 0, 1), 2) is False
+        assert _gfp_is_irreducible((1, 1, 1), 2) is True
+
+
+class TestEisensteinAccept:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [1, 0, 0, 0, 0, 0, 3],  # x^6 + 3, Eisenstein at 3
+            [3, 3, 0, 0, 0, 0, 1],  # the reversed orientation, at 3
+            [3, 0, 0, 0, 0, 0, 1],  # 3x^6 + 1, reversed x^6 + 3: no prime certifies it
+            [1, 0, 0, 0, 0, 0, 12],  # x^6 + 12, Eisenstein at 3 (not at 2)
+        ],
+    )
+    def test_degree_six_eisenstein_gives_a_field(self, coeffs):
+        F = make_field(EssentialPair(1, BinaryForm(coeffs)))
+        assert (F.n, F.disc) == (6, form_discriminant(BinaryForm(coeffs)))
+
+    def test_x6_plus_108_is_still_undecided(self):
+        with pytest.raises(ReducibleFormError, match="could not be certified"):
+            make_field(EssentialPair(1, BinaryForm([1, 0, 0, 0, 0, 0, 108])))
+        assert irreducibility_certificate(BinaryForm([1, 0, 0, 0, 0, 0, 108])) is None
+
+    @pytest.mark.parametrize("coeffs", [[1, 0, 0, 0, 3], [3, 3, 0, 0, 1], [1, 2, 0, -4, 2]])
+    def test_quartic_agrees_with_exhaustive_phase(self, coeffs):
+        # the accept decides what the root test and the quadratic-factor search decide
+        B = BinaryForm(coeffs)
+        cs = _primitive_monic_sign(tuple(reversed(coeffs)))
+        bound = 16 * (1 + math.ceil(B.norm2()))
+        exhaustive = not _has_rational_root(cs) and not _quadratic_factor_exists(cs, bound)
+        assert is_irreducible(B) is exhaustive is True
 
 
 class TestTextFormat:

@@ -113,12 +113,27 @@ class TestSearch:
         assert EssentialPair(1, BinaryForm([1, 0, 2, 1, -2, -1])) in pairs
 
     def test_results_validate_and_are_sorted(self):
-        pairs = search_essential_pairs(-275, 4, 2, 1)
-        keys = [(p.a0, p.form.coeffs) for p in pairs]
-        assert keys == sorted(keys)
-        for p in pairs:
-            F = make_field(p)
-            assert F.disc == -275
+        # the search returns pairs without running make_field on them; seeded
+        # boxes hold an Eisenstein cubic (at 2) and quadratic (at 3)
+        rng = random.Random(11)
+        cubic = [rng.choice((1, 3, 5)), 2 * rng.randint(-2, 2), 2 * rng.randint(-2, 2), -2]
+        quadratic = [rng.randint(1, 9), 3 * rng.randint(-9, 9), 3 * rng.choice((-2, -1, 1, 2))]
+        boxes = [(-275, 4, 2, 1), (513, 4, 4, 2)]
+        boxes += [(form_discriminant(BinaryForm(cs)), len(cs) - 1, h, 1)
+                  for cs, h in ((cubic, 6), (quadratic, 30))]
+        for disc, degree, height, a0_max in boxes:
+            pairs = search_essential_pairs(disc, degree, height, a0_max)
+            assert pairs
+            keys = [(p.a0, p.form.coeffs) for p in pairs]
+            assert keys == sorted(keys)
+            for p in pairs:
+                F = make_field(p)
+                assert (F.n, F.disc) == (degree, disc)
+
+    def test_reducible_form_with_the_target_discriminant_is_dropped(self):
+        # (x^2 + x + 1)(x^2 - 2) = x^4 + x^3 - x^2 - 2x - 2 lies in the box
+        assert form_discriminant(BinaryForm([1, 1, -1, -2, -2])) == -1176
+        assert search_essential_pairs(-1176, 4, 2, 1) == []
 
     def test_sharding_independence(self):
         base = search_essential_pairs(513, 4, 3, 2, jobs=1)
