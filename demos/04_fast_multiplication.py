@@ -2,8 +2,10 @@
 
 Compares scalar-multiplication counts of the even-dimension algorithm
 (m^3/2 + m^2 - m/2) against schoolbook, shows the recursive variant's
-seven-product growth rate, and runs the exact transform pipeline for
-element products.
+seven-product growth rate, and runs the transform route for element
+products: power-basis coefficients convolved as one big-integer product
+(Kronecker substitution), then pseudo-divided by the defining polynomial,
+in integers throughout.
 """
 
 import math

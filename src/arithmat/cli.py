@@ -62,7 +62,9 @@ def _build_parser() -> _Parser:
     s.add_argument("--degree", required=True, type=int)
     s.add_argument("--height", required=True, type=int)
     s.add_argument("--max-a0", required=True, type=int)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored; the search runs in one thread"
+    )
 
     v = sub.add_parser("verify-tables", help="check table fixture rows")
     v.add_argument("--file", required=True)

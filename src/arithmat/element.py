@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .errors import FieldMismatchError, ZeroElementError
 from .field import Element, NumberField, basis_change_matrix
-from .field import integer_matrix, integer_trace, scaled_coords
-from .polyring import ExactMatrix, UniPoly, det_exact, resultant
+from .field import integer_matrix, integer_trace
+from .polyring import ExactMatrix, UniPoly, det_exact, resultant, scaled_coords
 
 
 def _require_same_field(F: NumberField, *elements: Element) -> None:

@@ -12,10 +12,12 @@ follow from Y[i][j] = Y[i][1] + Y[1][j] - Y[1][1].  The recursive variant
 splits into half-size blocks and uses the seven-product scheme, padding to an
 even dimension at every level.
 
-Polynomial products are computed by a number-theoretic transform: the
-transform / pointwise product / inverse transform structure runs over roots
-of unity modulo primes p = c * 2^k + 1, with enough primes that Chinese
-remaindering reconstructs the exact integer coefficients.
+Polynomial products are exact integer convolutions by Kronecker
+substitution: each coefficient sequence is packed into one integer, the two
+integers are multiplied once, and the coefficients are read back as signed
+digits.  The transform multiplication route maps elements to the power
+basis, convolves, pseudo-divides by the defining polynomial and maps back,
+all in integers.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .errors import (
     FieldMismatchError,
     NonIntegerEntryError,
 )
-from .field import Element, NumberField, arithmetic_matrix, basis_change_matrix, scaled_coords
-from .forms import prime_divisors
-from .polyring import ExactMatrix, UniPoly
+from .field import Element, NumberField, arithmetic_matrix
+from .polyring import ExactMatrix, scaled_coords
 
 
 class MulCounter:
@@ -234,196 +235,79 @@ def ww_recursive(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = No
 
 
 # ----------------------------------------------------------------------
-# Exact convolution over number-theoretic transforms
+# Exact convolution and the transform multiplication route
 # ----------------------------------------------------------------------
-
-# Primes c * 2^k + 1 with a primitive root, largest 2-adic headroom first.
-_NTT_PRIMES: list[tuple[int, int]] = [
-    (3221225473, 5),    # 3 * 2^30 + 1
-    (2281701377, 3),    # 17 * 2^27 + 1
-    (2013265921, 31),   # 15 * 2^27 + 1
-    (1811939329, 13),   # 27 * 2^26 + 1
-    (469762049, 3),     # 7 * 2^26 + 1
-    (2113929217, 5),    # 63 * 2^25 + 1
-    (167772161, 3),     # 5 * 2^25 + 1
-    (754974721, 11),    # 45 * 2^24 + 1
-    (998244353, 3),     # 119 * 2^23 + 1
-]
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primitive_root(p: int) -> int:
-    factors = prime_divisors(p - 1)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-        g += 1
-
-
-def _extra_primes(k: int, needed: int, skip: set[int]) -> list[tuple[int, int]]:
-    """Find more primes of the form c * 2^k + 1 when the table runs out."""
-    out = []
-    c = 1
-    while len(out) < needed:
-        p = c * (1 << k) + 1
-        if p not in skip and p.bit_length() <= 62 and _is_prime(p):
-            out.append((p, _primitive_root(p)))
-        c += 2 if c > 1 else 1
-    return out
-
-
-def _ntt(a: list[int], p: int, root: int) -> None:
-    """In-place iterative radix-2 transform modulo p."""
-    n = len(a)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
-    length = 2
-    while length <= n:
-        w = pow(root, (p - 1) // length, p)
-        half = length // 2
-        for start in range(0, n, length):
-            wn = 1
-            for k in range(start, start + half):
-                u = a[k]
-                v = a[k + half] * wn % p
-                a[k] = (u + v) % p
-                a[k + half] = (u - v) % p
-                wn = wn * w % p
-        length *= 2
-
-
-def _convolve_mod(F: list[int], G: list[int], size: int, p: int, g: int) -> list[int]:
-    fa = [x % p for x in F] + [0] * (size - len(F))
-    fb = [x % p for x in G] + [0] * (size - len(G))
-    _ntt(fa, p, g)
-    _ntt(fb, p, g)
-    fa = [x * y % p for x, y in zip(fa, fb)]
-    ginv = pow(g, p - 2, p)
-    _ntt(fa, p, ginv)
-    ninv = pow(size, p - 2, p)
-    return [x * ninv % p for x in fa]
 
 
 def exact_convolve(F: list[int], G: list[int]) -> list[int]:
-    """Exact integer convolution via transforms modulo several primes.
+    """Exact integer convolution by Kronecker substitution.
 
-    The prime set is sized from the coefficient bound len * max|F| * max|G|
-    and extended on demand, so the reconstruction is exact for any inputs.
+    Every output coefficient is below bound = min(len) * max|F| * max|G| in
+    absolute value, so with b = bitlen(bound) + 2 both sequences pack into
+    integers at base 2^b, one big-integer product holds the convolution, and
+    its signed base-2^b digits are the coefficients.
     """
     F = [_as_int(v) for v in F]
     G = [_as_int(v) for v in G]
     if not F or not G:
         return []
-    out_len = len(F) + len(G) - 1
-    maxf = max(abs(v) for v in F)
-    maxg = max(abs(v) for v in G)
-    if maxf == 0 or maxg == 0:
-        return [0] * out_len
-    bound = min(len(F), len(G)) * maxf * maxg
-    size = 1
-    while size < out_len:
-        size *= 2
-    k = size.bit_length() - 1
-
-    primes: list[tuple[int, int]] = []
-    modulus = 1
-    for p, g in _NTT_PRIMES:
-        if (p - 1) % size == 0:
-            primes.append((p, g))
-            modulus *= p
-            if modulus > 2 * bound:
-                break
-    if modulus <= 2 * bound:
-        extra = _extra_primes(k, 1, {p for p, _ in primes})
-        while modulus <= 2 * bound:
-            primes.extend(extra)
-            for p, _ in extra:
-                modulus *= p
-            if modulus > 2 * bound:
-                break
-            extra = _extra_primes(k, 1, {p for p, _ in primes})
-
-    residue_sets = [_convolve_mod(F, G, size, p, g) for p, g in primes]
-
-    # Chinese remaindering, mapped back to the symmetric range.
+    b = (min(len(F), len(G)) * max(map(abs, F)) * max(map(abs, G))).bit_length() + 2
+    packed = 1
+    for seq in (F, G):
+        acc = 0
+        for c in reversed(seq):
+            acc = (acc << b) + c
+        packed *= acc
+    mask, half = (1 << b) - 1, 1 << (b - 1)
     out = []
-    for idx in range(out_len):
-        x = 0
-        m = 1
-        for (p, _), residues in zip(primes, residue_sets):
-            r = residues[idx]
-            t = (r - x) * pow(m % p, p - 2, p) % p
-            x += m * t
-            m *= p
-        if x > m // 2:
-            x -= m
-        out.append(x)
+    for _ in range(len(F) + len(G) - 1):
+        digit = packed & mask
+        if digit >= half:
+            digit -= 1 << b
+        out.append(digit)
+        packed = (packed - digit) >> b
     return out
-
-
-# ----------------------------------------------------------------------
-# Element multiplication through the transform pipeline
-# ----------------------------------------------------------------------
 
 
 def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
     """Multiply by converting to the power basis, convolving, and converting back.
 
-    Coordinates are mapped to zeta-power coefficients through the basis-change
-    matrix (denominators cleared), the coefficient sequences are convolved
-    exactly, the result is reduced modulo the defining polynomial, and the
-    triangular basis-change system is solved back to omega-coordinates.
+    The basis change from omega-coordinates to zeta-power coefficients is
+    upper triangular with diagonal 1, a1/a0, a1, ..., a1 and entry a_{j-i+1}
+    above it (`field.basis_change_matrix`); a1/a0 is an integer because
+    a0^2 | a1.  The integer numerators of both elements are mapped through
+    it, convolved exactly, pseudo-reduced modulo f = B(x, 1) with one factor
+    a1 per step, and mapped back by exact integer divisions.  The common
+    denominator is divided out only in the result's coordinates.
     """
     if alpha.field != F or beta.field != F:
         raise FieldMismatchError("elements belong to different fields")
-    AZ = basis_change_matrix(F)
-    ca = AZ.apply(list(alpha.coords))
-    cb = AZ.apply(list(beta.coords))
-    ia, da = scaled_coords(ca)
-    ib, db = scaled_coords(cb)
-    conv = exact_convolve(ia, ib)
-    prod = UniPoly([Fraction(v, da * db) for v in conv])
-    f = F.pair.form.dehomogenized()
-    _, reduced = prod.divmod(f)
-    # back substitution through the upper-triangular basis change
     n = F.n
-    back = [reduced.coeff(k) for k in range(n)]
-    for i in range(n - 1, -1, -1):
-        back[i] = (back[i] - sum(AZ[i, j] * back[j] for j in range(i + 1, n))) / AZ[i, i]
-    return Element(F, back)
+    a = F.pair.form.coeffs
+    diag = [1, a[0] // F.a0] + [a[0]] * (n - 2)
+
+    def above(i: int, v: list[int]) -> int:
+        """Row i of the basis change applied to v, diagonal left out."""
+        return sum(a[j - i] * v[j] for j in range(i + 1, n)) if i else 0
+
+    xa, da = scaled_coords(alpha.coords)
+    xb, db = scaled_coords(beta.coords)
+    prod = exact_convolve(
+        [diag[i] * xa[i] + above(i, xa) for i in range(n)],
+        [diag[i] * xb[i] + above(i, xb) for i in range(n)],
+    )
+    scale = da * db
+    for top in range(len(prod) - 1, n - 1, -1):
+        lead = prod.pop()
+        prod = [a[0] * v for v in prod]
+        for k in range(1, n + 1):
+            prod[top - k] -= lead * a[k]
+        scale *= a[0]
+    for i in range(n - 1, 0, -1):
+        prod[i], rem = divmod(prod[i] - above(i, prod), diag[i])
+        if rem:
+            raise ArithmatError("the product's basis change back was not exact")
+    return Element(F, [Fraction(v, scale) for v in prod])
 
 
 def batch_multiply(

@@ -20,7 +20,6 @@ agree identically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -31,7 +30,14 @@ from .errors import (
     ZeroDiscriminantError,
 )
 from .forms import BinaryForm, form_discriminant, irreducibility_certificate, is_irreducible
-from .polyring import ExactMatrix, MultiPoly, UniPoly, format_rational, parse_rational
+from .polyring import (
+    ExactMatrix,
+    MultiPoly,
+    UniPoly,
+    format_rational,
+    parse_rational,
+    scaled_coords,
+)
 
 # Coordinate and coefficient letters used for symbolic displays of small
 # degrees; higher degrees fall back to indexed names.
@@ -300,12 +306,6 @@ def _matrix_rows(n: int, coeffs, a0: int, xs, method: str = "explicit"):
 def _flatten(rows) -> ExactMatrix:
     n = len(rows)
     return ExactMatrix(n, n, [e for row in rows for e in row])
-
-
-def scaled_coords(coords) -> tuple[list[int], int]:
-    """Integer numerators of rational coordinates over their common denominator d."""
-    d = lcm(*(c.denominator for c in coords))
-    return [c.numerator * (d // c.denominator) for c in coords], d
 
 
 def integer_matrix(F: NumberField, alpha: Element) -> tuple[list[list[int]], int]:

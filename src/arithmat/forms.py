@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import ArithmatError, UnsupportedDegreeError, ZeroPolynomialError
-from .polyring import UniPoly, det_bareiss
+from .errors import UnsupportedDegreeError, ZeroPolynomialError
+from .polyring import UniPoly, coeffs_discriminant
 
 # Primes used for the sufficient irreducibility accepts.  A form that is
 # Eisenstein at one of these, or irreducible modulo one, is irreducible.
@@ -79,26 +79,6 @@ def evaluate(B: BinaryForm, x: int, y: int) -> int:
 def form_discriminant(B: BinaryForm) -> int:
     """Exact discriminant via the Sylvester determinant of B(x,1) and its derivative."""
     return coeffs_discriminant(B.coeffs)
-
-
-def coeffs_discriminant(coeffs) -> int:
-    """Discriminant of the form with integer coefficients (a1, ..., a_{n+1}).
-
-    The integer Sylvester determinant, negated when n = 2, 3 (mod 4), over
-    a1; that division is always exact, and raises if it is not.
-    """
-    n = len(coeffs) - 1
-    size = 2 * n - 1
-    deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
-    rows = [[0] * i + list(coeffs) + [0] * (size - i - n - 1) for i in range(n - 1)]
-    rows += [[0] * i + deriv + [0] * (size - i - n) for i in range(n)]
-    det = det_bareiss(rows)
-    value, rem = divmod(-det if n % 4 in (2, 3) else det, coeffs[0])
-    if rem:
-        raise ArithmatError(
-            "discriminant division by the leading coefficient was not exact"
-        )
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -233,20 +213,6 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int) -> bool:
         if not diff or len(_gfp_gcd(f, diff, p)) != 1:
             return False
     return True
-
-
-def prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _quadratic_factor_exists(cs: tuple[int, ...], bound: int) -> bool:

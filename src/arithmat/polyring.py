@@ -16,6 +16,7 @@ from math import lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
+    ArithmatError,
     DimensionMismatchError,
     NonSquareMatrixError,
     SingularMatrixError,
@@ -655,13 +656,18 @@ class ExactMatrix:
         )
 
 
+def scaled_coords(coords) -> tuple[list[int], int]:
+    """Integer numerators of rational values over their common denominator d."""
+    d = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (d // c.denominator) for c in coords], d
+
+
 def _integer_rows(M: ExactMatrix) -> tuple[list[list[int]], list[int]]:
     """Rows scaled to integers by the lcm of their denominators, and the scales."""
     rows, scales = [], []
     for i in range(M.rows):
-        row = M.row(i)
-        scale = lcm(*(e.denominator for e in row))
-        rows.append([e.numerator * (scale // e.denominator) for e in row])
+        row, scale = scaled_coords(M.row(i))
+        rows.append(row)
         scales.append(scale)
     return rows, scales
 
@@ -689,6 +695,26 @@ def _eliminate(a: list[list[int]], n: int) -> int:
             rowi[k] = 0
         prev = akk
     return sign * a[n - 1][n - 1] if n else 1
+
+
+def coeffs_discriminant(coeffs) -> int:
+    """Discriminant of the form with integer coefficients (a1, ..., a_{n+1}).
+
+    The integer Sylvester determinant, negated when n = 2, 3 (mod 4), over
+    a1; that division is always exact, and raises if it is not.
+    """
+    n = len(coeffs) - 1
+    size = 2 * n - 1
+    deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
+    rows = [[0] * i + list(coeffs) + [0] * (size - i - n - 1) for i in range(n - 1)]
+    rows += [[0] * i + deriv + [0] * (size - i - n) for i in range(n)]
+    det = det_bareiss(rows)
+    value, rem = divmod(-det if n % 4 in (2, 3) else det, coeffs[0])
+    if rem:
+        raise ArithmatError(
+            "discriminant division by the leading coefficient was not exact"
+        )
+    return value
 
 
 def det_bareiss(M):
@@ -762,12 +788,10 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
 
 
 def poly_discriminant(p: UniPoly) -> Fraction:
-    """Discriminant of a univariate polynomial via the resultant with p'."""
+    """Discriminant of a univariate polynomial: that of d*p over d^(2n - 2),
+    where d clears the denominators (the discriminant has degree 2n - 2)."""
     n = p.degree
     if n < 1:
         raise ZeroPolynomialError("discriminant needs degree >= 1")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    dp = p.derivative()
-    if dp.is_zero():
-        return Fraction(0)
-    return sign * resultant(p, dp) / p.leading()
+    scaled, d = scaled_coords(p.coeffs[::-1])
+    return Fraction(coeffs_discriminant(scaled), d ** (2 * n - 2))

@@ -7,15 +7,13 @@ inner loops run on plain integers with explicit per-degree discriminant
 formulas, quintic included.  Degree 2 solves for the last coefficient
 directly; degrees 3-5 try as the last coefficient only the divisors of the
 polynomial's constant term that lie in the box (rational root theorem).
-Each (a0, a1) slice of the box is one task; jobs > 1 runs the tasks on a
-thread pool, whose threads share the interpreter lock and so do not run in
-parallel.  Results are merged and sorted, so the output is independent of
-jobs.
+The (a0, a1) slices of the box run in order and the results are sorted.
+The ``jobs`` argument is accepted and ignored: the loops hold the
+interpreter lock, so a thread pool measured slower than one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from math import gcd, isqrt, lcm
 
@@ -199,7 +197,7 @@ def search_essential_pairs(
     For each a0 up to a0_max the box is |a_i| <= height * a0^2 with a1 > 0
     restricted to multiples of a0^2 and a2 to multiples of a0.  Results are
     sorted by (a0, coefficients) and deduplicated; an empty list is a valid
-    outcome.
+    outcome.  ``jobs`` is accepted for compatibility and ignored.
     """
     if degree not in _CANDIDATE_GENS:
         raise UnsupportedDegreeError("search supports degrees 2 to 5")
@@ -207,28 +205,16 @@ def search_essential_pairs(
         raise ValueError("height must be >= 1")
     gen = _CANDIDATE_GENS[degree]
 
-    tasks = []
+    results = []
     for a0 in range(1, a0_max + 1):
         target = disc * a0 * a0
         box = height * a0 * a0
         a2_values = list(range(-box, box + 1, a0))
-        for t in range(1, height + 1):
-            tasks.append((a0, t * a0 * a0, a2_values, box, target))
-
-    def run(task) -> list[tuple[int, tuple[int, ...]]]:
-        a0, a1, a2_values, box, target = task
         rng = range(-box, box + 1)
-        out = []
-        for coeffs in gen(a1, a2_values, rng, target):
-            if is_irreducible(BinaryForm(coeffs), target):
-                out.append((a0, coeffs))
-        return out
-
-    if jobs <= 1:
-        results = [r for task in tasks for r in run(task)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = [r for part in pool.map(run, tasks) for r in part]
+        for t in range(1, height + 1):
+            for coeffs in gen(t * a0 * a0, a2_values, rng, target):
+                if is_irreducible(BinaryForm(coeffs), target):
+                    results.append((a0, coeffs))
 
     # Each pair validates by construction: a0^2 | a1 and a0 | a2 by the box
     # steps, disc = disc * a0^2 by the candidate loop, irreducible by the check.

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithmat import element as el
 from arithmat.errors import DimensionMismatchError, NonIntegerEntryError
@@ -121,6 +122,31 @@ class TestExactConvolve:
         assert exact_convolve([0, 0], [1, 2]) == [0, 0, 0]
         assert exact_convolve([], [1]) == []
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_schoolbook_property(self, data):
+        chunk = st.one_of(
+            st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=8),
+            st.integers(1, 12).map(lambda k: [0] * k),
+        )
+        seq = st.lists(chunk, min_size=1, max_size=8).map(lambda cs: sum(cs, [])[:40])
+        f, g = data.draw(seq), data.draw(seq)
+        ref = poly_mul_schoolbook(UniPoly(f), UniPoly(g))
+        assert exact_convolve(f, g) == [int(ref.coeff(k)) for k in range(len(f) + len(g) - 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2**200), st.integers(1, 40))
+    def test_extreme_coefficients_at_the_digit_bound(self, M, k):
+        # the middle coefficient is -k * M^2, exactly the packing bound
+        ref = poly_mul_schoolbook(UniPoly([-M] * k), UniPoly([M] * k))
+        out = exact_convolve([-M] * k, [M] * k)
+        assert out == [int(ref.coeff(i)) for i in range(2 * k - 1)]
+        assert out[k - 1] == -k * M * M
+
+    def test_fraction_entry_raises(self):
+        with pytest.raises(NonIntegerEntryError):
+            exact_convolve([Fraction(1, 2)], [1])
+
 
 class TestMulViaFFT:
     def test_identity(self):
@@ -146,6 +172,16 @@ class TestMulViaFFT:
             alpha = util.random_element(F, rng)
             beta = util.random_element(F, rng)
             assert mul_via_fft(F, alpha, beta) == el.mul(F, alpha, beta)
+
+    def test_huge_coordinates_in_a0_three_field(self):
+        rng = random.Random(12)
+        for n in (3, 6, 12):
+            F = util.random_field(rng, n, a0=3)
+            for _ in range(5):
+                alpha = F.element([rng.randint(-(10**30), 10**30) for _ in range(n)])
+                beta = F.element([Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**6))
+                                  for _ in range(n)])
+                assert mul_via_fft(F, alpha, beta) == el.mul(F, alpha, beta)
 
     def test_rational_coordinates_supported(self):
         F = make_field(EssentialPair(2, BinaryForm([4, -2, -3, 1, 1])))

@@ -7,6 +7,7 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 from arithmat import element as el
+from arithmat.fastmul import mul_via_fft
 from arithmat.field import arithmetic_matrix
 from arithmat.polyring import ExactMatrix, MultiPoly, collect_coeffs, det_cofactor
 
@@ -54,6 +55,7 @@ def test_integer_kernel_matches_oracles(case):
     n = F.n
     expected = arithmetic_matrix(F, alpha, method="substitution").apply(list(beta.coords))
     assert el.mul(F, alpha, beta).coords == tuple(expected)
+    assert mul_via_fft(F, alpha, beta) == el.mul(F, alpha, beta)
     norm = el.norm(F, alpha)
     assert norm == el.norm_resultant_oracle(F, alpha)
     assert el.mul(F, alpha, el.inverse(F, alpha)) == F.one()
