@@ -78,6 +78,12 @@ def _require_degree(V: BinaryForm, n: int) -> None:
         raise UnsupportedDegreeError(f"expected a degree-{n} form, got {V.degree}")
 
 
+def _residuals_vanish(coeffs, build, *residuals) -> bool:
+    """Whether each residual(coeffs, build(coeffs)) is zero, building once."""
+    covariant_polys = build(coeffs)
+    return all(residual(coeffs, covariant_polys).is_zero() for residual in residuals)
+
+
 def _binary_poly(coeffs) -> MultiPoly:
     """Binary form as a MultiPoly in (x, y); coefficients scalar or symbolic."""
     n = len(coeffs) - 1
@@ -93,15 +99,21 @@ def _binary_poly(coeffs) -> MultiPoly:
 # ----------------------------------------------------------------------
 
 
+def _quartic_ij(coeffs):
+    """I and J of the quartic with coefficients a..e (integers or symbolic).
+
+    They satisfy 4*I^3 - J^2 = 27*disc, which the search solves on.
+    """
+    a, b, c, d, e = coeffs
+    i_inv = 12 * a * e - 3 * b * d + c * c
+    j_inv = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+    return i_inv, j_inv
+
+
 def quartic_invariants(V: BinaryForm) -> tuple[int, int]:
     """The classical degree-2 and degree-3 invariants of a quartic form."""
     _require_degree(V, 4)
-    a, b, c, d, e = V.coeffs
-    i_inv = 12 * a * e - 3 * b * d + c * c
-    j_inv = (
-        72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
-    )
-    return i_inv, j_inv
+    return _quartic_ij(V.coeffs)
 
 
 def _ghf_from_coeffs(coeffs) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
@@ -138,11 +150,9 @@ def quartic_ghf_generic() -> tuple[TernaryForm, TernaryForm, TernaryForm]:
     return _ghf_from_coeffs(generic_form_coeffs(4))
 
 
-def _quartic_syzygy_residual(coeffs) -> MultiPoly:
-    g, h, _ = _ghf_from_coeffs(coeffs)
-    a, b, c, d, e = coeffs
-    i_inv = 12 * a * e - 3 * b * d + c * c
-    j_inv = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+def _quartic_syzygy_residual(coeffs, ghf) -> MultiPoly:
+    g, h, _ = ghf
+    i_inv, j_inv = _quartic_ij(coeffs)
     x = MultiPoly.var("x")
     g4 = g(x * x, x, 1)
     g6 = h(x * x, x, 1)
@@ -153,17 +163,17 @@ def _quartic_syzygy_residual(coeffs) -> MultiPoly:
 def quartic_syzygy_check(V: BinaryForm) -> bool:
     """Exact check of g4^3 - 48*I*g4*v^2 - 64*J*v^3 = 27*g6^2 for this quartic."""
     _require_degree(V, 4)
-    return _quartic_syzygy_residual(V.coeffs).is_zero()
+    return _residuals_vanish(V.coeffs, _ghf_from_coeffs, _quartic_syzygy_residual)
 
 
 def quartic_syzygy_check_generic() -> bool:
     """The same syzygy as a polynomial identity in generic coefficients."""
-    return _quartic_syzygy_residual(generic_form_coeffs(4)).is_zero()
+    return _residuals_vanish(generic_form_coeffs(4), _ghf_from_coeffs, _quartic_syzygy_residual)
 
 
-def _quartic_norm_equation_residual(coeffs) -> MultiPoly:
+def _quartic_norm_equation_residual(coeffs, ghf) -> MultiPoly:
     a, b, c, d, e = coeffs
-    g, h, f = _ghf_from_coeffs(coeffs)
+    g, h, f = ghf
     N = matrix_from_coefficients([a, b, c, d, e])
     det = det_cofactor(N)
     u, x, y, z = (MultiPoly.var(v) for v in ("u", "x", "y", "z"))
@@ -175,11 +185,21 @@ def _quartic_norm_equation_residual(coeffs) -> MultiPoly:
 def quartic_norm_equation_check(V: BinaryForm) -> bool:
     """Exact check that 256*det(N) = t^4 - 2*G*t^2 - 8*H*t + F with t the trace."""
     _require_degree(V, 4)
-    return _quartic_norm_equation_residual(V.coeffs).is_zero()
+    return _residuals_vanish(V.coeffs, _ghf_from_coeffs, _quartic_norm_equation_residual)
 
 
 def quartic_norm_equation_check_generic() -> bool:
-    return _quartic_norm_equation_residual(generic_form_coeffs(4)).is_zero()
+    return _residuals_vanish(
+        generic_form_coeffs(4), _ghf_from_coeffs, _quartic_norm_equation_residual
+    )
+
+
+def quartic_identities_check(V: BinaryForm) -> bool:
+    """The syzygy and norm-equation checks from one expansion of G, H, F."""
+    _require_degree(V, 4)
+    return _residuals_vanish(
+        V.coeffs, _ghf_from_coeffs, _quartic_syzygy_residual, _quartic_norm_equation_residual
+    )
 
 
 def _quartic_hessian_residual(coeffs) -> MultiPoly:
@@ -249,9 +269,9 @@ def _poly_to_binary_coeffs(poly: MultiPoly, degree: int) -> tuple:
     return tuple(out)
 
 
-def _cubic_syzygy_residual(coeffs) -> MultiPoly:
+def _cubic_syzygy_residual(coeffs, covariant_polys) -> MultiPoly:
     a, b, c, d = coeffs
-    q_poly, f_poly = _cubic_covariant_polys(coeffs)
+    q_poly, f_poly = covariant_polys
     disc = (
         18 * a * b * c * d
         - 4 * b**3 * d
@@ -266,16 +286,18 @@ def _cubic_syzygy_residual(coeffs) -> MultiPoly:
 def cubic_syzygy_check(C: BinaryForm) -> bool:
     """Exact check of Cayley's syzygy F^2 + 27*D*C^2 = 4*Q^3 for this cubic."""
     _require_degree(C, 3)
-    return _cubic_syzygy_residual(C.coeffs).is_zero()
+    return _residuals_vanish(C.coeffs, _cubic_covariant_polys, _cubic_syzygy_residual)
 
 
 def cubic_syzygy_check_generic() -> bool:
-    return _cubic_syzygy_residual(generic_form_coeffs(3)).is_zero()
+    return _residuals_vanish(
+        generic_form_coeffs(3), _cubic_covariant_polys, _cubic_syzygy_residual
+    )
 
 
-def _cubic_norm_equation_residual(coeffs) -> MultiPoly:
+def _cubic_norm_equation_residual(coeffs, covariant_polys) -> MultiPoly:
     a, b, c, d = coeffs
-    q_poly, f_poly = _cubic_covariant_polys(coeffs)
+    q_poly, f_poly = covariant_polys
     N = matrix_from_coefficients([a, b, c, d])
     det = det_cofactor(N)
     u, x, y = (MultiPoly.var(v) for v in ("u", "x", "y"))
@@ -287,8 +309,18 @@ def _cubic_norm_equation_residual(coeffs) -> MultiPoly:
 def cubic_norm_equation_check(C: BinaryForm) -> bool:
     """Exact check that 27*det(N) = t^3 - 3*t*Q + F with t the trace."""
     _require_degree(C, 3)
-    return _cubic_norm_equation_residual(C.coeffs).is_zero()
+    return _residuals_vanish(C.coeffs, _cubic_covariant_polys, _cubic_norm_equation_residual)
 
 
 def cubic_norm_equation_check_generic() -> bool:
-    return _cubic_norm_equation_residual(generic_form_coeffs(3)).is_zero()
+    return _residuals_vanish(
+        generic_form_coeffs(3), _cubic_covariant_polys, _cubic_norm_equation_residual
+    )
+
+
+def cubic_identities_check(C: BinaryForm) -> bool:
+    """Cayley's syzygy and the norm-equation check from one build of Q and F."""
+    _require_degree(C, 3)
+    return _residuals_vanish(
+        C.coeffs, _cubic_covariant_polys, _cubic_syzygy_residual, _cubic_norm_equation_residual
+    )

@@ -3,13 +3,17 @@
 The search enumerates coefficient boxes |a_i| <= height * a0^2 for each
 scale factor a0, keeping forms whose discriminant is exactly disc * a0^2,
 that satisfy the divisibility conditions, and that are irreducible.  The
-inner loops run on plain integers with explicit per-degree discriminant
-formulas, quintic included.  Degree 2 solves for the last coefficient
-directly; degrees 3-5 try as the last coefficient only the divisors of the
-polynomial's constant term that lie in the box (rational root theorem).
-The (a0, a1) slices of the box run in order and the results are sorted.
-The ``jobs`` argument is accepted and ignored: the loops hold the
-interpreter lock, so a thread pool measured slower than one thread.
+inner loops run on plain integers.  Degree 2 solves for the last
+coefficient directly.  Degrees 3 and 4 list the integer points of the
+Mordell curve Y^2 = 4X^3 - k that the box can reach, with k = 27*a^2*disc
+(Cayley's cubic syzygy at (1, 0)) or k = 27*disc (4I^3 - J^2 = 27*disc
+for quartics), and solve each point for the last two coefficients.
+Degree 5 uses the explicit quintic discriminant and tries as the last
+coefficient only the divisors of the polynomial's constant term that lie
+in the box (rational root theorem).  The (a0, a1) slices of the box run in
+order and the results are sorted.  The ``jobs`` argument is accepted and
+ignored: the loops hold the interpreter lock, so a thread pool measured
+slower than one thread.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .polyring import poly_discriminant
 class _Divisors(dict):
     """The nonzero x of rng that divide g, in rng order, keyed by g.
 
-    Each generator below fixes every coefficient but the last, x, which
+    The quintic generator fixes every coefficient but the last, x, which
     leaves disc - target as an integer polynomial P(x).  A nonzero integer
     root of P divides P(0) (rational root theorem), and one with |x| <= B
     divides lcm(1..B) too, so it is among self[gcd(P(0), self.lcm)].  When
@@ -54,6 +58,30 @@ class _Divisors(dict):
         return xs
 
 
+def _mordell_points(k, xmax):
+    """The integer points (X, Y), Y >= 0, of Y^2 = 4X^3 - k with |X| <= xmax."""
+    # bisect for the least X with 4X^3 >= k; below it 4X^3 - k is negative
+    lo, hi = -xmax, xmax + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if 4 * mid**3 >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    points = []
+    for x in range(lo, xmax + 1):
+        v = 4 * x * x * x - k
+        y = isqrt(v)
+        if y * y == v:
+            points.append((x, y))
+    return points
+
+
+def _signed_points(k, xmax):
+    """(X, J) for J = +-Y over the points of _mordell_points, Y = 0 once."""
+    return [(x, j) for x, y in _mordell_points(k, xmax) for j in ((y, -y) if y else (0,))]
+
+
 def _cands_deg2(a1, a2_values, rng, target):
     for b in a2_values:
         c, rem = divmod(b * b - target, 4 * a1)
@@ -62,59 +90,79 @@ def _cands_deg2(a1, a2_values, rng, target):
 
 
 def _cands_deg3(a1, a2_values, rng, target):
+    # Cayley's syzygy F^2 + 27 D C^2 = 4 Q^3 at (1, 0) makes (X, J) =
+    # (b^2 - 3ac, 2b^3 - 9abc + 27a^2 d) a point of J^2 = 4X^3 - 27a^2 disc,
+    # with |X| <= max|b|^2 + 3aB.  Each point gives c, then d, exactly.
     a = a1
-    k2 = -27 * a * a
-    divisors = _Divisors(rng)
-    L = divisors.lcm
+    B = max(map(abs, rng), default=0)
+    bmax = max(map(abs, a2_values), default=0)
+    points = _signed_points(27 * a * a * target, bmax * bmax + 3 * a * B)
+    a3 = 3 * a
+    a27 = 27 * a * a
     for b in a2_values:
         b2 = b * b
-        b3 = b2 * b
-        for c in rng:
-            k0 = b2 * c * c - 4 * a * c**3 - target
-            ds = divisors[gcd(k0, L)]
-            if ds:
-                k1 = 18 * a * b * c - 4 * b3
-                for d in ds:
-                    if (k2 * d + k1) * d + k0 == 0:
-                        yield (a, b, c, d)
+        hits = []
+        for x, j in points:
+            c, rem = divmod(b2 - x, a3)
+            if rem or c not in rng:
+                continue
+            d, rem = divmod(j - (2 * b2 - 9 * a * c) * b, a27)
+            if d and not rem and d in rng:
+                hits.append((a, b, c, d))
+        hits.sort()  # rng ascends, so this is box order
+        yield from hits
 
 
 def _cands_deg4(a1, a2_values, rng, target):
+    # The invariants I = 12ae - 3bd + c^2 and J of quartic_invariants satisfy
+    # 4I^3 - J^2 = 27 disc, so (I, J) is a point of J^2 = 4X^3 - 27 disc with
+    # |I| <= 12aB + 3 max|b| B + B^2.  Given (b, c) and a point (X, J),
+    # e = (X - c^2 + 3bd) / (12a), and J becomes a quadratic in d:
+    #   -108a^2 d^2 + 27b(4ac - b^2) d + 3(8ac - 3b^2)(X - c^2) - 8ac^3 - 4aJ = 0,
+    # whose discriminant is s0 + s1 X - s2 J and whose roots are
+    # (lin -+ sqrt(s)) / (216a^2).
     a = a1
     aa = a * a
-    k3 = 256 * aa * a
-    r2 = -27 * aa
-    divisors = _Divisors(rng)
-    L = divisors.lcm
+    B = max(map(abs, rng), default=0)
+    bmax = max(map(abs, a2_values), default=0)
+    points = _signed_points(27 * target, 12 * a * B + 3 * bmax * B + B * B)
+    den = 216 * aa
+    a12 = 12 * a
+    s2 = 1728 * aa * a
     for b in a2_values:
         b2 = b * b
-        b3 = b2 * b
-        k2d = -192 * aa * b
+        b3 = 3 * b
+        hits = []
         for c in rng:
             c2 = c * c
-            c3 = c2 * c
-            k2b = -128 * aa * c2 + 144 * a * b2 * c - 27 * b2 * b2
-            q2 = 144 * aa * c - 6 * a * b2
-            q1 = -80 * a * b * c2 + 18 * b3 * c
-            q0 = 16 * a * c2 * c2 - 4 * b2 * c3
-            r1 = 18 * a * b * c - 4 * b3
-            r0 = -4 * a * c3 + b2 * c2
-            for d in rng:
-                k0 = d * d * ((r2 * d + r1) * d + r0) - target
-                es = divisors[gcd(k0, L)]
-                if es:
-                    k2 = k2d * d + k2b
-                    k1 = (q2 * d + q1) * d + q0
-                    for e in es:
-                        if ((k3 * e + k2) * e + k1) * e + k0 == 0:
-                            yield (a, b, c, d, e)
+            lin = 27 * b * (4 * a * c - b2)
+            q = 3 * (8 * a * c - 3 * b2)
+            s0 = lin * lin - 432 * aa * c2 * (q + 8 * a * c)
+            s1 = 432 * aa * q
+            for x, j in points:
+                s = s0 + s1 * x - s2 * j
+                if s < 0:
+                    continue
+                r = isqrt(s)
+                if r * r != s:
+                    continue
+                for num in {lin - r, lin + r}:
+                    d, rem = divmod(num, den)
+                    if rem or d not in rng:
+                        continue
+                    e, rem = divmod(x - c2 + b3 * d, a12)
+                    if e and not rem and e in rng:
+                        hits.append((a, b, c, d, e))
+        hits.sort()  # rng ascends, so this is box order
+        yield from hits
 
 
 def _cands_deg5(a1, a2_values, rng, target):
     # disc = K4 f^4 + K3 f^3 + K2 f^2 + K1 f + K0 with K4 = 3125 a^4 and
     # K_i = sum_j kij e^j; each kij is a polynomial in d whose coefficients
     # kij_m (of d^m) are set in the loop over the last coefficient they use.
-    # K0 = e^2 disc(a, b, c, d, e), so k05..k02 are _cands_deg4's k3..k0.
+    # K0 = e^2 disc(a, b, c, d, e): k05..k02 are the quartic discriminant's
+    # coefficients of e^3..e^0.
     a = a1
     aa = a * a
     a3 = aa * a
@@ -203,6 +251,8 @@ def search_essential_pairs(
         raise UnsupportedDegreeError("search supports degrees 2 to 5")
     if height < 1:
         raise ValueError("height must be >= 1")
+    if a0_max < 1:
+        raise ValueError("a0_max must be >= 1")
     gen = _CANDIDATE_GENS[degree]
 
     results = []

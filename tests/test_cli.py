@@ -101,6 +101,13 @@ class TestSearchCommand:
         )
         assert json.loads(js)["pairs"] == plain.split()
 
+    @pytest.mark.parametrize("flag", ("--height", "--max-a0"))
+    def test_empty_box_bound_is_one(self, capsys, flag):
+        argv = {"--disc": "-275", "--degree": "4", "--height": "2", "--max-a0": "1", flag: "0"}
+        code, out, err = run(capsys, "search", *(x for kv in argv.items() for x in kv))
+        assert (code, out) == (1, "")
+        assert "must be >= 1" in err
+
 
 class TestVerifyTablesCommand:
     def test_bundled_fixture_passes(self, capsys):

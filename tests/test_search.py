@@ -1,12 +1,14 @@
 import random
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithmat import element as el
 from arithmat import search
+from arithmat.covariants import _quartic_ij
 from arithmat.errors import DegenerateElementError, UnsupportedDegreeError
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm, coeffs_discriminant, form_discriminant
@@ -98,6 +100,69 @@ def test_candidate_generators_match_brute_force(n, data):
     assert list(gen(a1, a2_values, range(-box, box + 1), target)) == expected
 
 
+coefficient = st.integers(-50, 50)
+leading = st.integers(-50, 50).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(leading, coefficient, coefficient, coefficient, coefficient)
+def test_quartic_invariants_lie_on_the_disc_curve(a, b, c, d, e):
+    i_inv, j_inv = _quartic_ij((a, b, c, d, e))
+    assert 4 * i_inv**3 - j_inv**2 == 27 * coeffs_discriminant((a, b, c, d, e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(leading, coefficient, coefficient, coefficient)
+def test_cubic_covariants_at_one_zero_lie_on_the_disc_curve(a, b, c, d):
+    # Cayley's syzygy F^2 + 27*D*C^2 = 4*Q^3 at (x, y) = (1, 0)
+    q = b * b - 3 * a * c
+    f = 2 * b**3 - 9 * a * b * c + 27 * a * a * d
+    assert 4 * q**3 - f * f == 27 * a * a * coeffs_discriminant((a, b, c, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.one_of(
+        st.integers(-3000, 3000),
+        st.integers(-12, 12).map(lambda m: 4 * m**3),  # a point with Y = 0
+        st.just(0),  # the cusp: a point at every square X
+    ),
+    xmax=st.integers(0, 40),
+)
+def test_mordell_points_match_a_scan_over_y(k, xmax):
+    x_of = {4 * x**3 - k: x for x in range(-xmax, xmax + 1)}
+    ymax = isqrt(max(4 * xmax**3 - k, 0))
+    expected = sorted((x_of[y * y], y) for y in range(ymax + 1) if y * y in x_of)
+    assert search._mordell_points(k, xmax) == expected
+
+
+def test_quartic_generator_on_a_box_8_case():
+    # target 2048 at a = 1: the hits lie on three points of
+    # J^2 = 4X^3 - 27*2048, one of them with J = 0, and one (c, X, J) leaves
+    # a quadratic in d with a double root
+    a1, a2_values, box, target = 1, [-1, 0, 1], 8, 2048
+    expected = [
+        coeffs
+        for a2 in a2_values
+        for coeffs, disc in box_discriminants(4, a1, a2, box)
+        if disc == target
+    ]
+    assert list(search._cands_deg4(a1, a2_values, range(-box, box + 1), target)) == expected
+    invariants = [(cs, *_quartic_ij(cs)) for cs in expected]
+    assert len({i_inv for _, i_inv, _ in invariants}) >= 3
+    assert any(j_inv == 0 for _, _, j_inv in invariants)
+
+    double_roots = 0
+    for (a, b, c, d, _), i_inv, j_inv in invariants:
+        # J = +-Y as a quadratic in d once e is eliminated through I = X
+        qa = -324 * a * a
+        qb = 324 * a * b * c - 81 * b**3
+        qc = (72 * a * c - 27 * b * b) * (i_inv - c * c) - 24 * a * c**3 - 12 * a * j_inv
+        assert (qa * d + qb) * d + qc == 0
+        double_roots += qb * qb == 4 * qa * qc
+    assert double_roots
+
+
 class TestSearch:
     def test_table_quartic_box(self):
         pairs = search_essential_pairs(-275, 4, 2, 1)
@@ -145,6 +210,11 @@ class TestSearch:
     def test_degree_cap(self):
         with pytest.raises(UnsupportedDegreeError):
             search_essential_pairs(-275, 6, 1, 1)
+
+    @pytest.mark.parametrize("height, a0_max", ((0, 1), (1, 0), (2, -1)))
+    def test_empty_box_bounds_rejected(self, height, a0_max):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            search_essential_pairs(-275, 4, height, a0_max)
 
 
 class TestVerifyTables:
