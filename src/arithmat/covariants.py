@@ -116,8 +116,8 @@ def quartic_invariants(V: BinaryForm) -> tuple[int, int]:
     return _quartic_ij(V.coeffs)
 
 
-def _ghf_from_coeffs(coeffs) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
-    """Expand 256 * det(N) under the trace substitution and collect t powers."""
+def _ghf_from_coeffs(coeffs) -> tuple[TernaryForm, TernaryForm, TernaryForm, MultiPoly]:
+    """G, H, F and det(N): expand 256 * det(N) under the trace substitution, collect t powers."""
     a, b, c, d, e = coeffs
     N = matrix_from_coefficients([a, b, c, d, e])
     det = det_cofactor(N)
@@ -132,13 +132,13 @@ def _ghf_from_coeffs(coeffs) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
     g = -by_t[2] * Fraction(1, 2)
     h = -by_t[1] * Fraction(1, 8)
     f = by_t[0]
-    return TernaryForm(g, 2), TernaryForm(h, 3), TernaryForm(f, 4)
+    return TernaryForm(g, 2), TernaryForm(h, 3), TernaryForm(f, 4), det
 
 
 def quartic_ghf(V: BinaryForm) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
     """The ternary forms G (deg 2), H (deg 3), F (deg 4) of a quartic form."""
     _require_degree(V, 4)
-    forms = _ghf_from_coeffs(V.coeffs)
+    forms = _ghf_from_coeffs(V.coeffs)[:3]
     for form in forms:
         if not form.poly.is_integer_coefficients():
             raise ArithmatError("covariant with non-integer coefficients")
@@ -147,11 +147,11 @@ def quartic_ghf(V: BinaryForm) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
 
 def quartic_ghf_generic() -> tuple[TernaryForm, TernaryForm, TernaryForm]:
     """G, H, F over generic symbolic coefficients a..e."""
-    return _ghf_from_coeffs(generic_form_coeffs(4))
+    return _ghf_from_coeffs(generic_form_coeffs(4))[:3]
 
 
 def _quartic_syzygy_residual(coeffs, ghf) -> MultiPoly:
-    g, h, _ = ghf
+    g, h, _, _ = ghf
     i_inv, j_inv = _quartic_ij(coeffs)
     x = MultiPoly.var("x")
     g4 = g(x * x, x, 1)
@@ -172,10 +172,8 @@ def quartic_syzygy_check_generic() -> bool:
 
 
 def _quartic_norm_equation_residual(coeffs, ghf) -> MultiPoly:
-    a, b, c, d, e = coeffs
-    g, h, f = ghf
-    N = matrix_from_coefficients([a, b, c, d, e])
-    det = det_cofactor(N)
+    _, b, c, d, _ = coeffs
+    g, h, f, det = ghf
     u, x, y, z = (MultiPoly.var(v) for v in ("u", "x", "y", "z"))
     t_of_u = 4 * u - b * x - 2 * c * y - 3 * d * z
     rhs = t_of_u**4 - 2 * g.poly * t_of_u**2 - 8 * h.poly * t_of_u + f.poly
@@ -203,7 +201,7 @@ def quartic_identities_check(V: BinaryForm) -> bool:
 
 
 def _quartic_hessian_residual(coeffs) -> MultiPoly:
-    g, _, _ = _ghf_from_coeffs(coeffs)
+    g = _ghf_from_coeffs(coeffs)[0]
     v = _binary_poly(coeffs)
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     hess = v.diff("x").diff("x") * v.diff("y").diff("y") - v.diff("x").diff("y") ** 2

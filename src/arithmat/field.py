@@ -29,7 +29,7 @@ from .errors import (
     ReducibleFormError,
     ZeroDiscriminantError,
 )
-from .forms import BinaryForm, form_discriminant, irreducibility_certificate, is_irreducible
+from .forms import BinaryForm, form_discriminant, irreducibility_certificate
 from .polyring import (
     ExactMatrix,
     MultiPoly,
@@ -162,43 +162,47 @@ class Element:
         return f"Element({self.text()})"
 
 
-def make_field(pair: EssentialPair) -> NumberField:
-    """Validate an essential pair and return the field context.
-
-    Checks, in order: positivity of a0, the divisibility conditions
-    a0^2 | a1 and a0 | a2, a nonzero form discriminant divisible by a0^2,
-    and irreducibility of the form.  Each failure raises its own error type.
-    Irreducibility is exact through degree 5 (`is_irreducible`); above, the
-    form must be certified by `irreducibility_certificate` (Eisenstein at a
-    prime below 50, or irreducible modulo one), else ReducibleFormError
-    says it could not be certified.
-    """
+def check_scale(pair: EssentialPair) -> None:
+    """The discriminant-free conditions: a0 >= 1, a0^2 | a1 and a0 | a2."""
     a0 = pair.a0
-    form = pair.form
     if a0 < 1:
         raise DivisibilityError("a0 must be a positive integer")
-    a1, a2 = form.coeffs[0], form.coeffs[1]
+    a1, a2 = pair.form.coeffs[0], pair.form.coeffs[1]
     if a1 % (a0 * a0) != 0:
         raise DivisibilityError(f"a0^2 = {a0 * a0} does not divide a1 = {a1}")
     if a2 % a0 != 0:
         raise DivisibilityError(f"a0 = {a0} does not divide a2 = {a2}")
-    D = form_discriminant(form)
+
+
+def field_with_discriminant(pair: EssentialPair, D: int) -> NumberField:
+    """The field context of a pair that passed `check_scale` and whose form has
+    discriminant D: D must be nonzero and divisible by a0^2, the form certified."""
+    a0, form = pair.a0, pair.form
     if D == 0:
         raise ZeroDiscriminantError("form has a repeated root")
     if D % (a0 * a0) != 0:
         raise DivisibilityError(
             f"form discriminant {D} is not divisible by a0^2 = {a0 * a0}"
         )
-    if form.degree <= 5:
-        if not is_irreducible(form, D):
-            raise ReducibleFormError("form is reducible over the rationals")
-    else:
-        cert = irreducibility_certificate(form, D)
-        if cert is not True:
-            raise ReducibleFormError(
-                "form is reducible or could not be certified irreducible"
-            )
+    cert = irreducibility_certificate(form, D)
+    if cert is False:
+        raise ReducibleFormError("form is reducible over the rationals")
+    if cert is None:
+        raise ReducibleFormError("form could not be certified irreducible")
     return NumberField(pair, form.degree, D // (a0 * a0))
+
+
+def make_field(pair: EssentialPair) -> NumberField:
+    """Validate an essential pair and return the field context.
+
+    Checks, in order: positivity of a0, the divisibility conditions
+    a0^2 | a1 and a0 | a2, a nonzero form discriminant divisible by a0^2,
+    and irreducibility of the form.  Each failure raises its own error type.
+    Irreducibility is one `irreducibility_certificate` call, exact through
+    degree 5; a form it cannot decide "could not be certified irreducible".
+    """
+    check_scale(pair)
+    return field_with_discriminant(pair, form_discriminant(pair.form))
 
 
 # ----------------------------------------------------------------------

@@ -215,25 +215,23 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int) -> bool:
     return True
 
 
-def _quadratic_factor_exists(cs: tuple[int, ...], bound: int) -> bool:
-    """Search for an integer quadratic factor with coefficients up to bound."""
+def _quadratic_factor_exists(cs: tuple[int, ...]) -> bool:
+    """Whether cs (low-to-high, positive lead, no rational root) has an integer
+    quadratic factor g.  g(x) | f(x) at every integer x and f(1) != 0, so
+    g(1) = g2 + g1 + g0 is a divisor of f(1) of either sign."""
     f = UniPoly(cs)
-    n = len(cs) - 1
     f1 = sum(cs)
-    fm1 = sum(c if k % 2 == 0 else -c for k, c in enumerate(cs))
+    checks = [(x, sum(c * x**k for k, c in enumerate(cs))) for x in (-1, 2, -2)]
     for g2 in _divisors(cs[-1]):
         for g0 in _divisors(cs[0]):
             for sg0 in (g0, -g0):
-                for g1 in range(-bound, bound + 1):
-                    s1 = g2 + g1 + sg0
-                    if s1 == 0 or (f1 % s1):
-                        continue
-                    sm1 = g2 - g1 + sg0
-                    if sm1 == 0 or (fm1 % sm1):
-                        continue
-                    q, r = f.divmod(UniPoly((sg0, g1, g2)))
-                    if r.is_zero():
-                        return True
+                for s in _divisors(f1):
+                    for g1 in (s - g2 - sg0, -s - g2 - sg0):
+                        if all(
+                            (gx := (g2 * x + g1) * x + sg0) and fx % gx == 0
+                            for x, fx in checks
+                        ) and f.divmod(UniPoly((sg0, g1, g2)))[1].is_zero():
+                            return True
     return False
 
 
@@ -266,8 +264,9 @@ def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     Eisenstein forms (at a prime below 50, either orientation) are accepted
     and rational roots rejected first; degrees 4 and 5 are then accepted when
     irreducible modulo a prime below 50 (a Frobenius-matrix distinct-degree
-    scan), else decided by a search for an integer quadratic factor below a
-    Mignotte-style bound.  ``disc`` is the form's discriminant, if known.
+    scan), else decided by a search for an integer quadratic factor whose
+    value at 1 divides the form's.  ``disc`` is the form's discriminant, if
+    known.
     """
     n = B.degree
     if n > 5:
@@ -275,8 +274,7 @@ def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     decided = _cheap_decision(B, disc)
     if decided is not None:
         return decided
-    bound = (1 << n) * (1 + math.ceil(B.norm2()))
-    return not _quadratic_factor_exists(_primitive_monic_sign(tuple(reversed(B.coeffs))), bound)
+    return not _quadratic_factor_exists(_primitive_monic_sign(tuple(reversed(B.coeffs))))
 
 
 def irreducibility_certificate(B: BinaryForm, disc: int | None = None):

@@ -28,7 +28,7 @@ from .errors import (
     ReducibleFormError,
     UnsupportedDegreeError,
 )
-from .field import Element, EssentialPair, NumberField, make_field
+from .field import Element, EssentialPair, NumberField, check_scale, field_with_discriminant
 from .forms import (
     BinaryForm,
     form_discriminant,
@@ -316,7 +316,8 @@ def parse_table_rows(text: str) -> list[tuple[int, int, tuple[int, ...]]]:
 
 
 def verify_tables(rows: list[tuple[int, int, tuple[int, ...]]]) -> TableReport:
-    """Recheck every row: exact discriminant, divisibility, irreducibility."""
+    """Recheck every row: the exact discriminant, then `make_field`'s checks
+    (`check_scale`, `field_with_discriminant`), whose error message is the reason."""
     report = TableReport()
     for idx, row in enumerate(rows, start=1):
         disc, a0, coeffs = row
@@ -332,14 +333,12 @@ def verify_tables(rows: list[tuple[int, int, tuple[int, ...]]]) -> TableReport:
                 (idx, row, f"discriminant {D} != {disc} * {a0}^2 = {disc * a0 * a0}")
             )
             continue
-        if coeffs[0] % (a0 * a0):
-            report.failures.append((idx, row, f"a0^2 does not divide a1={coeffs[0]}"))
-            continue
-        if coeffs[1] % a0:
-            report.failures.append((idx, row, f"a0 does not divide a2={coeffs[1]}"))
-            continue
-        if not is_irreducible(B, D):
-            report.failures.append((idx, row, "form is reducible"))
+        pair = EssentialPair(a0, B)
+        try:
+            check_scale(pair)
+            field_with_discriminant(pair, D)
+        except ArithmatError as exc:
+            report.failures.append((idx, row, str(exc)))
     return report
 
 
@@ -399,16 +398,14 @@ def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair
     # x^n f(y/x): the form coefficients are the monic polynomial's, low first
     coeffs = [int(c) for c in g.coeffs]
     pair = EssentialPair(a0, BinaryForm(coeffs))
+    check_scale(pair)
     try:
-        built = make_field(pair)
+        # the reversed form has the characteristic polynomial's discriminant,
+        # so the field it defines has discriminant D / a0^2 = F.disc
+        field_with_discriminant(pair, D)
     except ReducibleFormError:
         # a degree-n element proves its minimal polynomial irreducible even
         # when no modular certificate exists (possible only for degree >= 6)
-        if F.n <= 5 or irreducibility_certificate(pair.form) is False:
+        if irreducibility_certificate(pair.form, D) is False:
             raise
-        built = NumberField(pair, F.n, D // (a0 * a0))
-    if built.disc != F.disc:
-        raise ArithmatError(
-            f"pair built from the element has discriminant {built.disc}, not {F.disc}"
-        )
     return pair

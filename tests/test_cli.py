@@ -122,6 +122,16 @@ class TestVerifyTablesCommand:
         assert code == 3
         assert "failure" in out
 
+    @pytest.mark.parametrize(
+        "row, code", [("5;0;1,2,1", 3), ("5;-1;1,1,-1", 3), ("-11337408;1;1,0,0,0,0,0,3", 0)]
+    )
+    def test_rows_make_field_decides(self, capsys, tmp_path, row, code):
+        table = tmp_path / "table.txt"
+        table.write_text(row + "\n")
+        got, out, err = run(capsys, "verify-tables", "--file", str(table))
+        assert (got, err) == (code, "")
+        assert ("a0 must be a positive integer" in out) is (code == 3)
+
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify-tables", "--file", str(tmp_path / "nope.txt"))
         assert code == 1

@@ -49,6 +49,11 @@ class TestMakeField:
         with pytest.raises(ReducibleFormError):
             make_field(EssentialPair(1, BinaryForm([1, 0, 0, 0, -1])))
 
+    def test_degree_six_rational_root_is_reducible(self):
+        # x^6 - 1 has the root 1
+        with pytest.raises(ReducibleFormError, match="reducible over the rationals"):
+            make_field(EssentialPair(1, BinaryForm([1, 0, 0, 0, 0, 0, -1])))
+
     def test_zero_discriminant(self):
         with pytest.raises(ZeroDiscriminantError):
             make_field(EssentialPair(1, BinaryForm([1, 2, 1])))

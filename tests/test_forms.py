@@ -4,12 +4,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arithmat.errors import ReducibleFormError, UnsupportedDegreeError, ZeroPolynomialError
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import (
     BinaryForm,
+    _divisors,
     _gfp_is_irreducible,
     _has_rational_root,
     _primitive_monic_sign,
@@ -215,9 +216,61 @@ class TestEisensteinAccept:
         # the accept decides what the root test and the quadratic-factor search decide
         B = BinaryForm(coeffs)
         cs = _primitive_monic_sign(tuple(reversed(coeffs)))
-        bound = 16 * (1 + math.ceil(B.norm2()))
-        exhaustive = not _has_rational_root(cs) and not _quadratic_factor_exists(cs, bound)
+        exhaustive = not _has_rational_root(cs) and not _quadratic_factor_exists(cs)
         assert is_irreducible(B) is exhaustive is True
+
+
+def _bounded_quadratic_factor_exists(cs, bound):
+    """Reference: scan g1 over [-bound, bound] for an integer quadratic factor."""
+    f = UniPoly(cs)
+    f1 = sum(cs)
+    fm1 = sum(c if k % 2 == 0 else -c for k, c in enumerate(cs))
+    for g2 in _divisors(cs[-1]):
+        for g0 in _divisors(cs[0]):
+            for sg0 in (g0, -g0):
+                for g1 in range(-bound, bound + 1):
+                    s1 = g2 + g1 + sg0
+                    if s1 == 0 or (f1 % s1):
+                        continue
+                    sm1 = g2 - g1 + sg0
+                    if sm1 == 0 or (fm1 % sm1):
+                        continue
+                    if f.divmod(UniPoly((sg0, g1, g2)))[1].is_zero():
+                        return True
+    return False
+
+
+def _mignotte_bound(cs):
+    """2^n (1 + ceil(||f||_2)) bounds every coefficient of a factor of f."""
+    return (1 << (len(cs) - 1)) * (1 + math.ceil(math.sqrt(sum(c * c for c in cs))))
+
+
+class TestQuadraticFactorStep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+        st.integers(1, 6),
+        st.lists(st.integers(-6, 6), min_size=2, max_size=3),
+        st.integers(1, 6),
+    )
+    def test_products_with_a_quadratic_are_found(self, g_low, g_lead, h_low, h_lead):
+        # quadratic x quadratic and quadratic x cubic
+        prod = poly_mul_schoolbook(UniPoly([*g_low, g_lead]), UniPoly([*h_low, h_lead]))
+        cs = tuple(int(prod.coeff(k)) for k in range(prod.degree + 1))
+        assume(cs[0] != 0)
+        cs = _primitive_monic_sign(cs)
+        assume(not _has_rational_root(cs))
+        assert _quadratic_factor_exists(cs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-5, 5), min_size=4, max_size=5), st.integers(1, 5))
+    def test_agrees_with_the_bounded_scan(self, low, lead):
+        # random quartics and quintics without a rational root
+        assume(low[0] != 0)
+        cs = _primitive_monic_sign((*low, lead))
+        assume(not _has_rational_root(cs))
+        expected = _bounded_quadratic_factor_exists(cs, _mignotte_bound(cs))
+        assert _quadratic_factor_exists(cs) is expected
 
 
 class TestTextFormat:

@@ -240,6 +240,21 @@ class TestVerifyTables:
         report = verify_tables(rows)
         assert not report.ok
 
+    @pytest.mark.parametrize("row", [(5, 0, (1, 2, 1)), (5, -1, (1, 1, -1))])
+    def test_nonpositive_a0_fails_with_make_fields_reason(self, row):
+        report = verify_tables([row])
+        assert not report.ok
+        assert report.failures[0][2] == "a0 must be a positive integer"
+
+    def test_certified_sextic_row_passes(self):
+        assert verify_tables([(-11337408, 1, (1, 0, 0, 0, 0, 0, 3))]).ok
+
+    def test_uncertified_sextic_row_fails(self):
+        B = BinaryForm([1, 0, 0, 0, 0, 0, 108])
+        report = verify_tables([(form_discriminant(B), 1, B.coeffs)])
+        assert not report.ok
+        assert "could not be certified" in report.failures[0][2]
+
     def test_parse_format(self):
         rows = parse_table_rows("# comment\n-275;1;1,1,0,-2,-1\n")
         assert rows == [(-275, 1, (1, 1, 0, -2, -1))]
