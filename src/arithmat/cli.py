@@ -4,27 +4,23 @@ Exit codes: 0 success, 1 argument/parse errors, 2 domain errors (the error
 class name is printed), 3 verification failures.  The --json flag emits the
 same values as structured records.  List-valued arguments are comma strings
 without spaces, so negative numbers need no quoting.
+
+Start-up: each call is one subcommand in a fresh interpreter, so a module
+that only some subcommands run (fastmul, search, numeric, json, random,
+time) is imported inside the handlers that run it.  Importing the package
+still loads errors, polyring, forms, field and element.  covariants stays a
+module-level import although only syzygy runs it: a tracer that wraps
+arithmat's functions from outside the package (perfbench/tracer.py) looks
+every target module up in sys.modules, and nothing else loads covariants.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
-import time
 
-from . import covariants, element, fastmul, search
-from .errors import ArithmatError, DimensionMismatchError
-from .field import (
-    Element,
-    EssentialPair,
-    make_field,
-    arithmetic_matrix,
-    symbolic_arithmetic_matrix,
-)
-from .forms import BinaryForm, form_discriminant
-from .polyring import ExactMatrix, format_rational
+from . import covariants
+from .errors import ArithmatError, DimensionMismatchError, MissingDependencyError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,7 +31,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="arithmat", description=__doc__)
+    # the start-up note is for readers of this file, not for --help
+    p = _Parser(prog="arithmat", description=__doc__ and __doc__.partition("\n\nStart-up:")[0])
     p.add_argument("--json", action="store_true", help="emit JSON records")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -90,20 +87,36 @@ def _matrix_json(M: ExactMatrix):
     return [[str(e) for e in M.row(i)] for i in range(M.rows)]
 
 
+def _print_json(record: dict) -> None:
+    import json
+
+    print(json.dumps(record, sort_keys=True))
+
+
 def _emit(args, plain: str, record: dict) -> None:
     if args.json:
-        print(json.dumps(record, sort_keys=True))
+        _print_json(record)
     else:
         print(plain)
 
 
 def _cmd_disc(args) -> int:
+    from .forms import BinaryForm, form_discriminant
+
     value = form_discriminant(BinaryForm.from_text(args.form))
     _emit(args, str(value), {"command": "disc", "form": args.form, "disc": value})
     return 0
 
 
 def _cmd_matrix(args) -> int:
+    from .field import (
+        Element,
+        EssentialPair,
+        arithmetic_matrix,
+        make_field,
+        symbolic_arithmetic_matrix,
+    )
+
     F = make_field(EssentialPair.from_text(args.pair))
     if args.symbolic:
         M = symbolic_arithmetic_matrix(F)
@@ -114,16 +127,21 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_element_op(args) -> int:
+    from . import element
+    from .field import Element, EssentialPair, make_field
+    from .polyring import format_rational
+
     F = make_field(EssentialPair.from_text(args.pair))
     a = Element.from_text(F, args.a)
     record = {"command": args.command, "pair": args.pair, "a": args.a}
     if args.command == "mul":
         b = Element.from_text(F, args.b)
-        out = (
-            fastmul.mul_via_fft(F, a, b)
-            if args.via == "fft"
-            else element.mul(F, a, b)
-        )
+        if args.via == "fft":
+            from .fastmul import mul_via_fft
+
+            out = mul_via_fft(F, a, b)
+        else:
+            out = element.mul(F, a, b)
         record.update(b=args.b, result=out.text(), via=args.via)
         _emit(args, out.text(), record)
     elif args.command == "add":
@@ -150,16 +168,13 @@ def _cmd_element_op(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    pairs = search.search_essential_pairs(
+    from .search import search_essential_pairs
+
+    pairs = search_essential_pairs(
         args.disc, args.degree, args.height, args.max_a0, jobs=args.jobs
     )
     if args.json:
-        print(
-            json.dumps(
-                {"command": "search", "disc": args.disc, "pairs": [p.text() for p in pairs]},
-                sort_keys=True,
-            )
-        )
+        _print_json({"command": "search", "disc": args.disc, "pairs": [p.text() for p in pairs]})
     else:
         for p in pairs:
             print(p.text())
@@ -167,23 +182,22 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
+    from .search import parse_table_rows, verify_tables
+
     with open(args.file, "r", encoding="utf-8") as fh:
-        rows = search.parse_table_rows(fh.read())
-    report = search.verify_tables(rows)
+        rows = parse_table_rows(fh.read())
+    report = verify_tables(rows)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "verify-tables",
-                    "rows_checked": report.rows_checked,
-                    "failures": [
-                        {"row": idx, "disc": row[0], "a0": row[1],
-                         "coeffs": list(row[2]), "reason": reason}
-                        for idx, row, reason in report.failures
-                    ],
-                },
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "command": "verify-tables",
+                "rows_checked": report.rows_checked,
+                "failures": [
+                    {"row": idx, "disc": row[0], "a0": row[1],
+                     "coeffs": list(row[2]), "reason": reason}
+                    for idx, row, reason in report.failures
+                ],
+            }
         )
     else:
         print(report)
@@ -191,6 +205,8 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_syzygy(args) -> int:
+    from .forms import BinaryForm
+
     if args.cubic is not None:
         form = BinaryForm.from_text(args.cubic)
         ok = covariants.cubic_identities_check(form)
@@ -206,7 +222,15 @@ def _cmd_syzygy(args) -> int:
 
 
 def _cmd_diag_check(args) -> int:
-    from . import numeric  # numpy is imported for this command only
+    try:
+        from . import numeric  # numpy is imported for this command only
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise MissingDependencyError(
+            "diag-check needs numpy, which is not installed (pip install numpy)"
+        ) from exc
+    from .field import Element, EssentialPair, make_field
 
     F = make_field(EssentialPair.from_text(args.pair))
     alpha = Element.from_text(F, args.coords)
@@ -221,6 +245,12 @@ def _cmd_diag_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import random
+    import time
+
+    from . import fastmul
+    from .polyring import ExactMatrix
+
     m = args.size
     if m < 1:
         raise DimensionMismatchError(f"size must be at least 1, got {m}")

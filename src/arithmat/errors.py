@@ -64,3 +64,7 @@ class RoundingError(ArithmatError):
 
 class NonIntegerEntryError(ArithmatError):
     """An exact integer algorithm received non-integer entries."""
+
+
+class MissingDependencyError(ArithmatError):
+    """An optional third-party package that the operation needs is not installed."""

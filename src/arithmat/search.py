@@ -18,7 +18,6 @@ slower than one thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from math import gcd, isqrt, lcm
 
 from .element import char_poly, inverse, is_integral, norm, trace
@@ -276,12 +275,12 @@ def search_essential_pairs(
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class TableReport:
     """Outcome of checking table rows: failures hold (row index, row, reason)."""
 
-    rows_checked: int = 0
-    failures: list[tuple[int, tuple, str]] = dataclass_field(default_factory=list)
+    def __init__(self):
+        self.rows_checked = 0
+        self.failures: list[tuple[int, tuple, str]] = []
 
     @property
     def ok(self) -> bool:
@@ -304,14 +303,22 @@ class TableReport:
 
 
 def parse_table_rows(text: str) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Parse fixture lines 'disc;a0;a1,a2,...' (blank lines and # comments skipped)."""
+    """Parse fixture lines 'disc;a0;a1,a2,...' (blank lines and # comments skipped).
+
+    A line of any other shape raises ValueError naming its line number and text.
+    """
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        disc_s, a0_s, coeff_s = line.split(";")
-        rows.append((int(disc_s), int(a0_s), tuple(int(c) for c in coeff_s.split(","))))
+        try:
+            disc_s, a0_s, coeff_s = line.split(";")
+            rows.append((int(disc_s), int(a0_s), tuple(int(c) for c in coeff_s.split(","))))
+        except ValueError:
+            raise ValueError(
+                f"line {number}: expected 'disc;a0;a1,a2,...', got {line!r}"
+            ) from None
     return rows
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 import arithmat
 from arithmat.cli import run_command
 from arithmat.search import bundled_table_path
+
+_REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -132,6 +135,23 @@ class TestVerifyTablesCommand:
         assert (got, err) == (code, "")
         assert ("a0 must be a positive integer" in out) is (code == 3)
 
+    @pytest.mark.parametrize(
+        "text, number, line",
+        [("# note\n\n-275;1\n", 3, "-275;1"), ("-275;1;1,1,0,-2,-1\n5;x;1,1\n", 2, "5;x;1,1"),
+         ("5;1;1,,1\n", 1, "5;1;1,,1")],
+    )
+    def test_malformed_line_is_named(self, capsys, tmp_path, text, number, line):
+        table = tmp_path / "table.txt"
+        table.write_text(text)
+        code, out, err = run(capsys, "verify-tables", "--file", str(table))
+        assert (code, out) == (1, "")
+        assert err == f"error: line {number}: expected 'disc;a0;a1,a2,...', got {line!r}\n"
+
+    def test_prose_file_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "verify-tables", "--file", str(_REPO / "README.md"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line ") and "expected 'disc;a0;a1,a2,...'" in err
+
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify-tables", "--file", str(tmp_path / "nope.txt"))
         assert code == 1
@@ -156,17 +176,107 @@ class TestDiagCheckCommand:
         assert float(out.strip()) < 1e-8
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _fresh_python(*args):
+    """Run `python *args` in a fresh interpreter with arithmat's src on the path."""
     src = str(pathlib.Path(arithmat.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, arithmat.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=_REPO,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
-    assert (result.returncode, result.stdout.strip()) == (0, "False"), result.stderr
+
+
+# modules that some subcommands run and that `import arithmat.cli` must not load
+_LAZY = ("numpy", "dataclasses", "json", "arithmat.fastmul", "arithmat.search", "arithmat.numeric")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    result = _fresh_python(
+        "-c",
+        "import sys; before = set(sys.modules); import arithmat.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    assert result.returncode == 0, result.stderr
+    added = result.stdout.split()
+    assert "arithmat.cli" in added
+    assert "numpy" not in added
+    assert [m for m in _LAZY if m in added] == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, unloaded",
+    [
+        (["disc", "--form", "1,1,0,-2,-1"], (), ("arithmat.fastmul", "arithmat.search")),
+        (["bench", "--size", "4", "--algo", "ww"], ("arithmat.fastmul",), ("arithmat.search",)),
+        (["search", "--disc", "-275", "--degree", "4", "--height", "2", "--max-a0", "1"],
+         ("arithmat.search",), ("arithmat.fastmul",)),
+        (["mul", "--via", "fft", "--pair", "1:1,1,-1", "--a", "0,1", "--b", "1,1"],
+         ("arithmat.fastmul",), ()),
+    ],
+    ids=["disc", "bench", "search", "mul-fft"],
+)
+def test_subcommand_loads_only_its_modules(argv, loaded, unloaded):
+    result = _fresh_python(
+        "-c",
+        "import contextlib, io, sys\n"
+        "from arithmat.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = run_command({argv!r})\n"
+        f"print(code, *[m for m in {loaded + unloaded!r} if m in sys.modules])"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", *loaded]
+
+
+def test_diag_check_without_numpy_is_a_typed_error():
+    # None in sys.modules makes `import numpy` raise ModuleNotFoundError
+    result = _fresh_python(
+        "-c",
+        "import sys; sys.modules['numpy'] = None\n"
+        "from arithmat.cli import run_command\n"
+        "sys.exit(run_command(['diag-check', '--pair', '1:1,1,-1', '--coords', '3,5']))"
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: MissingDependencyError: diag-check needs numpy")
+    assert "Traceback" not in result.stderr
+
+
+def test_diag_check_reraises_other_missing_modules():
+    result = _fresh_python(
+        "-c",
+        "import sys; sys.modules['cmath'] = None\n"
+        "from arithmat.cli import run_command\n"
+        "run_command(['diag-check', '--pair', '1:1,1,-1', '--coords', '3,5'])"
+    )
+    assert result.returncode == 1
+    assert "ModuleNotFoundError: import of cmath halted" in result.stderr
+
+
+def _readme_examples():
+    lines = (_REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    block = lines[lines.index("## Command line") + 2:]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block[: block.index("```")] if line.startswith("arithmat ")]
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_every_subcommand_example():
+    assert len(_README_EXAMPLES) == 14
+
+
+@pytest.mark.parametrize("argv", _README_EXAMPLES, ids=[a[0] for a in _README_EXAMPLES])
+def test_readme_example_in_fresh_process_matches_in_process(argv, capsys, monkeypatch):
+    # in-process tests share one interpreter, so a handler that works only
+    # because another test imported a module would pass them; this would not
+    result = _fresh_python("-m", "arithmat.cli", *argv)
+    monkeypatch.chdir(_REPO)
+    code, out, _ = run(capsys, *argv)
+    assert (result.returncode, code) == (0, 0), result.stderr
+    if argv[0] == "bench":  # m,strategy,mults,adds,nanoseconds
+        result.stdout, out = (text.rsplit(",", 1)[0] for text in (result.stdout, out))
+    assert result.stdout == out
 
 
 class TestBenchCommand:
