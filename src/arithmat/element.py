@@ -1,14 +1,16 @@
 """Ring arithmetic on elements, on their integer multiplication matrices.
 
 An element with coordinates x over the common denominator d has the matrix
-N = A / d, with A the integer matrix of d*x (``field.integer_matrix``).  Each
-operation is integer linear algebra on A, divided by a power of d once: mul
-applies A to the other element's column, trace sums A's diagonal, norm is
-det A by Bareiss elimination, inverse is d * A^-1 e1 by a fraction-free
-solve, and char_poly is Le Verrier over the integers.  Since A^k is the
-matrix of (d*alpha)^k, whose coordinates A^(k-1) (d*x) cost one
-matrix-vector product, each power sum tr(A^k) is one diagonal evaluation.
-An independent resultant-based norm is provided as a cross-check oracle.
+N = A / d, with A the integer matrix of d*x (``field.integer_matrix``).  The
+numerators d*x and A are built once per element and kept on it, so every
+operation below on the same element shares them.  Each operation is integer
+linear algebra on A, divided by a power of d once: mul applies A to the other
+element's column, trace is the linear trace form on d*x, norm is det A by
+Bareiss elimination, inverse is d * A^-1 e1 by a fraction-free solve, and
+char_poly is Le Verrier over the integers.  Since A^k is the matrix of
+(d*alpha)^k, whose coordinates A^(k-1) (d*x) cost one matrix-vector product,
+each power sum tr(A^k) is one trace-form evaluation.  An independent
+resultant-based norm is provided as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from .errors import FieldMismatchError, ZeroElementError
 from .field import Element, NumberField, basis_change_matrix
 from .field import integer_matrix, integer_trace
-from .polyring import ExactMatrix, UniPoly, det_exact, resultant, scaled_coords
+from .polyring import ExactMatrix, UniPoly, det_exact, resultant
 
 
 def _require_same_field(F: NumberField, *elements: Element) -> None:
@@ -47,14 +49,14 @@ def mul(F: NumberField, alpha: Element, beta: Element) -> Element:
     """Exact product: alpha's matrix applied to beta's coordinate column."""
     _require_same_field(F, alpha, beta)
     rows, d = integer_matrix(F, alpha)
-    ys, e = scaled_coords(beta.coords)
+    ys, e = beta.integer_coords()
     return Element(F, [Fraction(sum(r * y for r, y in zip(row, ys)), d * e) for row in rows])
 
 
 def trace(F: NumberField, alpha: Element) -> Fraction:
     """Trace of alpha: the trace of its multiplication matrix."""
     _require_same_field(F, alpha)
-    xs, d = scaled_coords(alpha.coords)
+    xs, d = alpha.integer_coords()
     return Fraction(integer_trace(F, xs), d)
 
 
@@ -94,7 +96,7 @@ def char_poly(F: NumberField, alpha: Element) -> UniPoly:
     _require_same_field(F, alpha)
     n = F.n
     rows, d = integer_matrix(F, alpha)
-    power, _ = scaled_coords(alpha.coords)
+    power = alpha.integer_coords()[0]
     sums = [integer_trace(F, power)]
     for _ in range(n - 1):
         power = [sum(r * v for r, v in zip(row, power)) for row in rows]

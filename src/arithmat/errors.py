@@ -58,6 +58,10 @@ class RootConvergenceError(ArithmatError):
     """The numeric root finder failed to converge."""
 
 
+class FloatRangeError(ArithmatError):
+    """An exact value is too large for the float64 verification layer."""
+
+
 class RoundingError(ArithmatError):
     """A numeric reconstruction did not round cleanly to integers."""
 

@@ -31,7 +31,7 @@ from .errors import (
     NonIntegerEntryError,
 )
 from .field import Element, NumberField, arithmetic_matrix
-from .polyring import ExactMatrix, scaled_coords
+from .polyring import ExactMatrix
 
 
 class MulCounter:
@@ -290,8 +290,8 @@ def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
         """Row i of the basis change applied to v, diagonal left out."""
         return sum(a[j - i] * v[j] for j in range(i + 1, n)) if i else 0
 
-    xa, da = scaled_coords(alpha.coords)
-    xb, db = scaled_coords(beta.coords)
+    xa, da = alpha.integer_coords()
+    xb, db = beta.integer_coords()
     prod = exact_convolve(
         [diag[i] * xa[i] + above(i, xa) for i in range(n)],
         [diag[i] * xb[i] + above(i, xb) for i in range(n)],

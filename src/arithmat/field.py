@@ -126,9 +126,15 @@ class NumberField:
 
 
 class Element:
-    """Coordinate vector over the omega-basis of a field context."""
+    """Coordinate vector over the omega-basis of a field context.
 
-    __slots__ = ("field", "coords")
+    Its integer form, the numerators xs over one common denominator d
+    (`integer_coords`), and its integer matrix A (`integer_matrix`) are
+    built on first use and kept, as tuples; equality and hashing see only
+    the field and the coordinates.
+    """
+
+    __slots__ = ("field", "coords", "_scaled", "_rows")
 
     def __init__(self, field: NumberField, coords: Sequence):
         cs = tuple(Fraction(c) for c in coords)
@@ -138,6 +144,14 @@ class Element:
             )
         self.field = field
         self.coords = cs
+        self._scaled = self._rows = None
+
+    def integer_coords(self) -> tuple[tuple[int, ...], int]:
+        """The coordinates as integer numerators xs over their common denominator d."""
+        if self._scaled is None:
+            xs, d = scaled_coords(self.coords)
+            self._scaled = (tuple(xs), d)
+        return self._scaled
 
     @classmethod
     def from_text(cls, field: NumberField, text: str) -> Element:
@@ -312,18 +326,26 @@ def _flatten(rows) -> ExactMatrix:
     return ExactMatrix(n, n, [e for row in rows for e in row])
 
 
-def integer_matrix(F: NumberField, alpha: Element) -> tuple[list[list[int]], int]:
-    """Alpha's arithmetic matrix as integer rows over one common denominator d."""
+def integer_matrix(F: NumberField, alpha: Element) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Alpha's arithmetic matrix as integer rows over one common denominator d.
+
+    The rows are built from the explicit entry formulas on the first call
+    and kept on the element, so later calls return the same tuples.
+    """
     if alpha.field != F:
         raise FieldMismatchError("element belongs to a different field")
-    xs, d = scaled_coords(alpha.coords)
-    return _matrix_rows(F.n, F.pair.form.coeffs, F.a0, xs), d
+    xs, d = alpha.integer_coords()
+    if alpha._rows is None:
+        rows = _matrix_rows(F.n, F.pair.form.coeffs, F.a0, xs)
+        alpha._rows = tuple(tuple(row) for row in rows)
+    return alpha._rows, d
 
 
 def integer_trace(F: NumberField, xs: Sequence[int]) -> int:
-    """Trace of the arithmetic matrix on integer coordinates, from its diagonal alone."""
-    entry = _entry_function(F.n, F.pair.form.coeffs, F.a0, xs)
-    return sum(entry(i, i) for i in range(1, F.n + 1))
+    """Trace of the arithmetic matrix on integer coordinates:
+    n*x0 - (a2/a0)*x1 - sum_{j>=2} j*a_{j+1}*x_j, with a0 | a2."""
+    a = F.pair.form.coeffs
+    return F.n * xs[0] - a[1] // F.a0 * xs[1] - sum(j * a[j] * xs[j] for j in range(2, F.n))
 
 
 def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") -> ExactMatrix:

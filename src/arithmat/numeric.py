@@ -10,12 +10,14 @@ quartic subforms built from adjugate rows.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
 from .element import char_poly
 from .errors import (
     ArithmatError,
+    FloatRangeError,
     RootConvergenceError,
     RoundingError,
     UnsupportedDegreeError,
@@ -34,16 +36,30 @@ _ROOT_TOL = 1e-10
 _MAX_NEWTON = 60
 
 
-def find_roots(B: BinaryForm) -> list[complex]:
+def _floats(values) -> list[float]:
+    """float() of each int or Fraction; one beyond float64 range raises a
+    FloatRangeError that names the size of the largest."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        big = max(values, key=abs)
+        bits = big.numerator.bit_length() - big.denominator.bit_length()
+        raise FloatRangeError(
+            f"a value of about 10^{round(bits * math.log10(2))} does not fit a float64"
+        ) from None
+
+
+def find_roots(B: BinaryForm, disc: int | None = None) -> list[complex]:
     """All n complex roots of B(x, 1), polished and deterministically ordered.
 
     Companion-matrix eigenvalues give the starting points; Newton iteration
     sharpens them to near machine precision.  Roots are sorted by (real,
     imaginary).  Raises when a polished residual stays above tolerance.
+    ``disc`` is the form's discriminant, if known.
     """
-    if form_discriminant(B) == 0:
+    if (form_discriminant(B) if disc is None else disc) == 0:
         raise ZeroDiscriminantError("root finder requires distinct roots")
-    coeffs_high = [float(c) for c in B.coeffs]
+    coeffs_high = _floats(B.coeffs)
     roots = np.roots(coeffs_high)
 
     def f(z: complex) -> complex:
@@ -79,8 +95,8 @@ def find_roots(B: BinaryForm) -> list[complex]:
     return sorted(polished, key=lambda w: (w.real, w.imag))
 
 
-def _floats(M) -> np.ndarray:
-    return np.array([[float(e) for e in M.row(i)] for i in range(M.rows)])
+def _float_matrix(M) -> np.ndarray:
+    return np.array([_floats(M.row(i)) for i in range(M.rows)])
 
 
 class EmbeddingData:
@@ -95,7 +111,7 @@ class EmbeddingData:
 
     def __init__(self, F: NumberField):
         self.field = F
-        self.roots = find_roots(F.pair.form)
+        self.roots = find_roots(F.pair.form, F.disc * F.a0 * F.a0)
         n = F.n
         scale = 1e-9 * (1.0 + F.pair.form.norm2())
         for root in self.roots:
@@ -105,7 +121,7 @@ class EmbeddingData:
         self.xi = np.array(
             [[z**j for j in range(n)] for z in self.roots], dtype=complex
         )
-        self.gamma = self.xi @ _floats(basis_change_matrix(F))
+        self.gamma = self.xi @ _float_matrix(basis_change_matrix(F))
         self.xi.flags.writeable = self.gamma.flags.writeable = False
         det2 = complex(np.linalg.det(self.gamma)) ** 2
         if abs(det2 - F.disc) > 1e-6 * max(1.0, abs(F.disc)):
@@ -115,7 +131,7 @@ class EmbeddingData:
 
     def embed(self, alpha: Element) -> np.ndarray:
         """Images of alpha under each embedding (Gamma times the coordinates)."""
-        x = np.array([float(c) for c in alpha.coords])
+        x = np.array(_floats(alpha.coords))
         return self.gamma @ x
 
 
@@ -136,7 +152,7 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     multiplication matrix are the embedding images of the element.
     """
     emb = embedding_data(F)
-    Nf = _floats(arithmetic_matrix(F, alpha))
+    Nf = _float_matrix(arithmetic_matrix(F, alpha))
     theta = np.diag(emb.embed(alpha))
     return float(np.max(np.abs(emb.gamma @ Nf - theta @ emb.gamma)))
 
@@ -144,7 +160,7 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
 def eigenvalue_match_residual(F: NumberField, alpha: Element) -> float:
     """Distance between the eigenvalues of N and the embedded images of alpha."""
     emb = embedding_data(F)
-    Nf = _floats(arithmetic_matrix(F, alpha))
+    Nf = _float_matrix(arithmetic_matrix(F, alpha))
     eigs = sorted(np.linalg.eigvals(Nf), key=lambda w: (w.real, w.imag))
     images = sorted(emb.embed(alpha), key=lambda w: (w.real, w.imag))
     return float(max(abs(e - k) for e, k in zip(eigs, images)))

@@ -167,6 +167,10 @@ class TestSyzygyCommand:
         assert (code, out.strip()) == (0, "PASS")
 
 
+# x^2 + 10^400 xy + y^2: exact arithmetic handles it, a float64 does not
+_HUGE_MIDDLE_PAIR = "1:1,1" + "0" * 400 + ",1"
+
+
 class TestDiagCheckCommand:
     def test_residual_small(self, capsys):
         code, out, _ = run(
@@ -174,6 +178,14 @@ class TestDiagCheckCommand:
         )
         assert code == 0
         assert float(out.strip()) < 1e-8
+
+    @pytest.mark.parametrize("pair, coords", [("1:1,1,-1", "1e400,1"), (_HUGE_MIDDLE_PAIR, "1,1")],
+                             ids=["huge-coordinate", "huge-coefficient"])
+    def test_value_beyond_float64_is_a_typed_error(self, capsys, pair, coords):
+        code, out, err = run(capsys, "diag-check", "--pair", pair, "--coords", coords)
+        assert (code, out) == (2, "")
+        assert err == "error: FloatRangeError: a value of about 10^400 does not fit a float64\n"
+        assert "Traceback" not in err
 
 
 def _fresh_python(*args):
@@ -340,9 +352,10 @@ class TestExitCodesAndDeterminism:
 
 
 _PAIRS = ["1:1,1,-1", "2:4,-2,-3,1,1", "1:1,1,0,-2,-1", "1:1,0,0,0,0,0,3", "1:1,0,0,0,0,0,108",
-          "0:1,1", "-1:1,1,-1", "1:0,1,1", "1:1,2,1", "2:2,2,1,1,1", "a:b", "1:", ""]
+          "0:1,1", "-1:1,1,-1", "1:0,1,1", "1:1,2,1", "2:2,2,1,1,1", "a:b", "1:", "",
+          _HUGE_MIDDLE_PAIR]
 _COORDS = ["0,1", "1,1", "0,0", "3,5", "1/2,1/3", "1/0,1", "1,2,3,4", "0,1,0,0", "0,0,0,0",
-           "1,0,0,0,0,0", "0,1,0,0,0,0", "1", "1,,2", "x", ""]
+           "1,0,0,0,0,0", "0,1,0,0,0,0", "1", "1,,2", "x", "", "1e400,1"]
 _FORMS = ["1,1,0,-2,-1", "4,-2,-3,1,1", "1,1,-2,-1", "1,2,1", "1,0,0,0,0,0,108", "0,1,1",
           "1,0", "1", "x", ""]
 _INTS = ["-275", "513", "0", "1", "-1", "2", "3", "4", "5", "6", "x", ""]

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithmat import element as el
+from arithmat.errors import ArithmatError
 from arithmat.fastmul import mul_via_fft
-from arithmat.field import arithmetic_matrix
+from arithmat.field import arithmetic_matrix, integer_matrix
+from arithmat.numeric import diagonalization_residual
 from arithmat.polyring import ExactMatrix, MultiPoly, collect_coeffs, det_cofactor
 
 import util
@@ -63,5 +66,80 @@ def test_integer_kernel_matches_oracles(case):
     assert len(cp) == n + 1 and cp[n] == 1
     assert cp[0] == (-1) ** n * norm
     assert cp[n - 1] == -el.trace(F, alpha)
+    assert el.trace(F, alpha) == arithmetic_matrix(F, alpha, method="substitution").trace()
     if n <= 4:
         assert list(cp) == cofactor_char_poly(F, alpha)
+
+
+# ----------------------------------------------------------------------
+# The integer form and matrix kept on an element
+# ----------------------------------------------------------------------
+
+
+def _outcome(op, *args):
+    """The result of op, or the type and message of the domain error it raised."""
+    try:
+        return op(*args)
+    except ArithmatError as exc:
+        return type(exc), str(exc)
+
+
+_KEPT_OPS = {
+    "mul": lambda F, a, b: el.mul(F, a, b),
+    "mul_right": lambda F, a, b: el.mul(F, b, a),
+    "mul_via_fft": lambda F, a, b: mul_via_fft(F, a, b),
+    "norm": lambda F, a, b: el.norm(F, a),
+    "inverse": lambda F, a, b: el.inverse(F, a),
+    "char_poly": lambda F, a, b: el.char_poly(F, a),
+    "trace": lambda F, a, b: el.trace(F, a),
+    "arithmetic_matrix": lambda F, a, b: arithmetic_matrix(F, a),
+    "diagonalization_residual": lambda F, a, b: diagonalization_residual(F, a),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.permutations(sorted(_KEPT_OPS)))
+def test_kept_matrix_gives_the_results_of_a_fresh_element(case, order):
+    F, alpha, beta = case
+    for name in order:
+        fresh = F.element(alpha.coords)
+        kept = _outcome(_KEPT_OPS[name], F, alpha, beta)
+        expected = _outcome(_KEPT_OPS[name], F, fresh, beta)
+        if isinstance(kept, float):  # residuals must be bit-identical
+            assert kept.hex() == expected.hex(), name
+        else:
+            assert kept == expected, name
+
+
+def test_element_with_kept_matrix_equals_and_hashes_like_a_fresh_one():
+    F = field(5, 2, 0)
+    coords = [3, Fraction(-1, 2), 0, 7, Fraction(5, 3)]
+    alpha = F.element(coords)
+    el.char_poly(F, alpha)
+    el.mul(F, F.one(), alpha)
+    fresh = F.element(coords)
+    assert alpha == fresh and fresh == alpha
+    assert hash(alpha) == hash(fresh)
+    assert len({alpha, fresh}) == 1
+
+
+def test_kept_matrix_and_coordinates_cannot_be_changed():
+    F = field(4, 3, 1)
+    alpha = F.element([2, -1, Fraction(1, 4), 5])
+    rows, d = integer_matrix(F, alpha)
+    xs, e = alpha.integer_coords()
+    before = (el.norm(F, alpha), el.char_poly(F, alpha), el.inverse(F, alpha), el.trace(F, alpha))
+    with pytest.raises(TypeError):
+        rows[0][0] += 1
+    with pytest.raises(TypeError):
+        rows[1] = rows[0]
+    with pytest.raises(TypeError):
+        xs[0] = 0
+    copied = [list(row) for row in rows]
+    copied[0][0] += 1
+    assert integer_matrix(F, alpha) == (rows, d) and alpha.integer_coords() == (xs, e)
+    after = (el.norm(F, alpha), el.char_poly(F, alpha), el.inverse(F, alpha), el.trace(F, alpha))
+    assert after == before
+    fresh = F.element(alpha.coords)
+    assert integer_matrix(F, fresh) == (rows, d)
+    assert arithmetic_matrix(F, alpha) == arithmetic_matrix(F, fresh)

@@ -128,7 +128,7 @@ class TestEmbeddingCache:
         rng = random.Random(13)
         F = util.random_field(rng, 3)
 
-        def fail(B):
+        def fail(B, disc=None):
             raise RootConvergenceError("forced")
 
         monkeypatch.setattr(numeric, "find_roots", fail)
