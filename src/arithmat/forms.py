@@ -64,7 +64,7 @@ class BinaryForm:
         return UniPoly(list(reversed(self.coeffs)), var)
 
     def norm2(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coeffs))
+        return math.hypot(*self.coeffs)
 
 
 def evaluate(B: BinaryForm, x: int, y: int) -> int:
@@ -235,22 +235,32 @@ def _quadratic_factor_exists(cs: tuple[int, ...]) -> bool:
     return False
 
 
+def _eisenstein(f) -> bool:
+    """Whether f (low-to-high) is Eisenstein at one of _ACCEPT_PRIMES.  Such a
+    p divides every coefficient but the lead, so only the primes of their
+    content g are tried, and none when g = 1."""
+    g = math.gcd(*f[:-1])
+    return g != 1 and any(
+        not g % p and f[-1] % p and f[0] % (p * p) for p in _ACCEPT_PRIMES
+    )
+
+
 def _cheap_decision(B: BinaryForm, disc: int | None):
-    """True when Eisenstein at a small prime (either orientation), False on a
-    zero discriminant or a rational root, True when degree <= 3 or
-    irreducible modulo a small prime, else None."""
+    """A quadratic by its discriminant (irreducible unless a square).  Else
+    True when Eisenstein at a small prime (either orientation), False on a
+    zero discriminant or a rational root, True when degree 3 or irreducible
+    modulo a small prime, else None."""
+    if B.degree == 2:
+        d = form_discriminant(B) if disc is None else disc
+        return d < 0 or math.isqrt(d) ** 2 != d
     cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
-    if any(
-        f[-1] % p and f[0] % (p * p) and not any(c % p for c in f[:-1])
-        for f in (cs, cs[::-1])
-        for p in _ACCEPT_PRIMES
-    ):
+    if _eisenstein(cs) or _eisenstein(cs[::-1]):
         return True
     if (form_discriminant(B) if disc is None else disc) == 0:
         return False
     if _has_rational_root(cs):
         return False
-    if B.degree <= 3:
+    if B.degree == 3:
         return True
     for p in _ACCEPT_PRIMES:
         if cs[-1] % p and _gfp_is_irreducible(cs, p):
@@ -261,8 +271,11 @@ def _cheap_decision(B: BinaryForm, disc: int | None):
 def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     """Exact irreducibility of B(x,1) over the rationals, degrees 2 to 5.
 
-    Eisenstein forms (at a prime below 50, either orientation) are accepted
-    and rational roots rejected first; degrees 4 and 5 are then accepted when
+    A quadratic is irreducible exactly when its discriminant is not a
+    perfect square (both end coefficients are nonzero).  A higher degree is
+    accepted when Eisenstein at a prime below 50 in either orientation (only
+    the primes of the content of the coefficients below the lead are tried)
+    and rejected on a rational root; degrees 4 and 5 are then accepted when
     irreducible modulo a prime below 50 (a Frobenius-matrix distinct-degree
     scan), else decided by a search for an integer quadratic factor whose
     value at 1 divides the form's.  ``disc`` is the form's discriminant, if

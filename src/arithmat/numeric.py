@@ -86,7 +86,12 @@ def find_roots(B: BinaryForm, disc: int | None = None) -> list[complex]:
             z -= step
             if abs(step) <= 1e-16 * max(1.0, abs(z)):
                 break
-        scale = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(reversed(coeffs_high)))
+        try:
+            scale = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(reversed(coeffs_high)))
+        except OverflowError:
+            raise FloatRangeError(
+                f"a root of about 10^{round(math.log10(abs(z)))} has powers beyond float64 range"
+            ) from None
         if abs(f(z)) > _ROOT_TOL * scale:
             raise RootConvergenceError(
                 f"residual {abs(f(z)):.3e} exceeds tolerance for root {z}"
@@ -123,8 +128,9 @@ class EmbeddingData:
         )
         self.gamma = self.xi @ _float_matrix(basis_change_matrix(F))
         self.xi.flags.writeable = self.gamma.flags.writeable = False
+        disc = _floats([F.disc])[0]
         det2 = complex(np.linalg.det(self.gamma)) ** 2
-        if abs(det2 - F.disc) > 1e-6 * max(1.0, abs(F.disc)):
+        if abs(det2 - disc) > 1e-6 * max(1.0, abs(disc)):
             raise ArithmatError(
                 f"det(Gamma)^2 = {det2:.6g} does not match the discriminant {F.disc}"
             )

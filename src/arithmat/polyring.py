@@ -613,13 +613,6 @@ class ExactMatrix:
             out.append(acc if acc is not None else Fraction(0))
         return out
 
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def inverse(self, columns: Sequence[int] | None = None) -> ExactMatrix:
         """Exact inverse, or only the listed columns of it, by fraction-free elimination."""
         if not self.is_square():

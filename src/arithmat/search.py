@@ -7,7 +7,12 @@ inner loops run on plain integers.  Degree 2 solves for the last
 coefficient directly.  Degrees 3 and 4 list the integer points of the
 Mordell curve Y^2 = 4X^3 - k that the box can reach, with k = 27*a^2*disc
 (Cayley's cubic syzygy at (1, 0)) or k = 27*disc (4I^3 - J^2 = 27*disc
-for quartics), and solve each point for the last two coefficients.
+for quartics), and solve each point for the last two coefficients.  The
+point scan skips the X whose 4X^3 - k is not a square mod 64, 63 or 65.
+A quartic's k does not depend on a1, so its points are listed once per a0,
+at the bound of the largest a1; and since I = c^2 (mod 3) and
+J = -2c^3 (mod 9), they are bucketed by the class of c mod 3 they can
+serve, and each c meets only its own bucket.
 Degree 5 uses the explicit quintic discriminant and tries as the last
 coefficient only the divisors of the polynomial's constant term that lie
 in the box (rational root theorem).  The (a0, a1) slices of the box run in
@@ -57,6 +62,19 @@ class _Divisors(dict):
         return xs
 
 
+# The squares modulo 64, 63 and 65 (Cohen, GTM 138, Alg. 1.7.3), and 4X^3
+# mod m for X = 0 .. m - 1.
+_SQUARES = {m: frozenset(y * y % m for y in range(m)) for m in (64, 63, 65)}
+_CUBES4 = {m: [4 * x**3 % m for x in range(m)] for m in _SQUARES}
+
+
+def _square_classes(k, m):
+    """Whether 4X^3 - k can be a square mod m, for X = 0 .. m - 1."""
+    k %= m
+    squares = _SQUARES[m]
+    return [(c - k) % m in squares for c in _CUBES4[m]]
+
+
 def _mordell_points(k, xmax):
     """The integer points (X, Y), Y >= 0, of Y^2 = 4X^3 - k with |X| <= xmax."""
     # bisect for the least X with 4X^3 >= k; below it 4X^3 - k is negative
@@ -67,12 +85,19 @@ def _mordell_points(k, xmax):
             hi = mid
         else:
             lo = mid + 1
+    # 4X^3 - k mod m depends on X mod m only: step over the classes mod 64
+    # that can give a square, and look X mod 63 and mod 65 up before isqrt
+    ok64, ok63, ok65 = (_square_classes(k, m) for m in (64, 63, 65))
+    steps = [r for r in range(64) if ok64[r]]
     points = []
-    for x in range(lo, xmax + 1):
-        v = 4 * x * x * x - k
-        y = isqrt(v)
-        if y * y == v:
-            points.append((x, y))
+    for base in range(lo - lo % 64, xmax + 1, 64):
+        for r in steps:
+            x = base + r
+            if ok63[x % 63] and ok65[x % 65] and lo <= x <= xmax:
+                v = 4 * x * x * x - k
+                y = isqrt(v)
+                if y * y == v:
+                    points.append((x, y))
     return points
 
 
@@ -112,19 +137,36 @@ def _cands_deg3(a1, a2_values, rng, target):
         yield from hits
 
 
-def _cands_deg4(a1, a2_values, rng, target):
+def _deg4_xmax(a, a2_values, rng):
+    """The bound 12aB + 3 max|b| B + B^2 on |I| over the quartics of a box slice."""
+    B = max(map(abs, rng), default=0)
+    bmax = max(map(abs, a2_values), default=0)
+    return 12 * a * B + 3 * bmax * B + B * B
+
+
+def _cands_deg4(a1, a2_values, rng, target, points=None):
     # The invariants I = 12ae - 3bd + c^2 and J of quartic_invariants satisfy
     # 4I^3 - J^2 = 27 disc, so (I, J) is a point of J^2 = 4X^3 - 27 disc with
-    # |I| <= 12aB + 3 max|b| B + B^2.  Given (b, c) and a point (X, J),
-    # e = (X - c^2 + 3bd) / (12a), and J becomes a quadratic in d:
+    # |I| <= _deg4_xmax.  ``points`` may list them up to a larger bound: d
+    # and e are checked against rng, so a point out of this slice's reach
+    # yields nothing.  I - c^2 = 3(4ae - bd) and
+    # J + 2c^3 = 9(8ace + bcd - 3ad^2 - 3eb^2), so c only meets the points
+    # with X = c^2 mod 3 and J = -2c^3 mod 9, a class that depends on c mod 3.
+    # Given (b, c) and a point (X, J), e = (X - c^2 + 3bd) / (12a), and J
+    # becomes a quadratic in d:
     #   -108a^2 d^2 + 27b(4ac - b^2) d + 3(8ac - 3b^2)(X - c^2) - 8ac^3 - 4aJ = 0,
     # whose discriminant is s0 + s1 X - s2 J and whose roots are
     # (lin -+ sqrt(s)) / (216a^2).
     a = a1
+    if points is None:
+        points = _signed_points(27 * target, _deg4_xmax(a, a2_values, rng))
+    by_class = [[], [], []]
+    for x, j in points:
+        for r in range(3):
+            if (x - r * r) % 3 == 0 and (j + 2 * r**3) % 9 == 0:
+                by_class[r].append((x, j))
+    cs = [c for c in rng if by_class[c % 3]]
     aa = a * a
-    B = max(map(abs, rng), default=0)
-    bmax = max(map(abs, a2_values), default=0)
-    points = _signed_points(27 * target, 12 * a * B + 3 * bmax * B + B * B)
     den = 216 * aa
     a12 = 12 * a
     s2 = 1728 * aa * a
@@ -132,13 +174,13 @@ def _cands_deg4(a1, a2_values, rng, target):
         b2 = b * b
         b3 = 3 * b
         hits = []
-        for c in rng:
+        for c in cs:
             c2 = c * c
             lin = 27 * b * (4 * a * c - b2)
             q = 3 * (8 * a * c - 3 * b2)
             s0 = lin * lin - 432 * aa * c2 * (q + 8 * a * c)
             s1 = 432 * aa * q
-            for x, j in points:
+            for x, j in by_class[c % 3]:
                 s = s0 + s1 * x - s2 * j
                 if s < 0:
                     continue
@@ -260,8 +302,14 @@ def search_essential_pairs(
         box = height * a0 * a0
         a2_values = list(range(-box, box + 1, a0))
         rng = range(-box, box + 1)
+        extra = {}
+        if degree == 4:
+            # k = 27 * target is the same for every a1 slice: list the curve's
+            # points once, up to the bound of the largest a1
+            xmax = _deg4_xmax(box, a2_values, rng)
+            extra["points"] = _signed_points(27 * target, xmax)
         for t in range(1, height + 1):
-            for coeffs in gen(t * a0 * a0, a2_values, rng, target):
+            for coeffs in gen(t * a0 * a0, a2_values, rng, target, **extra):
                 if is_irreducible(BinaryForm(coeffs), target):
                     results.append((a0, coeffs))
 

@@ -187,6 +187,23 @@ class TestDiagCheckCommand:
         assert err == "error: FloatRangeError: a value of about 10^400 does not fit a float64\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "pair, coords, message",
+        [
+            # x^2 + 10^200 xy + y^2: a root near -10^200, whose square is past float64
+            ("1:1,1" + "0" * 200 + ",1", "1,1", "a root of about 10^200 has powers beyond float64 range"),
+            ("1:1,1" + "0" * 160 + ",1,1", "1,1,1", "a root of about 10^160 has powers beyond float64 range"),
+            # roots near +-10^80 i fit, the discriminant of about -4 * 10^480 does not
+            ("1:1,1,1" + "0" * 160 + ",1", "1,1,1", "a value of about 10^480 does not fit a float64"),
+        ],
+        ids=["quadratic-root-powers", "cubic-root-powers", "cubic-discriminant"],
+    )
+    def test_embedding_beyond_float64_is_a_typed_error(self, capsys, pair, coords, message):
+        code, out, err = run(capsys, "diag-check", "--pair", pair, "--coords", coords)
+        assert (code, out) == (2, "")
+        assert err == f"error: FloatRangeError: {message}\n"
+        assert "Traceback" not in err
+
 
 def _fresh_python(*args):
     """Run `python *args` in a fresh interpreter with arithmat's src on the path."""

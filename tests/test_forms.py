@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 from arithmat.errors import ReducibleFormError, UnsupportedDegreeError, ZeroPolynomialError
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import (
+    _ACCEPT_PRIMES,
     BinaryForm,
     _divisors,
+    _eisenstein,
     _gfp_is_irreducible,
     _has_rational_root,
     _primitive_monic_sign,
@@ -218,6 +220,52 @@ class TestEisensteinAccept:
         cs = _primitive_monic_sign(tuple(reversed(coeffs)))
         exhaustive = not _has_rational_root(cs) and not _quadratic_factor_exists(cs)
         assert is_irreducible(B) is exhaustive is True
+
+
+nonzero = st.integers(-30, 30).filter(bool)
+# (p x + q y)(r x + s y) has a square discriminant
+split_quadratics = st.tuples(nonzero, nonzero, nonzero, nonzero).map(
+    lambda t: (t[0] * t[2], t[0] * t[3] + t[1] * t[2], t[1] * t[3])
+)
+random_quadratics = st.tuples(
+    st.integers(-300, 300).filter(bool), st.integers(-300, 300), st.integers(-300, 300).filter(bool)
+)
+
+
+class TestQuadraticRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(split_quadratics, random_quadratics))
+    def test_square_test_agrees_with_the_rational_root_route(self, coeffs):
+        B = BinaryForm(coeffs)
+        no_root = not _has_rational_root(_primitive_monic_sign(tuple(reversed(coeffs))))
+        assert is_irreducible(B) is no_root
+        assert is_irreducible(B, form_discriminant(B)) is no_root
+        assert irreducibility_certificate(B) is no_root
+
+
+def _old_eisenstein(f):
+    """The predicate before the content gcd: every prime tested on every coefficient."""
+    return any(
+        f[-1] % p and f[0] % (p * p) and not any(c % p for c in f[:-1])
+        for p in _ACCEPT_PRIMES
+    )
+
+
+class TestEisensteinByContent:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10, 25, 47, 53)), min_size=1, max_size=2),
+        st.lists(st.integers(-20, 20), min_size=2, max_size=12),
+        st.integers(-20, 20).filter(bool),
+        st.integers(-20, 20).filter(bool),
+    )
+    def test_matches_the_prime_by_prime_predicate(self, scales, middle, const, lead):
+        # the low coefficients share a random content, so Eisenstein forms
+        # (and near misses: p^2 | f[0], p | lead) come up often
+        m = math.prod(scales)
+        f = (m * const, *(m * c for c in middle), lead)
+        for g in (f, f[::-1]):
+            assert _eisenstein(g) is _old_eisenstein(g)
 
 
 def _bounded_quadratic_factor_exists(cs, bound):

@@ -112,6 +112,33 @@ def test_quartic_invariants_lie_on_the_disc_curve(a, b, c, d, e):
 
 
 @settings(max_examples=200, deadline=None)
+@given(leading, coefficient, coefficient, coefficient, coefficient)
+def test_quartic_invariants_meet_the_congruences_of_c(a, b, c, d, e):
+    # I - c^2 = 3(4ae - bd) and J + 2c^3 = 9(8ace + bcd - 3ad^2 - 3eb^2)
+    i_inv, j_inv = _quartic_ij((a, b, c, d, e))
+    assert (i_inv - c * c) % 3 == 0
+    assert (j_inv + 2 * c**3) % 9 == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_quartic_generator_with_points_listed_further_matches_brute_force(data):
+    # the search lists the points once per target, at the bound of the
+    # largest a1; a slice with a smaller a1 gets the longer list
+    a1, a2_values, box, target = data.draw(generator_cases(4))
+    rng = range(-box, box + 1)
+    xmax = search._deg4_xmax(a1, a2_values, rng) * data.draw(st.integers(1, 8))
+    expected = [
+        coeffs
+        for a2 in a2_values
+        for coeffs, disc in box_discriminants(4, a1, a2, box)
+        if disc == target
+    ]
+    points = search._signed_points(27 * target, xmax)
+    assert list(search._cands_deg4(a1, a2_values, rng, target, points=points)) == expected
+
+
+@settings(max_examples=200, deadline=None)
 @given(leading, coefficient, coefficient, coefficient)
 def test_cubic_covariants_at_one_zero_lie_on_the_disc_curve(a, b, c, d):
     # Cayley's syzygy F^2 + 27*D*C^2 = 4*Q^3 at (x, y) = (1, 0)
@@ -215,6 +242,30 @@ class TestSearch:
     def test_empty_box_bounds_rejected(self, height, a0_max):
         with pytest.raises(ValueError, match="must be >= 1"):
             search_essential_pairs(-275, 4, height, a0_max)
+
+
+# Rows whose own box is too slow for the suite: 9 s for 1040;4, over a
+# minute for 1225;6 and over two for -1975;10 (height 32-100 at a0 = 4-10)
+_SLOW_ROWS = {(-1975, 10), (1040, 4), (1225, 6)}
+
+
+def _table_rows():
+    for name, degree in (("quartic", 4), ("quintic", 5)):
+        for disc, a0, coeffs in load_bundled_table(name):
+            marks = [pytest.mark.skip(reason="box too slow")] if (disc, a0) in _SLOW_ROWS else []
+            yield pytest.param(disc, degree, a0, coeffs, id=f"{disc};{a0}", marks=marks)
+
+
+@lru_cache(maxsize=None)
+def _own_box(disc, degree, height, a0):
+    return search_essential_pairs(disc, degree, height, a0)
+
+
+@pytest.mark.parametrize("disc, degree, a0, coeffs", _table_rows())
+def test_table_row_is_found_in_its_own_box(disc, degree, a0, coeffs):
+    # height = the row's largest coefficient, a0_max = the row's a0
+    pairs = _own_box(disc, degree, max(map(abs, coeffs)), a0)
+    assert EssentialPair(a0, BinaryForm(coeffs)) in pairs
 
 
 class TestVerifyTables:
