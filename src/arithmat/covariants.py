@@ -259,11 +259,7 @@ def _poly_to_binary_coeffs(poly: MultiPoly, degree: int) -> tuple:
                 coeff = split[e] if e < len(split) else MultiPoly.const(0)
             elif e:
                 coeff = MultiPoly.const(0)
-        if coeff.total_degree() == 0:
-            val = coeff.constant_value()
-            out.append(int(val) if val.denominator == 1 else val)
-        else:
-            out.append(coeff)
+        out.append(coeff.constant_value() if coeff.total_degree() == 0 else coeff)
     return tuple(out)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import FieldMismatchError, ZeroElementError
 from .field import Element, NumberField, basis_change_matrix
 from .field import integer_matrix, integer_trace
-from .polyring import ExactMatrix, UniPoly, det_exact, resultant
+from .polyring import ExactMatrix, UniPoly, det_exact, exact, resultant
 
 
 def _require_same_field(F: NumberField, *elements: Element) -> None:
@@ -42,7 +42,7 @@ def sub(F: NumberField, alpha: Element, beta: Element) -> Element:
 
 def scale(F: NumberField, c, alpha: Element) -> Element:
     _require_same_field(F, alpha)
-    return Element(F, [Fraction(c) * a for a in alpha.coords])
+    return Element(F, [exact(c) * a for a in alpha.coords])
 
 
 def mul(F: NumberField, alpha: Element, beta: Element) -> Element:

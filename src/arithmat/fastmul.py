@@ -30,8 +30,8 @@ from .errors import (
     FieldMismatchError,
     NonIntegerEntryError,
 )
-from .field import Element, NumberField, arithmetic_matrix
-from .polyring import ExactMatrix
+from .field import Element, NumberField, integer_matrix
+from .polyring import ExactMatrix, scaled_coords
 
 
 class MulCounter:
@@ -52,9 +52,9 @@ class MulCounter:
 
 
 def _as_int(v) -> int:
-    """The exact integer value of an entry; fractions and symbolic entries raise."""
-    if isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1):
-        return int(v)
+    """An integer entry itself; stored fractions and symbolic entries raise."""
+    if type(v) is int:
+        return v
     raise NonIntegerEntryError(f"integer algorithm fed the non-integer entry {v!r}")
 
 
@@ -207,17 +207,6 @@ def _rec(a, b, counter):
     ]
 
 
-def _plain_rows(M: ExactMatrix) -> list[list]:
-    """Rows as ints where possible (fast path), Fractions otherwise."""
-    return [
-        [
-            e.numerator if isinstance(e, Fraction) and e.denominator == 1 else e
-            for e in M.row(i)
-        ]
-        for i in range(M.rows)
-    ]
-
-
 def ww_recursive(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = None) -> ExactMatrix:
     """Recursive seven-product multiplication for any square dimension.
 
@@ -230,7 +219,7 @@ def ww_recursive(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = No
     m = A.rows
     if m == 0:
         return ExactMatrix(0, 0, [])
-    rows = _rec(_plain_rows(A), _plain_rows(B), counter)
+    rows = _rec([list(A.row(i)) for i in range(m)], [list(B.row(i)) for i in range(m)], counter)
     return ExactMatrix(m, m, [e for row in rows for e in row])
 
 
@@ -319,10 +308,12 @@ def batch_multiply(
 ) -> list[Element]:
     """Multiply alpha by up to n elements at once as one matrix product.
 
-    The multiplicand coordinates form the columns of a square matrix U and
-    the result columns are read from N * U.  Strategies: 'schoolbook', 'ww'
-    (even-padded counted algorithm), 'ww_recursive'.  All strategies agree
-    exactly.
+    The product runs on integers: alpha's integer matrix A over its
+    denominator d (`field.integer_matrix`) times U, whose columns are the
+    multiplicands' integer numerators over one common denominator e.  The
+    result columns are read from A * U and divided by d * e once.
+    Strategies: 'schoolbook', 'ww' (even-padded counted algorithm),
+    'ww_recursive'.  All strategies agree exactly.
     """
     n = F.n
     if len(betas) > n:
@@ -334,10 +325,10 @@ def batch_multiply(
         raise FieldMismatchError("elements belong to different fields")
     count = len(betas)
     padded = list(betas) + [F.zero()] * (n - count)
-    N = arithmetic_matrix(F, alpha)
-    U = ExactMatrix(
-        n, n, [padded[j].coords[i] for i in range(n) for j in range(n)]
-    )
+    rows, d = integer_matrix(F, alpha)
+    us, e = scaled_coords([padded[j].coords[i] for i in range(n) for j in range(n)])
+    N = ExactMatrix.from_rows(rows)
+    U = ExactMatrix(n, n, us)
     if strategy == "schoolbook":
         C = schoolbook_multiply(N, U, counter)
     elif strategy == "ww":
@@ -350,12 +341,12 @@ def batch_multiply(
         C = ww_recursive(N, U, counter)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return [Element(F, [C[i, j] for i in range(n)]) for j in range(count)]
+    return [Element(F, [Fraction(C[i, j], d * e) for i in range(n)]) for j in range(count)]
 
 
 def _pad_matrix(M: ExactMatrix, m: int) -> ExactMatrix:
     out = []
     for i in range(m):
         for j in range(m):
-            out.append(M[i, j] if i < M.rows and j < M.cols else Fraction(0))
+            out.append(M[i, j] if i < M.rows and j < M.cols else 0)
     return ExactMatrix(m, m, out)

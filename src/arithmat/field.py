@@ -34,6 +34,7 @@ from .polyring import (
     ExactMatrix,
     MultiPoly,
     UniPoly,
+    exact,
     format_rational,
     parse_rational,
     scaled_coords,
@@ -128,6 +129,7 @@ class NumberField:
 class Element:
     """Coordinate vector over the omega-basis of a field context.
 
+    Each coordinate is stored by `polyring.exact` (an int when integral).
     Its integer form, the numerators xs over one common denominator d
     (`integer_coords`), and its integer matrix A (`integer_matrix`) are
     built on first use and kept, as tuples; equality and hashing see only
@@ -137,7 +139,7 @@ class Element:
     __slots__ = ("field", "coords", "_scaled", "_rows")
 
     def __init__(self, field: NumberField, coords: Sequence):
-        cs = tuple(Fraction(c) for c in coords)
+        cs = tuple(exact(c) for c in coords)
         if len(cs) != field.n:
             raise DimensionMismatchError(
                 f"expected {field.n} coordinates, got {len(cs)}"
@@ -424,19 +426,20 @@ def matrix_from_coefficients(coeffs, a0: int = 1, coords=None, method: str = "ex
 
 
 def basis_change_matrix(F: NumberField) -> ExactMatrix:
-    """Rational matrix sending omega-basis coordinates to zeta-power coefficients.
+    """Integer matrix sending omega-basis coordinates to zeta-power coefficients.
 
     Row 1 is e1; for i >= 2 the (i, j) entry is a_{j-i+1}, with the (2, 2)
-    entry scaled to a1/a0.  The matrix is upper triangular and invertible.
+    entry scaled to a1/a0, an integer because a0^2 | a1.  The matrix is upper
+    triangular and invertible.
     """
     n = F.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = Fraction(1)
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = 1
     for i in range(2, n + 1):
         for j in range(i, n + 1):
-            rows[i - 1][j - 1] = Fraction(F.coeff(j - i + 1))
+            rows[i - 1][j - 1] = F.coeff(j - i + 1)
     if n >= 2:
-        rows[1][1] = Fraction(F.coeff(1), F.a0)
+        rows[1][1] = F.coeff(1) // F.a0
     return ExactMatrix.from_rows(rows)
 
 

@@ -63,9 +63,6 @@ class BinaryForm:
         """B(x, 1) as an exact univariate polynomial."""
         return UniPoly(list(reversed(self.coeffs)), var)
 
-    def norm2(self) -> float:
-        return math.hypot(*self.coeffs)
-
 
 def evaluate(B: BinaryForm, x: int, y: int) -> int:
     """Evaluate the form at an integer point."""
@@ -220,12 +217,12 @@ def _quadratic_factor_exists(cs: tuple[int, ...]) -> bool:
     quadratic factor g.  g(x) | f(x) at every integer x and f(1) != 0, so
     g(1) = g2 + g1 + g0 is a divisor of f(1) of either sign."""
     f = UniPoly(cs)
-    f1 = sum(cs)
+    const_divisors, f1_divisors = _divisors(cs[0]), _divisors(sum(cs))
     checks = [(x, sum(c * x**k for k, c in enumerate(cs))) for x in (-1, 2, -2)]
     for g2 in _divisors(cs[-1]):
-        for g0 in _divisors(cs[0]):
+        for g0 in const_divisors:
             for sg0 in (g0, -g0):
-                for s in _divisors(f1):
+                for s in f1_divisors:
                     for g1 in (s - g2 - sg0, -s - g2 - sg0):
                         if all(
                             (gx := (g2 * x + g1) * x + sg0) and fx % gx == 0
@@ -248,8 +245,11 @@ def _eisenstein(f) -> bool:
 def _cheap_decision(B: BinaryForm, disc: int | None):
     """A quadratic by its discriminant (irreducible unless a square).  Else
     True when Eisenstein at a small prime (either orientation), False on a
-    zero discriminant or a rational root, True when degree 3 or irreducible
-    modulo a small prime, else None."""
+    zero discriminant, True when irreducible modulo a small prime, False on
+    a rational root, True at degree 3, else None.  The mod-p accept comes
+    before the rational-root scan, whose divisor search grows as the square
+    root of the end coefficients: a form irreducible mod p has no rational
+    root, so the order changes no decision."""
     if B.degree == 2:
         d = form_discriminant(B) if disc is None else disc
         return d < 0 or math.isqrt(d) ** 2 != d
@@ -258,14 +258,11 @@ def _cheap_decision(B: BinaryForm, disc: int | None):
         return True
     if (form_discriminant(B) if disc is None else disc) == 0:
         return False
+    if any(cs[-1] % p and _gfp_is_irreducible(cs, p) for p in _ACCEPT_PRIMES):
+        return True
     if _has_rational_root(cs):
         return False
-    if B.degree == 3:
-        return True
-    for p in _ACCEPT_PRIMES:
-        if cs[-1] % p and _gfp_is_irreducible(cs, p):
-            return True
-    return None
+    return True if B.degree == 3 else None
 
 
 def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
@@ -274,12 +271,12 @@ def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     A quadratic is irreducible exactly when its discriminant is not a
     perfect square (both end coefficients are nonzero).  A higher degree is
     accepted when Eisenstein at a prime below 50 in either orientation (only
-    the primes of the content of the coefficients below the lead are tried)
-    and rejected on a rational root; degrees 4 and 5 are then accepted when
-    irreducible modulo a prime below 50 (a Frobenius-matrix distinct-degree
-    scan), else decided by a search for an integer quadratic factor whose
-    value at 1 divides the form's.  ``disc`` is the form's discriminant, if
-    known.
+    the primes of the content of the coefficients below the lead are tried),
+    then when irreducible modulo a prime below 50 (a Frobenius-matrix
+    distinct-degree scan), and rejected on a rational root; a cubic without
+    one is irreducible, and degrees 4 and 5 are decided by a search for an
+    integer quadratic factor whose value at 1 divides the form's.  ``disc``
+    is the form's discriminant, if known.
     """
     n = B.degree
     if n > 5:

@@ -118,11 +118,6 @@ class EmbeddingData:
         self.field = F
         self.roots = find_roots(F.pair.form, F.disc * F.a0 * F.a0)
         n = F.n
-        scale = 1e-9 * (1.0 + F.pair.form.norm2())
-        for root in self.roots:
-            value = sum(c * root**k for k, c in enumerate(reversed(F.pair.form.coeffs)))
-            if abs(value) >= scale:
-                raise RootConvergenceError(f"root residual {abs(value):.3e} too large")
         self.xi = np.array(
             [[z**j for j in range(n)] for z in self.roots], dtype=complex
         )

@@ -1,12 +1,17 @@
 """Exact polynomial arithmetic and exact linear algebra.
 
-Univariate polynomials (UniPoly) are dense coefficient lists over Fraction,
-multivariate polynomials (MultiPoly) are sparse maps from exponent tuples to
-Fraction, and ExactMatrix is a dense matrix whose entries are either Fraction
-scalars or MultiPoly values (symbolic mode).  Everything here is immutable
-after construction and every operation is a pure function, so values can be
-shared freely between threads.  Determinants and inverses share one
-fraction-free (Bareiss) elimination over the integers.
+Univariate polynomials (UniPoly) are dense coefficient lists, multivariate
+polynomials (MultiPoly) are sparse maps from exponent tuples to
+coefficients, and ExactMatrix is a dense matrix whose entries are exact
+scalars or MultiPoly values (symbolic mode).  Every stored exact value
+passes through `exact`: an integral value is an int, and a Fraction is made
+only when a division leaves a remainder.  Integer inputs therefore stay in
+int arithmetic throughout, and the only true divisions (`UniPoly.divmod`,
+`MultiPoly.__truediv__`) divide as Fractions before normalising.
+Everything here is immutable after construction and every operation is a
+pure function, so values can be shared freely between threads.
+Determinants and inverses share one fraction-free (Bareiss) elimination
+over the integers.
 """
 
 from __future__ import annotations
@@ -26,10 +31,17 @@ from .errors import (
 Scalar = Union[int, Fraction]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def exact(x) -> Scalar:
+    """The stored form of an exact value: an int when integral, else a Fraction.
+
+    Any other input (a float, a str such as '3/4') converts exactly through
+    Fraction first.
+    """
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def parse_rational(text: str) -> Fraction:
@@ -40,12 +52,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    """Render a Fraction as 'n' or 'p/q'."""
-    x = _frac(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x: Scalar) -> str:
+    """Render an exact value as 'n' or 'p/q'."""
+    return str(exact(x))
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +72,7 @@ class UniPoly:
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs: Iterable[Scalar], var: str = "x"):
-        cs = [_frac(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -112,12 +121,12 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def coeff(self, k: int) -> Fraction:
+    def coeff(self, k: int) -> Scalar:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if not self.coeffs:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -164,9 +173,7 @@ class UniPoly:
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0)
-        return acc
+        return 0 if acc is None else acc
 
     def derivative(self) -> UniPoly:
         return UniPoly(
@@ -181,10 +188,10 @@ class UniPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return UniPoly.zero(self.var), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
+        quo = [0] * (dq + 1)
+        lead = Fraction(other.coeffs[-1])
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
+            c = exact(rem[k + other.degree] / lead)
             quo[k] = c
             if c:
                 for j, oc in enumerate(other.coeffs):
@@ -218,7 +225,7 @@ def poly_mul_schoolbook(p: UniPoly, q: UniPoly) -> UniPoly:
     """Exact convolution of coefficient sequences (the quadratic algorithm)."""
     if p.is_zero() or q.is_zero():
         return UniPoly.zero(p.var)
-    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
     for i, a in enumerate(p.coeffs):
         if not a:
             continue
@@ -238,7 +245,7 @@ def _grlex_key(expt: tuple[int, ...]):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over Fraction coefficients.
+    """Sparse multivariate polynomial with exact coefficients.
 
     Variables are kept as a sorted tuple of names; terms map exponent tuples
     (aligned with the variable tuple) to nonzero coefficients.  Binary
@@ -250,9 +257,9 @@ class MultiPoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Scalar]):
         vs = tuple(sorted(variables))
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for expt, c in terms.items():
-            c = _frac(c)
+            c = exact(c)
             if c == 0:
                 continue
             expt = tuple(expt)
@@ -260,9 +267,9 @@ class MultiPoly:
                 raise DimensionMismatchError(
                     f"exponent tuple {expt} does not match variables {vs}"
                 )
-            clean[expt] = clean.get(expt, Fraction(0)) + c
+            clean[expt] = c
         self.vars = vs
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        self.terms = clean
 
     # -- constructors --------------------------------------------------
 
@@ -301,10 +308,10 @@ class MultiPoly:
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         """The value of a constant polynomial (raises if non-constant)."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if self.total_degree() > 0:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -353,7 +360,7 @@ class MultiPoly:
         a, b = self._aligned(self._coerce(other))
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return MultiPoly(a.vars, terms)
 
     def __radd__(self, other) -> MultiPoly:
@@ -372,18 +379,18 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         a, b = self._aligned(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return MultiPoly(a.vars, terms)
 
     def __rmul__(self, other) -> MultiPoly:
         return self * other
 
     def __truediv__(self, scalar) -> MultiPoly:
-        s = _frac(scalar)
+        s = Fraction(scalar)
         return MultiPoly(self.vars, {e: c / s for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> MultiPoly:
@@ -399,17 +406,17 @@ class MultiPoly:
 
     # -- evaluation and substitution ------------------------------------
 
-    def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
+    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at a rational point; every variable must be assigned."""
-        vals = [_frac(point[v]) for v in self.vars]
-        total = Fraction(0)
+        vals = [exact(point[v]) for v in self.vars]
+        total = 0
         for expt, c in self.terms.items():
             term = c
             for v, e in zip(vals, expt):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return exact(total)
 
     def subs(self, mapping: Mapping[str, "MultiPoly | Scalar"]) -> MultiPoly:
         """Substitute polynomials (or scalars) for some of the variables."""
@@ -451,7 +458,7 @@ class MultiPoly:
 
     # -- rendering -------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms in graded-lexicographic order, largest first."""
         return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
 
@@ -497,7 +504,7 @@ def collect_coeffs(p: MultiPoly, var: str) -> list[MultiPoly]:
     i = p.vars.index(var)
     rest = tuple(v for v in p.vars if v != var)
     d = p.degree_in(var)
-    buckets: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(d + 1)]
+    buckets: list[dict[tuple[int, ...], Scalar]] = [dict() for _ in range(d + 1)]
     for expt, c in p.terms.items():
         stripped = tuple(e for j, e in enumerate(expt) if j != i)
         buckets[expt[i]][stripped] = c
@@ -522,7 +529,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = tuple(
-            e if isinstance(e, MultiPoly) else _frac(e) for e in entries
+            e if isinstance(e, MultiPoly) else exact(e) for e in entries
         )
 
     @classmethod
@@ -538,7 +545,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
@@ -592,7 +599,7 @@ class ExactMatrix:
                 for k in range(self.cols):
                     term = self.entries[i * self.cols + k] * other.entries[k * other.cols + j]
                     acc = term if acc is None else acc + term
-                out.append(acc if acc is not None else Fraction(0))
+                out.append(acc if acc is not None else 0)
         return ExactMatrix(self.rows, other.cols, out)
 
     def __mul__(self, scalar) -> ExactMatrix:
@@ -610,7 +617,7 @@ class ExactMatrix:
             for k, v in enumerate(vector):
                 term = self.entries[i * self.cols + k] * v
                 acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else Fraction(0))
+            out.append(acc if acc is not None else 0)
         return out
 
     def inverse(self, columns: Sequence[int] | None = None) -> ExactMatrix:
@@ -641,7 +648,7 @@ class ExactMatrix:
         for i in range(self.rows):
             e = self.entries[i * self.cols + i]
             acc = e if acc is None else acc + e
-        return acc if acc is not None else Fraction(0)
+        return acc if acc is not None else 0
 
     def __repr__(self) -> str:
         return "\n".join(
@@ -730,7 +737,7 @@ def det_cofactor(M: ExactMatrix):
 
     def det(cols: tuple[int, ...], r: int):
         if not cols:
-            return Fraction(1)
+            return 1
         acc = None
         for pos, c in enumerate(cols):
             e = rows[r][c]
@@ -741,7 +748,7 @@ def det_cofactor(M: ExactMatrix):
             if pos % 2:
                 term = -term
             acc = term if acc is None else acc + term
-        return acc if acc is not None else Fraction(0)
+        return acc if acc is not None else 0
 
     return det(tuple(range(n)), 0)
 
@@ -767,9 +774,9 @@ def sylvester_matrix(p: UniPoly, q: UniPoly) -> ExactMatrix:
     pc = list(reversed(p.coeffs))
     qc = list(reversed(q.coeffs))
     for i in range(l):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (size - i - m - 1))
+        rows.append([0] * i + pc + [0] * (size - i - m - 1))
     for i in range(m):
-        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (size - i - l - 1))
+        rows.append([0] * i + qc + [0] * (size - i - l - 1))
     if size == 0:
         return ExactMatrix(0, 0, [])
     return ExactMatrix.from_rows(rows)

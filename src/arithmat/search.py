@@ -451,8 +451,7 @@ def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair
     if a0 * a0 != ratio:
         return None
     # x^n f(y/x): the form coefficients are the monic polynomial's, low first
-    coeffs = [int(c) for c in g.coeffs]
-    pair = EssentialPair(a0, BinaryForm(coeffs))
+    pair = EssentialPair(a0, BinaryForm(g.coeffs))
     check_scale(pair)
     try:
         # the reversed form has the characteristic polynomial's discriminant,

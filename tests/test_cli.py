@@ -215,6 +215,19 @@ def _fresh_python(*args):
     )
 
 
+@pytest.mark.parametrize("head", [(1, 0, 0, 1), (1, 0, 1)], ids=["quartic", "cubic"])
+def test_huge_constant_is_accepted_mod_p_before_any_divisor_scan(head):
+    # x^4 + x + 1 and x^3 + x + 1 are irreducible mod 2; the rational-root
+    # scan would trial-divide the 401-digit constant and never return
+    result = _fresh_python(
+        "-c",
+        "from arithmat.field import EssentialPair, make_field\n"
+        "from arithmat.forms import BinaryForm\n"
+        f"print(make_field(EssentialPair(1, BinaryForm([{', '.join(map(str, head))}, 10**400 + 1]))).n)",
+    )
+    assert (result.returncode, result.stdout) == (0, f"{len(head)}\n"), result.stderr
+
+
 # modules that some subcommands run and that `import arithmat.cli` must not load
 _LAZY = ("numpy", "dataclasses", "json", "arithmat.fastmul", "arithmat.search", "arithmat.numeric")
 

@@ -213,6 +213,22 @@ class TestBatchMultiply:
             ]
             assert res[0] == res[1] == res[2]
             assert res[0] == [el.mul(F, alpha, b) for b in betas]
+        # rational coordinates, in an a0 = 2 field too: the product runs on the
+        # integer matrix and the numerators, and divides once at the end
+        pool.append(make_field(EssentialPair(2, BinaryForm([4, -2, -3, 1, 1]))))
+        cases = [(pool[-1], [1, Fraction(1, 2), 3, 4], [[1, 1, 1, 1]]),
+                 (pool[-1], [1, 1, 1, 1], [[Fraction(1, 3), 1, 0, 0]])]
+        for _ in range(50):
+            F = rng.choice(pool)
+            coords = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(F.n)]
+                      for _ in range(rng.randint(2, F.n + 1))]
+            cases.append((F, coords[0], coords[1:]))
+        for F, a, bs in cases:
+            alpha, betas = F.element(a), [F.element(b) for b in bs]
+            for strategy in ("schoolbook", "ww", "ww_recursive"):
+                assert batch_multiply(F, alpha, betas, strategy) == [
+                    el.mul(F, alpha, b) for b in betas
+                ], strategy
 
     def test_counters_on_degree_eight(self):
         rng = random.Random(13)

@@ -100,6 +100,14 @@ class TestEmbeddingData:
             exact = float(el.norm(F, alpha))
             assert abs(numeric - exact) <= 1e-6 * max(1.0, abs(exact))
 
+    def test_large_root_is_judged_relative_to_its_size(self):
+        # a root with |z| about 8.8 has residual about 3e-5, 1e-16 of its
+        # scale: find_roots accepts it, and no second fixed bound rejects it
+        F = make_field(EssentialPair.from_text("1:1,-9,2,-3,8,3,6,-1,-3,5,8,8,3"))
+        emb = embedding_data(F)
+        assert len(emb.roots) == 12
+        assert max(abs(z) for z in emb.roots) > 8
+
 
 class TestEmbeddingCache:
     def test_built_once_per_field(self):

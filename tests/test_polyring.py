@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from arithmat import element as el
 from arithmat.errors import NonSquareMatrixError, ZeroPolynomialError
+from arithmat.field import EssentialPair, make_field
+from arithmat.forms import BinaryForm
 from arithmat.polyring import (
     ExactMatrix,
     MultiPoly,
@@ -13,6 +17,7 @@ from arithmat.polyring import (
     det_bareiss,
     det_cofactor,
     det_exact,
+    exact,
     poly_mul_schoolbook,
     resultant,
     sylvester_matrix,
@@ -215,3 +220,79 @@ class TestTextFormats:
         x, y = MultiPoly.var("x"), MultiPoly.var("y")
         p = 3 * x * x * y - y + 1
         assert p.serialize() == "3*x^2*y^1+-1*y^1+1"
+
+
+# Integers, Fractions with denominator 1 (which must come back as ints) and
+# proper fractions, all small so every drawn matrix stays cheap.
+_scalars = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=4),
+    st.integers(-30, 30).map(Fraction),
+)
+_FIELDS = (
+    make_field(EssentialPair(1, BinaryForm([1, 2, -3, 5]))),
+    make_field(EssentialPair(2, BinaryForm([4, -2, -3, 1, 1]))),
+)
+
+
+def assert_stored_exact(values):
+    """Each value is an int exactly when integral: never a float, and never a
+    Fraction with denominator 1."""
+    for v in values:
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
+
+
+class TestScalarRule:
+    def test_exact_normalises(self):
+        assert type(exact(Fraction(6, 3))) is int and exact(Fraction(6, 3)) == 2
+        assert exact(Fraction(1, 2)) == Fraction(1, 2)
+        assert type(exact(True)) is int
+        assert exact(0.75) == Fraction(3, 4) and type(exact(2.0)) is int
+        assert exact("-8/4") == -2 and type(exact("-8/4")) is int
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_scalars, min_size=1, max_size=6), st.lists(_scalars, min_size=1, max_size=4))
+    def test_unipoly(self, a, b):
+        p, q = UniPoly(a), UniPoly(b)
+        assume(not q.is_zero())
+        quo, rem = p.divmod(q)
+        for r in (p, q, p + q, p - q, p * q, quo, rem, p.derivative()):
+            assert_stored_exact(r.coeffs)
+        assert quo * q + rem == p
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _scalars, max_size=5),
+        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _scalars, max_size=5),
+        _scalars.filter(bool),
+    )
+    def test_multipoly(self, a, b, s):
+        p, q = MultiPoly(("s", "t"), a), MultiPoly(("s", "t"), b)
+        for r in (p, p + q, p - q, p * q, p * s, p / s, p.diff("s"), (p / s) * s):
+            assert_stored_exact(r.terms.values())
+        assert (p / s) * s == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(_scalars, min_size=m * m, max_size=m * m),
+        st.lists(_scalars, min_size=m * m, max_size=m * m))))
+    def test_exact_matrix(self, drawn):
+        m, a, b = drawn
+        A, B = ExactMatrix(m, m, a), ExactMatrix(m, m, b)
+        for M in (A, A + B, A - B, A @ B, A * Fraction(1, 2), ExactMatrix.identity(m)):
+            assert_stored_exact(M.entries)
+        if det_exact(A) != 0:
+            assert_stored_exact(A.inverse().entries)
+            assert A @ A.inverse() == ExactMatrix.identity(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_FIELDS), st.lists(_scalars, min_size=8, max_size=8))
+    def test_element(self, F, xs):
+        alpha, beta = F.element(xs[: F.n]), F.element(xs[4 : 4 + F.n])
+        results = [alpha, beta, el.add(F, alpha, beta), el.mul(F, alpha, beta)]
+        results.append(el.scale(F, Fraction(3, 3), alpha))
+        if not alpha.is_zero():
+            results.append(el.inverse(F, alpha))
+        for r in results:
+            assert_stored_exact(r.coords)
+        assert_stored_exact(el.char_poly(F, alpha).coeffs)
