@@ -1,20 +1,24 @@
 """Ring arithmetic on elements, on their integer multiplication matrices.
 
 An element with coordinates x over the common denominator d has the matrix
-N = A / d, with A the integer matrix of d*x (``field.integer_matrix``).  The
-numerators d*x and A are built once per element and kept on it, so every
-operation below on the same element shares them.  Each operation is integer
-linear algebra on A, divided by a power of d once: mul applies A to the other
-element's column, trace is the linear trace form on d*x, norm is det A by
-Bareiss elimination, inverse is d * A^-1 e1 by a fraction-free solve, and
-char_poly is Le Verrier over the integers.  Since A^k is the matrix of
-(d*alpha)^k, whose coordinates A^(k-1) (d*x) cost one matrix-vector product,
-each power sum tr(A^k) is one trace-form evaluation.  An independent
-resultant-based norm is provided as a cross-check oracle.
+N = A / d, with A the integer matrix of d*x (``field.integer_matrix``, built
+in O(n^2) by running sums along its diagonals).  The numerators d*x and A are
+built once per element and kept on it, so every operation below on the same
+element shares them.  Each operation is integer linear algebra on A, divided
+by a power of d once: mul applies A to the other element's column, trace is
+the linear trace form on d*x, norm is det A by Bareiss elimination, inverse
+is d * A^-1 e1 by a fraction-free solve, and char_poly is Le Verrier over the
+integers.  Since A^k is the matrix of (d*alpha)^k, whose coordinates
+A^(k-1) (d*x) cost one matrix-vector product, each power sum tr(A^k) is one
+trace-form evaluation.  When the denominator is 1, mul and char_poly return
+their integers as they are and inverse skips the scaling by d, so no Fraction
+is made for an integral result.  An independent resultant-based norm is
+provided as a cross-check oracle.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import FieldMismatchError, ZeroElementError
@@ -50,7 +54,8 @@ def mul(F: NumberField, alpha: Element, beta: Element) -> Element:
     _require_same_field(F, alpha, beta)
     rows, d = integer_matrix(F, alpha)
     ys, e = beta.integer_coords()
-    return Element(F, [Fraction(sum(r * y for r, y in zip(row, ys)), d * e) for row in rows])
+    column = [sum(map(operator.mul, row, ys)) for row in rows]
+    return Element(F, column if d * e == 1 else [Fraction(v, d * e) for v in column])
 
 
 def trace(F: NumberField, alpha: Element) -> Fraction:
@@ -85,7 +90,7 @@ def inverse(F: NumberField, alpha: Element) -> Element:
         raise ZeroElementError("cannot invert the zero element")
     rows, d = integer_matrix(F, alpha)
     column = ExactMatrix.from_rows(rows).inverse(columns=(0,)).column(0)
-    return Element(F, [d * c for c in column])
+    return Element(F, column if d == 1 else [d * c for c in column])
 
 
 def char_poly(F: NumberField, alpha: Element) -> UniPoly:
@@ -99,12 +104,12 @@ def char_poly(F: NumberField, alpha: Element) -> UniPoly:
     power = alpha.integer_coords()[0]
     sums = [integer_trace(F, power)]
     for _ in range(n - 1):
-        power = [sum(r * v for r, v in zip(row, power)) for row in rows]
+        power = [sum(map(operator.mul, row, power)) for row in rows]
         sums.append(integer_trace(F, power))
     coeffs = [0] * n + [1]
     for k in range(1, n + 1):
-        coeffs[n - k] = -sum(coeffs[n - k + i] * sums[i - 1] for i in range(1, k + 1)) // k
-    return UniPoly([Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)])
+        coeffs[n - k] = -sum(map(operator.mul, coeffs[n - k + 1 :], sums)) // k
+    return UniPoly(coeffs if d == 1 else [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)])
 
 
 def is_integral(F: NumberField, alpha: Element) -> bool:
@@ -114,9 +119,14 @@ def is_integral(F: NumberField, alpha: Element) -> bool:
 
 
 def evaluate_poly_at(F: NumberField, p: UniPoly, alpha: Element) -> Element:
-    """Evaluate a rational polynomial at an element via Horner over mul()."""
+    """Evaluate a rational polynomial at an element via Horner over mul().
+
+    Each step multiplies by alpha on the left, so alpha's kept matrix is
+    built once, and adds the coefficient to coordinate 0 (the basis starts
+    with omega_0 = 1)."""
     _require_same_field(F, alpha)
     acc = F.zero()
     for c in reversed(p.coeffs):
-        acc = add(F, mul(F, acc, alpha), scale(F, c, F.one()))
+        step = mul(F, alpha, acc).coords
+        acc = Element(F, (step[0] + c,) + step[1:])
     return acc

@@ -22,6 +22,7 @@ all in integers.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -277,7 +278,7 @@ def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
 
     def above(i: int, v: list[int]) -> int:
         """Row i of the basis change applied to v, diagonal left out."""
-        return sum(a[j - i] * v[j] for j in range(i + 1, n)) if i else 0
+        return sum(map(operator.mul, a[1 : n - i], v[i + 1 : n])) if i else 0
 
     xa, da = alpha.integer_coords()
     xb, db = beta.integer_coords()

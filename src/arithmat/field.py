@@ -14,11 +14,14 @@ whose first column is the coordinate vector; the remaining entries are
 integer-coefficient polynomials in the coordinates.  Two constructions are
 provided: the explicit entry formulas, and substitution of x1/a0 into the
 a0 = 1 matrix followed by conjugation with diag(1, 1/a0, 1, ..., 1).  They
-agree identically.
+agree identically, and they are the symbolic path and the oracles of the
+integer kernel (`integer_matrix`), which evaluates the same entries on integer
+coordinates in O(n^2) by running sums along the matrix's diagonals.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -101,6 +104,8 @@ class NumberField:
         return self.pair.form.coeffs[k - 1]
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, NumberField):
             return NotImplemented
         return self.pair == other.pair
@@ -314,13 +319,17 @@ def _entries_substitution(n: int, coeffs, a0: int, xs):
     return rows
 
 
+def _check_method(method: str) -> None:
+    if method not in ("explicit", "substitution"):
+        raise ValueError(f"unknown construction method {method!r}")
+
+
 def _matrix_rows(n: int, coeffs, a0: int, xs, method: str = "explicit"):
+    _check_method(method)
     if a0 == 1 or method == "explicit":
         entry = _entry_function(n, coeffs, a0, xs)
         return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    if method == "substitution":
-        return _entries_substitution(n, coeffs, a0, xs)
-    raise ValueError(f"unknown construction method {method!r}")
+    return _entries_substitution(n, coeffs, a0, xs)
 
 
 def _flatten(rows) -> ExactMatrix:
@@ -328,18 +337,68 @@ def _flatten(rows) -> ExactMatrix:
     return ExactMatrix(n, n, [e for row in rows for e in row])
 
 
+def _diagonal_sums(n: int, a, xs) -> list[list[int]]:
+    """The a0 = 1 matrix of integer coordinates xs by running sums along its diagonals.
+
+    In 1-indexed terms, with t = i - j and a = (a1, ..., a_{n+1}): below the
+    diagonal, entry (i, j) is L(t, j) = sum_{k<j} a_k x_{k+t-1}, and one step
+    further the same sum gives row 1, -a_{n+1} L(n+1-j, j); on and above it,
+    entry (i, j) is [i = j] x0 minus the suffix sum over k = j..min(n-t, n+1),
+    built from j = n downwards.
+    """
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        rows[r][0] = xs[r]
+    last = -a[n]
+    for t in range(1, n):
+        acc = 0
+        for c in range(1, n - t):
+            acc += a[c - 1] * xs[c + t - 1]
+            rows[c + t][c] = acc
+        rows[0][n - t] = last * (acc + a[n - t - 1] * xs[n - 1])
+    for t in range(0, 1 - n, -1):
+        acc = a[n] * xs[n + t] if t else 0
+        base = xs[0] if t == 0 else 0
+        for c in range(n - 1, -t, -1):
+            acc += a[c] * xs[c + t]
+            rows[c + t][c] = base - acc
+    return rows
+
+
 def integer_matrix(F: NumberField, alpha: Element) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Alpha's arithmetic matrix as integer rows over one common denominator d.
 
-    The rows are built from the explicit entry formulas on the first call
-    and kept on the element, so later calls return the same tuples.
+    The rows come from the running-sum kernel on alpha's integer numerators,
+    in O(n^2); the explicit entry formulas and the substitution route are its
+    oracles.  A general a0 follows the substitution identity: the kernel runs
+    on (a0*x0, x1, a0*x2, ..., a0*x_{n-1}), and each entry is divided exactly
+    by a0, by a0^2 in column 2 outside row 2, and not at all in row 2 outside
+    column 2.  These divisions are exact when a0^2 | a1 and a0 | a2, so a pair
+    that fails `check_scale` raises its `DivisibilityError` before any entry
+    is built.  The rows are built on the first call and kept on the element,
+    so later calls return the same tuples.
     """
     if alpha.field != F:
         raise FieldMismatchError("element belongs to a different field")
     xs, d = alpha.integer_coords()
     if alpha._rows is None:
-        rows = _matrix_rows(F.n, F.pair.form.coeffs, F.a0, xs)
-        alpha._rows = tuple(tuple(row) for row in rows)
+        a0, n = F.a0, F.n
+        if a0 == 1:
+            rows = _diagonal_sums(n, F.pair.form.coeffs, xs)
+        else:
+            check_scale(F.pair)
+            scaled = [a0 * x for x in xs]
+            scaled[1] = xs[1]
+            rows = _diagonal_sums(n, F.pair.form.coeffs, scaled)
+            outside = [a0] * n
+            outside[1] = a0 * a0
+            inside = [1] * n
+            inside[1] = a0
+            rows = [
+                map(operator.floordiv, row, inside if r == 1 else outside)
+                for r, row in enumerate(rows)
+            ]
+        alpha._rows = tuple(map(tuple, rows))
     return alpha._rows, d
 
 
@@ -354,14 +413,17 @@ def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") 
     """The n x n multiplication matrix of alpha over the omega-basis.
 
     Column 1 carries alpha's coordinates; integer coordinates give integer
-    entries and conversely.  The explicit route divides the integer matrix by
-    its common denominator; the substitution route is an independent oracle.
+    entries and conversely.  The explicit route divides the integer matrix
+    (`integer_matrix`) by its common denominator; the substitution route is
+    an independent oracle.
     """
     if alpha.field != F:
         raise FieldMismatchError("element belongs to a different field")
+    _check_method(method)
     if method == "explicit" or F.a0 == 1:
         rows, d = integer_matrix(F, alpha)
-        return ExactMatrix(F.n, F.n, [Fraction(v, d) for row in rows for v in row])
+        entries = [v for row in rows for v in row]
+        return ExactMatrix(F.n, F.n, entries if d == 1 else [Fraction(v, d) for v in entries])
     return _flatten(_matrix_rows(F.n, F.pair.form.coeffs, F.a0, alpha.coords, method))
 
 

@@ -16,6 +16,7 @@ over the integers.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
@@ -29,6 +30,11 @@ from .errors import (
 )
 
 Scalar = Union[int, Fraction]
+
+
+def _all_int(values) -> bool:
+    """True when every value is an int, so none needs normalising or scaling."""
+    return {*map(type, values)} <= {int}
 
 
 def exact(x) -> Scalar:
@@ -528,9 +534,12 @@ class ExactMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(
-            e if isinstance(e, MultiPoly) else exact(e) for e in entries
-        )
+        if _all_int(entries):
+            self.entries = tuple(entries)
+        else:
+            self.entries = tuple(
+                e if isinstance(e, MultiPoly) else exact(e) for e in entries
+            )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> ExactMatrix:
@@ -635,11 +644,14 @@ class ExactMatrix:
             raise SingularMatrixError("matrix is singular")
         det = a[n - 1][n - 1] if n else 1
         # back substitution for det * x, exact in integers (Cramer)
+        solutions = []
         for c in range(n, n + len(cols)):
+            x = [row[c] for row in a]
             for i in range(n - 1, -1, -1):
                 row = a[i]
-                row[c] = (det * row[c] - sum(row[j] * a[j][c] for j in range(i + 1, n))) // row[i]
-        return ExactMatrix(n, len(cols), [Fraction(v, det) for row in a for v in row[n:]])
+                x[i] = (det * x[i] - sum(map(operator.mul, row[i + 1 : n], x[i + 1 :]))) // row[i]
+            solutions.append(x)
+        return ExactMatrix(n, len(cols), [Fraction(x[i], det) for i in range(n) for x in solutions])
 
     def trace(self):
         if not self.is_square():
@@ -658,6 +670,8 @@ class ExactMatrix:
 
 def scaled_coords(coords) -> tuple[list[int], int]:
     """Integer numerators of rational values over their common denominator d."""
+    if _all_int(coords):
+        return list(coords), 1
     d = lcm(*(c.denominator for c in coords))
     return [c.numerator * (d // c.denominator) for c in coords], d
 

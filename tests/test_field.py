@@ -17,6 +17,7 @@ from arithmat.field import (
     generic_arithmetic_matrix,
     integral_basis_description,
     make_field,
+    matrix_from_coefficients,
     symbolic_arithmetic_matrix,
 )
 from arithmat.forms import BinaryForm
@@ -194,6 +195,19 @@ class TestArithmeticMatrix:
             M = arithmetic_matrix(F, alpha)
             integer_entries = all(entry.denominator == 1 for entry in M.entries)
             assert integer_entries == all(cd.denominator == 1 for cd in coords)
+
+    def test_kernel_agrees_with_both_formulas_and_an_unknown_route_raises(self):
+        rng = random.Random(18)
+        for a0 in (1, 2):
+            F = util.random_field(rng, 4, a0=a0)
+            alpha = F.element([3, Fraction(-1, 2), 0, 5])
+            kernel = arithmetic_matrix(F, alpha)
+            coeffs = F.pair.form.coeffs
+            for method in ("explicit", "substitution"):
+                assert matrix_from_coefficients(coeffs, a0, alpha.coords, method) == kernel
+                assert arithmetic_matrix(F, alpha, method) == kernel
+            with pytest.raises(ValueError, match="unknown construction method"):
+                arithmetic_matrix(F, alpha, "bogus")
 
     def test_dimension_mismatch(self):
         rng = random.Random(17)

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithmat import element as el
-from arithmat.errors import ArithmatError
+from arithmat.errors import ArithmatError, DivisibilityError
 from arithmat.fastmul import mul_via_fft
-from arithmat.field import arithmetic_matrix, integer_matrix
+from arithmat.field import (
+    EssentialPair,
+    NumberField,
+    arithmetic_matrix,
+    integer_matrix,
+    matrix_from_coefficients,
+)
+from arithmat.forms import BinaryForm
 from arithmat.numeric import diagonalization_residual
 from arithmat.polyring import ExactMatrix, MultiPoly, collect_coeffs, det_cofactor
 
@@ -69,6 +76,56 @@ def test_integer_kernel_matches_oracles(case):
     assert el.trace(F, alpha) == arithmetic_matrix(F, alpha, method="substitution").trace()
     if n <= 4:
         assert list(cp) == cofactor_char_poly(F, alpha)
+
+
+# ----------------------------------------------------------------------
+# The running-sum kernel against the explicit formulas and substitution
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def raw_pairs(draw):
+    """Raw coefficient lists with a0^2 | a1 and a0 | a2, not validated as fields."""
+    n = draw(st.integers(2, 16))
+    a0 = draw(st.integers(1, 4))
+    a1 = draw(st.integers(-6, 6).filter(bool)) * a0 * a0
+    a2 = draw(st.integers(-9, 9)) * a0
+    rest = draw(st.lists(st.integers(-30, 30), min_size=n - 1, max_size=n - 1))
+    last = draw(st.integers(-30, 30).filter(bool))
+    coeffs = [a1, a2] + rest[:-1] + [last]
+    integral = draw(st.booleans())
+    coords = draw(coordinates(n, integral))
+    return a0, coeffs, coords
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_pairs())
+def test_kernel_matches_explicit_formulas_and_substitution(case):
+    a0, coeffs, coords = case
+    n = len(coeffs) - 1
+    F = NumberField(EssentialPair(a0, BinaryForm(coeffs)), n, 0)
+    rows, d = integer_matrix(F, F.element(coords))
+    kernel = [v for row in rows for v in row]
+    explicit = matrix_from_coefficients(coeffs, a0, coords, "explicit")
+    substituted = matrix_from_coefficients(coeffs, a0, coords, "substitution")
+    assert kernel == [d * e for e in explicit.entries]
+    assert kernel == [d * e for e in substituted.entries]
+    assert all(type(v) is int for v in kernel)
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [([2, -2, -3, 1, 1], "does not divide a1"), ([4, -1, -3, 1, 1], "does not divide a2")],
+    ids=["a0^2 does not divide a1", "a0 does not divide a2"],
+)
+def test_unscaled_pair_raises_from_the_kernel(coeffs, message):
+    F = NumberField(EssentialPair(2, BinaryForm(coeffs)), 4, 1)
+    for alpha in (F.element([0, 1, 0, 0]), F.one(), F.element([3, 0, 0, 0])):
+        with pytest.raises(DivisibilityError, match=message):
+            integer_matrix(F, alpha)
+        with pytest.raises(DivisibilityError):
+            el.mul(F, alpha, alpha)
+        assert alpha._rows is None
 
 
 # ----------------------------------------------------------------------
