@@ -2,7 +2,14 @@
 
 The search enumerates coefficient boxes |a_i| <= height * a0^2 for each
 scale factor a0, keeping forms whose discriminant is exactly disc * a0^2,
-that satisfy the divisibility conditions, and that are irreducible.  The
+that satisfy the divisibility conditions, and that are irreducible.  Only
+the half of a box with a2 >= 0 is visited: each irreducible hit B(x, y)
+also yields its mirror B(x, -y), the same coefficients with a2, a4, ...
+negated.  The substitution y -> -y has determinant -1, and
+disc(B o g) = det(g)^(n(n-1)) disc(B) with n(n-1) even, so the mirror has
+the same discriminant; it is irreducible exactly when B is, since
+B(x, 1) = f(x) factors exactly when f(-x) does; and it keeps a1 and |a2|,
+so a0^2 | a1, a0 | a2 and the box bounds hold for it too.  The
 inner loops run on plain integers.  Degree 2 solves for the last
 coefficient directly.  Degrees 3 and 4 list the integer points of the
 Mordell curve Y^2 = 4X^3 - k that the box can reach, with k = 27*a^2*disc
@@ -278,15 +285,25 @@ def _cands_deg5(a1, a2_values, rng, target):
 _CANDIDATE_GENS = {2: _cands_deg2, 3: _cands_deg3, 4: _cands_deg4, 5: _cands_deg5}
 
 
+def _mirror(coeffs):
+    """The coefficients of B(x, -y): every odd-index one changes sign."""
+    return tuple(-c if i % 2 else c for i, c in enumerate(coeffs))
+
+
 def search_essential_pairs(
     disc: int, degree: int, height: int, a0_max: int, jobs: int = 1
 ) -> list[EssentialPair]:
     """All essential pairs for the given discriminant inside the search box.
 
     For each a0 up to a0_max the box is |a_i| <= height * a0^2 with a1 > 0
-    restricted to multiples of a0^2 and a2 to multiples of a0.  Results are
-    sorted by (a0, coefficients) and deduplicated; an empty list is a valid
-    outcome.  ``jobs`` is accepted for compatibility and ignored.
+    restricted to multiples of a0^2 and a2 to multiples of a0.  The
+    candidate loops run over a2 >= 0 only, and each irreducible hit adds its
+    mirror B(x, -y) (a2, a4, ... negated), which has the same discriminant,
+    is irreducible with it, and meets the same divisibility conditions and
+    bounds (see the module docstring).  Results are sorted by
+    (a0, coefficients) and deduplicated, so the b = 0 slice, which holds
+    its own mirrors, adds nothing twice; an empty list is a valid outcome.
+    ``jobs`` is accepted for compatibility and ignored.
     """
     if degree not in _CANDIDATE_GENS:
         raise UnsupportedDegreeError("search supports degrees 2 to 5")
@@ -300,7 +317,9 @@ def search_essential_pairs(
     for a0 in range(1, a0_max + 1):
         target = disc * a0 * a0
         box = height * a0 * a0
-        a2_values = list(range(-box, box + 1, a0))
+        # the half a2 >= 0 still holds b = box, so the cubic and quartic point
+        # bounds, which use max|b|, are those of the whole box
+        a2_values = list(range(0, box + 1, a0))
         rng = range(-box, box + 1)
         extra = {}
         if degree == 4:
@@ -312,9 +331,12 @@ def search_essential_pairs(
             for coeffs in gen(t * a0 * a0, a2_values, rng, target, **extra):
                 if is_irreducible(BinaryForm(coeffs), target):
                     results.append((a0, coeffs))
+                    results.append((a0, _mirror(coeffs)))
 
     # Each pair validates by construction: a0^2 | a1 and a0 | a2 by the box
-    # steps, disc = disc * a0^2 by the candidate loop, irreducible by the check.
+    # steps, disc = disc * a0^2 by the candidate loop, irreducible by the
+    # check, and the mirrors by the symmetry in the module docstring.  The set
+    # drops the mirrors that the b = 0 slice finds itself.
     return [EssentialPair(a0, BinaryForm(coeffs)) for a0, coeffs in sorted(set(results))]
 
 
