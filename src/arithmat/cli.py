@@ -132,38 +132,29 @@ def _cmd_element_op(args) -> int:
     from .polyring import format_rational
 
     F = make_field(EssentialPair.from_text(args.pair))
-    a = Element.from_text(F, args.a)
+    operands = [Element.from_text(F, args.a)]
     record = {"command": args.command, "pair": args.pair, "a": args.a}
+    if args.command in ("mul", "add"):
+        operands.append(Element.from_text(F, args.b))
+        record["b"] = args.b
+    op = {
+        "mul": element.mul,
+        "add": element.add,
+        "inv": element.inverse,
+        "norm": element.norm,
+        "trace": element.trace,
+        "charpoly": element.char_poly,
+    }[args.command]
     if args.command == "mul":
-        b = Element.from_text(F, args.b)
+        record["via"] = args.via
         if args.via == "fft":
             from .fastmul import mul_via_fft
 
-            out = mul_via_fft(F, a, b)
-        else:
-            out = element.mul(F, a, b)
-        record.update(b=args.b, result=out.text(), via=args.via)
-        _emit(args, out.text(), record)
-    elif args.command == "add":
-        out = element.add(F, a, Element.from_text(F, args.b))
-        record.update(b=args.b, result=out.text())
-        _emit(args, out.text(), record)
-    elif args.command == "inv":
-        out = element.inverse(F, a)
-        record.update(result=out.text())
-        _emit(args, out.text(), record)
-    elif args.command == "norm":
-        val = element.norm(F, a)
-        record.update(result=format_rational(val))
-        _emit(args, format_rational(val), record)
-    elif args.command == "trace":
-        val = element.trace(F, a)
-        record.update(result=format_rational(val))
-        _emit(args, format_rational(val), record)
-    else:  # charpoly
-        poly = element.char_poly(F, a)
-        record.update(result=poly.text())
-        _emit(args, poly.text(), record)
+            op = mul_via_fft
+    out = op(F, *operands)
+    # norm and trace are numbers, the others an element or a polynomial
+    record["result"] = format_rational(out) if args.command in ("norm", "trace") else out.text()
+    _emit(args, record["result"], record)
     return 0
 
 

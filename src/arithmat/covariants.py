@@ -55,14 +55,7 @@ class TernaryForm:
 
     def coefficient(self, i: int, j: int, k: int):
         """Coefficient of x^i y^j z^k (a MultiPoly in any remaining symbols)."""
-        out = self.poly
-        for v, e in zip(_XYZ, (i, j, k)):
-            if v in out.vars:
-                split = collect_coeffs(out, v)
-                out = split[e] if e < len(split) else MultiPoly.const(0)
-            elif e:
-                return MultiPoly.const(0)
-        return out
+        return _monomial_coefficient(self.poly, zip(_XYZ, (i, j, k)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TernaryForm):
@@ -71,6 +64,17 @@ class TernaryForm:
 
     def __repr__(self) -> str:
         return f"TernaryForm(deg {self.degree}: {self.poly})"
+
+
+def _monomial_coefficient(poly: MultiPoly, powers) -> MultiPoly:
+    """Coefficient in poly of the product of v^e over the (v, e) in powers."""
+    for v, e in powers:
+        if v in poly.vars:
+            split = collect_coeffs(poly, v)
+            poly = split[e] if e < len(split) else MultiPoly.const(0)
+        elif e:
+            return MultiPoly.const(0)
+    return poly
 
 
 def _require_degree(V: BinaryForm, n: int) -> None:
@@ -252,13 +256,7 @@ def _cubic_covariant_polys(coeffs) -> tuple[MultiPoly, MultiPoly]:
 def _poly_to_binary_coeffs(poly: MultiPoly, degree: int) -> tuple:
     out = []
     for k in range(degree, -1, -1):
-        coeff = poly
-        for v, e in (("x", k), ("y", degree - k)):
-            if v in coeff.vars:
-                split = collect_coeffs(coeff, v)
-                coeff = split[e] if e < len(split) else MultiPoly.const(0)
-            elif e:
-                coeff = MultiPoly.const(0)
+        coeff = _monomial_coefficient(poly, (("x", k), ("y", degree - k)))
         out.append(coeff.constant_value() if coeff.total_degree() == 0 else coeff)
     return tuple(out)
 

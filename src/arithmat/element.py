@@ -21,37 +21,31 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .errors import FieldMismatchError, ZeroElementError
+from .errors import ZeroElementError
 from .field import Element, NumberField, basis_change_matrix
-from .field import integer_matrix, integer_trace
+from .field import integer_matrix, integer_trace, require_same_field
 from .polyring import ExactMatrix, UniPoly, det_exact, exact, resultant
-
-
-def _require_same_field(F: NumberField, *elements: Element) -> None:
-    for e in elements:
-        if e.field != F:
-            raise FieldMismatchError("elements belong to different fields")
 
 
 def add(F: NumberField, alpha: Element, beta: Element) -> Element:
     """Coordinate-wise sum."""
-    _require_same_field(F, alpha, beta)
+    require_same_field(F, alpha, beta)
     return Element(F, [a + b for a, b in zip(alpha.coords, beta.coords)])
 
 
 def sub(F: NumberField, alpha: Element, beta: Element) -> Element:
-    _require_same_field(F, alpha, beta)
+    require_same_field(F, alpha, beta)
     return Element(F, [a - b for a, b in zip(alpha.coords, beta.coords)])
 
 
 def scale(F: NumberField, c, alpha: Element) -> Element:
-    _require_same_field(F, alpha)
+    require_same_field(F, alpha)
     return Element(F, [exact(c) * a for a in alpha.coords])
 
 
 def mul(F: NumberField, alpha: Element, beta: Element) -> Element:
     """Exact product: alpha's matrix applied to beta's coordinate column."""
-    _require_same_field(F, alpha, beta)
+    require_same_field(F, alpha, beta)
     rows, d = integer_matrix(F, alpha)
     ys, e = beta.integer_coords()
     column = [sum(map(operator.mul, row, ys)) for row in rows]
@@ -60,21 +54,21 @@ def mul(F: NumberField, alpha: Element, beta: Element) -> Element:
 
 def trace(F: NumberField, alpha: Element) -> Fraction:
     """Trace of alpha: the trace of its multiplication matrix."""
-    _require_same_field(F, alpha)
+    require_same_field(F, alpha)
     xs, d = alpha.integer_coords()
     return Fraction(integer_trace(F, xs), d)
 
 
 def norm(F: NumberField, alpha: Element) -> Fraction:
     """Norm of alpha: the determinant of its multiplication matrix."""
-    _require_same_field(F, alpha)
+    require_same_field(F, alpha)
     rows, d = integer_matrix(F, alpha)
     return Fraction(det_exact(rows), d**F.n)
 
 
 def norm_resultant_oracle(F: NumberField, alpha: Element) -> Fraction:
     """Independent norm: express alpha as P(zeta) and take Res(f, P) / a1^deg P."""
-    _require_same_field(F, alpha)
+    require_same_field(F, alpha)
     if alpha.is_zero():
         raise ZeroElementError("the zero element has no resultant norm")
     power_coeffs = basis_change_matrix(F).apply(list(alpha.coords))
@@ -85,7 +79,7 @@ def norm_resultant_oracle(F: NumberField, alpha: Element) -> Fraction:
 
 def inverse(F: NumberField, alpha: Element) -> Element:
     """Coordinates of 1/alpha: column 1 of the exact inverse matrix."""
-    _require_same_field(F, alpha)
+    require_same_field(F, alpha)
     if alpha.is_zero():
         raise ZeroElementError("cannot invert the zero element")
     rows, d = integer_matrix(F, alpha)
@@ -98,7 +92,7 @@ def char_poly(F: NumberField, alpha: Element) -> UniPoly:
 
     Power sums p_k = tr(A^k), then Newton's identities, exact over the integers.
     """
-    _require_same_field(F, alpha)
+    require_same_field(F, alpha)
     n = F.n
     rows, d = integer_matrix(F, alpha)
     power = alpha.integer_coords()[0]
@@ -114,7 +108,7 @@ def char_poly(F: NumberField, alpha: Element) -> UniPoly:
 
 def is_integral(F: NumberField, alpha: Element) -> bool:
     """True when every coordinate is a rational integer."""
-    _require_same_field(F, alpha)
+    require_same_field(F, alpha)
     return all(c.denominator == 1 for c in alpha.coords)
 
 
@@ -124,7 +118,7 @@ def evaluate_poly_at(F: NumberField, p: UniPoly, alpha: Element) -> Element:
     Each step multiplies by alpha on the left, so alpha's kept matrix is
     built once, and adds the coefficient to coordinate 0 (the basis starts
     with omega_0 = 1)."""
-    _require_same_field(F, alpha)
+    require_same_field(F, alpha)
     acc = F.zero()
     for c in reversed(p.coeffs):
         step = mul(F, alpha, acc).coords

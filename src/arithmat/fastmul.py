@@ -25,13 +25,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .errors import (
-    ArithmatError,
-    DimensionMismatchError,
-    FieldMismatchError,
-    NonIntegerEntryError,
-)
-from .field import Element, NumberField, integer_matrix
+from .errors import ArithmatError, DimensionMismatchError, NonIntegerEntryError
+from .field import Element, NumberField, integer_matrix, require_same_field
 from .polyring import ExactMatrix, scaled_coords
 
 
@@ -270,8 +265,7 @@ def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
     a1 per step, and mapped back by exact integer divisions.  The common
     denominator is divided out only in the result's coordinates.
     """
-    if alpha.field != F or beta.field != F:
-        raise FieldMismatchError("elements belong to different fields")
+    require_same_field(F, alpha, beta)
     n = F.n
     a = F.pair.form.coeffs
     diag = [1, a[0] // F.a0] + [a[0]] * (n - 2)
@@ -319,11 +313,7 @@ def batch_multiply(
     n = F.n
     if len(betas) > n:
         raise DimensionMismatchError(f"at most {n} multiplicands per batch")
-    for b in betas:
-        if b.field != F:
-            raise FieldMismatchError("elements belong to different fields")
-    if alpha.field != F:
-        raise FieldMismatchError("elements belong to different fields")
+    require_same_field(F, *betas, alpha)
     count = len(betas)
     padded = list(betas) + [F.zero()] * (n - count)
     rows, d = integer_matrix(F, alpha)

@@ -16,7 +16,10 @@ provided: the explicit entry formulas, and substitution of x1/a0 into the
 a0 = 1 matrix followed by conjugation with diag(1, 1/a0, 1, ..., 1).  They
 agree identically, and they are the symbolic path and the oracles of the
 integer kernel (`integer_matrix`), which evaluates the same entries on integer
-coordinates in O(n^2) by running sums along the matrix's diagonals.
+coordinates in O(n^2) by running sums along the matrix's diagonals.  Both
+symbolic entry points are `matrix_from_coefficients` on the coordinate
+symbols, behind one degree cap.  Every operation that takes an element
+checks it with `require_same_field`, here and in `element` and `fastmul`.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .polyring import (
     MultiPoly,
     UniPoly,
     exact,
+    exact_int,
     format_rational,
     parse_rational,
     scaled_coords,
@@ -58,7 +62,7 @@ class EssentialPair:
     __slots__ = ("a0", "form")
 
     def __init__(self, a0: int, form: BinaryForm):
-        self.a0 = int(a0)
+        self.a0 = exact_int(a0, "a0")
         self.form = form
 
     @classmethod
@@ -183,6 +187,13 @@ class Element:
         return f"Element({self.text()})"
 
 
+def require_same_field(F: NumberField, *elements: Element) -> None:
+    """Raise FieldMismatchError unless every element belongs to F."""
+    for e in elements:
+        if e.field != F:
+            raise FieldMismatchError("element belongs to a different field")
+
+
 def check_scale(pair: EssentialPair) -> None:
     """The discriminant-free conditions: a0 >= 1, a0^2 | a1 and a0 | a2."""
     a0 = pair.a0
@@ -300,13 +311,6 @@ def _generalized_entry(n: int, a, a0: int, xs):
     return entry
 
 
-def _entry_function(n: int, coeffs, a0: int, xs):
-    a = {k + 1: c for k, c in enumerate(coeffs)}
-    if a0 == 1:
-        return _standard_entry(n, a, xs)
-    return _generalized_entry(n, a, a0, xs)
-
-
 def _entries_substitution(n: int, coeffs, a0: int, xs):
     """Generalized entries via x1 -> x1/a0 followed by diag(1, 1/a0, 1, ...) conjugation."""
     subbed = list(xs)
@@ -327,7 +331,8 @@ def _check_method(method: str) -> None:
 def _matrix_rows(n: int, coeffs, a0: int, xs, method: str = "explicit"):
     _check_method(method)
     if a0 == 1 or method == "explicit":
-        entry = _entry_function(n, coeffs, a0, xs)
+        a = {k + 1: c for k, c in enumerate(coeffs)}
+        entry = _standard_entry(n, a, xs) if a0 == 1 else _generalized_entry(n, a, a0, xs)
         return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     return _entries_substitution(n, coeffs, a0, xs)
 
@@ -378,8 +383,7 @@ def integer_matrix(F: NumberField, alpha: Element) -> tuple[tuple[tuple[int, ...
     is built.  The rows are built on the first call and kept on the element,
     so later calls return the same tuples.
     """
-    if alpha.field != F:
-        raise FieldMismatchError("element belongs to a different field")
+    require_same_field(F, alpha)
     xs, d = alpha.integer_coords()
     if alpha._rows is None:
         a0, n = F.a0, F.n
@@ -417,8 +421,7 @@ def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") 
     (`integer_matrix`) by its common denominator; the substitution route is
     an independent oracle.
     """
-    if alpha.field != F:
-        raise FieldMismatchError("element belongs to a different field")
+    require_same_field(F, alpha)
     _check_method(method)
     if method == "explicit" or F.a0 == 1:
         rows, d = integer_matrix(F, alpha)
@@ -445,26 +448,21 @@ def generic_form_coeffs(n: int) -> list[MultiPoly]:
     return [MultiPoly.var(nm) for nm in names]
 
 
+def _symbolic_matrix(coeffs, a0: int, method: str) -> ExactMatrix:
+    """`matrix_from_coefficients` on the coordinate symbols, up to the degree cap."""
+    if len(coeffs) - 1 > SYMBOLIC_DEGREE_CAP:
+        raise DimensionMismatchError(f"symbolic mode supports degree <= {SYMBOLIC_DEGREE_CAP}")
+    return matrix_from_coefficients(coeffs, a0, method=method)
+
+
 def symbolic_arithmetic_matrix(F: NumberField, method: str = "explicit") -> ExactMatrix:
     """Arithmetic matrix of F with symbolic coordinates (concrete coefficients)."""
-    if F.n > SYMBOLIC_DEGREE_CAP:
-        raise DimensionMismatchError(
-            f"symbolic mode supports degree <= {SYMBOLIC_DEGREE_CAP}"
-        )
-    return _flatten(
-        _matrix_rows(F.n, F.pair.form.coeffs, F.a0, symbolic_coords(F.n), method)
-    )
+    return _symbolic_matrix(F.pair.form.coeffs, F.a0, method)
 
 
 def generic_arithmetic_matrix(n: int, a0: int = 1, method: str = "explicit") -> ExactMatrix:
     """Fully symbolic arithmetic matrix: generic coefficients and coordinates."""
-    if n > SYMBOLIC_DEGREE_CAP:
-        raise DimensionMismatchError(
-            f"symbolic mode supports degree <= {SYMBOLIC_DEGREE_CAP}"
-        )
-    return _flatten(
-        _matrix_rows(n, generic_form_coeffs(n), a0, symbolic_coords(n), method)
-    )
+    return _symbolic_matrix(generic_form_coeffs(n), a0, method)
 
 
 def matrix_from_coefficients(coeffs, a0: int = 1, coords=None, method: str = "explicit") -> ExactMatrix:

@@ -1,9 +1,10 @@
 """Integer binary forms: evaluation, discriminants, irreducibility.
 
 A degree-n binary form is stored as its coefficient tuple (a1, ..., a_{n+1})
-with a1 the coefficient of x^n and a_{n+1} the coefficient of y^n.  Both end
-coefficients must be nonzero, so the dehomogenization B(x, 1) always has
-degree exactly n.
+with a1 the coefficient of x^n and a_{n+1} the coefficient of y^n, as ints:
+a coefficient whose exact value is not an integer raises
+NonIntegerEntryError.  Both end coefficients must be nonzero, so the
+dehomogenization B(x, 1) always has degree exactly n.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import UnsupportedDegreeError, ZeroPolynomialError
-from .polyring import UniPoly, coeffs_discriminant
+from .polyring import UniPoly, coeffs_discriminant, exact_int
 
 # Primes used for the sufficient irreducibility accepts.  A form that is
 # Eisenstein at one of these, or irreducible modulo one, is irreducible.
@@ -24,7 +25,7 @@ class BinaryForm:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(exact_int(c, "form coefficient") for c in coeffs)
         if len(cs) < 3:
             raise UnsupportedDegreeError("binary forms need degree >= 2")
         if cs[0] == 0 or cs[-1] == 0:
@@ -83,16 +84,9 @@ def form_discriminant(B: BinaryForm) -> int:
 # ----------------------------------------------------------------------
 
 
-def _content(cs) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c))
-    return g or 1
-
-
 def _primitive_monic_sign(cs: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive part, normalized to positive leading coefficient (high index)."""
-    g = _content(cs)
+    g = math.gcd(*cs)  # nonzero: a form's end coefficients are
     out = tuple(c // g for c in cs)
     if out[-1] < 0:
         out = tuple(-c for c in out)

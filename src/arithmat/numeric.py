@@ -179,6 +179,18 @@ def _round_real_vector(values, tol: float, what: str) -> list[int]:
     return out
 
 
+def _linear_product(factors) -> list:
+    """Coefficients of the product of the linear forms fx*x + fy*y, x^n first."""
+    prod = [1 + 0j]
+    for fx, fy in factors:
+        new = [0j] * (len(prod) + 1)
+        for k, c in enumerate(prod):
+            new[k] += c * fx
+            new[k + 1] += c * fy
+        prod = new
+    return prod
+
+
 def dh_cubic_form(F: NumberField) -> BinaryForm:
     """Integer cubic form from embedded basis differences; discriminant = disc(F).
 
@@ -189,21 +201,10 @@ def dh_cubic_form(F: NumberField) -> BinaryForm:
     """
     if F.n != 3:
         raise UnsupportedDegreeError("the cubic reconstruction needs degree 3")
-    emb = embedding_data(F)
-    g = emb.gamma
-    # coefficients of the product of three linear forms in x, y
-    coeffs = [0j, 0j, 0j, 0j]  # x^3, x^2 y, x y^2, y^3
-    factors = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            factors.append((g[i, 1] - g[j, 1], g[i, 2] - g[j, 2]))
-    prod = [(1 + 0j)]
-    for fx, fy in factors:
-        new = [0j] * (len(prod) + 1)
-        for k, c in enumerate(prod):
-            new[k] += c * fx
-            new[k + 1] += c * fy
-        prod = new
+    g = embedding_data(F).gamma
+    prod = _linear_product(
+        (g[i, 1] - g[j, 1], g[i, 2] - g[j, 2]) for i in range(3) for j in range(i + 1, 3)
+    )
     sqrt_disc = cmath.sqrt(complex(F.disc))
     scaled = [c / sqrt_disc for c in prod]
     ints = _round_real_vector(scaled, 1e-6, "cubic reconstruction")
@@ -230,17 +231,9 @@ def quartic_subform(F: NumberField, i: int, j: int) -> tuple[BinaryForm, int]:
         raise UnsupportedDegreeError("subforms are a quartic construction")
     if not ({i, j} <= {2, 3, 4}) or i == j:
         raise ArithmatError("need distinct i, j in {2, 3, 4}")
-    emb = embedding_data(F)
-    g = emb.gamma
+    g = embedding_data(F).gamma
     adj = np.linalg.det(g) * np.linalg.inv(g)
-    prod = [(1 + 0j)]
-    for k in range(4):
-        fx, fy = adj[i - 1, k], -adj[j - 1, k]
-        new = [0j] * (len(prod) + 1)
-        for t, c in enumerate(prod):
-            new[t] += c * fx
-            new[t + 1] += c * fy
-        prod = new
+    prod = _linear_product((adj[i - 1, k], -adj[j - 1, k]) for k in range(4))
     scaled = [c / F.disc for c in prod]
     ints = _round_real_vector(scaled, 1e-5, "quartic subform")
     if ints[0] == 0 or ints[-1] == 0:

@@ -7,11 +7,17 @@ scalars or MultiPoly values (symbolic mode).  Every stored exact value
 passes through `exact`: an integral value is an int, and a Fraction is made
 only when a division leaves a remainder.  Integer inputs therefore stay in
 int arithmetic throughout, and the only true divisions (`UniPoly.divmod`,
-`MultiPoly.__truediv__`) divide as Fractions before normalising.
+`MultiPoly.__truediv__`) divide as Fractions before normalising; `exact_int`
+is the same rule for a value that must be an integer, and raises
+NonIntegerEntryError otherwise.  Both polynomial kinds display their signed
+terms through one renderer, and matrix products, traces and cofactor
+determinants add their terms with plain `sum`, which MultiPoly entries join
+through `0 + p`.
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads.
 Determinants and inverses share one fraction-free (Bareiss) elimination
-over the integers.
+over the integers, and the Sylvester matrix and the integer discriminant
+share one row layout.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from .errors import (
     ArithmatError,
     DimensionMismatchError,
+    NonIntegerEntryError,
     NonSquareMatrixError,
     SingularMatrixError,
     ZeroPolynomialError,
@@ -48,6 +55,16 @@ def exact(x) -> Scalar:
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def exact_int(x, what: str) -> int:
+    """x as an int; NonIntegerEntryError when its exact value is not an integer."""
+    if type(x) is int:
+        return x
+    v = exact(x)
+    if isinstance(v, Fraction):
+        raise NonIntegerEntryError(f"{what} {x} is not an integer")
+    return int(v)  # a numpy integer's numerator is a numpy integer
 
 
 def parse_rational(text: str) -> Fraction:
@@ -205,26 +222,26 @@ class UniPoly:
         return UniPoly(quo, self.var), UniPoly(rem, self.var)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = format_rational(mag)
-            elif k == 1:
-                body = self.var if mag == 1 else f"{format_rational(mag)}*{self.var}"
-            else:
-                head = "" if mag == 1 else f"{format_rational(mag)}*"
-                body = f"{head}{self.var}^{k}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _signed_terms(
+            (c, [_power(self.var, k)] if k else [])
+            for k, c in reversed(list(enumerate(self.coeffs))) if c
+        )
+
+
+def _power(name: str, e: int) -> str:
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _signed_terms(terms) -> str:
+    """Display nonzero (coefficient, factor names) terms as 'c*f - c*g + ...',
+    a unit coefficient left out before factors; no terms display as '0'."""
+    parts = []
+    for c, factors in terms:
+        mag = abs(c)
+        body = "*".join(factors if mag == 1 and factors else [format_rational(mag), *factors])
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 def poly_mul_schoolbook(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -480,23 +497,10 @@ class MultiPoly:
         return "+".join(parts)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for expt, c in self.sorted_terms():
-            mag = abs(c)
-            factors = [f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, expt) if e]
-            if not factors:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([format_rational(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _signed_terms(
+            (c, [_power(v, e) for v, e in zip(self.vars, expt) if e])
+            for expt, c in self.sorted_terms()
+        )
 
 
 def collect_coeffs(p: MultiPoly, var: str) -> list[MultiPoly]:
@@ -601,14 +605,8 @@ class ExactMatrix:
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if self.cols != other.rows:
             raise DimensionMismatchError("matrix product shape mismatch")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    term = self.entries[i * self.cols + k] * other.entries[k * other.cols + j]
-                    acc = term if acc is None else acc + term
-                out.append(acc if acc is not None else 0)
+        cols = [other.column(j) for j in range(other.cols)]
+        out = [sum(map(operator.mul, self.row(i), col)) for i in range(self.rows) for col in cols]
         return ExactMatrix(self.rows, other.cols, out)
 
     def __mul__(self, scalar) -> ExactMatrix:
@@ -620,14 +618,7 @@ class ExactMatrix:
         """Matrix times column vector, returned as a list."""
         if len(vector) != self.cols:
             raise DimensionMismatchError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = None
-            for k, v in enumerate(vector):
-                term = self.entries[i * self.cols + k] * v
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else 0)
-        return out
+        return [sum(map(operator.mul, self.row(i), vector)) for i in range(self.rows)]
 
     def inverse(self, columns: Sequence[int] | None = None) -> ExactMatrix:
         """Exact inverse, or only the listed columns of it, by fraction-free elimination."""
@@ -656,11 +647,7 @@ class ExactMatrix:
     def trace(self):
         if not self.is_square():
             raise NonSquareMatrixError("trace of a non-square matrix")
-        acc = None
-        for i in range(self.rows):
-            e = self.entries[i * self.cols + i]
-            acc = e if acc is None else acc + e
-        return acc if acc is not None else 0
+        return sum(self.entries[:: self.cols + 1])
 
     def __repr__(self) -> str:
         return "\n".join(
@@ -711,6 +698,15 @@ def _eliminate(a: list[list[int]], n: int) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
+def _sylvester_rows(pc: list, qc: list) -> list[list]:
+    """The Sylvester rows of two coefficient lists, highest degree first:
+    deg q shifted copies of pc, then deg p shifted copies of qc."""
+    m, l = len(pc) - 1, len(qc) - 1
+    return [[0] * i + pc + [0] * (l - 1 - i) for i in range(l)] + [
+        [0] * i + qc + [0] * (m - 1 - i) for i in range(m)
+    ]
+
+
 def coeffs_discriminant(coeffs) -> int:
     """Discriminant of the form with integer coefficients (a1, ..., a_{n+1}).
 
@@ -718,11 +714,8 @@ def coeffs_discriminant(coeffs) -> int:
     a1; that division is always exact, and raises if it is not.
     """
     n = len(coeffs) - 1
-    size = 2 * n - 1
     deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
-    rows = [[0] * i + list(coeffs) + [0] * (size - i - n - 1) for i in range(n - 1)]
-    rows += [[0] * i + deriv + [0] * (size - i - n) for i in range(n)]
-    det = det_bareiss(rows)
+    det = det_bareiss(_sylvester_rows(list(coeffs), deriv))
     value, rem = divmod(-det if n % 4 in (2, 3) else det, coeffs[0])
     if rem:
         raise ArithmatError(
@@ -752,17 +745,10 @@ def det_cofactor(M: ExactMatrix):
     def det(cols: tuple[int, ...], r: int):
         if not cols:
             return 1
-        acc = None
-        for pos, c in enumerate(cols):
-            e = rows[r][c]
-            if not e:
-                continue
-            sub = det(cols[:pos] + cols[pos + 1 :], r + 1)
-            term = e * sub
-            if pos % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else 0
+        return sum(
+            (-1) ** pos * (e * det(cols[:pos] + cols[pos + 1 :], r + 1))
+            for pos, c in enumerate(cols) if (e := rows[r][c])
+        )
 
     return det(tuple(range(n)), 0)
 
@@ -782,18 +768,8 @@ def sylvester_matrix(p: UniPoly, q: UniPoly) -> ExactMatrix:
     """
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomialError("Sylvester matrix needs nonzero polynomials")
-    m, l = p.degree, q.degree
-    size = m + l
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(l):
-        rows.append([0] * i + pc + [0] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([0] * i + qc + [0] * (size - i - l - 1))
-    if size == 0:
-        return ExactMatrix(0, 0, [])
-    return ExactMatrix.from_rows(rows)
+    pc, qc = list(reversed(p.coeffs)), list(reversed(q.coeffs))
+    return ExactMatrix.from_rows(_sylvester_rows(pc, qc))
 
 
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:

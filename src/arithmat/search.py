@@ -22,8 +22,10 @@ J = -2c^3 (mod 9), they are bucketed by the class of c mod 3 they can
 serve, and each c meets only its own bucket.
 Degree 5 uses the explicit quintic discriminant and tries as the last
 coefficient only the divisors of the polynomial's constant term that lie
-in the box (rational root theorem).  The (a0, a1) slices of the box run in
-order and the results are sorted.  The ``jobs`` argument is accepted and
+in the box (rational root theorem).  The generators yield their hits in
+no particular order; the (a0, a1) slices of the box run in order and the
+results are sorted.  The b = 0 slice holds both B and its mirror, so only
+the smaller of the two is decided, and it adds both.  The ``jobs`` argument is accepted and
 ignored: the loops hold the interpreter lock, so a thread pool measured
 slower than one thread.
 """
@@ -132,16 +134,13 @@ def _cands_deg3(a1, a2_values, rng, target):
     a27 = 27 * a * a
     for b in a2_values:
         b2 = b * b
-        hits = []
         for x, j in points:
             c, rem = divmod(b2 - x, a3)
             if rem or c not in rng:
                 continue
             d, rem = divmod(j - (2 * b2 - 9 * a * c) * b, a27)
             if d and not rem and d in rng:
-                hits.append((a, b, c, d))
-        hits.sort()  # rng ascends, so this is box order
-        yield from hits
+                yield (a, b, c, d)
 
 
 def _deg4_xmax(a, a2_values, rng):
@@ -151,10 +150,10 @@ def _deg4_xmax(a, a2_values, rng):
     return 12 * a * B + 3 * bmax * B + B * B
 
 
-def _cands_deg4(a1, a2_values, rng, target, points=None):
+def _cands_deg4(a1, a2_values, rng, target, points):
     # The invariants I = 12ae - 3bd + c^2 and J of quartic_invariants satisfy
     # 4I^3 - J^2 = 27 disc, so (I, J) is a point of J^2 = 4X^3 - 27 disc with
-    # |I| <= _deg4_xmax.  ``points`` may list them up to a larger bound: d
+    # |I| <= _deg4_xmax.  ``points`` lists them, up to that or a larger bound: d
     # and e are checked against rng, so a point out of this slice's reach
     # yields nothing.  I - c^2 = 3(4ae - bd) and
     # J + 2c^3 = 9(8ace + bcd - 3ad^2 - 3eb^2), so c only meets the points
@@ -165,8 +164,6 @@ def _cands_deg4(a1, a2_values, rng, target, points=None):
     # whose discriminant is s0 + s1 X - s2 J and whose roots are
     # (lin -+ sqrt(s)) / (216a^2).
     a = a1
-    if points is None:
-        points = _signed_points(27 * target, _deg4_xmax(a, a2_values, rng))
     by_class = [[], [], []]
     for x, j in points:
         for r in range(3):
@@ -180,7 +177,6 @@ def _cands_deg4(a1, a2_values, rng, target, points=None):
     for b in a2_values:
         b2 = b * b
         b3 = 3 * b
-        hits = []
         for c in cs:
             c2 = c * c
             lin = 27 * b * (4 * a * c - b2)
@@ -200,9 +196,7 @@ def _cands_deg4(a1, a2_values, rng, target, points=None):
                         continue
                     e, rem = divmod(x - c2 + b3 * d, a12)
                     if e and not rem and e in rng:
-                        hits.append((a, b, c, d, e))
-        hits.sort()  # rng ascends, so this is box order
-        yield from hits
+                        yield (a, b, c, d, e)
 
 
 def _cands_deg5(a1, a2_values, rng, target):
@@ -300,9 +294,10 @@ def search_essential_pairs(
     candidate loops run over a2 >= 0 only, and each irreducible hit adds its
     mirror B(x, -y) (a2, a4, ... negated), which has the same discriminant,
     is irreducible with it, and meets the same divisibility conditions and
-    bounds (see the module docstring).  Results are sorted by
-    (a0, coefficients) and deduplicated, so the b = 0 slice, which holds
-    its own mirrors, adds nothing twice; an empty list is a valid outcome.
+    bounds (see the module docstring).  In the b = 0 slice, which holds both
+    members of a mirror pair, only the smaller one is decided and adds both,
+    and a form that is its own mirror is added once.  Results are sorted by
+    (a0, coefficients); an empty list is a valid outcome.
     ``jobs`` is accepted for compatibility and ignored.
     """
     if degree not in _CANDIDATE_GENS:
@@ -329,15 +324,18 @@ def search_essential_pairs(
             extra["points"] = _signed_points(27 * target, xmax)
         for t in range(1, height + 1):
             for coeffs in gen(t * a0 * a0, a2_values, rng, target, **extra):
+                mirror = _mirror(coeffs)
+                if coeffs[1] == 0 and mirror < coeffs:
+                    continue  # the b = 0 slice holds both: the smaller adds them
                 if is_irreducible(BinaryForm(coeffs), target):
                     results.append((a0, coeffs))
-                    results.append((a0, _mirror(coeffs)))
+                    if mirror != coeffs:
+                        results.append((a0, mirror))
 
     # Each pair validates by construction: a0^2 | a1 and a0 | a2 by the box
     # steps, disc = disc * a0^2 by the candidate loop, irreducible by the
-    # check, and the mirrors by the symmetry in the module docstring.  The set
-    # drops the mirrors that the b = 0 slice finds itself.
-    return [EssentialPair(a0, BinaryForm(coeffs)) for a0, coeffs in sorted(set(results))]
+    # check, and the mirrors by the symmetry in the module docstring.
+    return [EssentialPair(a0, BinaryForm(coeffs)) for a0, coeffs in sorted(results)]
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,18 @@
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arithmat.errors import ReducibleFormError, UnsupportedDegreeError, ZeroPolynomialError
+from arithmat.errors import (
+    NonIntegerEntryError,
+    ReducibleFormError,
+    UnsupportedDegreeError,
+    ZeroPolynomialError,
+)
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import (
     _ACCEPT_PRIMES,
@@ -326,3 +332,21 @@ class TestTextFormat:
         B = BinaryForm([4, -2, -3, 1, 1])
         assert BinaryForm.from_text(B.text()) == B
         assert B.text() == "4,-2,-3,1,1"
+
+
+class TestIntegerInput:
+    @pytest.mark.parametrize("c", [1.5, Fraction(3, 2), 0.1])
+    def test_non_integer_coefficient_is_a_typed_error(self, c):
+        with pytest.raises(NonIntegerEntryError):
+            BinaryForm([c, 0, 1])
+
+    @pytest.mark.parametrize("a0", [1.9, Fraction(1, 2)])
+    def test_non_integer_a0_is_a_typed_error(self, a0):
+        with pytest.raises(NonIntegerEntryError):
+            make_field(EssentialPair(a0, BinaryForm([1, 1, -1])))
+
+    def test_integral_values_of_other_types_pass_as_ints(self):
+        B = BinaryForm([np.int64(4), Fraction(6, 3), np.int32(1)])
+        assert B.coeffs == (4, 2, 1) and {type(c) for c in B.coeffs} == {int}
+        pair = EssentialPair(Fraction(4, 2), B)
+        assert type(pair.a0) is int and make_field(pair) == make_field(EssentialPair(2, B))

@@ -31,18 +31,24 @@ from arithmat.search import (
 import util
 
 
+def _candidates(n, a1, a2_values, rng, target):
+    """The degree-n generator's hits; a quartic gets its curve's points as the search lists them."""
+    extra = {}
+    if n == 4:
+        extra["points"] = search._signed_points(27 * target, search._deg4_xmax(a1, a2_values, rng))
+    return getattr(search, f"_cands_deg{n}")(a1, a2_values, rng, target, **extra)
+
+
 class TestFastDiscriminants:
     def test_formula_paths_match_sylvester_route(self):
         rng = random.Random(0)
-        from arithmat.search import _cands_deg2, _cands_deg3, _cands_deg4, _cands_deg5
-
-        for gen, n in ((_cands_deg2, 2), (_cands_deg3, 3), (_cands_deg4, 4), (_cands_deg5, 5)):
+        for n in (2, 3, 4, 5):
             for _ in range(200):
                 cs = [rng.randint(1, 6)] + [rng.randint(-6, 6) for _ in range(n)]
                 if cs[-1] == 0:
                     continue
                 target = form_discriminant(BinaryForm(cs))
-                found = list(gen(cs[0], [cs[1]], range(-6, 7), target))
+                found = list(_candidates(n, cs[0], [cs[1]], range(-6, 7), target))
                 assert tuple(cs) in found
 
     def test_disc_int_matches_public_discriminant(self):
@@ -97,14 +103,14 @@ def generator_cases(draw, n):
 @given(data=st.data())
 def test_candidate_generators_match_brute_force(n, data):
     a1, a2_values, box, target = data.draw(generator_cases(n))
-    gen = getattr(search, f"_cands_deg{n}")
     expected = [
         coeffs
         for a2 in a2_values
         for coeffs, disc in box_discriminants(n, a1, a2, box)
         if disc == target
     ]
-    assert list(gen(a1, a2_values, range(-box, box + 1), target)) == expected
+    # the generators yield in any order; the search sorts its result
+    assert sorted(_candidates(n, a1, a2_values, range(-box, box + 1), target)) == expected
 
 
 coefficient = st.integers(-50, 50)
@@ -142,7 +148,7 @@ def test_quartic_generator_with_points_listed_further_matches_brute_force(data):
         if disc == target
     ]
     points = search._signed_points(27 * target, xmax)
-    assert list(search._cands_deg4(a1, a2_values, rng, target, points=points)) == expected
+    assert sorted(search._cands_deg4(a1, a2_values, rng, target, points=points)) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,7 +187,7 @@ def test_quartic_generator_on_a_box_8_case():
         for coeffs, disc in box_discriminants(4, a1, a2, box)
         if disc == target
     ]
-    assert list(search._cands_deg4(a1, a2_values, range(-box, box + 1), target)) == expected
+    assert sorted(_candidates(4, a1, a2_values, range(-box, box + 1), target)) == expected
     invariants = [(cs, *_quartic_ij(cs)) for cs in expected]
     assert len({i_inv for _, i_inv, _ in invariants}) >= 3
     assert any(j_inv == 0 for _, _, j_inv in invariants)
@@ -195,6 +201,20 @@ def test_quartic_generator_on_a_box_8_case():
         assert (qa * d + qb) * d + qc == 0
         double_roots += qb * qb == 4 * qa * qc
     assert double_roots
+
+
+@pytest.mark.parametrize("box", [(-23, 3, 2, 1), (-400, 4, 2, 1), (-4511, 5, 2, 1)])
+def test_each_mirror_pair_is_decided_once(box, monkeypatch):
+    # the b = 0 slice holds both B and B(x, -y); only the smaller is decided
+    decided = []
+    real = search.is_irreducible
+    monkeypatch.setattr(
+        search, "is_irreducible", lambda B, disc=None: decided.append(B.coeffs) or real(B, disc)
+    )
+    pairs = search_essential_pairs(*box)
+    assert any(p.form.coeffs[1] == 0 for p in pairs)
+    assert len(decided) == len(set(decided))
+    assert not [cs for cs in decided if cs[1] == 0 and search._mirror(cs) < cs]
 
 
 class TestSearch:
