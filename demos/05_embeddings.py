@@ -1,21 +1,20 @@
-"""Numeric certificates: diagonalization, reconstructions.
+"""Numeric certificates: diagonalization; and the forms they classically give.
 
 The multiplication matrix of an element is conjugate to the diagonal matrix
 of its embedding images; this script measures that residual in floating
-point, then runs the two numeric-to-exact reconstructions (the cubic form
-from embedded basis differences, and quartic subforms from adjugate rows).
+point.  It then prints two forms that are classically products over the
+embeddings (the cubic form from embedded basis differences, and quartic
+subforms from adjugate rows of the embedding matrix).  The library computes
+both exactly, from the integer arithmetic matrices, with no float involved:
+the cubic index form from three products of basis elements, and each subform
+as disc * N(x*u - y*v) on two elements u, v of the trace form's dual basis.
 """
 
 from arithmat import BinaryForm, EssentialPair, make_field
 from arithmat import element as el
+from arithmat.covariants import dh_cubic_form, quartic_subform
 from arithmat.forms import form_discriminant
-from arithmat.numeric import (
-    EmbeddingData,
-    dh_cubic_form,
-    diagonalization_residual,
-    find_roots,
-    quartic_subform,
-)
+from arithmat.numeric import EmbeddingData, diagonalization_residual
 from arithmat.polyring import poly_discriminant
 
 F = make_field(EssentialPair(2, BinaryForm([4, -2, -3, 1, 1])))

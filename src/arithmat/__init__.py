@@ -9,7 +9,8 @@ of an element over the distinguished integral basis.  Submodules:
     forms       binary forms, discriminants, irreducibility
     field       field contexts and arithmetic-matrix construction
     element     ring arithmetic on elements, plus independent oracles
-    covariants  cubic/quartic covariants, syzygies, norm equations
+    covariants  cubic/quartic covariants, syzygies, norm equations,
+                the cubic index form and the quartic subforms
     fastmul     counted fast matrix products and exact convolution
     numeric     floating-point verification layer
     search      essential-pair search and table verification

@@ -15,16 +15,22 @@ covariants and satisfy the invariant-theory syzygy with I and J.
 For a cubic form the analogous objects are the Hessian Q, the Jacobian F,
 Cayley's syzygy F^2 + 27*D*C^2 = 4*Q^3, and the norm-one equation
 t^3 - 3*t*Q + F = 27.
+
+The cubic index form and the quartic subforms are read exactly off a field's
+ring, by products of basis elements and the integer arithmetic matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .element import char_poly, inverse, mul, norm
 from .errors import ArithmatError, UnsupportedDegreeError
-from .field import matrix_from_coefficients, generic_form_coeffs
+from .field import NumberField, generic_form_coeffs, integer_matrix, integer_trace
+from .field import matrix_from_coefficients
 from .forms import BinaryForm, form_discriminant
-from .polyring import MultiPoly, collect_coeffs, det_cofactor
+from .polyring import ExactMatrix, MultiPoly, collect_coeffs, det_cofactor, exact_int
+from .polyring import poly_discriminant
 
 _XYZ = ("x", "y", "z")
 
@@ -316,3 +322,56 @@ def cubic_identities_check(C: BinaryForm) -> bool:
     return _residuals_vanish(
         C.coeffs, _cubic_covariant_polys, _cubic_syzygy_residual, _cubic_norm_equation_residual
     )
+
+
+# ----------------------------------------------------------------------
+# Forms read off the ring of a field
+# ----------------------------------------------------------------------
+
+
+def dh_cubic_form(F: NumberField) -> BinaryForm:
+    """The index form of a cubic field's ring (Delone-Faddeev); disc = disc(F).
+
+    With alpha = x*omega_1 + y*omega_2, it is the minor y*c_1 - x*c_2 of the
+    coordinates c of alpha^2.  With p, q, r the coordinates of omega_1^2,
+    omega_1*omega_2 and omega_2^2, its coefficients are -p_2, p_1 - 2*q_2,
+    2*q_1 - r_2 and r_1.  The discriminant is rechecked exactly.
+    """
+    if F.n != 3:
+        raise UnsupportedDegreeError("the cubic reconstruction needs degree 3")
+    w1, w2 = F.basis_element(1), F.basis_element(2)
+    _, p1, p2 = mul(F, w1, w1).coords
+    _, q1, q2 = mul(F, w1, w2).coords
+    _, r1, r2 = mul(F, w2, w2).coords
+    out = BinaryForm([-p2, p1 - 2 * q2, 2 * q1 - r2, r1])
+    if form_discriminant(out) != F.disc:
+        raise ArithmatError(f"reconstructed discriminant {form_discriminant(out)} != {F.disc}")
+    return out
+
+
+def quartic_subform(F: NumberField, i: int, j: int) -> tuple[BinaryForm, int]:
+    """The form disc * N(x*u - y*v), with the discriminant it should have.
+
+    u and v are the elements i-1 and j-1 of the dual basis of the trace form
+    T_ab = Tr(omega_a * omega_b): columns i-1 and j-1 of T^-1.  Since
+    N(x*u - y*v) = N(u) * y^4 * chi_{v/u}(x/y), the form is disc * N(u) times
+    the characteristic polynomial of v/u, from x^4 down.  Its discriminant,
+    also returned, is that of the basis element complementary to {1, i, j}.
+    """
+    if F.n != 4:
+        raise UnsupportedDegreeError("subforms are a quartic construction")
+    if not ({i, j} <= {2, 3, 4}) or i == j:
+        raise ArithmatError("need distinct i, j in {2, 3, 4}")
+    # column b of omega_a's matrix holds omega_a * omega_b
+    gram = [
+        [integer_trace(F, col) for col in zip(*integer_matrix(F, F.basis_element(a))[0])]
+        for a in range(4)
+    ]
+    dual = ExactMatrix.from_rows(gram).inverse(columns=(i - 1, j - 1))
+    u, v = (F.element(dual.column(k)) for k in (0, 1))
+    scale = F.disc * norm(F, u)
+    chi = char_poly(F, mul(F, inverse(F, u), v))
+    form = BinaryForm([scale * c for c in reversed(chi.coeffs)])
+    q = ({2, 3, 4} - {i, j}).pop()
+    claimed = poly_discriminant(char_poly(F, F.basis_element(q - 1)))
+    return form, exact_int(claimed, "element discriminant")

@@ -62,10 +62,6 @@ class FloatRangeError(ArithmatError):
     """An exact value is too large for the float64 verification layer."""
 
 
-class RoundingError(ArithmatError):
-    """A numeric reconstruction did not round cleanly to integers."""
-
-
 class NonIntegerEntryError(ArithmatError):
     """An exact integer algorithm received non-integer entries."""
 

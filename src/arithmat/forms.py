@@ -110,8 +110,9 @@ def _has_rational_root(cs: tuple[int, ...]) -> bool:
     # cs low-to-high, primitive, nonzero ends
     lead, const = cs[-1], cs[0]
     n = len(cs) - 1
+    const_divisors = _divisors(const)
     for q in _divisors(lead):
-        for p in _divisors(const):
+        for p in const_divisors:
             if math.gcd(p, q) != 1:
                 continue
             for sp in (p, -p):

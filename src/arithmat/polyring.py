@@ -45,16 +45,20 @@ def _all_int(values) -> bool:
 
 
 def exact(x) -> Scalar:
-    """The stored form of an exact value: an int when integral, else a Fraction.
+    """The stored form of an exact value: an int when integral, else a Fraction of ints.
 
-    Any other input (a float, a str such as '3/4') converts exactly through
-    Fraction first.
+    Any other input (a float, a str such as '3/4', a numpy integer) converts
+    exactly through Fraction first.  Fraction keeps a numpy integer's type,
+    whose arithmetic overflows silently, so such parts become ints.
     """
     if type(x) is int:
         return x
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+    num, den = x.numerator, x.denominator
+    if type(num) is int is type(den):
+        return num if den == 1 else x
+    return exact(Fraction(int(num), int(den)))
 
 
 def exact_int(x, what: str) -> int:
@@ -64,7 +68,7 @@ def exact_int(x, what: str) -> int:
     v = exact(x)
     if isinstance(v, Fraction):
         raise NonIntegerEntryError(f"{what} {x} is not an integer")
-    return int(v)  # a numpy integer's numerator is a numpy integer
+    return v
 
 
 def parse_rational(text: str) -> Fraction:

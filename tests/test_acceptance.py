@@ -15,6 +15,7 @@ from arithmat import element as el
 from arithmat.covariants import (
     cubic_covariants,
     cubic_syzygy_check_generic,
+    dh_cubic_form,
     quartic_ghf,
     quartic_ghf_generic,
     quartic_norm_equation_check_generic,
@@ -36,7 +37,7 @@ from arithmat.field import (
     symbolic_arithmetic_matrix,
 )
 from arithmat.forms import BinaryForm, form_discriminant
-from arithmat.numeric import dh_cubic_form, diagonalization_residual
+from arithmat.numeric import diagonalization_residual
 from arithmat.polyring import ExactMatrix, MultiPoly, poly_mul_schoolbook, UniPoly
 from arithmat.search import (
     load_bundled_table,
@@ -290,7 +291,7 @@ def test_criterion_8_cubic_reconstruction():
         built = 0
         while built < 20:
             F = util.random_field(rng, 3, hi=6)
-            form = dh_cubic_form(F)  # rounding residual < 1e-6 enforced inside
+            form = dh_cubic_form(F)  # the discriminant is rechecked inside too
             assert form_discriminant(form) == F.disc
             built += 1
 

@@ -286,12 +286,12 @@ def test_diag_check_without_numpy_is_a_typed_error():
 def test_diag_check_reraises_other_missing_modules():
     result = _fresh_python(
         "-c",
-        "import sys; sys.modules['cmath'] = None\n"
+        "import sys; sys.modules['numpy.linalg'] = None\n"
         "from arithmat.cli import run_command\n"
         "run_command(['diag-check', '--pair', '1:1,1,-1', '--coords', '3,5'])"
     )
     assert result.returncode == 1
-    assert "ModuleNotFoundError: import of cmath halted" in result.stderr
+    assert "ModuleNotFoundError: import of numpy.linalg halted" in result.stderr
 
 
 def _readme_examples():

@@ -13,6 +13,7 @@ from arithmat.errors import (
     UnsupportedDegreeError,
     ZeroPolynomialError,
 )
+from arithmat import forms
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import (
     _ACCEPT_PRIMES,
@@ -155,6 +156,19 @@ class TestIrreducibility:
         prod = poly_mul_schoolbook(g, h)
         B = BinaryForm([int(prod.coeff(k)) for k in range(4, -1, -1)])
         assert not is_irreducible(B)
+
+    def test_rational_root_scan_finds_divisors_twice(self, monkeypatch):
+        # once for the lead and once for the constant, not once per lead divisor
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return _divisors(n)
+
+        monkeypatch.setattr(forms, "_divisors", counted)
+        assert not _has_rational_root((5, 1, 0, 12))  # 12x^3 + x + 5
+        assert _has_rational_root((-3, -1, 2, -3, 2))  # (2x - 3)(x^3 + x + 1)
+        assert calls == [5, 12, -3, 2]
 
     def test_certificate_degrees_above_five(self):
         assert irreducibility_certificate(BinaryForm([1, 0, 0, 0, 0, -1, 1])) is True

@@ -6,10 +6,10 @@ import pytest
 
 from arithmat import element as el
 from arithmat import numeric
+from arithmat.covariants import dh_cubic_form, quartic_subform
 from arithmat.errors import (
     ArithmatError,
     RootConvergenceError,
-    RoundingError,
     UnsupportedDegreeError,
     ZeroDiscriminantError,
 )
@@ -17,16 +17,65 @@ from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm, form_discriminant
 from arithmat.numeric import (
     EmbeddingData,
-    dh_cubic_form,
     diagonalization_residual,
     eigenvalue_match_residual,
     embedding_data,
     find_roots,
-    quartic_subform,
 )
 from arithmat.polyring import poly_discriminant
 
 import util
+
+
+# ----------------------------------------------------------------------
+# Float oracles for the exact reconstructions in `covariants`: the classical
+# products over the embeddings, rounded to integers.  None when the rounding
+# is not clean, which happens once the coefficients grow.
+# ----------------------------------------------------------------------
+
+
+def _linear_product(factors) -> list:
+    """Coefficients of the product of the linear forms fx*x + fy*y, x^n first."""
+    prod = [1 + 0j]
+    for fx, fy in factors:
+        new = [0j] * (len(prod) + 1)
+        for k, c in enumerate(prod):
+            new[k] += c * fx
+            new[k + 1] += c * fy
+        prod = new
+    return prod
+
+
+def _rounded(values, tol):
+    out = [round(v.real) for v in values]
+    if any(abs(v.imag) > tol or abs(v.real - r) > tol for v, r in zip(values, out)):
+        return None
+    return out
+
+
+def float_cubic_form(F):
+    """Product over embedding pairs i < j of (omega1^(i) - omega1^(j)) x +
+    (omega2^(i) - omega2^(j)) y, divided by the square root of disc(F)."""
+    g = embedding_data(F).gamma
+    prod = _linear_product(
+        (g[i, 1] - g[j, 1], g[i, 2] - g[j, 2]) for i in range(3) for j in range(i + 1, 3)
+    )
+    sqrt_disc = cmath.sqrt(complex(F.disc))
+    return _rounded([c / sqrt_disc for c in prod], 1e-6)
+
+
+def float_quartic_subform(F, i, j):
+    """Product over columns k of (P[i,k] x - P[j,k] y) / disc(F), with P the
+    adjugate of Gamma."""
+    g = embedding_data(F).gamma
+    adj = np.linalg.det(g) * np.linalg.inv(g)
+    prod = _linear_product((adj[i - 1, k], -adj[j - 1, k]) for k in range(4))
+    return _rounded([c / F.disc for c in prod], 1e-5)
+
+
+def _scaled_fields(n):
+    rng = random.Random(10 + n)
+    return [util.random_field(rng, n, a0=a0) for a0 in (2, 3) for _ in range(10)]
 
 
 class TestFindRoots:
@@ -196,9 +245,23 @@ class TestCubicReconstruction:
         built = 0
         while built < 20:
             F = util.random_field(rng, 3, hi=6)
-            out = dh_cubic_form(F)  # rounding residual < 1e-6 enforced inside
+            out = dh_cubic_form(F)  # the discriminant is rechecked inside too
             assert form_discriminant(out) == F.disc
+            assert list(out.coeffs) == float_cubic_form(F)
             built += 1
+
+    def test_scaled_fields_match_float_oracle(self):
+        for F in _scaled_fields(3):
+            out = dh_cubic_form(F)
+            assert form_discriminant(out) == F.disc
+            assert list(out.coeffs) == float_cubic_form(F)
+
+    def test_height_1e12_fields(self):
+        # the float oracle cannot round at this height; the exact route decides
+        rng = random.Random(12)
+        for _ in range(20):
+            F = util.random_field(rng, 3, hi=10**12)
+            assert form_discriminant(dh_cubic_form(F)) == F.disc
 
     def test_only_discriminant_is_asserted(self):
         # the output is one representative of an equivalence class: negating
@@ -239,15 +302,42 @@ class TestQuarticSubform:
 
     def test_random_quartic_fields(self):
         rng = random.Random(9)
-        built = 0
-        while built < 5:
+        for _ in range(5):
             F = util.random_field(rng, 4, hi=5)
-            try:
-                form, claimed = quartic_subform(F, 3, 4)
-            except (RoundingError, ArithmatError):
-                continue  # experimental construction: skip ill-conditioned draws
+            form, claimed = quartic_subform(F, 3, 4)
             assert form_discriminant(form) == claimed
-            built += 1
+
+    def test_pools_match_float_oracle(self):
+        rng = random.Random(9)
+        pool = [util.random_field(rng, 4, hi=5) for _ in range(20)] + _scaled_fields(4)
+        for F in pool:
+            for i, j in ((3, 4), (2, 4), (2, 3)):
+                form, claimed = quartic_subform(F, i, j)
+                assert form_discriminant(form) == claimed
+                assert list(form.coeffs) == float_quartic_subform(F, i, j)
+
+    def test_height_1e6_fields(self):
+        # the float oracle cannot round at this height; the exact route decides
+        rng = random.Random(6)
+        for _ in range(10):
+            F = util.random_field(rng, 4, hi=10**6)
+            for i, j in ((3, 4), (2, 4), (2, 3)):
+                form, claimed = quartic_subform(F, i, j)
+                assert form_discriminant(form) == claimed
+
+    def test_height_1e17_field(self):
+        # the float product rounds this one to a wrong form without a warning
+        F = make_field(EssentialPair.from_text(
+            "1:37785611141843641,68121087169103854,-72339045183036369,"
+            "-30432263018684974,24420397587061723"
+        ))
+        form, claimed = quartic_subform(F, 3, 4)
+        assert form.text() == (
+            "922739647153931006684202282053443,-1149901656590339149549041744150334,"
+            "-2733375031658469593111849014379529,2573996910331392478788867358492414,"
+            "1427752409362618303418920492136881"
+        )
+        assert form_discriminant(form) == claimed
 
     def test_bad_indices(self):
         with pytest.raises(ArithmatError):

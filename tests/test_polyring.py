@@ -250,6 +250,16 @@ class TestScalarRule:
         assert exact(0.75) == Fraction(3, 4) and type(exact(2.0)) is int
         assert exact("-8/4") == -2 and type(exact("-8/4")) is int
 
+    def test_numpy_integers_become_ints(self):
+        # numpy int64 arithmetic would overflow silently in the product
+        F = make_field(EssentialPair.from_text("1:1,1,-1"))
+        a = F.element((np.int64(10**18), np.int64(3)))
+        product = el.mul(F, a, a).coords
+        assert product == (10**36 + 9, 5999999999999999991)
+        assert [type(c) for c in product] == [int, int]
+        half = exact(Fraction(np.int64(3), np.int64(6)))
+        assert (type(half.numerator), type(half.denominator)) == (int, int)
+
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_scalars, min_size=1, max_size=6), st.lists(_scalars, min_size=1, max_size=4))
     def test_unipoly(self, a, b):
