@@ -75,7 +75,7 @@ def evaluate(B: BinaryForm, x: int, y: int) -> int:
 
 
 def form_discriminant(B: BinaryForm) -> int:
-    """Exact discriminant via the Sylvester determinant of B(x,1) and its derivative."""
+    """Exact discriminant via the Bezout determinant of B(x,1) and its derivative."""
     return coeffs_discriminant(B.coeffs)
 
 
@@ -150,17 +150,6 @@ def _gfp_mulmod(a, b, f, p):
     return _gfp_trim([v % p for v in out[:df]])
 
 
-def _gfp_powmod_x(e: int, f, p):
-    """x^e modulo the monic polynomial f over GF(p)."""
-    result, base = [1], [0, 1]
-    while e:
-        if e & 1:
-            result = _gfp_mulmod(result, base, f, p)
-        base = _gfp_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
 def _gfp_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
@@ -181,26 +170,42 @@ def _gfp_gcd(a, b, p):
 def _gfp_is_irreducible(cs: tuple[int, ...], p: int) -> bool:
     """Irreducibility of the reduction f of cs modulo p, degree n preserved.
 
-    f is irreducible exactly when gcd(x^(p^k) - x, f) = 1 for k = 1 .. n/2
-    (no factor of degree k, repeated ones included).  Row i of the Frobenius
-    matrix Q is x^(ip) mod f, so h -> h^p is the vector-matrix product hQ.
+    Degree 1 is irreducible.  A root, found by evaluating f at each residue,
+    is a linear factor.  Past that, f is irreducible exactly when
+    gcd(x^(p^k) - x, f) = 1 for k = 2 .. n/2 (no factor of degree k,
+    repeated ones included).  Row i of the Frobenius matrix Q is x^(ip) mod
+    f, so h -> h^p is hQ; row 1, x^p mod f, takes p - n + 1 steps of
+    multiplying by x and reducing (none when p < n).
     """
     if cs[-1] % p == 0:
         return False
     n = len(cs) - 1
+    if n == 1:
+        return True
     inv = pow(cs[-1] % p, p - 2, p)
     f = [(c * inv) % p for c in cs]
-    xp = _gfp_powmod_x(p, f, p)
-    h, rows = xp + [0] * (n - len(xp)), [[1]]
-    for k in range(1, n // 2 + 1):
-        if k > 1:
-            while len(rows) < n:
-                rows.append(_gfp_mulmod(rows[-1], xp, f, p))
-            out = [0] * n
-            for c, row in zip(h, rows):
-                for j, q in enumerate(row):
-                    out[j] += c * q
-            h = [v % p for v in out]
+    for r in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * r + c) % p
+        if not acc:
+            return False
+    if n < 4:
+        return True
+    e = min(p, n - 1)
+    h = [int(i == e) for i in range(n)]
+    for _ in range(p - e):
+        top = h[-1]
+        h = [-top * f[0] % p] + [(a - top * b) % p for a, b in zip(h, f[1:n])]
+    xp, rows = h, [[1]]
+    for _ in range(2, n // 2 + 1):
+        while len(rows) < n:
+            rows.append(_gfp_mulmod(rows[-1], xp, f, p))
+        out = [0] * n
+        for c, row in zip(h, rows):
+            for j, q in enumerate(row):
+                out[j] += c * q
+        h = [v % p for v in out]
         diff = _gfp_trim([h[0], (h[1] - 1) % p] + h[2:])
         if not diff or len(_gfp_gcd(f, diff, p)) != 1:
             return False
@@ -267,11 +272,11 @@ def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     perfect square (both end coefficients are nonzero).  A higher degree is
     accepted when Eisenstein at a prime below 50 in either orientation (only
     the primes of the content of the coefficients below the lead are tried),
-    then when irreducible modulo a prime below 50 (a Frobenius-matrix
-    distinct-degree scan), and rejected on a rational root; a cubic without
-    one is irreducible, and degrees 4 and 5 are decided by a search for an
-    integer quadratic factor whose value at 1 divides the form's.  ``disc``
-    is the form's discriminant, if known.
+    then when irreducible modulo a prime below 50 (no root among the
+    residues, then a Frobenius-matrix distinct-degree scan), and rejected on
+    a rational root; a cubic without one is irreducible, and degrees 4 and 5
+    are decided by a search for an integer quadratic factor whose value at 1
+    divides the form's.  ``disc`` is the form's discriminant, if known.
     """
     n = B.degree
     if n > 5:

@@ -16,8 +16,8 @@ through `0 + p`.
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads.
 Determinants and inverses share one fraction-free (Bareiss) elimination
-over the integers, and the Sylvester matrix and the integer discriminant
-share one row layout.
+over the integers; the integer discriminant is the determinant of the n x n
+Bezout matrix of f and f', and the Sylvester matrix serves `resultant`.
 """
 
 from __future__ import annotations
@@ -714,17 +714,24 @@ def _sylvester_rows(pc: list, qc: list) -> list[list]:
 def coeffs_discriminant(coeffs) -> int:
     """Discriminant of the form with integer coefficients (a1, ..., a_{n+1}).
 
-    The integer Sylvester determinant, negated when n = 2, 3 (mod 4), over
-    a1; that division is always exact, and raises if it is not.
+    The determinant of the n x n Bezout matrix of f = B(x, 1) and g = f',
+    which is a1^2 times the discriminant; that division is always exact, and
+    raises if it is not.  With f_k, g_k the coefficients of x^k, entry (i, j)
+    sums f_{i+j+1-q} g_q - f_q g_{i+j+1-q} over q <= min(i, j), so each
+    anti-diagonal i + j = s is one running sum over q.
     """
     n = len(coeffs) - 1
-    deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
-    det = det_bareiss(_sylvester_rows(list(coeffs), deriv))
-    value, rem = divmod(-det if n % 4 in (2, 3) else det, coeffs[0])
+    f = coeffs[::-1]
+    g = [(k + 1) * c for k, c in enumerate(f[1:])] + [0]
+    rows = [[0] * n for _ in range(n)]
+    for s in range(2 * n - 1):
+        acc = 0
+        for q in range(max(0, s - n + 1), s // 2 + 1):
+            acc += f[s + 1 - q] * g[q] - f[q] * g[s + 1 - q]
+            rows[q][s - q] = rows[s - q][q] = acc
+    value, rem = divmod(det_bareiss(rows), coeffs[0] ** 2)
     if rem:
-        raise ArithmatError(
-            "discriminant division by the leading coefficient was not exact"
-        )
+        raise ArithmatError("discriminant division by a1^2 was not exact")
     return value
 
 

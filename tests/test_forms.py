@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arithmat.errors import (
     NonIntegerEntryError,
@@ -20,7 +20,10 @@ from arithmat.forms import (
     BinaryForm,
     _divisors,
     _eisenstein,
+    _gfp_gcd,
     _gfp_is_irreducible,
+    _gfp_mulmod,
+    _gfp_trim,
     _has_rational_root,
     _primitive_monic_sign,
     _quadratic_factor_exists,
@@ -194,19 +197,70 @@ def _has_monic_divisor_mod_p(cs, p):
     return False
 
 
+def _powmod_scan(cs, p):
+    """The reference scan: x^p mod f by square-and-multiply, then
+    gcd(x^(p^k) - x, f) = 1 for every k = 1 .. n/2."""
+    if cs[-1] % p == 0:
+        return False
+    n = len(cs) - 1
+    inv = pow(cs[-1] % p, p - 2, p)
+    f = [(c * inv) % p for c in cs]
+    xp, base, e = [1], [0, 1], p
+    while e:
+        if e & 1:
+            xp = _gfp_mulmod(xp, base, f, p)
+        base = _gfp_mulmod(base, base, f, p)
+        e >>= 1
+    h, rows = xp + [0] * (n - len(xp)), [[1]]
+    for k in range(1, n // 2 + 1):
+        if k > 1:
+            while len(rows) < n:
+                rows.append(_gfp_mulmod(rows[-1], xp, f, p))
+            out = [0] * n
+            for c, row in zip(h, rows):
+                for j, q in enumerate(row):
+                    out[j] += c * q
+            h = [v % p for v in out]
+        diff = _gfp_trim([h[0], (h[1] - 1) % p] + h[2:])
+        if not diff or len(_gfp_gcd(f, diff, p)) != 1:
+            return False
+    return True
+
+
+def _brute_force_cases():
+    """(p, low, lead) of degree at most 6, or at most 5 at p = 47, so that
+    the brute-force search there tries factors of degree at most 2."""
+    return st.sampled_from((2, 3, 5, 7, 11, 13, 47)).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(st.integers(-60, 60), min_size=1, max_size=6 if p < 47 else 5),
+            st.integers(1, 60),
+        )
+    )
+
+
 class TestModPIrreducibility:
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from((2, 3, 5, 7)),
-        st.lists(st.integers(-20, 20), min_size=1, max_size=6),
-        st.integers(1, 20),
-    )
-    def test_matches_brute_force_divisor_search(self, p, low, lead):
+    @given(_brute_force_cases())
+    def test_matches_brute_force_divisor_search(self, case):
+        p, low, lead = case
         cs = (*low, lead)
         if lead % p == 0:
             assert _gfp_is_irreducible(cs, p) is False
         else:
             assert _gfp_is_irreducible(cs, p) is not _has_monic_divisor_mod_p(cs, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+        st.integers(-10**6, 10**6).filter(bool),
+    )
+    @example([3], 1)
+    @example([1, 0, 1, 0], 1)
+    def test_matches_powmod_scan_at_every_accept_prime(self, low, lead):
+        cs = (*low, lead)
+        for p in _ACCEPT_PRIMES:
+            assert _gfp_is_irreducible(cs, p) is _powmod_scan(cs, p), p
 
     def test_repeated_factor_is_reducible(self):
         # (x^2 + x + 1)^2 mod 2: no linear factor, a repeated quadratic one

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arithmat import element as el
 from arithmat.errors import NonSquareMatrixError, ZeroPolynomialError
@@ -13,6 +13,8 @@ from arithmat.polyring import (
     ExactMatrix,
     MultiPoly,
     UniPoly,
+    _sylvester_rows,
+    coeffs_discriminant,
     collect_coeffs,
     det_bareiss,
     det_cofactor,
@@ -137,6 +139,44 @@ class TestSylvesterAndResultant:
             q = rand_poly(rng, rng.randint(1, 4))
             sign = (-1) ** (p.degree * q.degree)
             assert resultant(p, q) == sign * resultant(q, p)
+
+
+def _sylvester_discriminant(coeffs):
+    """The Sylvester route: the determinant of f and f' (highest degree first),
+    times (-1)^(n(n-1)/2), over a1."""
+    n = len(coeffs) - 1
+    deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
+    det = det_bareiss(_sylvester_rows(list(coeffs), deriv))
+    value, rem = divmod((-1) ** (n * (n - 1) // 2) * det, coeffs[0])
+    assert rem == 0
+    return value
+
+
+@st.composite
+def discriminant_coeffs(draw):
+    """Coefficients (a1, ..., a_{n+1}) of degree 2 to 12 up to 10^40, or a
+    product g^2 h with a repeated factor g, whose discriminant is 0."""
+    n = draw(st.integers(2, 12))
+
+    def coeffs(k, bound):
+        lead = draw(st.integers(-bound, bound).filter(bool))
+        return [lead] + draw(st.lists(st.integers(-bound, bound), min_size=k, max_size=k))
+
+    if draw(st.booleans()):
+        return coeffs(n, 10**40)
+    k = draw(st.integers(1, n // 2))
+    g, h = UniPoly(coeffs(k, 10**13)[::-1]), UniPoly(coeffs(n - 2 * k, 10**14)[::-1])
+    return list((g * g * h).coeffs[::-1])
+
+
+class TestBezoutDiscriminant:
+    @settings(max_examples=150, deadline=None)
+    @given(discriminant_coeffs())
+    @example([6, -4, 2, 0, 7])
+    @example([-10**40, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 10**40])
+    @example([18, -60, 113, -210, 175])  # (3x - 5)^2 (2x^2 + 7)
+    def test_equals_sylvester_route(self, coeffs):
+        assert coeffs_discriminant(coeffs) == _sylvester_discriminant(coeffs)
 
 
 class TestDeterminants:
