@@ -109,17 +109,21 @@ def _divisors(n: int) -> list[int]:
 def _has_rational_root(cs: tuple[int, ...]) -> bool:
     # cs low-to-high, primitive, nonzero ends
     lead, const = cs[-1], cs[0]
-    n = len(cs) - 1
     const_divisors = _divisors(const)
     for q in _divisors(lead):
+        # c_k q^(n-k), high degree first
+        scaled, qk = [], 1
+        for c in reversed(cs):
+            scaled.append(c * qk)
+            qk *= q
         for p in const_divisors:
             if math.gcd(p, q) != 1:
                 continue
             for sp in (p, -p):
-                # f(sp/q) * q^n, evaluated in integers
+                # f(sp/q) * q^n by homogeneous Horner, in integers
                 acc = 0
-                for k, c in enumerate(cs):
-                    acc += c * sp**k * q ** (n - k)
+                for c in scaled:
+                    acc = acc * sp + c
                 if acc == 0:
                     return True
     return False
@@ -212,6 +216,17 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _stickelberger_allows(d: int, n: int, p: int) -> bool:
+    """Whether a degree-n integer polynomial of discriminant d, with a lead
+    prime to p, can be irreducible modulo p.  Stickelberger's theorem (Swan,
+    1962, which covers p = 2 and a non-monic lead) says the Kronecker symbol
+    (d/p) is (-1)^(n - r) when the reduction is squarefree with r irreducible
+    factors, and 0 when it is not; irreducible means r = 1."""
+    if p == 2:
+        return d % 8 in ((1, 7) if n % 2 else (3, 5))
+    return pow(d, (p - 1) // 2, p) == (1 if n % 2 else p - 1)
+
+
 def _quadratic_factor_exists(cs: tuple[int, ...]) -> bool:
     """Whether cs (low-to-high, positive lead, no rational root) has an integer
     quadratic factor g.  g(x) | f(x) at every integer x and f(1) != 0, so
@@ -249,16 +264,25 @@ def _cheap_decision(B: BinaryForm, disc: int | None):
     a rational root, True at degree 3, else None.  The mod-p accept comes
     before the rational-root scan, whose divisor search grows as the square
     root of the end coefficients: a form irreducible mod p has no rational
-    root, so the order changes no decision."""
+    root, so the order changes no decision.  The mod-p scan runs only at the
+    primes where the discriminant D of the primitive part passes the parity
+    test of `_stickelberger_allows` (p does not divide D and (D/p) is
+    (-1)^(n-1)); at any other prime the form is reducible modulo p, so the
+    skip changes no decision either."""
+    d = form_discriminant(B) if disc is None else disc
     if B.degree == 2:
-        d = form_discriminant(B) if disc is None else disc
         return d < 0 or math.isqrt(d) ** 2 != d
     cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
     if _eisenstein(cs) or _eisenstein(cs[::-1]):
         return True
-    if (form_discriminant(B) if disc is None else disc) == 0:
+    if d == 0:
         return False
-    if any(cs[-1] % p and _gfp_is_irreducible(cs, p) for p in _ACCEPT_PRIMES):
+    n = B.degree
+    d //= math.gcd(*B.coeffs) ** (2 * n - 2)  # the discriminant of cs
+    if any(
+        cs[-1] % p and _stickelberger_allows(d, n, p) and _gfp_is_irreducible(cs, p)
+        for p in _ACCEPT_PRIMES
+    ):
         return True
     if _has_rational_root(cs):
         return False
@@ -276,7 +300,15 @@ def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     residues, then a Frobenius-matrix distinct-degree scan), and rejected on
     a rational root; a cubic without one is irreducible, and degrees 4 and 5
     are decided by a search for an integer quadratic factor whose value at 1
-    divides the form's.  ``disc`` is the form's discriminant, if known.
+    divides the form's.  The mod-p scan skips each prime that divides the
+    discriminant D of the primitive part or has (D/p) != (-1)^(n-1): by
+    Stickelberger's theorem the form is reducible modulo such a prime.
+
+    ``disc``, if given, must be the form's own discriminant: it decides a
+    quadratic, a zero value rejects a higher degree, and a nonzero one
+    chooses the primes of the mod-p scan.  A prime accepts only an
+    irreducible form, so above degree 2 a wrong nonzero value can lose a
+    certificate but never turns a reducible form into an irreducible one.
     """
     n = B.degree
     if n > 5:
@@ -293,7 +325,10 @@ def irreducibility_certificate(B: BinaryForm, disc: int | None = None):
     Degrees 2 to 5 go to `is_irreducible`.  Above, True certifies
     irreducibility (Eisenstein or irreducible modulo a prime below 50), False
     reducibility (zero discriminant or a rational root), and None is
-    undecided, as for x^6 + 108.  ``disc`` is the form's discriminant, if known.
+    undecided, as for x^6 + 108.  ``disc``, if given, must be the form's own
+    discriminant, as for `is_irreducible`: it also chooses the primes of the
+    mod-p scan, so a wrong nonzero value can lose a certificate but never
+    make one for a reducible form of degree >= 3.
     """
     if B.degree <= 5:
         return is_irreducible(B, disc)

@@ -27,12 +27,13 @@ from arithmat.forms import (
     _has_rational_root,
     _primitive_monic_sign,
     _quadratic_factor_exists,
+    _stickelberger_allows,
     evaluate,
     form_discriminant,
     irreducibility_certificate,
     is_irreducible,
 )
-from arithmat.polyring import UniPoly, poly_mul_schoolbook
+from arithmat.polyring import UniPoly, coeffs_discriminant, poly_mul_schoolbook
 
 
 def rand_form(rng, n, hi=9):
@@ -266,6 +267,148 @@ class TestModPIrreducibility:
         # (x^2 + x + 1)^2 mod 2: no linear factor, a repeated quadratic one
         assert _gfp_is_irreducible((1, 0, 1, 0, 1), 2) is False
         assert _gfp_is_irreducible((1, 1, 1), 2) is True
+
+
+def _kronecker(d, p):
+    """(d/p) for a prime p, by listing the squares modulo p (mod 8 at p = 2)."""
+    if d % p == 0:
+        return 0
+    if p == 2:
+        return 1 if d % 8 in (1, 7) else -1
+    return 1 if d % p in {x * x % p for x in range(1, p)} else -1
+
+
+nonzero_lead = st.integers(-60, 60).filter(bool)
+
+
+class TestStickelbergerParity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12).flatmap(
+        lambda n: st.lists(st.integers(-60, 60), min_size=n, max_size=n)
+    ), nonzero_lead)
+    @example([1, 0, 1, 0], 1)  # x^4 + x^2 + 1
+    @example([1, 1, 0, 0, 0], -3)  # -3x^5 + x + 1
+    def test_irreducible_mod_p_has_the_parity_sign(self, low, lead):
+        # Stickelberger (Swan at p = 2): an irreducible reduction mod p of a
+        # degree-n polynomial with p not dividing its lead has p not dividing
+        # D and (D/p) = (-1)^(n - 1); so the skipped primes cannot certify
+        cs = (*low, lead)
+        n = len(cs) - 1
+        D = coeffs_discriminant(cs[::-1])
+        for p in _ACCEPT_PRIMES:
+            if lead % p and _gfp_is_irreducible(cs, p):
+                assert _kronecker(D, p) == (-1) ** (n - 1), p
+                assert _stickelberger_allows(D, n, p), p
+
+    @pytest.mark.parametrize("p", _ACCEPT_PRIMES)
+    def test_matches_the_kronecker_symbol(self, p):
+        for n in (2, 3):
+            for d in range(-200, 201):
+                assert _stickelberger_allows(d, n, p) is (_kronecker(d, p) == (-1) ** (n - 1))
+
+
+def _termwise_rational_root(cs):
+    """The rational-root scan before homogeneous Horner: f(sp/q) q^n summed
+    term by term."""
+    n = len(cs) - 1
+    for q in _divisors(cs[-1]):
+        for p in _divisors(cs[0]):
+            if math.gcd(p, q) == 1 and any(
+                sum(c * sp**k * q ** (n - k) for k, c in enumerate(cs)) == 0
+                for sp in (p, -p)
+            ):
+                return True
+    return False
+
+
+def _old_cheap_decision(B, disc):
+    """The decision before the parity skip: the mod-p scan at every prime
+    of _ACCEPT_PRIMES that does not divide the lead, then the term-by-term
+    rational-root scan."""
+    if B.degree == 2:
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
+    if _eisenstein(cs) or _eisenstein(cs[::-1]):
+        return True
+    if disc == 0:
+        return False
+    if any(cs[-1] % p and _gfp_is_irreducible(cs, p) for p in _ACCEPT_PRIMES):
+        return True
+    if _termwise_rational_root(cs):
+        return False
+    return True if B.degree == 3 else None
+
+
+def _random_forms(rng, count):
+    """Forms of degree 3 to 12 of either lead sign: random ones, products of
+    two random factors, and a third of them times a content of 2 to 9."""
+
+    def coeffs(n, hi):
+        lead = rng.choice((-1, 1)) * rng.randint(1, hi)
+        return [lead] + [rng.randint(-hi, hi) for _ in range(n)]
+
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 12)
+        if rng.random() < 0.4:
+            cs = coeffs(n, 9)
+        else:
+            k = rng.randint(1, n - 1)
+            g, h = UniPoly(coeffs(k, 5)[::-1]), UniPoly(coeffs(n - k, 5)[::-1])
+            cs = list((g * h).coeffs[::-1])
+        if cs[-1] == 0:
+            continue
+        if rng.random() < 0.3:
+            m = rng.randint(2, 9)
+            cs = [m * c for c in cs]
+        out.append(BinaryForm(cs))
+    return out
+
+
+class TestParitySkipKeepsDecisions:
+    def test_matches_the_scan_at_every_prime(self):
+        forms_seen = _random_forms(random.Random(18), 5000)
+        outcomes = set()
+        for B in forms_seen:
+            D = form_discriminant(B)
+            decided = forms._cheap_decision(B, D)
+            assert decided is _old_cheap_decision(B, D), B
+            assert forms._cheap_decision(B, None) is decided
+            outcomes.add(decided)
+        assert outcomes == {True, False, None}
+
+    def test_scan_runs_at_fewer_primes(self, monkeypatch):
+        primes = []
+
+        def counted(cs, p):
+            primes.append(p)
+            return _gfp_is_irreducible(cs, p)
+
+        monkeypatch.setattr(forms, "_gfp_is_irreducible", counted)
+        # (x^2 + 1)(x^4 + x + 1) has no rational root and D = -22900 =
+        # -2^2 5^2 229, so 2 and 5 divide D and (D/p) = -1 leaves seven primes
+        B = BinaryForm([1, 0, 1, 1, 1, 1, 1])
+        assert form_discriminant(B) == -22900
+        assert forms._cheap_decision(B, -22900) is None
+        assert primes == [3, 11, 13, 19, 29, 41, 43]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        nonzero_lead,
+        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        nonzero_lead,
+        st.integers(-10**6, 10**6).filter(bool),
+    )
+    def test_a_wrong_discriminant_never_certifies_a_product(self, g_low, g_lead, h_low, h_lead, wrong):
+        # the parity test only skips primes, so a wrong nonzero disc can lose
+        # a certificate but never make one for a reducible form of degree >= 3
+        prod = poly_mul_schoolbook(UniPoly([*g_low, g_lead]), UniPoly([*h_low, h_lead]))
+        cs = [int(prod.coeff(k)) for k in range(prod.degree, -1, -1)]
+        assume(cs[-1] != 0 and len(cs) >= 4)
+        B = BinaryForm(cs)
+        for disc in (wrong, -wrong, wrong * form_discriminant(B) or wrong):
+            assert irreducibility_certificate(B, disc) is not True
 
 
 class TestEisensteinAccept:

@@ -20,6 +20,7 @@ from arithmat.polyring import (
     det_cofactor,
     det_exact,
     exact,
+    poly_discriminant,
     poly_mul_schoolbook,
     resultant,
     sylvester_matrix,
@@ -154,15 +155,15 @@ def _sylvester_discriminant(coeffs):
 
 @st.composite
 def discriminant_coeffs(draw):
-    """Coefficients (a1, ..., a_{n+1}) of degree 2 to 12 up to 10^40, or a
+    """Coefficients (a1, ..., a_{n+1}) of degree 1 to 12 up to 10^40, or a
     product g^2 h with a repeated factor g, whose discriminant is 0."""
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 12))
 
     def coeffs(k, bound):
         lead = draw(st.integers(-bound, bound).filter(bool))
         return [lead] + draw(st.lists(st.integers(-bound, bound), min_size=k, max_size=k))
 
-    if draw(st.booleans()):
+    if n == 1 or draw(st.booleans()):
         return coeffs(n, 10**40)
     k = draw(st.integers(1, n // 2))
     g, h = UniPoly(coeffs(k, 10**13)[::-1]), UniPoly(coeffs(n - 2 * k, 10**14)[::-1])
@@ -177,6 +178,24 @@ class TestBezoutDiscriminant:
     @example([18, -60, 113, -210, 175])  # (3x - 5)^2 (2x^2 + 7)
     def test_equals_sylvester_route(self, coeffs):
         assert coeffs_discriminant(coeffs) == _sylvester_discriminant(coeffs)
+
+
+class TestBinomialDiscriminant:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(-10**20, 10**20).filter(bool),
+        st.integers(-10**20, 10**20).filter(bool),
+    )
+    @example(1, 7, -3)
+    @example(12, 1, 108)
+    def test_closed_form(self, n, a, c):
+        # disc(a x^n + c) = (-1)^(n(n-1)/2) n^n a^(n-1) c^(n-1): a sparse
+        # Bezout matrix, whose elimination needs row swaps; 1 at degree 1
+        expected = (-1) ** (n * (n - 1) // 2) * n**n * a ** (n - 1) * c ** (n - 1)
+        coeffs = [a] + [0] * (n - 1) + [c]
+        assert coeffs_discriminant(coeffs) == expected
+        assert poly_discriminant(UniPoly(coeffs[::-1])) == expected
 
 
 class TestDeterminants:
