@@ -5,22 +5,37 @@ class name is printed), 3 verification failures.  The --json flag emits the
 same values as structured records.  List-valued arguments are comma strings
 without spaces, so negative numbers need no quoting.
 
-Start-up: each call is one subcommand in a fresh interpreter, so a module
-that only some subcommands run (fastmul, search, numeric, json, random,
-time) is imported inside the handlers that run it.  Importing the package
-still loads errors, polyring, forms, field and element.  covariants stays a
-module-level import although only syzygy runs it: a tracer that wraps
+Start-up: each call is one subcommand in a fresh interpreter, so it compiles
+only the modules that subcommand runs.  `import arithmat` loads no submodule,
+this module imports only errors, and each handler imports what it runs.
+covariants is bound through importlib's LazyLoader: a tracer that wraps
 arithmat's functions from outside the package (perfbench/tracer.py) looks
-every target module up in sys.modules, and nothing else loads covariants.
+every target module up in sys.modules, where it is from the start, but it is
+compiled only when syzygy first touches it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 
-from . import covariants
 from .errors import ArithmatError, DimensionMismatchError, MissingDependencyError
+
+
+def _lazy_submodule(name: str):
+    """The package's submodule `name` (one object), executed on its first attribute use."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    setattr(sys.modules[__package__], name, sys.modules[fullname])
+    return sys.modules[fullname]
+
+
+covariants = _lazy_submodule("covariants")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,16 +124,12 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    from .field import (
-        Element,
-        EssentialPair,
-        arithmetic_matrix,
-        make_field,
-        symbolic_arithmetic_matrix,
-    )
+    from .field import Element, EssentialPair, arithmetic_matrix, make_field
 
     F = make_field(EssentialPair.from_text(args.pair))
     if args.symbolic:
+        from .symbolic import symbolic_arithmetic_matrix
+
         M = symbolic_arithmetic_matrix(F)
     else:
         M = arithmetic_matrix(F, Element.from_text(F, args.coords))
@@ -213,6 +224,9 @@ def _cmd_syzygy(args) -> int:
 
 
 def _cmd_diag_check(args) -> int:
+    # field and its imports compile before numpy loads, which keeps the peak RSS down
+    from .field import Element, EssentialPair, make_field
+
     try:
         from . import numeric  # numpy is imported for this command only
     except ModuleNotFoundError as exc:
@@ -221,7 +235,6 @@ def _cmd_diag_check(args) -> int:
         raise MissingDependencyError(
             "diag-check needs numpy, which is not installed (pip install numpy)"
         ) from exc
-    from .field import Element, EssentialPair, make_field
 
     F = make_field(EssentialPair.from_text(args.pair))
     alpha = Element.from_text(F, args.coords)

@@ -26,11 +26,11 @@ from fractions import Fraction
 
 from .element import char_poly, inverse, mul, norm
 from .errors import ArithmatError, UnsupportedDegreeError
-from .field import NumberField, generic_form_coeffs, integer_matrix, integer_trace
-from .field import matrix_from_coefficients
+from .field import NumberField, integer_matrix, integer_trace
 from .forms import BinaryForm, form_discriminant
-from .polyring import ExactMatrix, MultiPoly, collect_coeffs, det_cofactor, exact_int
-from .polyring import poly_discriminant
+from .polyring import ExactMatrix, exact_int, poly_discriminant
+from .symbolic import MultiPoly, collect_coeffs, det_cofactor, generic_form_coeffs
+from .symbolic import matrix_from_coefficients
 
 _XYZ = ("x", "y", "z")
 

@@ -11,14 +11,11 @@ integral basis
 where zeta is a root of B(x, 1).  Multiplication by an element alpha with
 coordinates (x0, ..., x_{n-1}) over this basis is encoded in an n x n matrix
 whose first column is the coordinate vector; the remaining entries are
-integer-coefficient polynomials in the coordinates.  Two constructions are
-provided: the explicit entry formulas, and substitution of x1/a0 into the
-a0 = 1 matrix followed by conjugation with diag(1, 1/a0, 1, ..., 1).  They
-agree identically, and they are the symbolic path and the oracles of the
-integer kernel (`integer_matrix`), which evaluates the same entries on integer
-coordinates in O(n^2) by running sums along the matrix's diagonals.  Both
-symbolic entry points are `matrix_from_coefficients` on the coordinate
-symbols, behind one degree cap.  Every operation that takes an element
+integer-coefficient polynomials in the coordinates.  The integer kernel
+(`integer_matrix`) evaluates those entries on integer coordinates in O(n^2)
+by running sums along the matrix's diagonals.  The paper's explicit entry
+formulas and the substitution route, which are the kernel's oracles and the
+symbolic path, live in `symbolic`.  Every operation that takes an element
 checks it with `require_same_field`, here and in `element` and `fastmul`.
 """
 
@@ -38,7 +35,6 @@ from .errors import (
 from .forms import BinaryForm, form_discriminant, irreducibility_certificate
 from .polyring import (
     ExactMatrix,
-    MultiPoly,
     UniPoly,
     exact,
     exact_int,
@@ -46,14 +42,6 @@ from .polyring import (
     parse_rational,
     scaled_coords,
 )
-
-# Coordinate and coefficient letters used for symbolic displays of small
-# degrees; higher degrees fall back to indexed names.
-_COORD_LETTERS = ("u", "x", "y", "z", "w")
-_COEFF_LETTERS = ("a", "b", "c", "d", "e", "f")
-
-# Symbolic matrices use cofactor expansion downstream, so cap the degree.
-SYMBOLIC_DEGREE_CAP = 16
 
 
 class EssentialPair:
@@ -238,108 +226,8 @@ def make_field(pair: EssentialPair) -> NumberField:
 
 
 # ----------------------------------------------------------------------
-# Matrix entry construction
+# Arithmetic matrices
 # ----------------------------------------------------------------------
-
-
-def _quotient(v, k: int):
-    """v / k, kept an integer when k divides v (always so for a validated pair)."""
-    if isinstance(v, int) and v % k == 0:
-        return v // k
-    return v * Fraction(1, k)
-
-
-def _standard_entry(n: int, a, xs):
-    """Entry function (i, j) -> N[i][j] for a0 = 1; a is 1-indexed (a[1]..a[n+1]), xs 0-indexed."""
-
-    def entry(i, j):
-        if j == 1:
-            return xs[i - 1]
-        if i == 1:
-            return -a[n + 1] * sum(a[k] * xs[k + n - j] for k in range(1, j))
-        if i > j:
-            return sum(a[k] * xs[k + i - j - 1] for k in range(1, j))
-        m = min(n - i + j, n + 1)
-        acc = xs[0] if i == j else 0
-        return acc - sum(a[k] * xs[k + i - j - 1] for k in range(j, m + 1))
-
-    return entry
-
-
-def _generalized_entry(n: int, a, a0: int, xs):
-    """Explicit entries for a general pair; reduces to the standard ones at a0=1.
-
-    The pair enters only through the exact quotients a1/a0, a1/a0^2, a2/a0
-    and a1*a_{n+1}/a0, so integer coordinates give integer entries.
-    """
-    c1 = _quotient(a[1], a0)
-    c11 = _quotient(a[1], a0 * a0)
-    c2 = _quotient(a[2], a0)
-    c1n = _quotient(a[1] * a[n + 1], a0)
-    if n == 2:
-        rows = [[xs[0], -(c11 * a[3]) * xs[1]], [xs[1], xs[0] - c2 * xs[1]]]
-        return lambda i, j: rows[i - 1][j - 1]
-
-    def entry(i, j):
-        if j == 1:
-            return xs[i - 1]
-        if j == 2:
-            if i == 1:
-                return -c1n * xs[n - 1]
-            if i == 2:
-                return xs[0] - c2 * xs[1] - sum(a[k] * xs[k - 1] for k in range(3, n + 1))
-            if i == 3:
-                return c11 * xs[1]
-            return c1 * xs[i - 2]
-        # j >= 3
-        if i == 1:
-            if j == n:
-                return -c1n * xs[1] - a[n + 1] * sum(a[k] * xs[k] for k in range(2, n))
-            return -a[n + 1] * sum(a[k] * xs[k + n - j] for k in range(1, j))
-        if i == 2:
-            return -a[j] * xs[1] - a0 * sum(
-                a[k] * xs[k + 1 - j] for k in range(j + 1, n + 2)
-            )
-        if j <= i - 2:
-            return sum(a[k] * xs[k + i - j - 1] for k in range(1, j))
-        if j == i - 1:
-            return c1 * xs[1] + sum(a[k] * xs[k] for k in range(2, i - 1))
-        m = min(n - i + j, n + 1)
-        acc = xs[0] if i == j else 0
-        return acc - sum(a[k] * xs[k + i - j - 1] for k in range(j, m + 1))
-
-    return entry
-
-
-def _entries_substitution(n: int, coeffs, a0: int, xs):
-    """Generalized entries via x1 -> x1/a0 followed by diag(1, 1/a0, 1, ...) conjugation."""
-    subbed = list(xs)
-    subbed[1] = xs[1] * Fraction(1, a0)
-    rows = _matrix_rows(n, coeffs, 1, subbed)
-    for j in range(n):
-        rows[1][j] = rows[1][j] * a0
-    for i in range(n):
-        rows[i][1] = rows[i][1] * Fraction(1, a0)
-    return rows
-
-
-def _check_method(method: str) -> None:
-    if method not in ("explicit", "substitution"):
-        raise ValueError(f"unknown construction method {method!r}")
-
-
-def _matrix_rows(n: int, coeffs, a0: int, xs, method: str = "explicit"):
-    _check_method(method)
-    if a0 == 1 or method == "explicit":
-        a = {k + 1: c for k, c in enumerate(coeffs)}
-        entry = _standard_entry(n, a, xs) if a0 == 1 else _generalized_entry(n, a, a0, xs)
-        return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return _entries_substitution(n, coeffs, a0, xs)
-
-
-def _flatten(rows) -> ExactMatrix:
-    n = len(rows)
-    return ExactMatrix(n, n, [e for row in rows for e in row])
 
 
 def _diagonal_sums(n: int, a, xs) -> list[list[int]]:
@@ -422,62 +310,15 @@ def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") 
     an independent oracle.
     """
     require_same_field(F, alpha)
-    _check_method(method)
-    if method == "explicit" or F.a0 == 1:
-        rows, d = integer_matrix(F, alpha)
-        entries = [v for row in rows for v in row]
-        return ExactMatrix(F.n, F.n, entries if d == 1 else [Fraction(v, d) for v in entries])
-    return _flatten(_matrix_rows(F.n, F.pair.form.coeffs, F.a0, alpha.coords, method))
+    if method != "explicit":
+        from .symbolic import _check_method, matrix_from_coefficients
 
-
-def symbolic_coords(n: int) -> list[MultiPoly]:
-    """Coordinate symbols: u, x, y, z, w for n <= 5, else x0..x_{n-1}."""
-    if n <= len(_COORD_LETTERS):
-        names = _COORD_LETTERS[:n]
-    else:
-        names = [f"x{i}" for i in range(n)]
-    return [MultiPoly.var(nm) for nm in names]
-
-
-def generic_form_coeffs(n: int) -> list[MultiPoly]:
-    """Coefficient symbols a..f for n <= 5, else a1..a_{n+1}."""
-    if n + 1 <= len(_COEFF_LETTERS):
-        names = _COEFF_LETTERS[: n + 1]
-    else:
-        names = [f"a{k}" for k in range(1, n + 2)]
-    return [MultiPoly.var(nm) for nm in names]
-
-
-def _symbolic_matrix(coeffs, a0: int, method: str) -> ExactMatrix:
-    """`matrix_from_coefficients` on the coordinate symbols, up to the degree cap."""
-    if len(coeffs) - 1 > SYMBOLIC_DEGREE_CAP:
-        raise DimensionMismatchError(f"symbolic mode supports degree <= {SYMBOLIC_DEGREE_CAP}")
-    return matrix_from_coefficients(coeffs, a0, method=method)
-
-
-def symbolic_arithmetic_matrix(F: NumberField, method: str = "explicit") -> ExactMatrix:
-    """Arithmetic matrix of F with symbolic coordinates (concrete coefficients)."""
-    return _symbolic_matrix(F.pair.form.coeffs, F.a0, method)
-
-
-def generic_arithmetic_matrix(n: int, a0: int = 1, method: str = "explicit") -> ExactMatrix:
-    """Fully symbolic arithmetic matrix: generic coefficients and coordinates."""
-    return _symbolic_matrix(generic_form_coeffs(n), a0, method)
-
-
-def matrix_from_coefficients(coeffs, a0: int = 1, coords=None, method: str = "explicit") -> ExactMatrix:
-    """Arithmetic matrix for raw coefficient values, without field validation.
-
-    Useful for polynomial identities that hold for arbitrary forms (covariant
-    derivations run here with symbolic or concrete coefficients alike).
-    Coordinates default to the symbolic letters.
-    """
-    n = len(coeffs) - 1
-    if coords is None:
-        coords = symbolic_coords(n)
-    if len(coords) != n:
-        raise DimensionMismatchError(f"expected {n} coordinates")
-    return _flatten(_matrix_rows(n, list(coeffs), a0, list(coords), method))
+        _check_method(method)
+        if F.a0 != 1:
+            return matrix_from_coefficients(F.pair.form.coeffs, F.a0, alpha.coords, method)
+    rows, d = integer_matrix(F, alpha)
+    entries = [v for row in rows for v in row]
+    return ExactMatrix(F.n, F.n, entries if d == 1 else [Fraction(v, d) for v in entries])
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,16 @@
 """Exact polynomial arithmetic and exact linear algebra.
 
-Univariate polynomials (UniPoly) are dense coefficient lists, multivariate
-polynomials (MultiPoly) are sparse maps from exponent tuples to
-coefficients, and ExactMatrix is a dense matrix whose entries are exact
-scalars or MultiPoly values (symbolic mode).  Every stored exact value
-passes through `exact`: an integral value is an int, and a Fraction is made
-only when a division leaves a remainder.  Integer inputs therefore stay in
-int arithmetic throughout, and the only true divisions (`UniPoly.divmod`,
-`MultiPoly.__truediv__`) divide as Fractions before normalising; `exact_int`
-is the same rule for a value that must be an integer, and raises
-NonIntegerEntryError otherwise.  Both polynomial kinds display their signed
-terms through one renderer, and matrix products, traces and cofactor
-determinants add their terms with plain `sum`, which MultiPoly entries join
-through `0 + p`.
+Univariate polynomials (UniPoly) are dense coefficient lists, and
+ExactMatrix is a dense matrix whose entries are exact scalars or, in
+symbolic mode, `SymbolicEntry` values (`symbolic.MultiPoly`, which only
+`det_exact`'s symbolic branch imports).  Every stored exact value passes through `exact`: an
+integral value is an int, and a Fraction is made only when a division leaves
+a remainder.  Integer inputs therefore stay in int arithmetic throughout, and
+the only true division here (`UniPoly.divmod`) divides as Fractions before
+normalising; `exact_int` is the same rule for a value that must be an
+integer, and raises NonIntegerEntryError otherwise.  Polynomials display
+their signed terms through one renderer, and matrix products and traces add
+their terms with plain `sum`, which symbolic entries join through `0 + p`.
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads.
 Determinants and inverses share one fraction-free (Bareiss) elimination
@@ -25,7 +23,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     ArithmatError,
@@ -262,272 +260,14 @@ def poly_mul_schoolbook(p: UniPoly, q: UniPoly) -> UniPoly:
 
 
 # ----------------------------------------------------------------------
-# Multivariate polynomials
-# ----------------------------------------------------------------------
-
-
-def _grlex_key(expt: tuple[int, ...]):
-    # graded lexicographic, largest first
-    return (-sum(expt), tuple(-e for e in expt))
-
-
-class MultiPoly:
-    """Sparse multivariate polynomial with exact coefficients.
-
-    Variables are kept as a sorted tuple of names; terms map exponent tuples
-    (aligned with the variable tuple) to nonzero coefficients.  Binary
-    operations align the two variable sets by union, so polynomials over
-    different variables combine transparently.
-    """
-
-    __slots__ = ("vars", "terms")
-
-    def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Scalar]):
-        vs = tuple(sorted(variables))
-        clean: dict[tuple[int, ...], Scalar] = {}
-        for expt, c in terms.items():
-            c = exact(c)
-            if c == 0:
-                continue
-            expt = tuple(expt)
-            if len(expt) != len(vs):
-                raise DimensionMismatchError(
-                    f"exponent tuple {expt} does not match variables {vs}"
-                )
-            clean[expt] = c
-        self.vars = vs
-        self.terms = clean
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def const(cls, c: Scalar, variables: Iterable[str] = ()) -> MultiPoly:
-        vs = tuple(sorted(variables))
-        return cls(vs, {(0,) * len(vs): c})
-
-    @classmethod
-    def var(cls, name: str) -> MultiPoly:
-        return cls((name,), {(1,): 1})
-
-    @classmethod
-    def variables(cls, names: str | Iterable[str]) -> list[MultiPoly]:
-        """Convenience: MultiPoly.variables('a b c') -> [a, b, c]."""
-        if isinstance(names, str):
-            names = names.split()
-        return [cls.var(n) for n in names]
-
-    # -- structure -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        if name not in self.vars or not self.terms:
-            return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
-
-    def constant_value(self) -> Scalar:
-        """The value of a constant polynomial (raises if non-constant)."""
-        if not self.terms:
-            return 0
-        if self.total_degree() > 0:
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
-    def is_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def _aligned(self, other: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-        if self.vars == other.vars:
-            return self, other
-        union = tuple(sorted(set(self.vars) | set(other.vars)))
-        return self._embed(union), other._embed(union)
-
-    def _embed(self, union: tuple[str, ...]) -> MultiPoly:
-        if self.vars == union:
-            return self
-        pos = [union.index(v) for v in self.vars]
-        terms = {}
-        for expt, c in self.terms.items():
-            new = [0] * len(union)
-            for p, e in zip(pos, expt):
-                new[p] = e
-            terms[tuple(new)] = c
-        return MultiPoly(union, terms)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other) -> MultiPoly:
-        if isinstance(other, MultiPoly):
-            return other
-        return MultiPoly.const(other, self.vars)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return a.terms == b.terms
-
-    def __hash__(self):
-        stripped = self.strip_unused()
-        return hash((stripped.vars, tuple(sorted(stripped.terms.items()))))
-
-    def __add__(self, other) -> MultiPoly:
-        a, b = self._aligned(self._coerce(other))
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MultiPoly(a.vars, terms)
-
-    def __radd__(self, other) -> MultiPoly:
-        return self + other
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> MultiPoly:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> MultiPoly:
-        return (-self) + other
-
-    def __mul__(self, other) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        a, b = self._aligned(other)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly(a.vars, terms)
-
-    def __rmul__(self, other) -> MultiPoly:
-        return self * other
-
-    def __truediv__(self, scalar) -> MultiPoly:
-        s = Fraction(scalar)
-        return MultiPoly(self.vars, {e: c / s for e, c in self.terms.items()})
-
-    def __pow__(self, k: int) -> MultiPoly:
-        out = MultiPoly.const(1, self.vars)
-        base = self
-        while k > 0:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    # -- evaluation and substitution ------------------------------------
-
-    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate at a rational point; every variable must be assigned."""
-        vals = [exact(point[v]) for v in self.vars]
-        total = 0
-        for expt, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, expt):
-                if e:
-                    term *= v**e
-            total += term
-        return exact(total)
-
-    def subs(self, mapping: Mapping[str, "MultiPoly | Scalar"]) -> MultiPoly:
-        """Substitute polynomials (or scalars) for some of the variables."""
-        images = {
-            name: (val if isinstance(val, MultiPoly) else MultiPoly.const(val))
-            for name, val in mapping.items()
-        }
-        keep = [v for v in self.vars if v not in images]
-        out = MultiPoly.const(0, keep)
-        for expt, c in self.terms.items():
-            term = MultiPoly.const(c, keep)
-            for v, e in zip(self.vars, expt):
-                if not e:
-                    continue
-                factor = images.get(v, MultiPoly.var(v))
-                term = term * factor**e
-            out = out + term
-        return out
-
-    def diff(self, name: str) -> MultiPoly:
-        """Partial derivative with respect to one variable."""
-        if name not in self.vars:
-            return MultiPoly.const(0, self.vars)
-        i = self.vars.index(name)
-        terms = {}
-        for expt, c in self.terms.items():
-            if expt[i] == 0:
-                continue
-            new = list(expt)
-            new[i] -= 1
-            terms[tuple(new)] = c * expt[i]
-        return MultiPoly(self.vars, terms)
-
-    def strip_unused(self) -> MultiPoly:
-        """Drop variables that appear in no term."""
-        used = [i for i, v in enumerate(self.vars) if any(e[i] for e in self.terms)]
-        vs = tuple(self.vars[i] for i in used)
-        return MultiPoly(vs, {tuple(e[i] for i in used): c for e, c in self.terms.items()})
-
-    # -- rendering -------------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Terms in graded-lexicographic order, largest first."""
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
-
-    def serialize(self) -> str:
-        """Canonical wire format: sorted 'coeff*v^e*...' terms joined by '+'."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for expt, c in self.sorted_terms():
-            factors = [format_rational(c)]
-            factors += [f"{v}^{e}" for v, e in zip(self.vars, expt) if e]
-            parts.append("*".join(factors))
-        return "+".join(parts)
-
-    def __repr__(self) -> str:
-        return _signed_terms(
-            (c, [_power(v, e) for v, e in zip(self.vars, expt) if e])
-            for expt, c in self.sorted_terms()
-        )
-
-
-def collect_coeffs(p: MultiPoly, var: str) -> list[MultiPoly]:
-    """Split p into coefficients of powers of var: p = sum c_i * var^i.
-
-    The returned polynomials no longer mention var.  Raises on an unknown
-    variable name.
-    """
-    if var not in p.vars:
-        raise DimensionMismatchError(f"unknown variable {var!r}")
-    i = p.vars.index(var)
-    rest = tuple(v for v in p.vars if v != var)
-    d = p.degree_in(var)
-    buckets: list[dict[tuple[int, ...], Scalar]] = [dict() for _ in range(d + 1)]
-    for expt, c in p.terms.items():
-        stripped = tuple(e for j, e in enumerate(expt) if j != i)
-        buckets[expt[i]][stripped] = c
-    return [MultiPoly(rest, b) for b in buckets]
-
-
-# ----------------------------------------------------------------------
 # Exact matrices
 # ----------------------------------------------------------------------
+
+
+class SymbolicEntry:
+    """Base class of the symbolic matrix entries, `symbolic.MultiPoly`."""
+
+    __slots__ = ()
 
 
 class ExactMatrix:
@@ -546,7 +286,7 @@ class ExactMatrix:
             self.entries = tuple(entries)
         else:
             self.entries = tuple(
-                e if isinstance(e, MultiPoly) else exact(e) for e in entries
+                e if isinstance(e, SymbolicEntry) else exact(e) for e in entries
             )
 
     @classmethod
@@ -575,7 +315,7 @@ class ExactMatrix:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def is_symbolic(self) -> bool:
-        return any(isinstance(e, MultiPoly) for e in self.entries)
+        return any(isinstance(e, SymbolicEntry) for e in self.entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -746,27 +486,11 @@ def det_bareiss(M):
     return Fraction(_eliminate(rows, M.rows), prod(scales))
 
 
-def det_cofactor(M: ExactMatrix):
-    """Cofactor-expansion determinant; works for symbolic (MultiPoly) entries."""
-    if not M.is_square():
-        raise NonSquareMatrixError("determinant of a non-square matrix")
-    n = M.rows
-    rows = [list(M.row(i)) for i in range(n)]
-
-    def det(cols: tuple[int, ...], r: int):
-        if not cols:
-            return 1
-        return sum(
-            (-1) ** pos * (e * det(cols[:pos] + cols[pos + 1 :], r + 1))
-            for pos, c in enumerate(cols) if (e := rows[r][c])
-        )
-
-    return det(tuple(range(n)), 0)
-
-
 def det_exact(M):
     """Exact determinant: Bareiss for integer rows or rational entries, cofactor for symbolic."""
     if isinstance(M, ExactMatrix) and M.is_symbolic():
+        from .symbolic import det_cofactor
+
         return det_cofactor(M)
     return det_bareiss(M)
 

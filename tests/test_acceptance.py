@@ -29,21 +29,16 @@ from arithmat.fastmul import (
     ww_multiply,
     ww_recursive,
 )
-from arithmat.field import (
-    EssentialPair,
-    arithmetic_matrix,
-    generic_arithmetic_matrix,
-    make_field,
-    symbolic_arithmetic_matrix,
-)
+from arithmat.field import EssentialPair, arithmetic_matrix, make_field
 from arithmat.forms import BinaryForm, form_discriminant
 from arithmat.numeric import diagonalization_residual
-from arithmat.polyring import ExactMatrix, MultiPoly, poly_mul_schoolbook, UniPoly
+from arithmat.polyring import ExactMatrix, poly_mul_schoolbook, UniPoly
 from arithmat.search import (
     load_bundled_table,
     search_essential_pairs,
     verify_tables,
 )
+from arithmat.symbolic import MultiPoly, generic_arithmetic_matrix, symbolic_arithmetic_matrix
 
 import util
 

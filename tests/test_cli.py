@@ -228,8 +228,11 @@ def test_huge_constant_is_accepted_mod_p_before_any_divisor_scan(head):
     assert (result.returncode, result.stdout) == (0, f"{len(head)}\n"), result.stderr
 
 
-# modules that some subcommands run and that `import arithmat.cli` must not load
-_LAZY = ("numpy", "dataclasses", "json", "arithmat.fastmul", "arithmat.search", "arithmat.numeric")
+_LIBRARY = tuple(f"arithmat.{m}" for m in ("field", "element", "forms", "polyring", "symbolic"))
+# modules that some subcommands run and that `import arithmat.cli` must not load; covariants is
+# registered but not executed, or it would load the library
+_LAZY = ("numpy", "dataclasses", "json", "arithmat.fastmul", "arithmat.search", "arithmat.numeric",
+         *_LIBRARY)
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -245,17 +248,37 @@ def test_cli_import_leaves_numpy_unloaded():
     assert [m for m in _LAZY if m in added] == []
 
 
+_ELEMENT_OP = ("--pair", "2:4,-2,-3,1,1", "--a", "1/2,1/3,0,0")
+
+
+def test_package_import_loads_no_submodule():
+    result = _fresh_python(
+        "-c", "import sys, arithmat; print(*[m for m in sys.modules if m.startswith('arithmat.')])"
+    )
+    assert (result.returncode, result.stdout.split()) == (0, []), result.stderr
+
+
 @pytest.mark.parametrize(
     "argv, loaded, unloaded",
     [
-        (["disc", "--form", "1,1,0,-2,-1"], (), ("arithmat.fastmul", "arithmat.search")),
+        (["disc", "--form", "1,1,0,-2,-1"], ("arithmat.forms",),
+         ("arithmat.fastmul", "arithmat.search", "arithmat.field", "arithmat.element",
+          "arithmat.symbolic")),
         (["bench", "--size", "4", "--algo", "ww"], ("arithmat.fastmul",), ("arithmat.search",)),
         (["search", "--disc", "-275", "--degree", "4", "--height", "2", "--max-a0", "1"],
          ("arithmat.search",), ("arithmat.fastmul",)),
         (["mul", "--via", "fft", "--pair", "1:1,1,-1", "--a", "0,1", "--b", "1,1"],
          ("arithmat.fastmul",), ()),
+        (["inv", *_ELEMENT_OP], ("arithmat.element",), ("arithmat.symbolic",)),
+        (["mul", *_ELEMENT_OP, "--b", "1,-1,2,1/5"], ("arithmat.element",),
+         ("arithmat.symbolic", "arithmat.fastmul")),
+        (["matrix", "--pair", "2:4,-2,-3,1,1", "--coords", "1,2,3,4"], ("arithmat.field",),
+         ("arithmat.symbolic", "arithmat.element")),
+        (["matrix", "--pair", "1:1,1,0,-2,-1", "--symbolic"], ("arithmat.symbolic",), ()),
+        (["syzygy", "--quartic", "4,-2,-3,1,1"], ("arithmat.symbolic",), ()),
     ],
-    ids=["disc", "bench", "search", "mul-fft"],
+    ids=["disc", "bench", "search", "mul-fft", "inv", "mul", "matrix", "matrix-symbolic",
+         "syzygy"],
 )
 def test_subcommand_loads_only_its_modules(argv, loaded, unloaded):
     result = _fresh_python(
@@ -268,6 +291,38 @@ def test_subcommand_loads_only_its_modules(argv, loaded, unloaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", *loaded]
+
+
+def test_diag_check_compiles_the_library_before_numpy():
+    # numpy resident while field, forms and polyring compile raises the peak RSS
+    result = _fresh_python(
+        "-c",
+        "import contextlib, io, sys\n"
+        "from arithmat.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run_command(['diag-check', '--pair', '1:1,1,-1', '--coords', '3,5'])\n"
+        "order = list(sys.modules)\n"
+        "print(code, *[order.index(m) < order.index('numpy') for m in "
+        "('arithmat.field', 'arithmat.forms', 'arithmat.polyring')])"
+    )
+    assert result.stdout.split() == ["0", "True", "True", "True"], result.stderr
+
+
+@pytest.mark.parametrize("first", ["covariants", "cli"])
+def test_one_covariants_module_in_either_import_order(first):
+    # cli registers a lazy covariants; one imported before it must be reused, not shadowed
+    second = "cli" if first == "covariants" else "covariants"
+    result = _fresh_python(
+        "-c",
+        f"import sys, arithmat.{first}\n"
+        "seen = [sys.modules['arithmat.covariants']]\n"
+        f"import arithmat.{second}\n"
+        "from arithmat.forms import BinaryForm\n"
+        "seen += [arithmat.cli.covariants, sys.modules['arithmat.covariants'], arithmat.covariants]\n"
+        "print(len({id(m) for m in seen}),"
+        " arithmat.cli.covariants.quartic_identities_check(BinaryForm([4, -2, -3, 1, 1])))"
+    )
+    assert (result.returncode, result.stdout.split()) == (0, ["1", "True"]), result.stderr
 
 
 def test_diag_check_without_numpy_is_a_typed_error():

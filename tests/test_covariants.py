@@ -22,7 +22,7 @@ from arithmat.covariants import (
 from arithmat.errors import UnsupportedDegreeError
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm, is_irreducible
-from arithmat.polyring import MultiPoly
+from arithmat.symbolic import MultiPoly
 
 import util
 
@@ -122,8 +122,7 @@ class TestQuarticNormEquation:
         V = BinaryForm([4, -2, -3, 1, 1])
         assert quartic_norm_equation_check(V)
         G, H, Fq = quartic_ghf(V)
-        from arithmat.field import matrix_from_coefficients
-        from arithmat.polyring import det_cofactor
+        from arithmat.symbolic import det_cofactor, matrix_from_coefficients
 
         det = det_cofactor(matrix_from_coefficients(list(V.coeffs)))
         _, bb, cc, dd, _ = V.coeffs

@@ -5,14 +5,10 @@ import pytest
 
 from arithmat import element as el
 from arithmat.errors import FieldMismatchError, ZeroElementError
-from arithmat.field import (
-    EssentialPair,
-    arithmetic_matrix,
-    make_field,
-    symbolic_arithmetic_matrix,
-)
+from arithmat.field import EssentialPair, arithmetic_matrix, make_field
 from arithmat.forms import BinaryForm
-from arithmat.polyring import MultiPoly, UniPoly
+from arithmat.polyring import UniPoly
+from arithmat.symbolic import MultiPoly, symbolic_arithmetic_matrix
 
 import util
 

@@ -14,14 +14,17 @@ from arithmat.field import (
     EssentialPair,
     arithmetic_matrix,
     basis_change_matrix,
-    generic_arithmetic_matrix,
     integral_basis_description,
     make_field,
+)
+from arithmat.forms import BinaryForm
+from arithmat.polyring import ExactMatrix, UniPoly
+from arithmat.symbolic import (
+    MultiPoly,
+    generic_arithmetic_matrix,
     matrix_from_coefficients,
     symbolic_arithmetic_matrix,
 )
-from arithmat.forms import BinaryForm
-from arithmat.polyring import ExactMatrix, MultiPoly, UniPoly
 
 import util
 

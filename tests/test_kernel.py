@@ -15,11 +15,11 @@ from arithmat.field import (
     NumberField,
     arithmetic_matrix,
     integer_matrix,
-    matrix_from_coefficients,
 )
 from arithmat.forms import BinaryForm
 from arithmat.numeric import diagonalization_residual
-from arithmat.polyring import ExactMatrix, MultiPoly, collect_coeffs, det_cofactor
+from arithmat.polyring import ExactMatrix
+from arithmat.symbolic import MultiPoly, collect_coeffs, det_cofactor, matrix_from_coefficients
 
 import util
 

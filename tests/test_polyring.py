@@ -11,13 +11,10 @@ from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm
 from arithmat.polyring import (
     ExactMatrix,
-    MultiPoly,
     UniPoly,
     _sylvester_rows,
     coeffs_discriminant,
-    collect_coeffs,
     det_bareiss,
-    det_cofactor,
     det_exact,
     exact,
     poly_discriminant,
@@ -25,6 +22,7 @@ from arithmat.polyring import (
     resultant,
     sylvester_matrix,
 )
+from arithmat.symbolic import MultiPoly, collect_coeffs, det_cofactor
 
 
 def rand_poly(rng, degree, lo=-9, hi=9):

@@ -19,7 +19,7 @@ from arithmat.forms import (
     irreducibility_certificate,
     is_irreducible,
 )
-from arithmat.polyring import UniPoly, det_cofactor, poly_mul_schoolbook, sylvester_matrix
+from arithmat.polyring import UniPoly, poly_mul_schoolbook, sylvester_matrix
 from arithmat.search import (
     essential_pair_from_element,
     load_bundled_table,
@@ -27,6 +27,7 @@ from arithmat.search import (
     search_essential_pairs,
     verify_tables,
 )
+from arithmat.symbolic import det_cofactor
 
 import util
 
