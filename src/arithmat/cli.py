@@ -7,7 +7,8 @@ without spaces, so negative numbers need no quoting.
 
 Start-up: each call is one subcommand in a fresh interpreter, so it compiles
 only the modules that subcommand runs.  `import arithmat` loads no submodule,
-this module imports only errors, and each handler imports what it runs.
+this module imports only errors, and each handler imports what it runs.  The
+parser, too, holds only the subparser the call runs (`_parse_args`).
 covariants is bound through importlib's LazyLoader: a tracer that wraps
 arithmat's functions from outside the package (perfbench/tracer.py) looks
 every target module up in sys.modules, where it is from the start, but it is
@@ -38,6 +39,9 @@ def _lazy_submodule(name: str):
 covariants = _lazy_submodule("covariants")
 
 
+_ELEMENT_OPS = ("mul", "add", "inv", "norm", "trace", "charpoly")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -45,23 +49,47 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
+class _UsageError(Exception):
+    """A usage error met by a one-subcommand parser, for the full parser to report."""
+
+
+class _OneCommandParser(_Parser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
+class _Unbuilt:
+    """Takes the arguments of a subparser that the parser being built leaves out."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+    def add_mutually_exclusive_group(self, **kwargs):
+        return self
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The full parser or, given a subcommand, a parser holding only that subparser."""
     # the start-up note is for readers of this file, not for --help
-    p = _Parser(prog="arithmat", description=__doc__ and __doc__.partition("\n\nStart-up:")[0])
+    cls = _Parser if command is None else _OneCommandParser
+    p = cls(prog="arithmat", description=__doc__ and __doc__.partition("\n\nStart-up:")[0])
     p.add_argument("--json", action="store_true", help="emit JSON records")
     sub = p.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("disc", help="exact discriminant of a binary form")
+    def add_parser(name: str, help: str):
+        return sub.add_parser(name, help=help) if command in (None, name) else _Unbuilt()
+
+    d = add_parser("disc", help="exact discriminant of a binary form")
     d.add_argument("--form", required=True, help="coefficients a1,a2,...")
 
-    m = sub.add_parser("matrix", help="print the arithmetic matrix")
+    m = add_parser("matrix", help="print the arithmetic matrix")
     m.add_argument("--pair", required=True, help="pair a0:a1,a2,...")
     g = m.add_mutually_exclusive_group(required=True)
     g.add_argument("--coords", help="coordinates x0,x1,...")
     g.add_argument("--symbolic", action="store_true")
 
-    for name in ("mul", "add", "inv", "norm", "trace", "charpoly"):
-        e = sub.add_parser(name, help=f"element {name}")
+    for name in _ELEMENT_OPS:
+        e = add_parser(name, help=f"element {name}")
         e.add_argument("--pair", required=True)
         e.add_argument("--a", required=True, help="element coordinates")
         if name in ("mul", "add"):
@@ -69,7 +97,7 @@ def _build_parser() -> _Parser:
         if name == "mul":
             e.add_argument("--via", choices=("matrix", "fft"), default="matrix")
 
-    s = sub.add_parser("search", help="enumerate essential pairs")
+    s = add_parser("search", help="enumerate essential pairs")
     s.add_argument("--disc", required=True, type=int)
     s.add_argument("--degree", required=True, type=int)
     s.add_argument("--height", required=True, type=int)
@@ -78,24 +106,37 @@ def _build_parser() -> _Parser:
         "--jobs", type=int, default=1, help="accepted and ignored; the search runs in one thread"
     )
 
-    v = sub.add_parser("verify-tables", help="check table fixture rows")
+    v = add_parser("verify-tables", help="check table fixture rows")
     v.add_argument("--file", required=True)
 
-    z = sub.add_parser("syzygy", help="verify classical syzygies")
+    z = add_parser("syzygy", help="verify classical syzygies")
     zg = z.add_mutually_exclusive_group(required=True)
     zg.add_argument("--cubic", help="cubic form a,b,c,d")
     zg.add_argument("--quartic", help="quartic form a,b,c,d,e")
 
-    dg = sub.add_parser("diag-check", help="diagonalization residual")
+    dg = add_parser("diag-check", help="diagonalization residual")
     dg.add_argument("--pair", required=True)
     dg.add_argument("--coords", required=True)
 
-    b = sub.add_parser("bench", help="matrix multiplication counters")
+    b = add_parser("bench", help="matrix multiplication counters")
     b.add_argument("--size", required=True, type=int)
     b.add_argument(
         "--algo", required=True, choices=("schoolbook", "ww", "recursive")
     )
     return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the full parser does.  A call that names its subcommand after any
+    --json flags and asks for no help builds only that subparser; the full parser, whose
+    usage lists every subcommand, reports any usage error."""
+    command = next((a for a in argv if a != "--json"), None)
+    if command in _HANDLERS and "-h" not in argv and "--help" not in argv:
+        try:
+            return _build_parser(command).parse_args(argv)
+        except _UsageError:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def _matrix_json(M: ExactMatrix):
@@ -286,12 +327,7 @@ def _cmd_bench(args) -> int:
 _HANDLERS = {
     "disc": _cmd_disc,
     "matrix": _cmd_matrix,
-    "mul": _cmd_element_op,
-    "add": _cmd_element_op,
-    "inv": _cmd_element_op,
-    "norm": _cmd_element_op,
-    "trace": _cmd_element_op,
-    "charpoly": _cmd_element_op,
+    **dict.fromkeys(_ELEMENT_OPS, _cmd_element_op),
     "search": _cmd_search,
     "verify-tables": _cmd_verify_tables,
     "syzygy": _cmd_syzygy,
@@ -302,9 +338,8 @@ _HANDLERS = {
 
 def run_command(argv: list[str]) -> int:
     """Parse argv and run one subcommand, returning the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

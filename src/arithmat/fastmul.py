@@ -89,26 +89,16 @@ def ww_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = Non
         counter = MulCounter()
     h = m // 2
 
-    def x_entry(i, j):
+    def entry(i, j, sign):
+        # X at sign = 1, Z at sign = -1
         acc = 0
         for k in range(h):
-            acc += (a[i][2 * k] + b[2 * k + 1][j]) * (a[i][2 * k + 1] + b[2 * k][j])
+            acc += (a[i][2 * k] + sign * b[2 * k + 1][j]) * (a[i][2 * k + 1] + sign * b[2 * k][j])
         counter.tally(mults=h, adds=3 * h - 1)
         return acc
 
-    def z_entry(i, j):
-        acc = 0
-        for k in range(h):
-            acc += (a[i][2 * k] - b[2 * k + 1][j]) * (a[i][2 * k + 1] - b[2 * k][j])
-        counter.tally(mults=h, adds=3 * h - 1)
-        return acc
-
-    X = [[x_entry(i, j) for j in range(m)] for i in range(m)]
-    Z: dict[tuple[int, int], int] = {}
-    Z[0, 0] = z_entry(0, 0)
-    for i in range(1, m):
-        Z[i, 0] = z_entry(i, 0)
-        Z[i, i] = z_entry(i, i)
+    X = [[entry(i, j, 1) for j in range(m)] for i in range(m)]
+    Z = {(i, j): entry(i, j, -1) for i in range(m) for j in {0, i}}
 
     Y = [[0] * m for _ in range(m)]
     for (i, j), z in Z.items():
@@ -147,14 +137,10 @@ def _blocks(rows, h):
     return a11, a12, a21, a22
 
 
-def _badd(A, B, counter):
+def _bsum(A, B, sign, counter):
+    """A + B at sign = 1, A - B at sign = -1, blockwise."""
     counter.tally(adds=len(A) * len(A[0]) if A else 0)
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _bsub(A, B, counter):
-    counter.tally(adds=len(A) * len(A[0]) if A else 0)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def _rec(a, b, counter):
@@ -176,14 +162,14 @@ def _rec(a, b, counter):
     h = m // 2
     a11, a12, a21, a22 = _blocks(a, h)
     b11, b12, b21, b22 = _blocks(b, h)
-    s1 = _badd(a21, a22, counter)
-    s2 = _bsub(s1, a11, counter)
-    s3 = _bsub(a11, a21, counter)
-    s4 = _bsub(a12, s2, counter)
-    t1 = _bsub(b12, b11, counter)
-    t2 = _bsub(b22, t1, counter)
-    t3 = _bsub(b22, b12, counter)
-    t4 = _bsub(t2, b21, counter)
+    s1 = _bsum(a21, a22, 1, counter)
+    s2 = _bsum(s1, a11, -1, counter)
+    s3 = _bsum(a11, a21, -1, counter)
+    s4 = _bsum(a12, s2, -1, counter)
+    t1 = _bsum(b12, b11, -1, counter)
+    t2 = _bsum(b22, t1, -1, counter)
+    t3 = _bsum(b22, b12, -1, counter)
+    t4 = _bsum(t2, b21, -1, counter)
     p1 = _rec(a11, b11, counter)
     p2 = _rec(a12, b21, counter)
     p3 = _rec(s4, b22, counter)
@@ -191,13 +177,13 @@ def _rec(a, b, counter):
     p5 = _rec(s1, t1, counter)
     p6 = _rec(s2, t2, counter)
     p7 = _rec(s3, t3, counter)
-    u1 = _badd(p1, p6, counter)
-    u2 = _badd(u1, p7, counter)
-    u3 = _badd(u1, p5, counter)
-    c11 = _badd(p1, p2, counter)
-    c12 = _badd(u3, p3, counter)
-    c21 = _bsub(u2, p4, counter)
-    c22 = _badd(u2, p5, counter)
+    u1 = _bsum(p1, p6, 1, counter)
+    u2 = _bsum(u1, p7, 1, counter)
+    u3 = _bsum(u1, p5, 1, counter)
+    c11 = _bsum(p1, p2, 1, counter)
+    c12 = _bsum(u3, p3, 1, counter)
+    c21 = _bsum(u2, p4, -1, counter)
+    c22 = _bsum(u2, p5, 1, counter)
     return [r1 + r2 for r1, r2 in zip(c11, c12)] + [
         r1 + r2 for r1, r2 in zip(c21, c22)
     ]
@@ -213,10 +199,8 @@ def ww_recursive(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = No
     if counter is None:
         counter = MulCounter()
     m = A.rows
-    if m == 0:
-        return ExactMatrix(0, 0, [])
     rows = _rec([list(A.row(i)) for i in range(m)], [list(B.row(i)) for i in range(m)], counter)
-    return ExactMatrix(m, m, [e for row in rows for e in row])
+    return ExactMatrix.from_rows(rows)
 
 
 # ----------------------------------------------------------------------

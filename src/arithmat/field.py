@@ -93,6 +93,8 @@ class NumberField:
 
     def coeff(self, k: int) -> int:
         """Form coefficient a_k, 1-indexed as written."""
+        if not 1 <= k <= self.n + 1:
+            raise IndexError(f"coefficient index {k} out of range for a degree-{self.n} field")
         return self.pair.form.coeffs[k - 1]
 
     def __eq__(self, other) -> bool:
@@ -118,6 +120,8 @@ class NumberField:
         return Element(self, [0] * self.n)
 
     def basis_element(self, j: int) -> Element:
+        if not 0 <= j < self.n:
+            raise IndexError(f"basis index {j} out of range for a degree-{self.n} field")
         coords = [0] * self.n
         coords[j] = 1
         return Element(self, coords)

@@ -304,14 +304,23 @@ class ExactMatrix:
     def identity(cls, n: int) -> ExactMatrix:
         return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
+    def _index_error(self, index: str) -> IndexError:
+        return IndexError(f"{index} out of range for a {self.rows}x{self.cols} matrix")
+
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise self._index_error(f"index ({i}, {j})")
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise self._index_error(f"row {i}")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
+        if not 0 <= j < self.cols:
+            raise self._index_error(f"column {j}")
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def is_symbolic(self) -> bool:
@@ -372,6 +381,9 @@ class ExactMatrix:
             raise NonSquareMatrixError("symbolic inverse is not supported")
         n = self.rows
         cols = range(n) if columns is None else columns
+        for j in cols:
+            if not 0 <= j < n:
+                raise self._index_error(f"column {j}")
         rows, scales = _integer_rows(self)
         # with S = diag(scales), A^-1 e_j = (S A)^-1 (scales[j] e_j)
         a = [row + [scales[i] * (i == j) for j in cols] for i, row in enumerate(rows)]

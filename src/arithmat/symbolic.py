@@ -19,11 +19,6 @@ from .polyring import ExactMatrix, Scalar, SymbolicEntry, _power, _signed_terms,
 if TYPE_CHECKING:
     from .field import NumberField
 
-# Coordinate and coefficient letters used for symbolic displays of small
-# degrees; higher degrees fall back to indexed names.
-_COORD_LETTERS = ("u", "x", "y", "z", "w")
-_COEFF_LETTERS = ("a", "b", "c", "d", "e", "f")
-
 # Symbolic matrices use cofactor expansion downstream, so cap the degree.
 SYMBOLIC_DEGREE_CAP = 16
 
@@ -317,43 +312,25 @@ def _quotient(v, k: int):
     return v * Fraction(1, k)
 
 
-def _standard_entry(n: int, a, xs):
-    """Entry function (i, j) -> N[i][j] for a0 = 1; a is 1-indexed (a[1]..a[n+1]), xs 0-indexed."""
+def _explicit_entry(n: int, a, a0: int, xs):
+    """The paper's explicit entries (i, j) -> N[i][j] for any a0; a is 1-indexed, xs 0-indexed.
 
-    def entry(i, j):
-        if j == 1:
-            return xs[i - 1]
-        if i == 1:
-            return -a[n + 1] * sum(a[k] * xs[k + n - j] for k in range(1, j))
-        if i > j:
-            return sum(a[k] * xs[k + i - j - 1] for k in range(1, j))
-        m = min(n - i + j, n + 1)
-        acc = xs[0] if i == j else 0
-        return acc - sum(a[k] * xs[k + i - j - 1] for k in range(j, m + 1))
-
-    return entry
-
-
-def _generalized_entry(n: int, a, a0: int, xs):
-    """Explicit entries for a general pair; reduces to the standard ones at a0=1.
-
-    The pair enters only through the exact quotients a1/a0, a1/a0^2, a2/a0
-    and a1*a_{n+1}/a0, so integer coordinates give integer entries.
+    The pair enters only through the exact quotients a1/a0, a1/a0^2, a2/a0 and
+    a1*a_{n+1}/a0 (a1, a1, a2, a1*a_{n+1} at a0 = 1), so integer coordinates
+    give integer entries.
     """
     c1 = _quotient(a[1], a0)
     c11 = _quotient(a[1], a0 * a0)
     c2 = _quotient(a[2], a0)
     c1n = _quotient(a[1] * a[n + 1], a0)
-    if n == 2:
-        rows = [[xs[0], -(c11 * a[3]) * xs[1]], [xs[1], xs[0] - c2 * xs[1]]]
-        return lambda i, j: rows[i - 1][j - 1]
 
     def entry(i, j):
         if j == 1:
             return xs[i - 1]
         if j == 2:
             if i == 1:
-                return -c1n * xs[n - 1]
+                # at n = 2, x_{n-1} is x1, which the substitution x1 -> x1/a0 also divides
+                return -(c11 * a[3] if n == 2 else c1n) * xs[n - 1]
             if i == 2:
                 return xs[0] - c2 * xs[1] - sum(a[k] * xs[k - 1] for k in range(3, n + 1))
             if i == 3:
@@ -399,33 +376,25 @@ def _check_method(method: str) -> None:
 def _matrix_rows(n: int, coeffs, a0: int, xs, method: str = "explicit"):
     _check_method(method)
     if a0 == 1 or method == "explicit":
-        a = {k + 1: c for k, c in enumerate(coeffs)}
-        entry = _standard_entry(n, a, xs) if a0 == 1 else _generalized_entry(n, a, a0, xs)
+        entry = _explicit_entry(n, {k + 1: c for k, c in enumerate(coeffs)}, a0, xs)
         return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     return _entries_substitution(n, coeffs, a0, xs)
 
 
-def _flatten(rows) -> ExactMatrix:
-    n = len(rows)
-    return ExactMatrix(n, n, [e for row in rows for e in row])
+def _symbols(count: int, letters: str, prefix: str, first: int) -> list[MultiPoly]:
+    """The first `count` letters if there are enough, else indexed names from prefix + first."""
+    names = letters[:count] if count <= len(letters) else [f"{prefix}{first + i}" for i in range(count)]
+    return [MultiPoly.var(name) for name in names]
 
 
 def symbolic_coords(n: int) -> list[MultiPoly]:
     """Coordinate symbols: u, x, y, z, w for n <= 5, else x0..x_{n-1}."""
-    if n <= len(_COORD_LETTERS):
-        names = _COORD_LETTERS[:n]
-    else:
-        names = [f"x{i}" for i in range(n)]
-    return [MultiPoly.var(nm) for nm in names]
+    return _symbols(n, "uxyzw", "x", 0)
 
 
 def generic_form_coeffs(n: int) -> list[MultiPoly]:
     """Coefficient symbols a..f for n <= 5, else a1..a_{n+1}."""
-    if n + 1 <= len(_COEFF_LETTERS):
-        names = _COEFF_LETTERS[: n + 1]
-    else:
-        names = [f"a{k}" for k in range(1, n + 2)]
-    return [MultiPoly.var(nm) for nm in names]
+    return _symbols(n + 1, "abcdef", "a", 1)
 
 
 def _symbolic_matrix(coeffs, a0: int, method: str) -> ExactMatrix:
@@ -457,4 +426,4 @@ def matrix_from_coefficients(coeffs, a0: int = 1, coords=None, method: str = "ex
         coords = symbolic_coords(n)
     if len(coords) != n:
         raise DimensionMismatchError(f"expected {n} coordinates")
-    return _flatten(_matrix_rows(n, list(coeffs), a0, list(coords), method))
+    return ExactMatrix.from_rows(_matrix_rows(n, list(coeffs), a0, list(coords), method))

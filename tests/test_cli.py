@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import arithmat
+from arithmat import cli
 from arithmat.cli import run_command
 from arithmat.search import bundled_table_path
 
@@ -470,11 +471,8 @@ _COMMAND_FLAGS = {
 }
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_random_argv_ends_in_an_exit_code_without_traceback(data):
-    # each flag of the subcommand mostly present, plus a few drawn from all flags;
-    # an exception escaping run_command fails the test with its traceback
+def _draw_argv(data) -> list[str]:
+    # each flag of the subcommand mostly present, plus a few drawn from all flags
     command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     flags = [f for f in _COMMAND_FLAGS[command] if data.draw(st.integers(0, 5))]
     flags += data.draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=2))
@@ -482,8 +480,89 @@ def test_random_argv_ends_in_an_exit_code_without_traceback(data):
     for flag in flags:
         values = _FLAG_VALUES[flag]
         argv += [flag] if values is None else [flag, data.draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_random_argv_ends_in_an_exit_code_without_traceback(data):
+    # an exception escaping run_command fails the test with its traceback
+    argv = _draw_argv(data)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run_command(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# ----------------------------------------------------------------------
+# One subparser per call, with the full parser's output on every usage error
+# ----------------------------------------------------------------------
+
+
+def _parse_outcome(parse, argv):
+    """Exit code, stdout, stderr and parsed namespace of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, namespace = 0, vars(parse(argv))
+        except SystemExit as exc:
+            code, namespace = exc.code, None
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def _full_parse(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+_PAIR = ["--pair", "1:1,1,-1"]
+_PARSER_ARGVS = [
+    ["--help"],
+    ["--he", "disc", "--form", "1,2,1"],
+    *([command, "--help"] for command in cli._HANDLERS),
+    ["disc", "--he"],
+    [],
+    ["--json"],
+    ["frobnicate", "--form", "1,2,1"],
+    ["inv", *_PAIR],
+    ["matrix", *_PAIR],
+    ["mul", *_PAIR, "--a", "0,1", "--b", "1,1", "--via", "abacus"],
+    ["bench", "--size", "4", "--algo", "strassen"],
+    ["bench", "--size", "four", "--algo", "ww"],
+    ["disc", "--form", "1,2,1", "--extra"],
+    ["--json", "disc", "--form", "1,2,1", "disc"],
+    ["--js", "disc", "--form", "1,2,1"],
+    *(record["argv"] for record in json.loads((_REPO / "tests" / "cli_golden.json").read_text())),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_one_subcommand_parser_reports_as_the_full_parser(argv):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_full_parse, argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_random_argv_parses_as_the_full_parser(data):
+    argv = _draw_argv(data)
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_full_parse, argv)
+
+
+def test_a_parsed_call_builds_only_its_subparser(monkeypatch):
+    built = []
+
+    def build(command=None):
+        built.append(command)
+        return _build(command)
+
+    _build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", build)
+    for argv in _PARSER_ARGVS:
+        parsed = _parse_outcome(_full_parse, argv)[3] is not None
+        built.clear()
+        assert (_parse_outcome(cli._parse_args, argv)[3] is not None) == parsed
+        if parsed:
+            # an abbreviated --json is left to the full parser
+            command = next(a for a in argv if a != "--json")
+            assert built == [command if command in cli._HANDLERS else None], argv
+    assert list(_build("inv")._subparsers._group_actions[0].choices) == ["inv"]

@@ -12,6 +12,7 @@ from arithmat.errors import (
 from arithmat.field import (
     Element,
     EssentialPair,
+    _diagonal_sums,
     arithmetic_matrix,
     basis_change_matrix,
     integral_basis_description,
@@ -20,10 +21,13 @@ from arithmat.field import (
 from arithmat.forms import BinaryForm
 from arithmat.polyring import ExactMatrix, UniPoly
 from arithmat.symbolic import (
+    SYMBOLIC_DEGREE_CAP,
     MultiPoly,
     generic_arithmetic_matrix,
+    generic_form_coeffs,
     matrix_from_coefficients,
     symbolic_arithmetic_matrix,
+    symbolic_coords,
 )
 
 import util
@@ -148,12 +152,24 @@ class TestSymbolicMatrices:
         assert symbolic_arithmetic_matrix(F, "explicit") == symbolic_arithmetic_matrix(
             F, "substitution"
         )
+        # as polynomials in generic coefficients and coordinates
+        for a0 in (2, 3):
+            for n in range(2, 9):
+                assert generic_arithmetic_matrix(n, a0, "explicit") == generic_arithmetic_matrix(
+                    n, a0, "substitution"
+                )
         rng = random.Random(11)
         for n, a0 in ((2, 2), (3, 2), (4, 3), (5, 2), (6, 2), (7, 4)):
             G = util.random_field(rng, n, a0=a0)
             assert symbolic_arithmetic_matrix(G, "explicit") == symbolic_arithmetic_matrix(
                 G, "substitution"
             )
+
+    def test_explicit_formula_at_a0_one_is_the_integer_kernel(self):
+        # the kernel uses only +, - and *, so it runs on generic symbols as well
+        for n in range(2, SYMBOLIC_DEGREE_CAP + 1):
+            kernel = _diagonal_sums(n, generic_form_coeffs(n), symbolic_coords(n))
+            assert generic_arithmetic_matrix(n) == ExactMatrix.from_rows(kernel)
 
     def test_symbolic_entries_have_integer_coefficients(self):
         rng = random.Random(12)
@@ -261,6 +277,22 @@ class TestBasisData:
         for n in (2, 3, 4, 5, 6):
             F = util.random_field(rng, n)
             assert integral_basis_description(F)[0] == UniPoly([1], "zeta")
+
+
+class TestIndexChecks:
+    F = make_field(EssentialPair(1, BinaryForm([1, 1, 0, -2, -1])))
+
+    def test_basis_element(self):
+        assert self.F.basis_element(3) == self.F.element([0, 0, 0, 1])
+        for j in (-1, 4):
+            with pytest.raises(IndexError, match=f"basis index {j} out of range for a degree-4"):
+                self.F.basis_element(j)
+
+    def test_coeff(self):
+        assert (self.F.coeff(1), self.F.coeff(5)) == (1, -1)
+        for k in (0, -1, 6):
+            with pytest.raises(IndexError, match=f"coefficient index {k} out of range for a degree-4"):
+                self.F.coeff(k)
 
 
 class TestElementText:

@@ -234,6 +234,34 @@ class TestDeterminants:
         assert M @ M.inverse() == ExactMatrix.identity(4)
 
 
+class TestIndexChecks:
+    M = ExactMatrix.from_rows([[1, 2], [3, 4]])
+
+    def test_entry(self):
+        assert self.M[1, 0] == 3
+        for i, j in ((0, 2), (0, -1), (2, 0), (-1, 1)):
+            with pytest.raises(IndexError, match=rf"index \({i}, {j}\) out of range for a 2x2"):
+                self.M[i, j]
+
+    def test_row(self):
+        assert self.M.row(1) == (3, 4)
+        for i in (-1, 2):
+            with pytest.raises(IndexError, match=f"row {i} out of range for a 2x2 matrix"):
+                self.M.row(i)
+
+    def test_column(self):
+        assert self.M.column(1) == (2, 4)
+        for j in (-1, 2):
+            with pytest.raises(IndexError, match=f"column {j} out of range for a 2x2 matrix"):
+                self.M.column(j)
+
+    def test_inverse_columns(self):
+        assert self.M.inverse(columns=(1,)) == ExactMatrix.from_rows([[1], [Fraction(-1, 2)]])
+        for j in (5, -1, 2):
+            with pytest.raises(IndexError, match=f"column {j} out of range for a 2x2 matrix"):
+                self.M.inverse(columns=(0, j))
+
+
 class TestCollectCoeffs:
     def test_simple_split(self):
         t, x = MultiPoly.var("t"), MultiPoly.var("x")
