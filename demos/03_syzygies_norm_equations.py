@@ -12,20 +12,19 @@ from arithmat import BinaryForm, EssentialPair, make_field
 from arithmat import element as el
 from arithmat.covariants import (
     cubic_covariants,
-    cubic_syzygy_check_generic,
+    cubic_syzygy_check,
     quartic_ghf,
-    quartic_ghf_generic,
     quartic_invariants,
-    quartic_syzygy_check_generic,
+    quartic_syzygy_check,
 )
 
-G, H, Fq = quartic_ghf_generic()
+G, H, Fq = quartic_ghf()
 print("generic covariant G(x, y, z):")
 print("  ", G.poly)
 print("\nsyzygy g4^3 - 48*I*g4*v^2 - 64*J*v^3 = 27*g6^2 holds symbolically:",
-      quartic_syzygy_check_generic())
+      quartic_syzygy_check())
 print("Cayley's cubic syzygy F^2 + 27*D*C^2 = 4*Q^3 holds symbolically:",
-      cubic_syzygy_check_generic())
+      cubic_syzygy_check())
 
 V = BinaryForm([1, 1, 0, -2, -1])
 print("\nquartic", V.text(), "has invariants (I, J) =", quartic_invariants(V))

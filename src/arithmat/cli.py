@@ -252,10 +252,10 @@ def _cmd_syzygy(args) -> int:
 
     if args.cubic is not None:
         form = BinaryForm.from_text(args.cubic)
-        ok = covariants.cubic_identities_check(form)
+        ok = covariants.cubic_syzygy_check(form) and covariants.cubic_norm_equation_check(form)
     else:
         form = BinaryForm.from_text(args.quartic)
-        ok = covariants.quartic_identities_check(form)
+        ok = covariants.quartic_syzygy_check(form) and covariants.quartic_norm_equation_check(form)
     _emit(
         args,
         "PASS" if ok else "FAIL",

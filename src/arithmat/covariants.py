@@ -16,12 +16,18 @@ For a cubic form the analogous objects are the Hessian Q, the Jacobian F,
 Cayley's syzygy F^2 + 27*D*C^2 = 4*Q^3, and the norm-one equation
 t^3 - 3*t*Q + F = 27.
 
+Each identity check, and `quartic_ghf`, takes a form or none: with the form
+omitted it works over the generic coefficients a, b, ... as polynomial
+identities.  The expansion of G, H, F (or of Q, F) is cached for the last
+form, so checks on one form share it.
+
 The cubic index form and the quartic subforms are read exactly off a field's
 ring, by products of basis elements and the integer arithmetic matrices.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .element import char_poly, inverse, mul, norm
@@ -30,7 +36,7 @@ from .field import NumberField, integer_matrix, integer_trace
 from .forms import BinaryForm, form_discriminant
 from .polyring import ExactMatrix, exact_int, poly_discriminant
 from .symbolic import MultiPoly, collect_coeffs, det_cofactor, generic_form_coeffs
-from .symbolic import matrix_from_coefficients
+from .symbolic import matrix_from_coefficients, symbolic_coords
 
 _XYZ = ("x", "y", "z")
 
@@ -83,15 +89,13 @@ def _monomial_coefficient(poly: MultiPoly, powers) -> MultiPoly:
     return poly
 
 
-def _require_degree(V: BinaryForm, n: int) -> None:
+def _coeffs(V: BinaryForm | None, n: int) -> tuple:
+    """V's coefficients, or the generic symbols a, b, ... when V is None."""
+    if V is None:
+        return tuple(generic_form_coeffs(n))
     if V.degree != n:
         raise UnsupportedDegreeError(f"expected a degree-{n} form, got {V.degree}")
-
-
-def _residuals_vanish(coeffs, build, *residuals) -> bool:
-    """Whether each residual(coeffs, build(coeffs)) is zero, building once."""
-    covariant_polys = build(coeffs)
-    return all(residual(coeffs, covariant_polys).is_zero() for residual in residuals)
+    return V.coeffs
 
 
 def _binary_poly(coeffs) -> MultiPoly:
@@ -102,6 +106,18 @@ def _binary_poly(coeffs) -> MultiPoly:
         (c * x ** (n + 1 - k) * y ** (k - 1) for k, c in enumerate(coeffs, start=1)),
         MultiPoly.const(0),
     )
+
+
+def _scaled_norm(coeffs) -> tuple[MultiPoly, MultiPoly]:
+    """n^n * det(N) on the coordinate symbols, and s with the trace t = n*u - s.
+
+    s is the sum of k * a_{k+1} * x_k over the coordinates x_k after u.
+    """
+    n = len(coeffs) - 1
+    _, *xs = symbolic_coords(n)
+    det = det_cofactor(matrix_from_coefficients(coeffs))
+    s = sum((k * coeffs[k] * x for k, x in enumerate(xs, start=1)), MultiPoly.const(0))
+    return n**n * det, s
 
 
 # ----------------------------------------------------------------------
@@ -122,110 +138,60 @@ def _quartic_ij(coeffs):
 
 def quartic_invariants(V: BinaryForm) -> tuple[int, int]:
     """The classical degree-2 and degree-3 invariants of a quartic form."""
-    _require_degree(V, 4)
-    return _quartic_ij(V.coeffs)
+    return _quartic_ij(_coeffs(V, 4))
 
 
-def _ghf_from_coeffs(coeffs) -> tuple[TernaryForm, TernaryForm, TernaryForm, MultiPoly]:
-    """G, H, F and det(N): expand 256 * det(N) under the trace substitution, collect t powers."""
-    a, b, c, d, e = coeffs
-    N = matrix_from_coefficients([a, b, c, d, e])
-    det = det_cofactor(N)
+@functools.lru_cache(maxsize=1)
+def _ghf_from_coeffs(coeffs: tuple):
+    """G, H, F, 256*det(N) and s: expand 256*det(N) under u = (t + s)/4, collect t powers."""
+    scaled, s = _scaled_norm(coeffs)
     t = MultiPoly.var("t")
-    x, y, z = (MultiPoly.var(v) for v in _XYZ)
-    u_image = (t + b * x + 2 * c * y + 3 * d * z) * Fraction(1, 4)
-    expanded = (256 * det).subs({"u": u_image})
-    by_t = collect_coeffs(expanded, "t")
+    by_t = collect_coeffs(scaled.subs({"u": (t + s) * Fraction(1, 4)}), "t")
     by_t += [MultiPoly.const(0)] * (5 - len(by_t))
     if by_t[4] != 1 or by_t[3]:
         raise ArithmatError("trace substitution did not cancel as expected")
     g = -by_t[2] * Fraction(1, 2)
     h = -by_t[1] * Fraction(1, 8)
     f = by_t[0]
-    return TernaryForm(g, 2), TernaryForm(h, 3), TernaryForm(f, 4), det
+    return TernaryForm(g, 2), TernaryForm(h, 3), TernaryForm(f, 4), scaled, s
 
 
-def quartic_ghf(V: BinaryForm) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
+def quartic_ghf(V: BinaryForm | None = None) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
     """The ternary forms G (deg 2), H (deg 3), F (deg 4) of a quartic form."""
-    _require_degree(V, 4)
-    forms = _ghf_from_coeffs(V.coeffs)[:3]
+    forms = _ghf_from_coeffs(_coeffs(V, 4))[:3]
     for form in forms:
         if not form.poly.is_integer_coefficients():
             raise ArithmatError("covariant with non-integer coefficients")
     return forms
 
 
-def quartic_ghf_generic() -> tuple[TernaryForm, TernaryForm, TernaryForm]:
-    """G, H, F over generic symbolic coefficients a..e."""
-    return _ghf_from_coeffs(generic_form_coeffs(4))[:3]
-
-
-def _quartic_syzygy_residual(coeffs, ghf) -> MultiPoly:
-    g, h, _, _ = ghf
+def quartic_syzygy_check(V: BinaryForm | None = None) -> bool:
+    """Exact check of g4^3 - 48*I*g4*v^2 - 64*J*v^3 = 27*g6^2 for this quartic."""
+    coeffs = _coeffs(V, 4)
+    g, h = _ghf_from_coeffs(coeffs)[:2]
     i_inv, j_inv = _quartic_ij(coeffs)
     x = MultiPoly.var("x")
     g4 = g(x * x, x, 1)
     g6 = h(x * x, x, 1)
     v = _binary_poly(coeffs).subs({"y": 1})
-    return g4**3 - 48 * i_inv * g4 * v**2 - 64 * j_inv * v**3 - 27 * g6**2
+    return (g4**3 - 48 * i_inv * g4 * v**2 - 64 * j_inv * v**3 - 27 * g6**2).is_zero()
 
 
-def quartic_syzygy_check(V: BinaryForm) -> bool:
-    """Exact check of g4^3 - 48*I*g4*v^2 - 64*J*v^3 = 27*g6^2 for this quartic."""
-    _require_degree(V, 4)
-    return _residuals_vanish(V.coeffs, _ghf_from_coeffs, _quartic_syzygy_residual)
-
-
-def quartic_syzygy_check_generic() -> bool:
-    """The same syzygy as a polynomial identity in generic coefficients."""
-    return _residuals_vanish(generic_form_coeffs(4), _ghf_from_coeffs, _quartic_syzygy_residual)
-
-
-def _quartic_norm_equation_residual(coeffs, ghf) -> MultiPoly:
-    _, b, c, d, _ = coeffs
-    g, h, f, det = ghf
-    u, x, y, z = (MultiPoly.var(v) for v in ("u", "x", "y", "z"))
-    t_of_u = 4 * u - b * x - 2 * c * y - 3 * d * z
-    rhs = t_of_u**4 - 2 * g.poly * t_of_u**2 - 8 * h.poly * t_of_u + f.poly
-    return 256 * det - rhs
-
-
-def quartic_norm_equation_check(V: BinaryForm) -> bool:
+def quartic_norm_equation_check(V: BinaryForm | None = None) -> bool:
     """Exact check that 256*det(N) = t^4 - 2*G*t^2 - 8*H*t + F with t the trace."""
-    _require_degree(V, 4)
-    return _residuals_vanish(V.coeffs, _ghf_from_coeffs, _quartic_norm_equation_residual)
+    g, h, f, scaled, s = _ghf_from_coeffs(_coeffs(V, 4))
+    t = 4 * MultiPoly.var("u") - s
+    return (scaled - (t**4 - 2 * g.poly * t**2 - 8 * h.poly * t + f.poly)).is_zero()
 
 
-def quartic_norm_equation_check_generic() -> bool:
-    return _residuals_vanish(
-        generic_form_coeffs(4), _ghf_from_coeffs, _quartic_norm_equation_residual
-    )
-
-
-def quartic_identities_check(V: BinaryForm) -> bool:
-    """The syzygy and norm-equation checks from one expansion of G, H, F."""
-    _require_degree(V, 4)
-    return _residuals_vanish(
-        V.coeffs, _ghf_from_coeffs, _quartic_syzygy_residual, _quartic_norm_equation_residual
-    )
-
-
-def _quartic_hessian_residual(coeffs) -> MultiPoly:
+def quartic_hessian_identity_check(V: BinaryForm | None = None) -> bool:
+    """Exact check of G(x^2, x*y, y^2) = -det(Hessian of V)/3."""
+    coeffs = _coeffs(V, 4)
     g = _ghf_from_coeffs(coeffs)[0]
     v = _binary_poly(coeffs)
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     hess = v.diff("x").diff("x") * v.diff("y").diff("y") - v.diff("x").diff("y") ** 2
-    return g(x * x, x * y, y * y) + hess * Fraction(1, 3)
-
-
-def quartic_hessian_identity_check(V: BinaryForm) -> bool:
-    """Exact check of G(x^2, x*y, y^2) = -det(Hessian of V)/3."""
-    _require_degree(V, 4)
-    return _quartic_hessian_residual(V.coeffs).is_zero()
-
-
-def quartic_hessian_identity_check_generic() -> bool:
-    return _quartic_hessian_residual(generic_form_coeffs(4)).is_zero()
+    return (g(x * x, x * y, y * y) + hess * Fraction(1, 3)).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -241,12 +207,13 @@ def cubic_covariants(C: BinaryForm):
     Normalizations are the classical ones making Cayley's syzygy hold as
     F^2 + 27*D*C^2 = 4*Q^3.
     """
-    _require_degree(C, 3)
-    q_poly, f_poly = _cubic_covariant_polys(C.coeffs)
+    q_poly, f_poly = _cubic_covariant_polys(_coeffs(C, 3))
     return _poly_to_binary_coeffs(q_poly, 2), _poly_to_binary_coeffs(f_poly, 3)
 
 
-def _cubic_covariant_polys(coeffs) -> tuple[MultiPoly, MultiPoly]:
+@functools.lru_cache(maxsize=1)
+def _cubic_covariant_polys(coeffs: tuple) -> tuple[MultiPoly, MultiPoly]:
+    """Q and F as MultiPolys in (x, y), cached on the coefficient tuple."""
     a, b, c, d = coeffs
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     q_poly = (
@@ -267,9 +234,11 @@ def _poly_to_binary_coeffs(poly: MultiPoly, degree: int) -> tuple:
     return tuple(out)
 
 
-def _cubic_syzygy_residual(coeffs, covariant_polys) -> MultiPoly:
+def cubic_syzygy_check(C: BinaryForm | None = None) -> bool:
+    """Exact check of Cayley's syzygy F^2 + 27*D*C^2 = 4*Q^3 for this cubic."""
+    coeffs = _coeffs(C, 3)
     a, b, c, d = coeffs
-    q_poly, f_poly = covariant_polys
+    q_poly, f_poly = _cubic_covariant_polys(coeffs)
     disc = (
         18 * a * b * c * d
         - 4 * b**3 * d
@@ -278,50 +247,16 @@ def _cubic_syzygy_residual(coeffs, covariant_polys) -> MultiPoly:
         - 27 * a * a * d * d
     )
     cpoly = _binary_poly(coeffs)
-    return f_poly**2 + 27 * disc * cpoly**2 - 4 * q_poly**3
+    return (f_poly**2 + 27 * disc * cpoly**2 - 4 * q_poly**3).is_zero()
 
 
-def cubic_syzygy_check(C: BinaryForm) -> bool:
-    """Exact check of Cayley's syzygy F^2 + 27*D*C^2 = 4*Q^3 for this cubic."""
-    _require_degree(C, 3)
-    return _residuals_vanish(C.coeffs, _cubic_covariant_polys, _cubic_syzygy_residual)
-
-
-def cubic_syzygy_check_generic() -> bool:
-    return _residuals_vanish(
-        generic_form_coeffs(3), _cubic_covariant_polys, _cubic_syzygy_residual
-    )
-
-
-def _cubic_norm_equation_residual(coeffs, covariant_polys) -> MultiPoly:
-    a, b, c, d = coeffs
-    q_poly, f_poly = covariant_polys
-    N = matrix_from_coefficients([a, b, c, d])
-    det = det_cofactor(N)
-    u, x, y = (MultiPoly.var(v) for v in ("u", "x", "y"))
-    t_of_u = 3 * u - b * x - 2 * c * y
-    rhs = t_of_u**3 - 3 * t_of_u * q_poly + f_poly
-    return 27 * det - rhs
-
-
-def cubic_norm_equation_check(C: BinaryForm) -> bool:
+def cubic_norm_equation_check(C: BinaryForm | None = None) -> bool:
     """Exact check that 27*det(N) = t^3 - 3*t*Q + F with t the trace."""
-    _require_degree(C, 3)
-    return _residuals_vanish(C.coeffs, _cubic_covariant_polys, _cubic_norm_equation_residual)
-
-
-def cubic_norm_equation_check_generic() -> bool:
-    return _residuals_vanish(
-        generic_form_coeffs(3), _cubic_covariant_polys, _cubic_norm_equation_residual
-    )
-
-
-def cubic_identities_check(C: BinaryForm) -> bool:
-    """Cayley's syzygy and the norm-equation check from one build of Q and F."""
-    _require_degree(C, 3)
-    return _residuals_vanish(
-        C.coeffs, _cubic_covariant_polys, _cubic_syzygy_residual, _cubic_norm_equation_residual
-    )
+    coeffs = _coeffs(C, 3)
+    q_poly, f_poly = _cubic_covariant_polys(coeffs)
+    scaled, s = _scaled_norm(coeffs)
+    t = 3 * MultiPoly.var("u") - s
+    return (scaled - (t**3 - 3 * t * q_poly + f_poly)).is_zero()
 
 
 # ----------------------------------------------------------------------

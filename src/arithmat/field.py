@@ -309,17 +309,17 @@ def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") 
     """The n x n multiplication matrix of alpha over the omega-basis.
 
     Column 1 carries alpha's coordinates; integer coordinates give integer
-    entries and conversely.  The explicit route divides the integer matrix
-    (`integer_matrix`) by its common denominator; the substitution route is
-    an independent oracle.
+    entries and conversely.  The default "explicit" is the integer kernel: it
+    divides `integer_matrix` by its common denominator.  The "substitution"
+    route is an independent oracle at every a0 (at a0 = 1 it evaluates the
+    paper's formula, which `symbolic.matrix_from_coefficients(..., "explicit")`
+    builds at any a0).
     """
     require_same_field(F, alpha)
     if method != "explicit":
-        from .symbolic import _check_method, matrix_from_coefficients
+        from .symbolic import matrix_from_coefficients
 
-        _check_method(method)
-        if F.a0 != 1:
-            return matrix_from_coefficients(F.pair.form.coeffs, F.a0, alpha.coords, method)
+        return matrix_from_coefficients(F.pair.form.coeffs, F.a0, alpha.coords, method)
     rows, d = integer_matrix(F, alpha)
     entries = [v for row in rows for v in row]
     return ExactMatrix(F.n, F.n, entries if d == 1 else [Fraction(v, d) for v in entries])

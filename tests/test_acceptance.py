@@ -14,12 +14,11 @@ from fractions import Fraction
 from arithmat import element as el
 from arithmat.covariants import (
     cubic_covariants,
-    cubic_syzygy_check_generic,
+    cubic_syzygy_check,
     dh_cubic_form,
     quartic_ghf,
-    quartic_ghf_generic,
-    quartic_norm_equation_check_generic,
-    quartic_syzygy_check_generic,
+    quartic_norm_equation_check,
+    quartic_syzygy_check,
 )
 from arithmat.fastmul import (
     MulCounter,
@@ -181,9 +180,9 @@ def test_criterion_4_diagonalization_residuals():
 
 def test_criterion_5_syzygies():
     with criterion(5, "syzygies as polynomial identities"):
-        assert cubic_syzygy_check_generic()
-        assert quartic_syzygy_check_generic()
-        G, H, Fq = quartic_ghf_generic()  # construction asserts t^3 cancellation
+        assert cubic_syzygy_check()
+        assert quartic_syzygy_check()
+        G, H, Fq = quartic_ghf()  # construction asserts t^3 cancellation
         assert G.coefficient(2, 0, 0) == 3 * b * b - 8 * a * c
         assert G.coefficient(1, 1, 0) == 4 * b * c - 24 * a * d
         assert G.coefficient(0, 2, 0) == 4 * c * c - 8 * b * d - 16 * a * e
@@ -194,7 +193,7 @@ def test_criterion_5_syzygies():
 
 def test_criterion_6_norm_equations():
     with criterion(6, "norm equations"):
-        assert quartic_norm_equation_check_generic()
+        assert quartic_norm_equation_check()
         # quartic box, disc -275: every norm-one element satisfies the equation
         V4 = BinaryForm([1, 1, 0, -2, -1])
         F4 = make_field(EssentialPair(1, V4))

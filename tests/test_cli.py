@@ -167,6 +167,31 @@ class TestSyzygyCommand:
         code, out, _ = run(capsys, "syzygy", "--cubic", "1,1,-2,-1")
         assert (code, out.strip()) == (0, "PASS")
 
+    @pytest.mark.parametrize("kind, form", [("cubic", "1,1,-2,-1"), ("quartic", "4,-2,-3,1,1")])
+    def test_both_checks_share_one_expansion(self, capsys, monkeypatch, kind, form):
+        # the two checks are the ones a tracer wraps; the cached expansion computes det(N) once
+        covariants = cli.covariants
+        covariants._ghf_from_coeffs.cache_clear()
+        covariants._cubic_covariant_polys.cache_clear()
+        calls = []
+
+        def counted(name):
+            original = getattr(covariants, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(covariants, name, wrapper)
+
+        for name in (f"{kind}_syzygy_check", f"{kind}_norm_equation_check", "det_cofactor"):
+            counted(name)
+        code, out, _ = run(capsys, "syzygy", f"--{kind}", form)
+        assert (code, out.strip()) == (0, "PASS")
+        assert sorted(calls) == sorted(
+            [f"{kind}_syzygy_check", f"{kind}_norm_equation_check", "det_cofactor"]
+        )
+
 
 # x^2 + 10^400 xy + y^2: exact arithmetic handles it, a float64 does not
 _HUGE_MIDDLE_PAIR = "1:1,1" + "0" * 400 + ",1"
@@ -321,7 +346,7 @@ def test_one_covariants_module_in_either_import_order(first):
         "from arithmat.forms import BinaryForm\n"
         "seen += [arithmat.cli.covariants, sys.modules['arithmat.covariants'], arithmat.covariants]\n"
         "print(len({id(m) for m in seen}),"
-        " arithmat.cli.covariants.quartic_identities_check(BinaryForm([4, -2, -3, 1, 1])))"
+        " arithmat.cli.covariants.quartic_syzygy_check(BinaryForm([4, -2, -3, 1, 1])))"
     )
     assert (result.returncode, result.stdout.split()) == (0, ["1", "True"]), result.stderr
 

@@ -4,20 +4,15 @@ import pytest
 
 from arithmat import element as el
 from arithmat.covariants import (
+    _ghf_from_coeffs,
     cubic_covariants,
     cubic_norm_equation_check,
-    cubic_norm_equation_check_generic,
     cubic_syzygy_check,
-    cubic_syzygy_check_generic,
     quartic_ghf,
-    quartic_ghf_generic,
     quartic_hessian_identity_check,
-    quartic_hessian_identity_check_generic,
     quartic_invariants,
     quartic_norm_equation_check,
-    quartic_norm_equation_check_generic,
     quartic_syzygy_check,
-    quartic_syzygy_check_generic,
 )
 from arithmat.errors import UnsupportedDegreeError
 from arithmat.field import EssentialPair, make_field
@@ -60,11 +55,19 @@ class TestInvariants:
     def test_wrong_degree(self):
         with pytest.raises(UnsupportedDegreeError):
             quartic_invariants(BinaryForm([1, 1, -1]))
+        quartic = (quartic_invariants, quartic_ghf, quartic_syzygy_check,
+                   quartic_norm_equation_check, quartic_hessian_identity_check)
+        cubic = (cubic_covariants, cubic_syzygy_check, cubic_norm_equation_check)
+        for checks, n, form in ((quartic, 4, [1, 0, 0, 2]), (cubic, 3, [1, 0, 0, 0, 2])):
+            for check in checks:
+                message = f"^expected a degree-{n} form, got {7 - n}$"
+                with pytest.raises(UnsupportedDegreeError, match=message):
+                    check(BinaryForm(form))
 
 
 class TestQuarticGHF:
     def test_generic_display_coefficients(self):
-        G, H, F = quartic_ghf_generic()
+        G, H, F = quartic_ghf()
         a, b, c, d, e = MultiPoly.variables("a b c d e")
         assert G.coefficient(2, 0, 0) == 3 * b * b - 8 * a * c
         assert G.coefficient(1, 1, 0) == 4 * b * c - 24 * a * d
@@ -74,8 +77,13 @@ class TestQuarticGHF:
         assert G.coefficient(0, 0, 2) == 3 * d * d - 8 * c * e
 
     def test_degrees(self):
-        G, H, F = quartic_ghf_generic()
+        G, H, F = quartic_ghf()
         assert (G.degree, H.degree, F.degree) == (2, 3, 4)
+
+    def test_cached_expansion_follows_the_form(self):
+        V1, V2 = BinaryForm([4, -2, -3, 1, 1]), BinaryForm([1, 1, 0, -2, -1])
+        for V in (V1, V2, V1):
+            assert quartic_ghf(V) == _ghf_from_coeffs.__wrapped__(V.coeffs)[:3]
 
     def test_cubic_term_cancels_on_random_quartics(self):
         rng = random.Random(1)
@@ -83,7 +91,7 @@ class TestQuarticGHF:
             quartic_ghf(rand_quartic(rng))  # construction asserts the cancellation
 
     def test_hessian_identity_generic(self):
-        assert quartic_hessian_identity_check_generic()
+        assert quartic_hessian_identity_check()
 
     def test_hessian_identity_concrete(self):
         rng = random.Random(2)
@@ -99,7 +107,7 @@ class TestQuarticSyzygy:
         assert quartic_syzygy_check(BinaryForm([4, -2, -3, 1, 1]))
 
     def test_generic_identity(self):
-        assert quartic_syzygy_check_generic()
+        assert quartic_syzygy_check()
 
     def test_random_irreducible_quartics(self):
         rng = random.Random(3)
@@ -114,7 +122,7 @@ class TestQuarticSyzygy:
 
 class TestQuarticNormEquation:
     def test_generic_identity(self):
-        assert quartic_norm_equation_check_generic()
+        assert quartic_norm_equation_check()
 
     def test_concrete_and_random_points(self):
         # the identity lives on the standard (a0 = 1) matrix of the form
@@ -192,7 +200,7 @@ class TestCubicCovariants:
         assert Q[0] == 0
 
     def test_cayley_generic(self):
-        assert cubic_syzygy_check_generic()
+        assert cubic_syzygy_check()
 
     def test_cayley_concrete(self):
         rng = random.Random(5)
@@ -204,7 +212,7 @@ class TestCubicCovariants:
             assert cubic_syzygy_check(BinaryForm(cs))
 
     def test_norm_equation_generic(self):
-        assert cubic_norm_equation_check_generic()
+        assert cubic_norm_equation_check()
 
     def test_norm_one_correspondence_disc_49(self):
         C = BinaryForm([1, 1, -2, -1])

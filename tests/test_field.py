@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from arithmat import field
 from arithmat.errors import (
     DimensionMismatchError,
     DivisibilityError,
@@ -227,6 +228,17 @@ class TestArithmeticMatrix:
                 assert arithmetic_matrix(F, alpha, method) == kernel
             with pytest.raises(ValueError, match="unknown construction method"):
                 arithmetic_matrix(F, alpha, "bogus")
+
+    def test_substitution_route_never_runs_the_kernel(self, monkeypatch):
+        F = make_field(EssentialPair(1, BinaryForm([1, 1, 0, -2, -1])))
+        alpha = F.element([3, Fraction(-1, 2), 0, 5])
+        kernel = arithmetic_matrix(F, alpha)
+
+        def refuse(*_):
+            raise AssertionError("the substitution route ran the integer kernel")
+
+        monkeypatch.setattr(field, "integer_matrix", refuse)
+        assert arithmetic_matrix(F, alpha, "substitution") == kernel
 
     def test_dimension_mismatch(self):
         rng = random.Random(17)
