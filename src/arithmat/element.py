@@ -10,10 +10,10 @@ the linear trace form on d*x, norm is det A by Bareiss elimination, inverse
 is d * A^-1 e1 by a fraction-free solve, and char_poly is Le Verrier over the
 integers.  Since A^k is the matrix of (d*alpha)^k, whose coordinates
 A^(k-1) (d*x) cost one matrix-vector product, each power sum tr(A^k) is one
-trace-form evaluation.  When the denominator is 1, mul and char_poly return
-their integers as they are and inverse skips the scaling by d, so no Fraction
-is made for an integral result.  An independent resultant-based norm is
-provided as a cross-check oracle.
+trace-form evaluation.  Elements hold integer numerators over one denominator
+(`field.Element`), and every result is built from integers by `Element.over`,
+so no Fraction is made between operations.  An independent resultant-based
+norm is provided as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -24,39 +24,33 @@ from fractions import Fraction
 from .errors import ZeroElementError
 from .field import Element, NumberField, basis_change_matrix
 from .field import integer_matrix, integer_trace, require_same_field
-from .polyring import ExactMatrix, UniPoly, det_exact, exact, resultant
+from .polyring import ExactMatrix, UniPoly, det_exact, exact, resultant, scaled_coords
 
 
 def add(F: NumberField, alpha: Element, beta: Element) -> Element:
-    """Coordinate-wise sum."""
+    """Coordinate-wise sum, over the product of the two denominators."""
     require_same_field(F, alpha, beta)
-    return Element(F, [a + b for a, b in zip(alpha.coords, beta.coords)])
-
-
-def sub(F: NumberField, alpha: Element, beta: Element) -> Element:
-    require_same_field(F, alpha, beta)
-    return Element(F, [a - b for a, b in zip(alpha.coords, beta.coords)])
+    d, e = alpha.den, beta.den
+    return Element.over(F, [x * e + y * d for x, y in zip(alpha.num, beta.num)], d * e)
 
 
 def scale(F: NumberField, c, alpha: Element) -> Element:
     require_same_field(F, alpha)
-    return Element(F, [exact(c) * a for a in alpha.coords])
+    c = exact(c)
+    return Element.over(F, [c.numerator * x for x in alpha.num], c.denominator * alpha.den)
 
 
 def mul(F: NumberField, alpha: Element, beta: Element) -> Element:
     """Exact product: alpha's matrix applied to beta's coordinate column."""
     require_same_field(F, alpha, beta)
     rows, d = integer_matrix(F, alpha)
-    ys, e = beta.integer_coords()
-    column = [sum(map(operator.mul, row, ys)) for row in rows]
-    return Element(F, column if d * e == 1 else [Fraction(v, d * e) for v in column])
+    return Element.over(F, [sum(map(operator.mul, row, beta.num)) for row in rows], d * beta.den)
 
 
 def trace(F: NumberField, alpha: Element) -> Fraction:
     """Trace of alpha: the trace of its multiplication matrix."""
     require_same_field(F, alpha)
-    xs, d = alpha.integer_coords()
-    return Fraction(integer_trace(F, xs), d)
+    return Fraction(integer_trace(F, alpha.num), alpha.den)
 
 
 def norm(F: NumberField, alpha: Element) -> Fraction:
@@ -83,8 +77,8 @@ def inverse(F: NumberField, alpha: Element) -> Element:
     if alpha.is_zero():
         raise ZeroElementError("cannot invert the zero element")
     rows, d = integer_matrix(F, alpha)
-    column = ExactMatrix.from_rows(rows).inverse(columns=(0,)).column(0)
-    return Element(F, column if d == 1 else [d * c for c in column])
+    xs, e = scaled_coords(ExactMatrix.from_rows(rows).inverse(columns=(0,)).column(0))
+    return Element.over(F, [d * x for x in xs], e)
 
 
 def char_poly(F: NumberField, alpha: Element) -> UniPoly:
@@ -95,7 +89,7 @@ def char_poly(F: NumberField, alpha: Element) -> UniPoly:
     require_same_field(F, alpha)
     n = F.n
     rows, d = integer_matrix(F, alpha)
-    power = alpha.integer_coords()[0]
+    power = alpha.num
     sums = [integer_trace(F, power)]
     for _ in range(n - 1):
         power = [sum(map(operator.mul, row, power)) for row in rows]
@@ -109,18 +103,17 @@ def char_poly(F: NumberField, alpha: Element) -> UniPoly:
 def is_integral(F: NumberField, alpha: Element) -> bool:
     """True when every coordinate is a rational integer."""
     require_same_field(F, alpha)
-    return all(c.denominator == 1 for c in alpha.coords)
+    return alpha.den == 1
 
 
 def evaluate_poly_at(F: NumberField, p: UniPoly, alpha: Element) -> Element:
     """Evaluate a rational polynomial at an element via Horner over mul().
 
     Each step multiplies by alpha on the left, so alpha's kept matrix is
-    built once, and adds the coefficient to coordinate 0 (the basis starts
-    with omega_0 = 1)."""
+    built once, and adds the coefficient times one (the basis starts with
+    omega_0 = 1)."""
     require_same_field(F, alpha)
-    acc = F.zero()
+    acc, one = F.zero(), F.one()
     for c in reversed(p.coeffs):
-        step = mul(F, alpha, acc).coords
-        acc = Element(F, (step[0] + c,) + step[1:])
+        acc = add(F, mul(F, alpha, acc), scale(F, c, one))
     return acc

@@ -23,11 +23,10 @@ all in integers.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 from .errors import ArithmatError, DimensionMismatchError, NonIntegerEntryError
-from .field import Element, NumberField, integer_matrix, require_same_field
-from .polyring import ExactMatrix, scaled_coords
+from .field import Element, NumberField, common_numerators, integer_matrix, require_same_field
+from .polyring import ExactMatrix
 
 
 class MulCounter:
@@ -246,8 +245,8 @@ def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
     above it (`field.basis_change_matrix`); a1/a0 is an integer because
     a0^2 | a1.  The integer numerators of both elements are mapped through
     it, convolved exactly, pseudo-reduced modulo f = B(x, 1) with one factor
-    a1 per step, and mapped back by exact integer divisions.  The common
-    denominator is divided out only in the result's coordinates.
+    a1 per step, and mapped back by exact integer divisions.  The result is
+    those integers over the product of both denominators and the factors a1.
     """
     require_same_field(F, alpha, beta)
     n = F.n
@@ -258,13 +257,12 @@ def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
         """Row i of the basis change applied to v, diagonal left out."""
         return sum(map(operator.mul, a[1 : n - i], v[i + 1 : n])) if i else 0
 
-    xa, da = alpha.integer_coords()
-    xb, db = beta.integer_coords()
+    xa, xb = alpha.num, beta.num
     prod = exact_convolve(
         [diag[i] * xa[i] + above(i, xa) for i in range(n)],
         [diag[i] * xb[i] + above(i, xb) for i in range(n)],
     )
-    scale = da * db
+    scale = alpha.den * beta.den
     for top in range(len(prod) - 1, n - 1, -1):
         lead = prod.pop()
         prod = [a[0] * v for v in prod]
@@ -275,7 +273,7 @@ def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
         prod[i], rem = divmod(prod[i] - above(i, prod), diag[i])
         if rem:
             raise ArithmatError("the product's basis change back was not exact")
-    return Element(F, [Fraction(v, scale) for v in prod])
+    return Element.over(F, prod, scale)
 
 
 def batch_multiply(
@@ -299,24 +297,21 @@ def batch_multiply(
         raise DimensionMismatchError(f"at most {n} multiplicands per batch")
     require_same_field(F, *betas, alpha)
     count = len(betas)
-    padded = list(betas) + [F.zero()] * (n - count)
     rows, d = integer_matrix(F, alpha)
-    us, e = scaled_coords([padded[j].coords[i] for i in range(n) for j in range(n)])
+    columns, e = common_numerators(betas)
+    columns += [(0,) * n] * (n - count)
     N = ExactMatrix.from_rows(rows)
-    U = ExactMatrix(n, n, us)
+    U = ExactMatrix.from_rows(list(zip(*columns)))
     if strategy == "schoolbook":
         C = schoolbook_multiply(N, U, counter)
     elif strategy == "ww":
-        m = n if n % 2 == 0 else n + 1
-        if m != n:
-            N = _pad_matrix(N, m)
-            U = _pad_matrix(U, m)
-        C = ww_multiply(N, U, counter)
+        m = n + n % 2
+        C = ww_multiply(_pad_matrix(N, m), _pad_matrix(U, m), counter)
     elif strategy == "ww_recursive":
         C = ww_recursive(N, U, counter)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return [Element(F, [Fraction(C[i, j], d * e) for i in range(n)]) for j in range(count)]
+    return [Element.over(F, [C[i, j] for i in range(n)], d * e) for j in range(count)]
 
 
 def _pad_matrix(M: ExactMatrix, m: int) -> ExactMatrix:

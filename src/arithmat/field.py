@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -130,31 +131,39 @@ class NumberField:
 class Element:
     """Coordinate vector over the omega-basis of a field context.
 
-    Each coordinate is stored by `polyring.exact` (an int when integral).
-    Its integer form, the numerators xs over one common denominator d
-    (`integer_coords`), and its integer matrix A (`integer_matrix`) are
-    built on first use and kept, as tuples; equality and hashing see only
-    the field and the coordinates.
+    Stored as integer numerators `num` over one denominator `den` >= 1 with
+    gcd(den, *num) = 1, the one form of each value, which equality and hashing
+    use; `coords` builds the exact values on demand.  `Element(F, coords)`
+    checks outside values, and operations build results with `Element.over`.
+    The integer matrix (`integer_matrix`) is built on first use and kept.
     """
 
-    __slots__ = ("field", "coords", "_scaled", "_rows")
+    __slots__ = ("field", "num", "den", "_rows")
 
     def __init__(self, field: NumberField, coords: Sequence):
-        cs = tuple(exact(c) for c in coords)
-        if len(cs) != field.n:
-            raise DimensionMismatchError(
-                f"expected {field.n} coordinates, got {len(cs)}"
-            )
-        self.field = field
-        self.coords = cs
-        self._scaled = self._rows = None
+        self._hold(field, *scaled_coords([exact(c) for c in coords]))
 
-    def integer_coords(self) -> tuple[tuple[int, ...], int]:
-        """The coordinates as integer numerators xs over their common denominator d."""
-        if self._scaled is None:
-            xs, d = scaled_coords(self.coords)
-            self._scaled = (tuple(xs), d)
-        return self._scaled
+    @classmethod
+    def over(cls, field: NumberField, num: Sequence[int], den: int) -> Element:
+        """The element num / den, den != 0, divided by one gcd that takes den's sign."""
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        alpha = cls.__new__(cls)
+        alpha._hold(field, [x // g for x in num] if g != 1 else num, den // g)
+        return alpha
+
+    def _hold(self, field: NumberField, num: Sequence[int], den: int) -> None:
+        if len(num) != field.n:
+            raise DimensionMismatchError(f"expected {field.n} coordinates, got {len(num)}")
+        self.field = field
+        self.num = tuple(num)
+        self.den = den
+        self._rows = None
+
+    @property
+    def coords(self) -> tuple:
+        """The exact coordinates: ints where integral, else Fractions."""
+        d = self.den
+        return tuple(Fraction(x, d) if x % d else x // d for x in self.num)
 
     @classmethod
     def from_text(cls, field: NumberField, text: str) -> Element:
@@ -165,18 +174,24 @@ class Element:
         return ",".join(format_rational(c) for c in self.coords)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return self.field == other.field and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"Element({self.text()})"
+
+
+def common_numerators(elements: Sequence[Element]) -> tuple[list[tuple[int, ...]], int]:
+    """The elements' numerators over their least common denominator e."""
+    e = lcm(*(alpha.den for alpha in elements))
+    return [tuple(x * (e // alpha.den) for x in alpha.num) for alpha in elements], e
 
 
 def require_same_field(F: NumberField, *elements: Element) -> None:
@@ -276,15 +291,14 @@ def integer_matrix(F: NumberField, alpha: Element) -> tuple[tuple[tuple[int, ...
     so later calls return the same tuples.
     """
     require_same_field(F, alpha)
-    xs, d = alpha.integer_coords()
     if alpha._rows is None:
         a0, n = F.a0, F.n
         if a0 == 1:
-            rows = _diagonal_sums(n, F.pair.form.coeffs, xs)
+            rows = _diagonal_sums(n, F.pair.form.coeffs, alpha.num)
         else:
             check_scale(F.pair)
-            scaled = [a0 * x for x in xs]
-            scaled[1] = xs[1]
+            scaled = [a0 * x for x in alpha.num]
+            scaled[1] = alpha.num[1]
             rows = _diagonal_sums(n, F.pair.form.coeffs, scaled)
             outside = [a0] * n
             outside[1] = a0 * a0
@@ -295,7 +309,7 @@ def integer_matrix(F: NumberField, alpha: Element) -> tuple[tuple[tuple[int, ...
                 for r, row in enumerate(rows)
             ]
         alpha._rows = tuple(map(tuple, rows))
-    return alpha._rows, d
+    return alpha._rows, alpha.den
 
 
 def integer_trace(F: NumberField, xs: Sequence[int]) -> int:

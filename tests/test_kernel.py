@@ -3,22 +3,25 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithmat import element as el
 from arithmat.errors import ArithmatError, DivisibilityError
-from arithmat.fastmul import mul_via_fft
+from arithmat.fastmul import batch_multiply, mul_via_fft
 from arithmat.field import (
+    Element,
     EssentialPair,
     NumberField,
     arithmetic_matrix,
     integer_matrix,
+    make_field,
 )
 from arithmat.forms import BinaryForm
 from arithmat.numeric import diagonalization_residual
-from arithmat.polyring import ExactMatrix
+from arithmat.polyring import ExactMatrix, UniPoly
 from arithmat.symbolic import MultiPoly, collect_coeffs, det_cofactor, matrix_from_coefficients
 
 import util
@@ -184,7 +187,7 @@ def test_kept_matrix_and_coordinates_cannot_be_changed():
     F = field(4, 3, 1)
     alpha = F.element([2, -1, Fraction(1, 4), 5])
     rows, d = integer_matrix(F, alpha)
-    xs, e = alpha.integer_coords()
+    xs, e = alpha.num, alpha.den
     before = (el.norm(F, alpha), el.char_poly(F, alpha), el.inverse(F, alpha), el.trace(F, alpha))
     with pytest.raises(TypeError):
         rows[0][0] += 1
@@ -192,11 +195,119 @@ def test_kept_matrix_and_coordinates_cannot_be_changed():
         rows[1] = rows[0]
     with pytest.raises(TypeError):
         xs[0] = 0
+    with pytest.raises(AttributeError):
+        alpha.coords = (0, 0, 0, 0)
     copied = [list(row) for row in rows]
     copied[0][0] += 1
-    assert integer_matrix(F, alpha) == (rows, d) and alpha.integer_coords() == (xs, e)
+    assert integer_matrix(F, alpha) == (rows, d) and (alpha.num, alpha.den) == (xs, e)
     after = (el.norm(F, alpha), el.char_poly(F, alpha), el.inverse(F, alpha), el.trace(F, alpha))
     assert after == before
     fresh = F.element(alpha.coords)
     assert integer_matrix(F, fresh) == (rows, d)
     assert arithmetic_matrix(F, alpha) == arithmetic_matrix(F, fresh)
+
+
+# ----------------------------------------------------------------------
+# One stored form: integer numerators over one denominator
+# ----------------------------------------------------------------------
+
+
+def assert_stored_form(F, result):
+    """n int numerators over an int den >= 1 with gcd 1, equal to and hashing
+    like the element built from its exact coordinates."""
+    assert len(result.num) == F.n
+    assert all(type(x) is int for x in result.num)
+    assert type(result.den) is int and result.den >= 1
+    assert gcd(result.den, *result.num) == 1
+    fresh = F.element(result.coords)
+    assert result == fresh and hash(result) == hash(fresh)
+
+
+@lru_cache(maxsize=None)
+def signed_field(n, a0, sign):
+    """field(n, a0, 0), or at sign -1 the field of its negated form, whose a1 < 0."""
+    F = field(n, a0, 0)
+    if sign == 1:
+        return F
+    return make_field(EssentialPair(a0, BinaryForm([-c for c in F.pair.form.coeffs])))
+
+
+@st.composite
+def stored_cases(draw, parity):
+    n = 2 * draw(st.integers(1 + parity, 8)) - parity
+    F = signed_field(n, draw(st.integers(1, 4)), draw(st.sampled_from((1, -1))))
+    integral = draw(st.booleans())
+    alpha = F.element(draw(coordinates(n, integral).filter(any)))
+    betas = [F.element(draw(coordinates(n, integral))) for _ in range(draw(st.integers(1, n)))]
+    c = draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    poly = UniPoly(draw(st.lists(coeff, max_size=4)))
+    return F, alpha, betas, c, poly
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even n", "odd n"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_operation_returns_the_one_stored_form(parity, data):
+    F, alpha, betas, c, poly = data.draw(stored_cases(parity))
+    beta = betas[0]
+    M = arithmetic_matrix(F, alpha, method="substitution")
+    product = el.mul(F, alpha, beta)
+    assert product.coords == tuple(M.apply(list(beta.coords)))
+    total = el.add(F, alpha, beta)
+    assert total.coords == tuple(a + b for a, b in zip(alpha.coords, beta.coords))
+    scaled = el.scale(F, c, alpha)
+    assert scaled.coords == tuple(c * a for a in alpha.coords)
+    inv = el.inverse(F, alpha)
+    assert el.mul(F, alpha, inv) == F.one()
+    value = el.evaluate_poly_at(F, poly, alpha)
+    column = [0] * F.n
+    for k in reversed(poly.coeffs):
+        column = M.apply(column)
+        column[0] += k
+    assert value.coords == tuple(column)
+    fft = mul_via_fft(F, alpha, beta)
+    assert fft == product
+    results = [product, total, scaled, inv, value, fft]
+    for strategy in ("schoolbook", "ww", "ww_recursive"):
+        batch = batch_multiply(F, alpha, betas, strategy)
+        assert batch == [el.mul(F, alpha, b) for b in betas], strategy
+        results += batch
+    for result in results:
+        assert_stored_form(F, result)
+
+
+@pytest.mark.parametrize("pair", ["1:-1,0,2", "1:-1,0,0,0,2", "1:-2,1,-3"])
+def test_negative_denominators_are_stored_positive(pair):
+    """mul_via_fft's denominator takes one factor a1 per reduction step, so at
+    a1 < 0 it arrives negative; the stored form keeps den >= 1."""
+    F = make_field(EssentialPair.from_text(pair))
+    alpha = F.element([1, 1] + [0] * (F.n - 2))
+    beta = F.element([2, -1] + [1] * (F.n - 2))
+    product = mul_via_fft(F, alpha, beta)
+    assert product == el.mul(F, alpha, beta)
+    assert el.is_integral(F, product)
+    assert_stored_form(F, product)
+    third = Element.over(F, [2, -4] + [0] * (F.n - 2), -6)
+    assert (third.num, third.den) == ((-1, 2) + (0,) * (F.n - 2), 3)
+    assert_stored_form(F, third)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16), st.data())
+def test_equal_values_written_differently_share_one_stored_form(n, data):
+    np = pytest.importorskip("numpy")
+    F = field(n, 1, 0)
+    values = data.draw(coordinates(n, data.draw(st.booleans())))
+    k = data.draw(st.integers(2, 9))
+    spellings = [
+        values,
+        [Fraction(v.numerator * k, v.denominator * k) for v in values],
+        [str(v) for v in values],
+        [np.int64(v.numerator) if v.denominator == 1 else v for v in values],
+    ]
+    forms = {(F.element(s).num, F.element(s).den) for s in spellings}
+    assert len(forms) == 1
+    (num, den), = forms
+    assert all(type(x) is int for x in num) and type(den) is int
+    assert F.element(spellings[0]).coords == tuple(values)
