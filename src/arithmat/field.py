@@ -2,8 +2,9 @@
 
 A field context is built from a pair (a0, B) where B is an irreducible
 integer binary form of degree n whose discriminant equals a0^2 times the
-field discriminant, with a0^2 | a1 and a0 | a2.  The context fixes the
-integral basis
+field discriminant, with a0^2 | a1 and a0 | a2; `NumberField` checks the
+last two itself, so a1/a0, a1/a0^2 and a2/a0 are integers in every field.
+The context fixes the integral basis
 
     omega_0 = 1,  omega_1 = (a1/a0) * zeta,
     omega_j = a1*zeta^j + a2*zeta^(j-1) + ... + aj*zeta   (j >= 2)
@@ -13,15 +14,15 @@ coordinates (x0, ..., x_{n-1}) over this basis is encoded in an n x n matrix
 whose first column is the coordinate vector; the remaining entries are
 integer-coefficient polynomials in the coordinates.  The integer kernel
 (`integer_matrix`) evaluates those entries on integer coordinates in O(n^2)
-by running sums along the matrix's diagonals.  The paper's explicit entry
-formulas and the substitution route, which are the kernel's oracles and the
-symbolic path, live in `symbolic`.  Every operation that takes an element
-checks it with `require_same_field`, here and in `element` and `fastmul`.
+by running sums along the matrix's diagonals, in one pass for every a0.
+The paper's explicit entry formulas and the substitution route, which are
+the kernel's oracles and the symbolic path, live in `symbolic`.  Every
+operation that takes an element checks it with `require_same_field`, here
+and in `element` and `fastmul`.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -37,6 +38,7 @@ from .forms import BinaryForm, form_discriminant, irreducibility_certificate
 from .polyring import (
     ExactMatrix,
     UniPoly,
+    _quotient,
     exact,
     exact_int,
     format_rational,
@@ -78,11 +80,12 @@ class EssentialPair:
 
 
 class NumberField:
-    """Validated field context: pair, degree, and trusted discriminant."""
+    """Field context: pair (its scale checked here), degree, and trusted discriminant."""
 
     __slots__ = ("pair", "n", "disc", "embedding")
 
     def __init__(self, pair: EssentialPair, n: int, disc: int):
+        check_scale(pair)
         self.pair = pair
         self.n = n
         self.disc = disc
@@ -214,8 +217,9 @@ def check_scale(pair: EssentialPair) -> None:
 
 
 def field_with_discriminant(pair: EssentialPair, D: int) -> NumberField:
-    """The field context of a pair that passed `check_scale` and whose form has
-    discriminant D: D must be nonzero and divisible by a0^2, the form certified."""
+    """The field context of a pair whose form has discriminant D: D must be
+    nonzero and divisible by a0^2, the form certified, and the pair must pass
+    `check_scale`, which `NumberField` runs after the other checks."""
     a0, form = pair.a0, pair.form
     if D == 0:
         raise ZeroDiscriminantError("form has a repeated root")
@@ -249,31 +253,45 @@ def make_field(pair: EssentialPair) -> NumberField:
 # ----------------------------------------------------------------------
 
 
-def _diagonal_sums(n: int, a, xs) -> list[list[int]]:
-    """The a0 = 1 matrix of integer coordinates xs by running sums along its diagonals.
+def _diagonal_sums(n: int, a, a0: int, xs) -> list[list[int]]:
+    """The matrix of coordinates xs at scale a0 by running sums along its diagonals.
 
-    In 1-indexed terms, with t = i - j and a = (a1, ..., a_{n+1}): below the
-    diagonal, entry (i, j) is L(t, j) = sum_{k<j} a_k x_{k+t-1}, and one step
-    further the same sum gives row 1, -a_{n+1} L(n+1-j, j); on and above it,
-    entry (i, j) is [i = j] x0 minus the suffix sum over k = j..min(n-t, n+1),
-    built from j = n downwards.
+    In 1-indexed terms, with t = i - j, a = (a1, ..., a_{n+1}), c1 = a1/a0,
+    c11 = a1/a0^2 and c2 = a2/a0: below the diagonal, entry (i, j) is
+    L(t, j) = sum_{k<j} a_k x_{k+t-1} with c1 for a1 at t = 1, but column 2
+    is L(t, 2) = c1 x_t (c11 x1 at t = 1); one step further the same sum
+    gives row 1, -a_{n+1} L(n+1-j, j).  On and above it, entry (i, j) is
+    [i = j] x0 minus the suffix sum over k = j..min(n-t, n+1), built from
+    j = n downwards; off the diagonal, row 2 multiplies all its terms but
+    a_j x1 by a0, and (2, 2) takes c2 for a2.  These are the paper's explicit
+    entries (`symbolic`); `_quotient` takes the quotients, so generic symbols
+    run here too.
     """
+    c1 = _quotient(a[0], a0)
+    c11 = _quotient(a[0], a0 * a0)
+    c2 = _quotient(a[1], a0)
     rows = [[0] * n for _ in range(n)]
     for r in range(n):
         rows[r][0] = xs[r]
     last = -a[n]
-    for t in range(1, n):
-        acc = 0
-        for c in range(1, n - t):
+    rows[0][1] = last * (c11 if n == 2 else c1) * xs[n - 1]
+    for t in range(1, n - 1):
+        acc = (c1 if t == 1 else a[0]) * xs[t]
+        rows[t + 1][1] = (c11 if t == 1 else c1) * xs[t]
+        for c in range(2, n - t):
             acc += a[c - 1] * xs[c + t - 1]
             rows[c + t][c] = acc
         rows[0][n - t] = last * (acc + a[n - t - 1] * xs[n - 1])
     for t in range(0, 1 - n, -1):
         acc = a[n] * xs[n + t] if t else 0
         base = xs[0] if t == 0 else 0
-        for c in range(n - 1, -t, -1):
+        for c in range(n - 1, 1 - t, -1):
             acc += a[c] * xs[c + t]
             rows[c + t][c] = base - acc
+        if t == 0:
+            rows[1][1] = base - (c2 * xs[1] + acc)
+        else:
+            rows[1][1 - t] = -(a[1 - t] * xs[1] + a0 * acc)
     return rows
 
 
@@ -281,40 +299,22 @@ def integer_matrix(F: NumberField, alpha: Element) -> tuple[tuple[tuple[int, ...
     """Alpha's arithmetic matrix as integer rows over one common denominator d.
 
     The rows come from the running-sum kernel on alpha's integer numerators,
-    in O(n^2); the explicit entry formulas and the substitution route are its
-    oracles.  A general a0 follows the substitution identity: the kernel runs
-    on (a0*x0, x1, a0*x2, ..., a0*x_{n-1}), and each entry is divided exactly
-    by a0, by a0^2 in column 2 outside row 2, and not at all in row 2 outside
-    column 2.  These divisions are exact when a0^2 | a1 and a0 | a2, so a pair
-    that fails `check_scale` raises its `DivisibilityError` before any entry
-    is built.  The rows are built on the first call and kept on the element,
+    in O(n^2) and in one pass for every a0: the pair enters through the exact
+    quotients a1/a0, a1/a0^2 and a2/a0, which the field's construction
+    checked.  The explicit entry formulas and the substitution route are its
+    oracles.  The rows are built on the first call and kept on the element,
     so later calls return the same tuples.
     """
     require_same_field(F, alpha)
     if alpha._rows is None:
-        a0, n = F.a0, F.n
-        if a0 == 1:
-            rows = _diagonal_sums(n, F.pair.form.coeffs, alpha.num)
-        else:
-            check_scale(F.pair)
-            scaled = [a0 * x for x in alpha.num]
-            scaled[1] = alpha.num[1]
-            rows = _diagonal_sums(n, F.pair.form.coeffs, scaled)
-            outside = [a0] * n
-            outside[1] = a0 * a0
-            inside = [1] * n
-            inside[1] = a0
-            rows = [
-                map(operator.floordiv, row, inside if r == 1 else outside)
-                for r, row in enumerate(rows)
-            ]
+        rows = _diagonal_sums(F.n, F.pair.form.coeffs, F.a0, alpha.num)
         alpha._rows = tuple(map(tuple, rows))
     return alpha._rows, alpha.den
 
 
 def integer_trace(F: NumberField, xs: Sequence[int]) -> int:
     """Trace of the arithmetic matrix on integer coordinates:
-    n*x0 - (a2/a0)*x1 - sum_{j>=2} j*a_{j+1}*x_j, with a0 | a2."""
+    n*x0 - (a2/a0)*x1 - sum_{j>=2} j*a_{j+1}*x_j, with a0 | a2 checked by F."""
     a = F.pair.form.coeffs
     return F.n * xs[0] - a[1] // F.a0 * xs[1] - sum(j * a[j] * xs[j] for j in range(2, F.n))
 
@@ -348,8 +348,8 @@ def basis_change_matrix(F: NumberField) -> ExactMatrix:
     """Integer matrix sending omega-basis coordinates to zeta-power coefficients.
 
     Row 1 is e1; for i >= 2 the (i, j) entry is a_{j-i+1}, with the (2, 2)
-    entry scaled to a1/a0, an integer because a0^2 | a1.  The matrix is upper
-    triangular and invertible.
+    entry scaled to a1/a0, an integer because F checked a0^2 | a1 when it
+    was built.  The matrix is upper triangular and invertible.
     """
     n = F.n
     rows = [[0] * n for _ in range(n)]

@@ -69,6 +69,14 @@ def exact_int(x, what: str) -> int:
     return v
 
 
+def _quotient(v, k: int):
+    """v / k: an int divided exactly when k divides it (always so for a field's
+    pair), else v times Fraction(1, k), so a symbolic v stays exact."""
+    if isinstance(v, int) and v % k == 0:
+        return v // k
+    return v * Fraction(1, k)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an integer or 'p/q' token into a Fraction (ValueError when malformed)."""
     try:
@@ -378,7 +386,7 @@ class ExactMatrix:
         if not self.is_square():
             raise NonSquareMatrixError("inverse of a non-square matrix")
         if self.is_symbolic():
-            raise NonSquareMatrixError("symbolic inverse is not supported")
+            raise NonIntegerEntryError("symbolic inverse is not supported")
         n = self.rows
         cols = range(n) if columns is None else columns
         for j in cols:

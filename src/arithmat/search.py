@@ -38,14 +38,12 @@ from .element import char_poly, inverse, is_integral, norm, trace
 from .errors import (
     ArithmatError,
     DegenerateElementError,
-    ReducibleFormError,
     UnsupportedDegreeError,
 )
 from .field import Element, EssentialPair, NumberField, check_scale, field_with_discriminant
 from .forms import (
     BinaryForm,
     form_discriminant,
-    irreducibility_certificate,
     is_irreducible,
 )
 from .polyring import poly_discriminant
@@ -473,13 +471,8 @@ def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair
     # x^n f(y/x): the form coefficients are the monic polynomial's, low first
     pair = EssentialPair(a0, BinaryForm(g.coeffs))
     check_scale(pair)
-    try:
-        # the reversed form has the characteristic polynomial's discriminant,
-        # so the field it defines has discriminant D / a0^2 = F.disc
-        field_with_discriminant(pair, D)
-    except ReducibleFormError:
-        # a degree-n element proves its minimal polynomial irreducible even
-        # when no modular certificate exists (possible only for degree >= 6)
-        if irreducibility_certificate(pair.form, D) is False:
-            raise
+    # D != 0 makes the characteristic polynomial squarefree, so it is the
+    # minimal polynomial of a degree-n element and irreducible, even where no
+    # modular certificate exists (degree >= 6); the reversed form has
+    # discriminant D, so its field has discriminant D / a0^2 = F.disc
     return pair

@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import DimensionMismatchError, NonSquareMatrixError
-from .polyring import ExactMatrix, Scalar, SymbolicEntry, _power, _signed_terms, exact, format_rational
+from .errors import DimensionMismatchError, NonSquareMatrixError, UnsupportedDegreeError
+from .polyring import ExactMatrix, Scalar, SymbolicEntry, _power, _quotient, _signed_terms, exact, format_rational
 
 if TYPE_CHECKING:
     from .field import NumberField
@@ -305,13 +305,6 @@ def det_cofactor(M: ExactMatrix):
 # ----------------------------------------------------------------------
 
 
-def _quotient(v, k: int):
-    """v / k, kept an integer when k divides v (always so for a validated pair)."""
-    if isinstance(v, int) and v % k == 0:
-        return v // k
-    return v * Fraction(1, k)
-
-
 def _explicit_entry(n: int, a, a0: int, xs):
     """The paper's explicit entries (i, j) -> N[i][j] for any a0; a is 1-indexed, xs 0-indexed.
 
@@ -400,7 +393,7 @@ def generic_form_coeffs(n: int) -> list[MultiPoly]:
 def _symbolic_matrix(coeffs, a0: int, method: str) -> ExactMatrix:
     """`matrix_from_coefficients` on the coordinate symbols, up to the degree cap."""
     if len(coeffs) - 1 > SYMBOLIC_DEGREE_CAP:
-        raise DimensionMismatchError(f"symbolic mode supports degree <= {SYMBOLIC_DEGREE_CAP}")
+        raise UnsupportedDegreeError(f"symbolic mode supports degree <= {SYMBOLIC_DEGREE_CAP}")
     return matrix_from_coefficients(coeffs, a0, method=method)
 
 

@@ -449,6 +449,12 @@ class TestExitCodesAndDeterminism:
         assert code == 2
         assert "DivisibilityError" in err
 
+    def test_symbolic_degree_cap_is_an_unsupported_degree(self, capsys):
+        # x^17 + 2 is a valid field one degree beyond the symbolic cap of 16
+        code, out, err = run(capsys, "matrix", "--pair", "1:1" + ",0" * 16 + ",2", "--symbolic")
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: UnsupportedDegreeError: symbolic mode supports degree <= 16"
+
     def test_byte_identical_reruns(self, capsys):
         for argv in (
             ["disc", "--form", "1,1,0,-2,-1"],

@@ -71,6 +71,13 @@ class TestMakeField:
         with pytest.raises(DivisibilityError):
             make_field(EssentialPair(0, BinaryForm([1, 1, -1])))
 
+    @pytest.mark.parametrize(
+        "coeffs", [[2, 4, 2], [2, 1, -1]], ids=["zero discriminant", "discriminant 9 not divisible by 4"]
+    )
+    def test_scale_is_reported_before_the_discriminant(self, coeffs):
+        with pytest.raises(DivisibilityError, match=r"^a0\^2 = 4 does not divide a1 = 2$"):
+            make_field(EssentialPair(2, BinaryForm(coeffs)))
+
     def test_pair_text_roundtrip(self):
         pair = EssentialPair(2, BinaryForm([4, -2, -3, 1, 1]))
         assert EssentialPair.from_text(pair.text()) == pair
@@ -166,11 +173,15 @@ class TestSymbolicMatrices:
                 G, "substitution"
             )
 
-    def test_explicit_formula_at_a0_one_is_the_integer_kernel(self):
-        # the kernel uses only +, - and *, so it runs on generic symbols as well
+    def test_explicit_formula_at_every_a0_is_the_integer_kernel(self):
+        # the kernel uses only +, -, * and `_quotient`, so it runs on generic symbols as well
         for n in range(2, SYMBOLIC_DEGREE_CAP + 1):
-            kernel = _diagonal_sums(n, generic_form_coeffs(n), symbolic_coords(n))
-            assert generic_arithmetic_matrix(n) == ExactMatrix.from_rows(kernel)
+            for a0 in range(1, 5):
+                kernel = ExactMatrix.from_rows(
+                    _diagonal_sums(n, generic_form_coeffs(n), a0, symbolic_coords(n))
+                )
+                for method in ("explicit", "substitution"):
+                    assert generic_arithmetic_matrix(n, a0, method) == kernel
 
     def test_symbolic_entries_have_integer_coefficients(self):
         rng = random.Random(12)

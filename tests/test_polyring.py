@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from arithmat import element as el
-from arithmat.errors import NonSquareMatrixError, ZeroPolynomialError
+from arithmat.errors import NonIntegerEntryError, NonSquareMatrixError, ZeroPolynomialError
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm
 from arithmat.polyring import (
@@ -260,6 +260,12 @@ class TestIndexChecks:
         for j in (5, -1, 2):
             with pytest.raises(IndexError, match=f"column {j} out of range for a 2x2 matrix"):
                 self.M.inverse(columns=(0, j))
+
+    def test_symbolic_inverse_names_its_entries(self):
+        # a square matrix: the elimination needs integer entries, not a square shape
+        M = ExactMatrix.from_rows([[MultiPoly.var("x"), 1], [0, 1]])
+        with pytest.raises(NonIntegerEntryError, match="symbolic inverse is not supported"):
+            M.inverse()
 
 
 class TestCollectCoeffs:

@@ -462,6 +462,13 @@ class TestVerifyTables:
         assert rows == [(-275, 1, (1, 1, 0, -2, -1))]
 
 
+def assert_found_pair(F, pair):
+    """A found pair's form has discriminant F.disc * a0^2, and no certificate calls it reducible."""
+    D = form_discriminant(pair.form)
+    assert D == F.disc * pair.a0**2
+    assert irreducibility_certificate(pair.form, D) is not False
+
+
 class TestPairFromElement:
     def test_basis_element_roundtrip_reverses_form(self):
         F = make_field(EssentialPair(1, BinaryForm([1, 1, 0, -2, -1])))
@@ -470,7 +477,7 @@ class TestPairFromElement:
         assert pair.a0 == 1
         # x^n f(y/x) reverses the minimal polynomial's coefficients
         assert pair.form.coeffs == (-1, -2, 0, 1, 1)
-        assert form_discriminant(pair.form) == -275
+        assert_found_pair(F, pair)
 
     def test_rational_multiple_is_degenerate(self):
         F = make_field(EssentialPair(1, BinaryForm([1, 1, 0, -2, -1])))
@@ -511,7 +518,7 @@ class TestPairFromElement:
                     assert not (cond1 and cond2)
                 seen_none += 1
             else:
-                assert form_discriminant(pair.form) == F.disc * pair.a0**2
+                assert_found_pair(F, pair)
         assert seen_none >= 10
 
     def test_degree_six_field_supported(self):
@@ -523,7 +530,7 @@ class TestPairFromElement:
         except DegenerateElementError:
             pair = None
         if pair is not None:
-            assert form_discriminant(pair.form) == F.disc * pair.a0**2
+            assert_found_pair(F, pair)
 
     def test_found_pair_validates(self):
         rng = random.Random(3)
@@ -537,6 +544,7 @@ class TestPairFromElement:
             except DegenerateElementError:
                 continue
             if pair is not None:
+                assert_found_pair(F, pair)
                 built = make_field(pair)
                 assert built.disc == F.disc
                 found += 1
