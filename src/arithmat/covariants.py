@@ -45,15 +45,15 @@ class TernaryForm:
     """A MultiPoly homogeneous in (x, y, z) of a declared degree.
 
     Coefficients may involve further symbols (the generic quartic letters),
-    so homogeneity is checked in the x, y, z exponents only.
+    so homogeneity is checked on the sum of each monomial's x, y and z
+    exponents only.
     """
 
     __slots__ = ("poly", "degree")
 
     def __init__(self, poly: MultiPoly, degree: int):
-        idx = [poly.vars.index(v) for v in _XYZ if v in poly.vars]
-        for expt in poly.terms:
-            d = sum(expt[i] for i in idx)
+        for mono in poly.terms:
+            d = sum(e for v, e in mono if v in _XYZ)
             if d != degree:
                 raise ArithmatError(
                     f"term of (x,y,z)-degree {d} in a declared degree-{degree} form"
@@ -81,11 +81,8 @@ class TernaryForm:
 def _monomial_coefficient(poly: MultiPoly, powers) -> MultiPoly:
     """Coefficient in poly of the product of v^e over the (v, e) in powers."""
     for v, e in powers:
-        if v in poly.vars:
-            split = collect_coeffs(poly, v)
-            poly = split[e] if e < len(split) else MultiPoly.const(0)
-        elif e:
-            return MultiPoly.const(0)
+        split = collect_coeffs(poly, v)
+        poly = split[e] if e < len(split) else MultiPoly.const(0)
     return poly
 
 

@@ -99,17 +99,15 @@ class EmbeddingData:
     asserted on construction.
     """
 
-    __slots__ = ("field", "roots", "xi", "gamma")
+    __slots__ = ("field", "roots", "gamma")
 
     def __init__(self, F: NumberField):
         self.field = F
         self.roots = find_roots(F.pair.form, F.disc * F.a0 * F.a0)
         n = F.n
-        self.xi = np.array(
-            [[z**j for j in range(n)] for z in self.roots], dtype=complex
-        )
-        self.gamma = self.xi @ _float_matrix(basis_change_matrix(F))
-        self.xi.flags.writeable = self.gamma.flags.writeable = False
+        xi = np.array([[z**j for j in range(n)] for z in self.roots], dtype=complex)
+        self.gamma = xi @ _float_matrix(basis_change_matrix(F))
+        self.gamma.flags.writeable = False
         disc = _floats([F.disc])[0]
         det2 = complex(np.linalg.det(self.gamma)) ** 2
         if abs(det2 - disc) > 1e-6 * max(1.0, abs(disc)):

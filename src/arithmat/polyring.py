@@ -120,10 +120,6 @@ class UniPoly:
         return cls((c,), var)
 
     @classmethod
-    def x(cls, var: str = "x") -> UniPoly:
-        return cls((0, 1), var)
-
-    @classmethod
     def from_text(cls, text: str, var: str = "x") -> UniPoly:
         """Parse the 'c0,c1,...,cd' wire format."""
         return cls([parse_rational(t) for t in text.split(",")], var)
@@ -152,6 +148,8 @@ class UniPoly:
         return NotImplemented
 
     def __hash__(self):
+        if self.degree < 1:
+            return hash(self.coeff(0))
         return hash(self.coeffs)
 
     def coeff(self, k: int) -> Scalar:
@@ -191,6 +189,8 @@ class UniPoly:
         return self * other
 
     def __pow__(self, k: int) -> UniPoly:
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
         out = UniPoly.constant(1, self.var)
         for _ in range(k):
             out = out * self

@@ -1,7 +1,10 @@
 """Symbolic exact algebra: multivariate polynomials and the paper's entry formulas.
 
 MultiPoly (sparse, with exact coefficients) is the entry type of a symbolic
-ExactMatrix, whose determinant is a cofactor expansion.  The paper's explicit
+ExactMatrix, whose determinant is a cofactor expansion.  It has one stored
+form, known only to this module: its terms are keyed by monomials, name-sorted
+tuples of (name, exponent) pairs with positive exponents, so equal polynomials
+are stored alike whatever variables built them.  The paper's explicit
 entry formulas and the substitution route (x1 -> x1/a0 in the a0 = 1 matrix,
 then conjugation by diag(1, 1/a0, 1, ..., 1)) agree identically: on symbols
 they give the symbolic matrices, on numbers the oracles of
@@ -11,6 +14,7 @@ symbolic use, and polyring sees MultiPoly only through `SymbolicEntry`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import DimensionMismatchError, NonSquareMatrixError, UnsupportedDegreeError
@@ -22,49 +26,67 @@ if TYPE_CHECKING:
 # Symbolic matrices use cofactor expansion downstream, so cap the degree.
 SYMBOLIC_DEGREE_CAP = 16
 
+# A monomial: name-sorted (name, exponent) pairs, every exponent > 0; () is 1.
+Monomial = tuple[tuple[str, int], ...]
 
-def _grlex_key(expt: tuple[int, ...]):
-    # graded lexicographic, largest first
-    return (-sum(expt), tuple(-e for e in expt))
+
+def _monomial_product(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1 or not m2:
+        return m1 or m2
+    powers = dict(m1)
+    for v, e in m2:
+        powers[v] = powers.get(v, 0) + e
+    return tuple(sorted(powers.items()))
 
 
 class MultiPoly(SymbolicEntry):
     """Sparse multivariate polynomial with exact coefficients.
 
-    Variables are kept as a sorted tuple of names; terms map exponent tuples
-    (aligned with the variable tuple) to nonzero coefficients.  Binary
-    operations align the two variable sets by union, so polynomials over
-    different variables combine transparently.
+    `terms` maps each monomial (a name-sorted tuple of (name, exponent)
+    pairs, exponents > 0, and () for the constant) to its nonzero
+    coefficient.  That is the one stored form: equal polynomials have equal
+    `terms` whatever variables built them, so polynomials over different
+    variables combine with no alignment, and `vars` lists the names that
+    occur.  The constructor's input format is exponent tuples aligned to
+    `variables`.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Scalar]):
-        vs = tuple(sorted(variables))
-        clean: dict[tuple[int, ...], Scalar] = {}
+        vs = tuple(variables)
+        clean: dict[Monomial, Scalar] = {}
         for expt, c in terms.items():
-            c = exact(c)
-            if c == 0:
-                continue
             expt = tuple(expt)
             if len(expt) != len(vs):
                 raise DimensionMismatchError(
                     f"exponent tuple {expt} does not match variables {vs}"
                 )
-            clean[expt] = c
-        self.vars = vs
-        self.terms = clean
+            if min(expt, default=0) < 0:
+                raise ValueError(f"negative exponent in {expt}")
+            mono: Monomial = ()
+            for v, e in zip(vs, expt):
+                if e:
+                    mono = _monomial_product(mono, ((v, e),))
+            clean[mono] = clean.get(mono, 0) + exact(c)
+        self.terms = {m: exact(c) for m, c in clean.items() if c}
+
+    @classmethod
+    def _of(cls, terms: Mapping[Monomial, Scalar]) -> MultiPoly:
+        """The polynomial with these monomial-keyed terms; zero coefficients are dropped."""
+        p = object.__new__(cls)
+        p.terms = {m: exact(c) for m, c in terms.items() if c}
+        return p
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def const(cls, c: Scalar, variables: Iterable[str] = ()) -> MultiPoly:
-        vs = tuple(sorted(variables))
-        return cls(vs, {(0,) * len(vs): c})
+    def const(cls, c: Scalar) -> MultiPoly:
+        return cls._of({(): c})
 
     @classmethod
     def var(cls, name: str) -> MultiPoly:
-        return cls((name,), {(1,): 1})
+        return cls._of({((name, 1),): 1})
 
     @classmethod
     def variables(cls, names: str | Iterable[str]) -> list[MultiPoly]:
@@ -75,6 +97,11 @@ class MultiPoly(SymbolicEntry):
 
     # -- structure -----------------------------------------------------
 
+    @property
+    def vars(self) -> tuple[str, ...]:
+        """The sorted names that occur in some term."""
+        return tuple(sorted({v for m in self.terms for v, _ in m}))
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -82,76 +109,50 @@ class MultiPoly(SymbolicEntry):
         return bool(self.terms)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def degree_in(self, name: str) -> int:
-        if name not in self.vars or not self.terms:
-            return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return max((e for m in self.terms for v, e in m if v == name), default=0)
 
     def constant_value(self) -> Scalar:
         """The value of a constant polynomial (raises if non-constant)."""
-        if not self.terms:
-            return 0
-        if self.total_degree() > 0:
+        if self.terms.keys() - {()}:
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return self.terms.get((), 0)
 
     def is_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
-
-    def _aligned(self, other: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-        if self.vars == other.vars:
-            return self, other
-        union = tuple(sorted(set(self.vars) | set(other.vars)))
-        return self._embed(union), other._embed(union)
-
-    def _embed(self, union: tuple[str, ...]) -> MultiPoly:
-        if self.vars == union:
-            return self
-        pos = [union.index(v) for v in self.vars]
-        terms = {}
-        for expt, c in self.terms.items():
-            new = [0] * len(union)
-            for p, e in zip(pos, expt):
-                new[p] = e
-            terms[tuple(new)] = c
-        return MultiPoly(union, terms)
 
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other) -> MultiPoly:
         if isinstance(other, MultiPoly):
             return other
-        return MultiPoly.const(other, self.vars)
+        return MultiPoly.const(other)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        a, b = self._aligned(other)
-        return a.terms == b.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        stripped = self.strip_unused()
-        return hash((stripped.vars, tuple(sorted(stripped.terms.items()))))
+        if self.terms.keys() - {()}:
+            return hash(frozenset(self.terms.items()))
+        return hash(self.constant_value())
 
     def __add__(self, other) -> MultiPoly:
-        a, b = self._aligned(self._coerce(other))
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MultiPoly(a.vars, terms)
+        terms = dict(self.terms)
+        for m, c in self._coerce(other).terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return MultiPoly._of(terms)
 
     def __radd__(self, other) -> MultiPoly:
         return self + other
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> MultiPoly:
         return self + (-self._coerce(other))
@@ -161,24 +162,25 @@ class MultiPoly(SymbolicEntry):
 
     def __mul__(self, other) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        a, b = self._aligned(other)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly(a.vars, terms)
+            return MultiPoly._of({m: c * other for m, c in self.terms.items()})
+        terms: dict[Monomial, Scalar] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = _monomial_product(m1, m2)
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return MultiPoly._of(terms)
 
     def __rmul__(self, other) -> MultiPoly:
         return self * other
 
     def __truediv__(self, scalar) -> MultiPoly:
         s = Fraction(scalar)
-        return MultiPoly(self.vars, {e: c / s for e, c in self.terms.items()})
+        return MultiPoly._of({m: c / s for m, c in self.terms.items()})
 
     def __pow__(self, k: int) -> MultiPoly:
-        out = MultiPoly.const(1, self.vars)
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
+        out = MultiPoly.const(1)
         base = self
         while k > 0:
             if k & 1:
@@ -191,16 +193,9 @@ class MultiPoly(SymbolicEntry):
     # -- evaluation and substitution ------------------------------------
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate at a rational point; every variable must be assigned."""
-        vals = [exact(point[v]) for v in self.vars]
-        total = 0
-        for expt, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, expt):
-                if e:
-                    term *= v**e
-            total += term
-        return exact(total)
+        """Evaluate at a rational point; every variable that occurs must be assigned."""
+        vals = {v: exact(point[v]) for v in self.vars}
+        return exact(sum(c * prod(vals[v] ** e for v, e in m) for m, c in self.terms.items()))
 
     def subs(self, mapping: Mapping[str, "MultiPoly | Scalar"]) -> MultiPoly:
         """Substitute polynomials (or scalars) for some of the variables."""
@@ -208,78 +203,62 @@ class MultiPoly(SymbolicEntry):
             name: (val if isinstance(val, MultiPoly) else MultiPoly.const(val))
             for name, val in mapping.items()
         }
-        keep = [v for v in self.vars if v not in images]
-        out = MultiPoly.const(0, keep)
-        for expt, c in self.terms.items():
-            term = MultiPoly.const(c, keep)
-            for v, e in zip(self.vars, expt):
-                if not e:
-                    continue
-                factor = images.get(v, MultiPoly.var(v))
-                term = term * factor**e
-            out = out + term
-        return out
+        out: dict[Monomial, Scalar] = {}
+        for m, c in self.terms.items():
+            term = MultiPoly._of({tuple(f for f in m if f[0] not in images): c})
+            for v, e in m:
+                if v in images:
+                    term = term * images[v] ** e
+            for mono, coeff in term.terms.items():
+                out[mono] = out.get(mono, 0) + coeff
+        return MultiPoly._of(out)
 
     def diff(self, name: str) -> MultiPoly:
         """Partial derivative with respect to one variable."""
-        if name not in self.vars:
-            return MultiPoly.const(0, self.vars)
-        i = self.vars.index(name)
         terms = {}
-        for expt, c in self.terms.items():
-            if expt[i] == 0:
-                continue
-            new = list(expt)
-            new[i] -= 1
-            terms[tuple(new)] = c * expt[i]
-        return MultiPoly(self.vars, terms)
-
-    def strip_unused(self) -> MultiPoly:
-        """Drop variables that appear in no term."""
-        used = [i for i, v in enumerate(self.vars) if any(e[i] for e in self.terms)]
-        vs = tuple(self.vars[i] for i in used)
-        return MultiPoly(vs, {tuple(e[i] for i in used): c for e, c in self.terms.items()})
+        for m, c in self.terms.items():
+            for i, (v, e) in enumerate(m):
+                if v == name:
+                    lowered = ((v, e - 1),) if e > 1 else ()
+                    terms[m[:i] + lowered + m[i + 1 :]] = c * e
+        return MultiPoly._of(terms)
 
     # -- rendering -------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Terms in graded-lexicographic order, largest first."""
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
+        """Terms in graded-lexicographic order over the sorted names that occur, largest first."""
+        names = self.vars
+
+        def key(item):
+            powers = dict(item[0])
+            return (-sum(powers.values()), tuple(-powers.get(v, 0) for v in names))
+
+        return sorted(self.terms.items(), key=key)
 
     def serialize(self) -> str:
         """Canonical wire format: sorted 'coeff*v^e*...' terms joined by '+'."""
         if not self.terms:
             return "0"
-        parts = []
-        for expt, c in self.sorted_terms():
-            factors = [format_rational(c)]
-            factors += [f"{v}^{e}" for v, e in zip(self.vars, expt) if e]
-            parts.append("*".join(factors))
-        return "+".join(parts)
+        return "+".join(
+            "*".join([format_rational(c)] + [f"{v}^{e}" for v, e in m])
+            for m, c in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return _signed_terms(
-            (c, [_power(v, e) for v, e in zip(self.vars, expt) if e])
-            for expt, c in self.sorted_terms()
+            (c, [_power(v, e) for v, e in m]) for m, c in self.sorted_terms()
         )
 
 
 def collect_coeffs(p: MultiPoly, var: str) -> list[MultiPoly]:
     """Split p into coefficients of powers of var: p = sum c_i * var^i.
 
-    The returned polynomials no longer mention var.  Raises on an unknown
-    variable name.
+    The returned polynomials no longer mention var; a p without var is [p].
     """
-    if var not in p.vars:
-        raise DimensionMismatchError(f"unknown variable {var!r}")
-    i = p.vars.index(var)
-    rest = tuple(v for v in p.vars if v != var)
-    d = p.degree_in(var)
-    buckets: list[dict[tuple[int, ...], Scalar]] = [dict() for _ in range(d + 1)]
-    for expt, c in p.terms.items():
-        stripped = tuple(e for j, e in enumerate(expt) if j != i)
-        buckets[expt[i]][stripped] = c
-    return [MultiPoly(rest, b) for b in buckets]
+    buckets: list[dict[Monomial, Scalar]] = [{} for _ in range(p.degree_in(var) + 1)]
+    for m, c in p.terms.items():
+        buckets[dict(m).get(var, 0)][tuple(f for f in m if f[0] != var)] = c
+    return [MultiPoly._of(b) for b in buckets]
 
 
 def det_cofactor(M: ExactMatrix):

@@ -4,6 +4,7 @@ import pytest
 
 from arithmat import element as el
 from arithmat.covariants import (
+    TernaryForm,
     _ghf_from_coeffs,
     cubic_covariants,
     cubic_norm_equation_check,
@@ -14,7 +15,7 @@ from arithmat.covariants import (
     quartic_norm_equation_check,
     quartic_syzygy_check,
 )
-from arithmat.errors import UnsupportedDegreeError
+from arithmat.errors import ArithmatError, UnsupportedDegreeError
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm, is_irreducible
 from arithmat.symbolic import MultiPoly
@@ -79,6 +80,12 @@ class TestQuarticGHF:
     def test_degrees(self):
         G, H, F = quartic_ghf()
         assert (G.degree, H.degree, F.degree) == (2, 3, 4)
+
+    def test_homogeneity_counts_only_x_y_z(self):
+        a, x, y, z = MultiPoly.variables("a x y z")
+        assert TernaryForm(a * a * x * y - 3 * z * z, 2).coefficient(0, 0, 2) == -3
+        with pytest.raises(ArithmatError, match="term of \\(x,y,z\\)-degree 1 in a declared degree-2 form"):
+            TernaryForm(a * x * y + a * z, 2)
 
     def test_cached_expansion_follows_the_form(self):
         V1, V2 = BinaryForm([4, -2, -3, 1, 1]), BinaryForm([1, 1, 0, -2, -1])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from arithmat import element as el
-from arithmat.errors import NonIntegerEntryError, NonSquareMatrixError, ZeroPolynomialError
+from arithmat.errors import DimensionMismatchError, NonIntegerEntryError, NonSquareMatrixError, ZeroPolynomialError
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm
 from arithmat.polyring import (
@@ -276,8 +276,12 @@ class TestCollectCoeffs:
         assert cs == [x * x, 3 * x, MultiPoly.const(1)]
 
     def test_constant(self):
-        p = MultiPoly.const(7, ("t",))
+        p = MultiPoly.const(7)
         assert collect_coeffs(p, "t") == [MultiPoly.const(7)]
+
+    def test_absent_variable_has_degree_zero(self):
+        p = MultiPoly.var("t") + 2
+        assert collect_coeffs(p, "nope") == [p]
 
     def test_roundtrip_random(self):
         rng = random.Random(10)
@@ -296,9 +300,53 @@ class TestCollectCoeffs:
             )
             assert rebuilt == p
 
-    def test_unknown_variable_rejected(self):
-        with pytest.raises(Exception):
-            collect_coeffs(MultiPoly.var("t"), "nope")
+
+class TestStoredForm:
+    def test_equal_polynomials_are_stored_alike(self):
+        a, x, y = MultiPoly.variables("a x y")
+        for p, q in [(x + y - y, x), ((a * x) * y, y * (x * a)), (x * x - x * x + 3, MultiPoly.const(3))]:
+            assert p.terms == q.terms
+            assert (repr(p), p.serialize(), hash(p), p.vars) == (repr(q), q.serialize(), hash(q), q.vars)
+
+    def test_input_format_aligns_exponents_to_the_variables(self):
+        p = MultiPoly(("t", "s"), {(2, 1): 3, (0, 0): -1})
+        assert p == 3 * MultiPoly.var("t") ** 2 * MultiPoly.var("s") - 1
+        assert p.vars == ("s", "t")
+        assert p.terms == {(("s", 1), ("t", 2)): 3, (): -1}
+        with pytest.raises(DimensionMismatchError):
+            MultiPoly(("s", "t"), {(1,): 1})
+        with pytest.raises(ValueError, match=r"negative exponent in \(1, -1\)"):
+            MultiPoly(("s", "t"), {(1, -1): 1})
+
+    def test_vars_and_evaluate_see_only_the_variables_that_occur(self):
+        x, y = MultiPoly.variables("x y")
+        p = x * y + x - x * y
+        assert p.vars == ("x",)
+        assert p.evaluate({"x": Fraction(1, 2)}) == Fraction(1, 2)
+
+
+class TestHashAgreesWithEquality:
+    @pytest.mark.parametrize("value", [0, 3, -7, Fraction(2, 3)])
+    def test_constant_polynomials_hash_as_their_value(self, value):
+        for p in (UniPoly.constant(value), MultiPoly.const(value)):
+            assert p == value
+            assert hash(p) == hash(value)
+            assert len({p, value}) == 1
+
+    def test_zero_polynomials(self):
+        for zero in (UniPoly.zero(), MultiPoly.const(0)):
+            assert len({zero, 0}) == 1 and not zero
+
+
+class TestNegativePowers:
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_negative_power_is_rejected(self, k):
+        for p in (UniPoly([1, 1]), MultiPoly.var("x")):
+            with pytest.raises(ValueError, match=f"negative power {k}"):
+                p**k
+
+    def test_zeroth_power_is_one(self):
+        assert UniPoly([1, 1]) ** 0 == 1 and MultiPoly.var("x") ** 0 == 1
 
 
 class TestTextFormats:
