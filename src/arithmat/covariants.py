@@ -35,8 +35,7 @@ from .errors import ArithmatError, UnsupportedDegreeError
 from .field import NumberField, integer_matrix, integer_trace
 from .forms import BinaryForm, form_discriminant
 from .polyring import ExactMatrix, exact_int, poly_discriminant
-from .symbolic import MultiPoly, collect_coeffs, det_cofactor, generic_form_coeffs
-from .symbolic import matrix_from_coefficients, symbolic_coords
+from .symbolic import MultiPoly, _symbolic_matrix, collect_coeffs, det_cofactor, generic_form_coeffs
 
 _XYZ = ("x", "y", "z")
 
@@ -111,10 +110,9 @@ def _scaled_norm(coeffs) -> tuple[MultiPoly, MultiPoly]:
     s is the sum of k * a_{k+1} * x_k over the coordinates x_k after u.
     """
     n = len(coeffs) - 1
-    _, *xs = symbolic_coords(n)
-    det = det_cofactor(matrix_from_coefficients(coeffs))
-    s = sum((k * coeffs[k] * x for k, x in enumerate(xs, start=1)), MultiPoly.const(0))
-    return n**n * det, s
+    N = _symbolic_matrix(coeffs, 1)
+    s = sum((k * coeffs[k] * x for k, x in enumerate(N.column(0)[1:], start=1)), MultiPoly.const(0))
+    return n**n * det_cofactor(N), s
 
 
 # ----------------------------------------------------------------------

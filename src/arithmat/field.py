@@ -14,9 +14,9 @@ coordinates (x0, ..., x_{n-1}) over this basis is encoded in an n x n matrix
 whose first column is the coordinate vector; the remaining entries are
 integer-coefficient polynomials in the coordinates.  The integer kernel
 (`integer_matrix`) evaluates those entries on integer coordinates in O(n^2)
-by running sums along the matrix's diagonals, in one pass for every a0.
-The paper's explicit entry formulas and the substitution route, which are
-the kernel's oracles and the symbolic path, live in `symbolic`.  Every
+by running sums along the matrix's diagonals, in one pass for every a0;
+`symbolic` runs the same kernel on symbols.  The paper's explicit entry
+formulas and the substitution route, the kernel's oracles, live there.  Every
 operation that takes an element checks it with `require_same_field`, here
 and in `element` and `fastmul`.
 """
@@ -80,14 +80,14 @@ class EssentialPair:
 
 
 class NumberField:
-    """Field context: pair (its scale checked here), degree, and trusted discriminant."""
+    """Field context: pair (its scale checked here), trusted discriminant, and the form's degree."""
 
     __slots__ = ("pair", "n", "disc", "embedding")
 
-    def __init__(self, pair: EssentialPair, n: int, disc: int):
+    def __init__(self, pair: EssentialPair, disc: int):
         check_scale(pair)
         self.pair = pair
-        self.n = n
+        self.n = pair.form.degree
         self.disc = disc
         self.embedding = None  # numeric.EmbeddingData, kept once built
 
@@ -232,7 +232,7 @@ def field_with_discriminant(pair: EssentialPair, D: int) -> NumberField:
         raise ReducibleFormError("form is reducible over the rationals")
     if cert is None:
         raise ReducibleFormError("form could not be certified irreducible")
-    return NumberField(pair, form.degree, D // (a0 * a0))
+    return NumberField(pair, D // (a0 * a0))
 
 
 def make_field(pair: EssentialPair) -> NumberField:
@@ -264,8 +264,8 @@ def _diagonal_sums(n: int, a, a0: int, xs) -> list[list[int]]:
     [i = j] x0 minus the suffix sum over k = j..min(n-t, n+1), built from
     j = n downwards; off the diagonal, row 2 multiplies all its terms but
     a_j x1 by a0, and (2, 2) takes c2 for a2.  These are the paper's explicit
-    entries (`symbolic`); `_quotient` takes the quotients, so generic symbols
-    run here too.
+    entries (`symbolic`); `_quotient` takes the quotients, so every symbolic
+    matrix is built here too.
     """
     c1 = _quotient(a[0], a0)
     c11 = _quotient(a[0], a0 * a0)

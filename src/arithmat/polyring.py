@@ -2,20 +2,22 @@
 
 Univariate polynomials (UniPoly) are dense coefficient lists, and
 ExactMatrix is a dense matrix whose entries are exact scalars or, in
-symbolic mode, `SymbolicEntry` values (`symbolic.MultiPoly`, which only
-`det_exact`'s symbolic branch imports).  Every stored exact value passes through `exact`: an
-integral value is an int, and a Fraction is made only when a division leaves
-a remainder.  Integer inputs therefore stay in int arithmetic throughout, and
-the only true division here (`UniPoly.divmod`) divides as Fractions before
-normalising; `exact_int` is the same rule for a value that must be an
-integer, and raises NonIntegerEntryError otherwise.  Polynomials display
-their signed terms through one renderer, and matrix products and traces add
-their terms with plain `sum`, which symbolic entries join through `0 + p`.
-Everything here is immutable after construction and every operation is a
-pure function, so values can be shared freely between threads.
-Determinants and inverses share one fraction-free (Bareiss) elimination
-over the integers; the integer discriminant is the determinant of the n x n
-Bezout matrix of f and f', and the Sylvester matrix serves `resultant`.
+symbolic mode, `SymbolicEntry` values (`symbolic.MultiPoly`, which this
+module never imports: it raises NonIntegerEntryError for their determinant
+and inverse, and `symbolic.det_cofactor` expands the determinant).  Every
+stored exact value passes through `exact`: an integral value is an int, and
+a Fraction is made only when a division leaves a remainder.  Integer inputs
+therefore stay in int arithmetic throughout, and the only true division here
+(`UniPoly.divmod`) divides as Fractions before normalising; `exact_int` is
+the same rule for a value that must be an integer, and raises
+NonIntegerEntryError otherwise.  Polynomials display their signed terms
+through one renderer, and matrix products and traces add their terms with
+plain `sum`, which symbolic entries join through `0 + p`.  Everything here
+is immutable after construction and every operation is a pure function, so
+values can be shared freely between threads.  Determinants and inverses
+share one fraction-free (Bareiss) elimination over the integers; the integer
+discriminant is the determinant of the n x n Bezout matrix of f and f', and
+the Sylvester matrix serves `resultant`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     NonIntegerEntryError,
     NonSquareMatrixError,
     SingularMatrixError,
+    UnsupportedDegreeError,
     ZeroPolynomialError,
 )
 
@@ -331,9 +334,6 @@ class ExactMatrix:
             raise self._index_error(f"column {j}")
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def is_symbolic(self) -> bool:
-        return any(isinstance(e, SymbolicEntry) for e in self.entries)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -385,14 +385,12 @@ class ExactMatrix:
         """Exact inverse, or only the listed columns of it, by fraction-free elimination."""
         if not self.is_square():
             raise NonSquareMatrixError("inverse of a non-square matrix")
-        if self.is_symbolic():
-            raise NonIntegerEntryError("symbolic inverse is not supported")
+        rows, scales = _integer_rows(self, "inverse")
         n = self.rows
         cols = range(n) if columns is None else columns
         for j in cols:
             if not 0 <= j < n:
                 raise self._index_error(f"column {j}")
-        rows, scales = _integer_rows(self)
         # with S = diag(scales), A^-1 e_j = (S A)^-1 (scales[j] e_j)
         a = [row + [scales[i] * (i == j) for j in cols] for i, row in enumerate(rows)]
         if n and _eliminate(a, n) == 0:
@@ -427,8 +425,10 @@ def scaled_coords(coords) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in coords], d
 
 
-def _integer_rows(M: ExactMatrix) -> tuple[list[list[int]], list[int]]:
+def _integer_rows(M: ExactMatrix, operation: str) -> tuple[list[list[int]], list[int]]:
     """Rows scaled to integers by the lcm of their denominators, and the scales."""
+    if any(isinstance(e, SymbolicEntry) for e in M.entries):
+        raise NonIntegerEntryError(f"symbolic {operation} is not supported")
     rows, scales = [], []
     for i in range(M.rows):
         row, scale = scaled_coords(M.row(i))
@@ -502,16 +502,12 @@ def det_bareiss(M):
         return _eliminate([list(row) for row in M], len(M))
     if not M.is_square():
         raise NonSquareMatrixError("determinant of a non-square matrix")
-    rows, scales = _integer_rows(M)
+    rows, scales = _integer_rows(M, "determinant")
     return Fraction(_eliminate(rows, M.rows), prod(scales))
 
 
 def det_exact(M):
-    """Exact determinant: Bareiss for integer rows or rational entries, cofactor for symbolic."""
-    if isinstance(M, ExactMatrix) and M.is_symbolic():
-        from .symbolic import det_cofactor
-
-        return det_cofactor(M)
+    """Exact determinant of integer rows or a rational ExactMatrix: `det_bareiss`."""
     return det_bareiss(M)
 
 
@@ -536,7 +532,9 @@ def poly_discriminant(p: UniPoly) -> Fraction:
     """Discriminant of a univariate polynomial: that of d*p over d^(2n - 2),
     where d clears the denominators (the discriminant has degree 2n - 2)."""
     n = p.degree
+    if p.is_zero():
+        raise ZeroPolynomialError("discriminant of the zero polynomial")
     if n < 1:
-        raise ZeroPolynomialError("discriminant needs degree >= 1")
+        raise UnsupportedDegreeError("discriminant needs degree >= 1")
     scaled, d = scaled_coords(p.coeffs[::-1])
     return Fraction(coeffs_discriminant(scaled), d ** (2 * n - 2))

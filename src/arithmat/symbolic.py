@@ -1,15 +1,14 @@
-"""Symbolic exact algebra: multivariate polynomials and the paper's entry formulas.
+"""Symbolic exact algebra: multivariate polynomials, symbolic matrices and the paper's entry formulas.
 
 MultiPoly (sparse, with exact coefficients) is the entry type of a symbolic
 ExactMatrix, whose determinant is a cofactor expansion.  It has one stored
 form, known only to this module: its terms are keyed by monomials, name-sorted
 tuples of (name, exponent) pairs with positive exponents, so equal polynomials
-are stored alike whatever variables built them.  The paper's explicit
-entry formulas and the substitution route (x1 -> x1/a0 in the a0 = 1 matrix,
-then conjugation by diag(1, 1/a0, 1, ..., 1)) agree identically: on symbols
-they give the symbolic matrices, on numbers the oracles of
-`field.integer_matrix`.  The integer path imports this module only on
-symbolic use, and polyring sees MultiPoly only through `SymbolicEntry`.
+are stored alike whatever variables built them.  The symbolic matrices are
+`field`'s running-sum kernel on symbols.  The paper's explicit entry formulas
+and the substitution route (x1 -> x1/a0 in the a0 = 1 matrix, then
+conjugation by diag(1, 1/a0, 1, ..., 1)) are only its oracles, reached
+through `matrix_from_coefficients`; polyring never imports this module.
 """
 from __future__ import annotations
 
@@ -161,7 +160,8 @@ class MultiPoly(SymbolicEntry):
         return (-self) + other
 
     def __mul__(self, other) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            other = exact(other)
             return MultiPoly._of({m: c * other for m, c in self.terms.items()})
         terms: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
@@ -340,13 +340,9 @@ def _entries_substitution(n: int, coeffs, a0: int, xs):
     return rows
 
 
-def _check_method(method: str) -> None:
+def _matrix_rows(n: int, coeffs, a0: int, xs, method: str = "explicit"):
     if method not in ("explicit", "substitution"):
         raise ValueError(f"unknown construction method {method!r}")
-
-
-def _matrix_rows(n: int, coeffs, a0: int, xs, method: str = "explicit"):
-    _check_method(method)
     if a0 == 1 or method == "explicit":
         entry = _explicit_entry(n, {k + 1: c for k, c in enumerate(coeffs)}, a0, xs)
         return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
@@ -369,29 +365,32 @@ def generic_form_coeffs(n: int) -> list[MultiPoly]:
     return _symbols(n + 1, "abcdef", "a", 1)
 
 
-def _symbolic_matrix(coeffs, a0: int, method: str) -> ExactMatrix:
-    """`matrix_from_coefficients` on the coordinate symbols, up to the degree cap."""
-    if len(coeffs) - 1 > SYMBOLIC_DEGREE_CAP:
+def _symbolic_matrix(coeffs, a0: int) -> ExactMatrix:
+    """The running-sum kernel on the coordinate symbols, up to the degree cap."""
+    from .field import _diagonal_sums
+
+    n = len(coeffs) - 1
+    if n > SYMBOLIC_DEGREE_CAP:
         raise UnsupportedDegreeError(f"symbolic mode supports degree <= {SYMBOLIC_DEGREE_CAP}")
-    return matrix_from_coefficients(coeffs, a0, method=method)
+    return ExactMatrix.from_rows(_diagonal_sums(n, coeffs, a0, symbolic_coords(n)))
 
 
-def symbolic_arithmetic_matrix(F: NumberField, method: str = "explicit") -> ExactMatrix:
+def symbolic_arithmetic_matrix(F: NumberField) -> ExactMatrix:
     """Arithmetic matrix of F with symbolic coordinates (concrete coefficients)."""
-    return _symbolic_matrix(F.pair.form.coeffs, F.a0, method)
+    return _symbolic_matrix(F.pair.form.coeffs, F.a0)
 
 
-def generic_arithmetic_matrix(n: int, a0: int = 1, method: str = "explicit") -> ExactMatrix:
+def generic_arithmetic_matrix(n: int, a0: int = 1) -> ExactMatrix:
     """Fully symbolic arithmetic matrix: generic coefficients and coordinates."""
-    return _symbolic_matrix(generic_form_coeffs(n), a0, method)
+    return _symbolic_matrix(generic_form_coeffs(n), a0)
 
 
 def matrix_from_coefficients(coeffs, a0: int = 1, coords=None, method: str = "explicit") -> ExactMatrix:
-    """Arithmetic matrix for raw coefficient values, without field validation.
+    """The oracle entry: a matrix for raw coefficient values, without field validation.
 
-    Useful for polynomial identities that hold for arbitrary forms (covariant
-    derivations run here with symbolic or concrete coefficients alike).
-    Coordinates default to the symbolic letters.
+    It runs the paper's explicit entry formulas or the substitution route,
+    never the running-sum kernel that builds the library's matrices, on
+    numbers or symbols alike.  Coordinates default to the symbolic letters.
     """
     n = len(coeffs) - 1
     if coords is None:

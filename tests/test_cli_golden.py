@@ -58,6 +58,7 @@ _ARGVS = [
     ["matrix", "--pair", "2:4,2,0,0,0,1,1", "--symbolic"],
     ["matrix", "--pair", "3:9,-6,-1,-1", "--symbolic"],
     ["matrix", "--pair", "2:4,2,-1,2,-1,3,2,3,2", "--symbolic"],
+    ["matrix", "--pair", "2:4,-2,0,0,0,0,0,0,0,0,0,2,6", "--symbolic"],
     ["syzygy", "--cubic", "1,2,-3,5"],
     ["syzygy", "--quartic", "1,0,-1,2,3"],
     ["verify-tables", "--file", "src/arithmat/data/table2_quintic.txt"],

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from arithmat import field
+from arithmat import covariants, field, symbolic
 from arithmat.errors import (
     DimensionMismatchError,
     DivisibilityError,
@@ -155,33 +155,53 @@ class TestSymbolicMatrices:
         assert M[1, 1] == u + x + 3 * y - z
         assert M[2, 1] == x
 
+    @staticmethod
+    def assert_oracles_give(M, coeffs, a0):
+        """Both of the paper's routes, on the coordinate symbols, give the kernel's M."""
+        coords = symbolic_coords(len(coeffs) - 1)
+        for method in ("explicit", "substitution"):
+            assert matrix_from_coefficients(coeffs, a0, coords, method) == M
+
     def test_construction_paths_agree(self):
         F = make_field(EssentialPair(2, BinaryForm([4, -2, -3, 1, 1])))
-        assert symbolic_arithmetic_matrix(F, "explicit") == symbolic_arithmetic_matrix(
-            F, "substitution"
-        )
+        self.assert_oracles_give(symbolic_arithmetic_matrix(F), F.pair.form.coeffs, 2)
         # as polynomials in generic coefficients and coordinates
         for a0 in (2, 3):
             for n in range(2, 9):
-                assert generic_arithmetic_matrix(n, a0, "explicit") == generic_arithmetic_matrix(
-                    n, a0, "substitution"
-                )
+                self.assert_oracles_give(generic_arithmetic_matrix(n, a0), generic_form_coeffs(n), a0)
         rng = random.Random(11)
         for n, a0 in ((2, 2), (3, 2), (4, 3), (5, 2), (6, 2), (7, 4)):
             G = util.random_field(rng, n, a0=a0)
-            assert symbolic_arithmetic_matrix(G, "explicit") == symbolic_arithmetic_matrix(
-                G, "substitution"
-            )
+            self.assert_oracles_give(symbolic_arithmetic_matrix(G), G.pair.form.coeffs, a0)
 
     def test_explicit_formula_at_every_a0_is_the_integer_kernel(self):
         # the kernel uses only +, -, * and `_quotient`, so it runs on generic symbols as well
         for n in range(2, SYMBOLIC_DEGREE_CAP + 1):
             for a0 in range(1, 5):
-                kernel = ExactMatrix.from_rows(
+                kernel = generic_arithmetic_matrix(n, a0)
+                assert kernel == ExactMatrix.from_rows(
                     _diagonal_sums(n, generic_form_coeffs(n), a0, symbolic_coords(n))
                 )
-                for method in ("explicit", "substitution"):
-                    assert generic_arithmetic_matrix(n, a0, method) == kernel
+                self.assert_oracles_give(kernel, generic_form_coeffs(n), a0)
+
+    def test_symbolic_matrices_never_run_the_explicit_formula(self, monkeypatch):
+        F = make_field(EssentialPair(2, BinaryForm([4, -2, -3, 1, 1])))
+        expected = symbolic_arithmetic_matrix(F), generic_arithmetic_matrix(5, 3)
+
+        def refuse(*_):
+            raise AssertionError("a symbolic matrix ran the explicit entry formula")
+
+        monkeypatch.setattr(symbolic, "_explicit_entry", refuse)
+        assert (symbolic_arithmetic_matrix(F), generic_arithmetic_matrix(5, 3)) == expected
+        covariants._ghf_from_coeffs.cache_clear()
+        covariants._cubic_covariant_polys.cache_clear()
+        for check, V in (
+            (covariants.quartic_syzygy_check, F.pair.form),
+            (covariants.quartic_norm_equation_check, F.pair.form),
+            (covariants.cubic_syzygy_check, BinaryForm([1, 2, -3, 5])),
+            (covariants.cubic_norm_equation_check, BinaryForm([1, 2, -3, 5])),
+        ):
+            assert check(V)
 
     def test_symbolic_entries_have_integer_coefficients(self):
         rng = random.Random(12)

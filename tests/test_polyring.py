@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from arithmat import element as el
-from arithmat.errors import DimensionMismatchError, NonIntegerEntryError, NonSquareMatrixError, ZeroPolynomialError
+from arithmat.errors import (
+    DimensionMismatchError,
+    NonIntegerEntryError,
+    NonSquareMatrixError,
+    UnsupportedDegreeError,
+    ZeroPolynomialError,
+)
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm
 from arithmat.polyring import (
@@ -195,6 +201,12 @@ class TestBinomialDiscriminant:
         assert coeffs_discriminant(coeffs) == expected
         assert poly_discriminant(UniPoly(coeffs[::-1])) == expected
 
+    def test_constant_is_an_unsupported_degree_and_zero_a_zero_polynomial(self):
+        with pytest.raises(UnsupportedDegreeError, match="degree >= 1"):
+            poly_discriminant(UniPoly([5]))
+        with pytest.raises(ZeroPolynomialError):
+            poly_discriminant(UniPoly.zero())
+
 
 class TestDeterminants:
     def test_identity(self):
@@ -224,6 +236,12 @@ class TestDeterminants:
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareMatrixError):
             det_exact(ExactMatrix(2, 3, [1, 2, 3, 4, 5, 6]))
+
+    def test_symbolic_determinant_names_its_entries(self):
+        M = ExactMatrix.from_rows([[MultiPoly.var("x"), 1], [0, 1]])
+        for det in (det_exact, det_bareiss):
+            with pytest.raises(NonIntegerEntryError, match="symbolic determinant is not supported"):
+                det(M)
 
     def test_inverse_roundtrip(self):
         rng = random.Random(9)
@@ -398,6 +416,12 @@ class TestScalarRule:
         assert [type(c) for c in product] == [int, int]
         half = exact(Fraction(np.int64(3), np.int64(6)))
         assert (type(half.numerator), type(half.denominator)) == (int, int)
+
+    def test_multipoly_products_take_the_scalars_sums_take(self):
+        x = MultiPoly.var("x")
+        assert x * 2.5 == 2.5 * x == x * Fraction(5, 2) == x + 2.5 - x - 2.5 + x * Fraction(5, 2)
+        assert x * np.int64(3) == 3 * x
+        assert [type(c) for c in (x * np.int64(3)).terms.values()] == [int]
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_scalars, min_size=1, max_size=6), st.lists(_scalars, min_size=1, max_size=4))
