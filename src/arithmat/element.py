@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import ZeroElementError
 from .field import Element, NumberField, basis_change_matrix
 from .field import integer_matrix, integer_trace, require_same_field
-from .polyring import ExactMatrix, UniPoly, det_exact, exact, resultant, scaled_coords
+from .polyring import ExactMatrix, UniPoly, det_exact, exact, resultant
 
 
 def add(F: NumberField, alpha: Element, beta: Element) -> Element:
@@ -77,8 +77,8 @@ def inverse(F: NumberField, alpha: Element) -> Element:
     if alpha.is_zero():
         raise ZeroElementError("cannot invert the zero element")
     rows, d = integer_matrix(F, alpha)
-    xs, e = scaled_coords(ExactMatrix.from_rows(rows).inverse(columns=(0,)).column(0))
-    return Element.over(F, [d * x for x in xs], e)
+    inv = ExactMatrix.from_rows(rows).inverse(columns=(0,))
+    return Element.over(F, [d * x for x in inv.num], inv.den)
 
 
 def char_poly(F: NumberField, alpha: Element) -> UniPoly:

@@ -8,9 +8,11 @@ multiplications by forming, for row i and column j,
 
 so that X + Z is twice a rank-one correction R_i + S_j and X - (X+Z)/2
 recovers AB.  Z is only needed for j in {1, i}; the remaining corrections
-follow from Y[i][j] = Y[i][1] + Y[1][j] - Y[1][1].  The recursive variant
-splits into half-size blocks and uses the seven-product scheme, padding to an
-even dimension at every level.
+follow from Y[i][j] = Y[i][1] + Y[1][j] - Y[1][1].  It runs on the integer
+numerators of A and B (`ExactMatrix.integer_rows`) and divides by the product
+of their denominators once.  The recursive variant splits into half-size
+blocks and uses the seven-product scheme, padding to an even dimension at
+every level; it uses no division, so it also takes symbolic entries.
 
 Polynomial products are exact integer convolutions by Kronecker
 substitution: each coefficient sequence is packed into one integer, the two
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 import operator
 
-from .errors import ArithmatError, DimensionMismatchError, NonIntegerEntryError
+from .errors import ArithmatError, DimensionMismatchError
 from .field import Element, NumberField, common_numerators, integer_matrix, require_same_field
-from .polyring import ExactMatrix
+from .polyring import ExactMatrix, exact_int
 
 
 class MulCounter:
@@ -46,17 +48,6 @@ class MulCounter:
         return f"MulCounter(mults={self.scalar_mults}, adds={self.scalar_adds})"
 
 
-def _as_int(v) -> int:
-    """An integer entry itself; stored fractions and symbolic entries raise."""
-    if type(v) is int:
-        return v
-    raise NonIntegerEntryError(f"integer algorithm fed the non-integer entry {v!r}")
-
-
-def _int_rows(M: ExactMatrix) -> list[list[int]]:
-    return [[_as_int(e) for e in M.row(i)] for i in range(M.rows)]
-
-
 def schoolbook_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = None) -> ExactMatrix:
     """Plain cubic matrix product with exact counting (m*n*p multiplications)."""
     if A.cols != B.rows:
@@ -71,19 +62,19 @@ def schoolbook_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | No
 
 
 def ww_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = None) -> ExactMatrix:
-    """Counted even-dimension product; exact on integer matrices.
+    """Counted even-dimension product, run on the integer numerators.
 
-    The division in the correction step is an exact shift: X + Z is always
-    even because the cross terms cancel.  Odd dimensions must be padded by
-    the caller.
+    With A = a / d and B = b / e, the product is ab over d * e.  The division
+    in the correction step is an exact shift: X + Z is always even because
+    the cross terms cancel.  Odd dimensions must be padded by the caller.
     """
     if not (A.is_square() and B.is_square() and A.rows == B.rows):
         raise DimensionMismatchError("need square matrices of equal dimension")
     m = A.rows
     if m % 2:
         raise DimensionMismatchError("dimension must be even; pad before calling")
-    a = _int_rows(A)
-    b = _int_rows(B)
+    a = A.integer_rows("product")
+    b = B.integer_rows("product")
     if counter is None:
         counter = MulCounter()
     h = m // 2
@@ -117,7 +108,7 @@ def ww_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = Non
 
     out = [X[i][j] - Y[i][j] for i in range(m) for j in range(m)]
     counter.tally(adds=m * m)
-    return ExactMatrix(m, m, out)
+    return ExactMatrix.over(m, m, out, A.den * B.den)
 
 
 def ww_mult_count(m: int) -> int:
@@ -145,13 +136,7 @@ def _bsum(A, B, sign, counter):
 def _rec(a, b, counter):
     m = len(a)
     if m <= 2:
-        out = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                acc = 0
-                for k in range(m):
-                    acc += a[i][k] * b[k][j]
-                out[i][j] = acc
+        out = [[sum(map(operator.mul, row, col)) for col in zip(*b)] for row in a]
         counter.tally(mults=m**3, adds=m * m * (m - 1))
         return out
     if m % 2:
@@ -215,8 +200,8 @@ def exact_convolve(F: list[int], G: list[int]) -> list[int]:
     integers at base 2^b, one big-integer product holds the convolution, and
     its signed base-2^b digits are the coefficients.
     """
-    F = [_as_int(v) for v in F]
-    G = [_as_int(v) for v in G]
+    F = [exact_int(v, "coefficient") for v in F]
+    G = [exact_int(v, "coefficient") for v in G]
     if not F or not G:
         return []
     b = (min(len(F), len(G)) * max(map(abs, F)) * max(map(abs, G))).bit_length() + 2
@@ -289,8 +274,8 @@ def batch_multiply(
     denominator d (`field.integer_matrix`) times U, whose columns are the
     multiplicands' integer numerators over one common denominator e.  The
     result columns are read from A * U and divided by d * e once.
-    Strategies: 'schoolbook', 'ww' (even-padded counted algorithm),
-    'ww_recursive'.  All strategies agree exactly.
+    Strategies: 'schoolbook', 'ww' (counted, zero-padded to an even
+    dimension), 'ww_recursive'.  All strategies agree exactly.
     """
     n = F.n
     if len(betas) > n:
@@ -299,24 +284,17 @@ def batch_multiply(
     count = len(betas)
     rows, d = integer_matrix(F, alpha)
     columns, e = common_numerators(betas)
-    columns += [(0,) * n] * (n - count)
+    m = n + n % 2 if strategy == "ww" else n
+    rows = [(*row, *[0] * (m - n)) for row in rows] + [(0,) * m] * (m - n)
+    columns = [(*c, *[0] * (m - n)) for c in columns] + [(0,) * m] * (m - count)
     N = ExactMatrix.from_rows(rows)
     U = ExactMatrix.from_rows(list(zip(*columns)))
     if strategy == "schoolbook":
         C = schoolbook_multiply(N, U, counter)
     elif strategy == "ww":
-        m = n + n % 2
-        C = ww_multiply(_pad_matrix(N, m), _pad_matrix(U, m), counter)
+        C = ww_multiply(N, U, counter)
     elif strategy == "ww_recursive":
         C = ww_recursive(N, U, counter)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return [Element.over(F, [C[i, j] for i in range(n)], d * e) for j in range(count)]
-
-
-def _pad_matrix(M: ExactMatrix, m: int) -> ExactMatrix:
-    out = []
-    for i in range(m):
-        for j in range(m):
-            out.append(M[i, j] if i < M.rows and j < M.cols else 0)
-    return ExactMatrix(m, m, out)
+    return [Element.over(F, C.column(j)[:n], d * e) for j in range(count)]

@@ -23,8 +23,7 @@ and in `element` and `fastmul`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -43,7 +42,9 @@ from .polyring import (
     exact_int,
     format_rational,
     parse_rational,
+    reduced,
     scaled_coords,
+    values,
 )
 
 
@@ -148,10 +149,9 @@ class Element:
 
     @classmethod
     def over(cls, field: NumberField, num: Sequence[int], den: int) -> Element:
-        """The element num / den, den != 0, divided by one gcd that takes den's sign."""
-        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        """The element num / den, den != 0, in lowest terms (`polyring.reduced`)."""
         alpha = cls.__new__(cls)
-        alpha._hold(field, [x // g for x in num] if g != 1 else num, den // g)
+        alpha._hold(field, *reduced(num, den))
         return alpha
 
     def _hold(self, field: NumberField, num: Sequence[int], den: int) -> None:
@@ -165,8 +165,7 @@ class Element:
     @property
     def coords(self) -> tuple:
         """The exact coordinates: ints where integral, else Fractions."""
-        d = self.den
-        return tuple(Fraction(x, d) if x % d else x // d for x in self.num)
+        return values(self.num, self.den)
 
     @classmethod
     def from_text(cls, field: NumberField, text: str) -> Element:
@@ -335,8 +334,7 @@ def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") 
 
         return matrix_from_coefficients(F.pair.form.coeffs, F.a0, alpha.coords, method)
     rows, d = integer_matrix(F, alpha)
-    entries = [v for row in rows for v in row]
-    return ExactMatrix(F.n, F.n, entries if d == 1 else [Fraction(v, d) for v in entries])
+    return ExactMatrix.over(F.n, F.n, [v for row in rows for v in row], d)
 
 
 # ----------------------------------------------------------------------

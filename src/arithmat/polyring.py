@@ -1,30 +1,31 @@
 """Exact polynomial arithmetic and exact linear algebra.
 
-Univariate polynomials (UniPoly) are dense coefficient lists, and
-ExactMatrix is a dense matrix whose entries are exact scalars or, in
-symbolic mode, `SymbolicEntry` values (`symbolic.MultiPoly`, which this
-module never imports: it raises NonIntegerEntryError for their determinant
-and inverse, and `symbolic.det_cofactor` expands the determinant).  Every
-stored exact value passes through `exact`: an integral value is an int, and
-a Fraction is made only when a division leaves a remainder.  Integer inputs
-therefore stay in int arithmetic throughout, and the only true division here
-(`UniPoly.divmod`) divides as Fractions before normalising; `exact_int` is
-the same rule for a value that must be an integer, and raises
+Univariate polynomials (UniPoly) are dense coefficient lists.  Every exact
+scalar they store passes through `exact`: an integral value is an int, and a
+Fraction is made only when a division leaves a remainder; `exact_int` is the
+same rule for a value that must be an integer, and raises
 NonIntegerEntryError otherwise.  Polynomials display their signed terms
-through one renderer, and matrix products and traces add their terms with
-plain `sum`, which symbolic entries join through `0 + p`.  Everything here
-is immutable after construction and every operation is a pure function, so
-values can be shared freely between threads.  Determinants and inverses
-share one fraction-free (Bareiss) elimination over the integers; the integer
-discriminant is the determinant of the n x n Bezout matrix of f and f', and
-the Sylvester matrix serves `resultant`.
+through one renderer.  ExactMatrix is stored as field elements are: integer
+numerators over one denominator, put in lowest terms by `reduced`, with the
+exact entries built on demand by `values`.  Its determinant, inverse
+and counted product (`fastmul.ww_multiply`) run on the numerators and divide
+by a power of the denominator once.  A symbolic matrix holds `SymbolicEntry`
+values (`symbolic.MultiPoly`, which this module never imports) over
+denominator 1; its determinant and inverse raise NonIntegerEntryError, and
+`symbolic.det_cofactor` expands the determinant.  Matrix products and traces
+add their terms with plain `sum`, which symbolic entries join through `0 + p`.
+Everything here is immutable after construction and every operation is a
+pure function, so values can be shared freely between threads.  Determinants
+and inverses share one fraction-free (Bareiss) elimination over the integers;
+the integer discriminant is the determinant of the n x n Bezout matrix of f
+and f', and the Sylvester matrix serves `resultant`.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -78,6 +79,19 @@ def _quotient(v, k: int):
     if isinstance(v, int) and v % k == 0:
         return v // k
     return v * Fraction(1, k)
+
+
+def reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num / den in lowest terms, den != 0: divided by one gcd that takes den's sign."""
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    return tuple(x // g for x in num) if g != 1 else tuple(num), den // g
+
+
+def values(num: Sequence, den: int) -> tuple:
+    """The values num / den: ints where integral, else Fractions; num itself at den = 1."""
+    if den == 1:
+        return tuple(num)
+    return tuple(Fraction(x, den) if x % den else x // den for x in num)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -282,23 +296,31 @@ class SymbolicEntry:
 
 
 class ExactMatrix:
-    """Dense matrix of exact scalars, or of MultiPoly entries in symbolic mode."""
+    """Dense matrix held, row by row, as integer numerators `num` over one
+    denominator `den` >= 1 with gcd(den, *num) = 1, which equality and hashing
+    use; `entries`, `row`, `column` and `[i, j]` build the values on demand.  A
+    symbolic matrix keeps its entries, MultiPoly or exact scalars, over den = 1."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise DimensionMismatchError(
                 f"need {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
-        self.rows = rows
-        self.cols = cols
-        if _all_int(entries):
-            self.entries = tuple(entries)
-        else:
-            self.entries = tuple(
-                e if isinstance(e, SymbolicEntry) else exact(e) for e in entries
-            )
+        den = 1
+        if not _all_int(entries):
+            entries = [e if isinstance(e, SymbolicEntry) else exact(e) for e in entries]
+            if not any(isinstance(e, SymbolicEntry) for e in entries):
+                entries, den = scaled_coords(entries)
+        self.rows, self.cols, self.num, self.den = rows, cols, tuple(entries), den
+
+    @classmethod
+    def over(cls, rows: int, cols: int, num: Sequence[int], den: int) -> ExactMatrix:
+        """The rows x cols matrix of integer numerators num / den, den != 0."""
+        M = cls.__new__(cls)
+        M.rows, M.cols, (M.num, M.den) = rows, cols, reduced(num, den)
+        return M
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> ExactMatrix:
@@ -322,17 +344,28 @@ class ExactMatrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise self._index_error(f"index ({i}, {j})")
-        return self.entries[i * self.cols + j]
+        return self.row(i)[j]
+
+    @property
+    def entries(self) -> tuple:
+        """The exact entries, row by row."""
+        return values(self.num, self.den)
 
     def row(self, i: int) -> tuple:
         if not 0 <= i < self.rows:
             raise self._index_error(f"row {i}")
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return values(self.num[i * self.cols : (i + 1) * self.cols], self.den)
 
     def column(self, j: int) -> tuple:
         if not 0 <= j < self.cols:
             raise self._index_error(f"column {j}")
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return values(self.num[j :: self.cols], self.den)
+
+    def integer_rows(self, operation: str) -> list[list[int]]:
+        """The numerators as rows: the integer matrix A of self = A / den."""
+        if not _all_int(self.num):
+            raise NonIntegerEntryError(f"symbolic {operation} is not supported")
+        return [list(self.num[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -340,28 +373,21 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for a, b in zip(self.entries, other.entries))
-        )
+        return (self.rows, self.cols, self.num, self.den) == (other.rows, other.cols, other.num, other.den)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.num, self.den))
+
+    def _entrywise(self, op, other: ExactMatrix, name: str) -> ExactMatrix:
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatchError(f"matrix {name} shape mismatch")
+        return ExactMatrix(self.rows, self.cols, list(map(op, self.entries, other.entries)))
 
     def __add__(self, other: ExactMatrix) -> ExactMatrix:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError("matrix addition shape mismatch")
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
+        return self._entrywise(operator.add, other, "addition")
 
     def __sub__(self, other: ExactMatrix) -> ExactMatrix:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError("matrix subtraction shape mismatch")
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
+        return self._entrywise(operator.sub, other, "subtraction")
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if self.cols != other.rows:
@@ -385,14 +411,13 @@ class ExactMatrix:
         """Exact inverse, or only the listed columns of it, by fraction-free elimination."""
         if not self.is_square():
             raise NonSquareMatrixError("inverse of a non-square matrix")
-        rows, scales = _integer_rows(self, "inverse")
+        rows = self.integer_rows("inverse")
         n = self.rows
         cols = range(n) if columns is None else columns
         for j in cols:
             if not 0 <= j < n:
                 raise self._index_error(f"column {j}")
-        # with S = diag(scales), A^-1 e_j = (S A)^-1 (scales[j] e_j)
-        a = [row + [scales[i] * (i == j) for j in cols] for i, row in enumerate(rows)]
+        a = [row + [int(i == j) for j in cols] for i, row in enumerate(rows)]
         if n and _eliminate(a, n) == 0:
             raise SingularMatrixError("matrix is singular")
         det = a[n - 1][n - 1] if n else 1
@@ -404,7 +429,8 @@ class ExactMatrix:
                 row = a[i]
                 x[i] = (det * x[i] - sum(map(operator.mul, row[i + 1 : n], x[i + 1 :]))) // row[i]
             solutions.append(x)
-        return ExactMatrix(n, len(cols), [Fraction(x[i], det) for i in range(n) for x in solutions])
+        # self = A / den has the inverse den * A^-1, and each x is det * A^-1 e_j
+        return ExactMatrix.over(n, len(cols), [self.den * x[i] for i in range(n) for x in solutions], det)
 
     def trace(self):
         if not self.is_square():
@@ -423,18 +449,6 @@ def scaled_coords(coords) -> tuple[list[int], int]:
         return list(coords), 1
     d = lcm(*(c.denominator for c in coords))
     return [c.numerator * (d // c.denominator) for c in coords], d
-
-
-def _integer_rows(M: ExactMatrix, operation: str) -> tuple[list[list[int]], list[int]]:
-    """Rows scaled to integers by the lcm of their denominators, and the scales."""
-    if any(isinstance(e, SymbolicEntry) for e in M.entries):
-        raise NonIntegerEntryError(f"symbolic {operation} is not supported")
-    rows, scales = [], []
-    for i in range(M.rows):
-        row, scale = scaled_coords(M.row(i))
-        rows.append(row)
-        scales.append(scale)
-    return rows, scales
 
 
 def _eliminate(a: list[list[int]], n: int) -> int:
@@ -497,13 +511,17 @@ def coeffs_discriminant(coeffs) -> int:
 
 def det_bareiss(M):
     """Fraction-free determinant of square integer rows (an int) or of a
-    rational ExactMatrix, whose rows are scaled to integers first (a Fraction)."""
-    if not isinstance(M, ExactMatrix):
-        return _eliminate([list(row) for row in M], len(M))
-    if not M.is_square():
+    rational ExactMatrix A / den, which is det A / den^n (a Fraction)."""
+    if isinstance(M, ExactMatrix):
+        if not M.is_square():  # a 0 x k matrix has no row to show its width
+            raise NonSquareMatrixError("determinant of a non-square matrix")
+        return Fraction(det_bareiss(M.integer_rows("determinant")), M.den**M.rows)
+    n = len(M)
+    if len({len(row) for row in M}) > 1:
+        raise DimensionMismatchError("ragged rows")
+    if n and len(M[0]) != n:
         raise NonSquareMatrixError("determinant of a non-square matrix")
-    rows, scales = _integer_rows(M, "determinant")
-    return Fraction(_eliminate(rows, M.rows), prod(scales))
+    return _eliminate([list(row) for row in M], n)
 
 
 def det_exact(M):

@@ -50,6 +50,7 @@ _ARGVS = [
     ["inv", "--pair", "2:4,-2,-3,1,1", "--a", "1/2,1/3,0,0"],
     ["mul", "--pair", "2:4,-2,-3,1,1", "--a", "1/2,1/3,0,0", "--b", "1,-1,2,1/5"],
     ["charpoly", "--pair", "2:4,-2,-3,1,1", "--a", "1/2,1/3,0,0"],
+    ["matrix", "--pair", "2:4,-2,-3,1,1", "--coords", "1/2,1/3,0,0"],
     ["norm", "--pair", f"1:1,0,0,1,{_BIG}", "--a", "1,1,0,0"],
     ["norm", "--pair", f"1:1,0,1,{_BIG}", "--a", "1,1,0"],
     # symbolic matrices, both syzygies, the other table and element commands

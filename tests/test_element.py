@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from arithmat import element as el
+from arithmat import element as el, polyring
 from arithmat.errors import FieldMismatchError, ZeroElementError
 from arithmat.field import EssentialPair, arithmetic_matrix, make_field
 from arithmat.forms import BinaryForm
@@ -206,6 +206,20 @@ class TestInverse:
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroElementError):
             el.inverse(table_field(), table_field().zero())
+
+    def test_inverse_makes_no_fraction(self, monkeypatch):
+        F = scaled_field()
+        alphas = [F.element([3, -1, 2, 5]), F.element([Fraction(1, 2), Fraction(1, 3), 0, 0])]
+
+        def no_fraction(*args):
+            raise AssertionError(f"Fraction{args} was made")
+
+        monkeypatch.setattr(polyring, "Fraction", no_fraction)
+        inverses = [el.inverse(F, alpha) for alpha in alphas]
+        monkeypatch.undo()
+        assert inverses[1] == F.element([Fraction(-42, 43), Fraction(-108, 43), Fraction(72, 43), Fraction(-96, 43)])
+        for alpha, inv in zip(alphas, inverses):
+            assert el.mul(F, alpha, inv) == F.one()
 
 
 class TestCharPoly:

@@ -52,10 +52,17 @@ class TestCountedMultiply:
         with pytest.raises(DimensionMismatchError):
             ww_multiply(rand_matrix(rng, 3), rand_matrix(rng, 3))
 
-    def test_non_integer_entries_rejected(self):
-        A = ExactMatrix(2, 2, [Fraction(1, 2), 0, 0, 1])
-        with pytest.raises(NonIntegerEntryError):
-            ww_multiply(A, ExactMatrix.identity(2))
+    def test_rational_entries_accepted(self):
+        # the product runs on the integer numerators and divides by both denominators once
+        rng = random.Random(16)
+        for m in (2, 4, 6):
+            A, B = (
+                ExactMatrix(m, m, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m * m)])
+                for _ in range(2)
+            )
+            counter = MulCounter()
+            assert ww_multiply(A, B, counter) == A @ B
+            assert counter.scalar_mults == ww_mult_count(m)
 
     def test_schoolbook_counter(self):
         rng = random.Random(3)

@@ -310,3 +310,14 @@ def test_equal_values_written_differently_share_one_stored_form(n, data):
     (num, den), = forms
     assert all(type(x) is int for x in num) and type(den) is int
     assert F.element(spellings[0]).coords == tuple(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(1, 4), st.data())
+def test_inverse_of_big_rational_elements(n, a0, data):
+    """200-digit numerators over small denominators: the inverse's solve runs
+    on the integer matrix and divides by its determinant once."""
+    F = field(n, a0, 0)
+    big = st.builds(Fraction, st.integers(-(10**200), 10**200), st.integers(1, 6))
+    alpha = F.element(data.draw(st.lists(big, min_size=n, max_size=n).filter(any)))
+    assert el.mul(F, alpha, el.inverse(F, alpha)) == F.one()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -237,6 +238,15 @@ class TestDeterminants:
         with pytest.raises(NonSquareMatrixError):
             det_exact(ExactMatrix(2, 3, [1, 2, 3, 4, 5, 6]))
 
+    def test_plain_rows_shape_checked(self):
+        # the leading 2x2 block's determinant is -2, which a missing check would return
+        with pytest.raises(NonSquareMatrixError):
+            det_exact([[1, 2, 3], [3, 4, 5]])
+        with pytest.raises(DimensionMismatchError, match="ragged rows"):
+            det_bareiss([[1, 2], [3]])
+        with pytest.raises(NonSquareMatrixError):
+            det_bareiss(ExactMatrix(0, 3, []))
+
     def test_symbolic_determinant_names_its_entries(self):
         M = ExactMatrix.from_rows([[MultiPoly.var("x"), 1], [0, 1]])
         for det in (det_exact, det_bareiss):
@@ -452,11 +462,14 @@ class TestScalarRule:
     def test_exact_matrix(self, drawn):
         m, a, b = drawn
         A, B = ExactMatrix(m, m, a), ExactMatrix(m, m, b)
-        for M in (A, A + B, A - B, A @ B, A * Fraction(1, 2), ExactMatrix.identity(m)):
-            assert_stored_exact(M.entries)
+        built = [A, A + B, A - B, A @ B, A * Fraction(1, 2), ExactMatrix.identity(m)]
         if det_exact(A) != 0:
-            assert_stored_exact(A.inverse().entries)
+            built.append(A.inverse())
             assert A @ A.inverse() == ExactMatrix.identity(m)
+        for M in built:
+            assert_stored_exact(M.entries)
+            assert M.den >= 1 and gcd(M.den, *M.num) == 1
+            assert ExactMatrix(m, m, M.entries) == M
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(_FIELDS), st.lists(_scalars, min_size=8, max_size=8))
