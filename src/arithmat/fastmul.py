@@ -12,7 +12,8 @@ follow from Y[i][j] = Y[i][1] + Y[1][j] - Y[1][1].  It runs on the integer
 numerators of A and B (`ExactMatrix.integer_rows`) and divides by the product
 of their denominators once.  The recursive variant splits into half-size
 blocks and uses the seven-product scheme, padding to an even dimension at
-every level; it uses no division, so it also takes symbolic entries.
+every level; it runs on the numerators too, and since it uses no division
+it also takes symbolic entries, on their values.
 
 Polynomial products are exact integer convolutions by Kronecker
 substitution: each coefficient sequence is packed into one integer, the two
@@ -176,15 +177,20 @@ def _rec(a, b, counter):
 def ww_recursive(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = None) -> ExactMatrix:
     """Recursive seven-product multiplication for any square dimension.
 
-    The block scheme uses no divisions, so rational entries are accepted.
+    The block scheme uses no divisions: it runs on the integer numerators
+    and divides by the product of the denominators once, and a symbolic
+    matrix (den = 1) goes through it on its values.
     """
     if not (A.is_square() and B.is_square() and A.rows == B.rows):
         raise DimensionMismatchError("need square matrices of equal dimension")
     if counter is None:
         counter = MulCounter()
     m = A.rows
-    rows = _rec([list(A.row(i)) for i in range(m)], [list(B.row(i)) for i in range(m)], counter)
-    return ExactMatrix.from_rows(rows)
+    if A.symbolic or B.symbolic:
+        rows = _rec([list(A.row(i)) for i in range(m)], [list(B.row(i)) for i in range(m)], counter)
+        return ExactMatrix.from_rows(rows)
+    rows = _rec(A.integer_rows("product"), B.integer_rows("product"), counter)
+    return ExactMatrix.over(m, m, [x for row in rows for x in row], A.den * B.den)
 
 
 # ----------------------------------------------------------------------

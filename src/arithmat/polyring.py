@@ -8,12 +8,14 @@ NonIntegerEntryError otherwise.  Polynomials display their signed terms
 through one renderer.  ExactMatrix is stored as field elements are: integer
 numerators over one denominator, put in lowest terms by `reduced`, with the
 exact entries built on demand by `values`.  Its determinant, inverse
-and counted product (`fastmul.ww_multiply`) run on the numerators and divide
-by a power of the denominator once.  A symbolic matrix holds `SymbolicEntry`
-values (`symbolic.MultiPoly`, which this module never imports) over
-denominator 1; its determinant and inverse raise NonIntegerEntryError, and
-`symbolic.det_cofactor` expands the determinant.  Matrix products and traces
-add their terms with plain `sum`, which symbolic entries join through `0 + p`.
+and products (`@` and the `fastmul` strategies) run on the numerators and
+divide by a power of the denominator once.  A symbolic matrix holds
+`SymbolicEntry` values (`symbolic.MultiPoly`, which this module never
+imports) over denominator 1; its determinant and inverse raise
+NonIntegerEntryError, and `symbolic.det_cofactor` expands the determinant.
+A product with a symbolic factor multiplies the values, which may then meet
+a rational factor's Fractions.  Matrix products and traces add their terms
+with plain `sum`, which symbolic entries join through `0 + p`.
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads.  Determinants
 and inverses share one fraction-free (Bareiss) elimination over the integers;
@@ -361,9 +363,14 @@ class ExactMatrix:
             raise self._index_error(f"column {j}")
         return values(self.num[j :: self.cols], self.den)
 
+    @property
+    def symbolic(self) -> bool:
+        """Whether an entry is symbolic (or a Fraction beside one), so den = 1."""
+        return not _all_int(self.num)
+
     def integer_rows(self, operation: str) -> list[list[int]]:
         """The numerators as rows: the integer matrix A of self = A / den."""
-        if not _all_int(self.num):
+        if self.symbolic:
             raise NonIntegerEntryError(f"symbolic {operation} is not supported")
         return [list(self.num[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
 
@@ -390,11 +397,18 @@ class ExactMatrix:
         return self._entrywise(operator.sub, other, "subtraction")
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
+        """(A / d)(B / e) = AB / (d e), on the numerators; a symbolic factor
+        has d = 1 but may meet a rational one, so it multiplies the values."""
         if self.cols != other.rows:
             raise DimensionMismatchError("matrix product shape mismatch")
-        cols = [other.column(j) for j in range(other.cols)]
-        out = [sum(map(operator.mul, self.row(i), col)) for i in range(self.rows) for col in cols]
-        return ExactMatrix(self.rows, other.cols, out)
+        symbolic = self.symbolic or other.symbolic
+        a, b = (self.entries, other.entries) if symbolic else (self.num, other.num)
+        n, p = self.cols, other.cols
+        cols = [b[j::p] for j in range(p)]
+        out = [sum(map(operator.mul, a[i * n : (i + 1) * n], col)) for i in range(self.rows) for col in cols]
+        if symbolic:
+            return ExactMatrix(self.rows, p, out)
+        return ExactMatrix.over(self.rows, p, out, self.den * other.den)
 
     def __mul__(self, scalar) -> ExactMatrix:
         return ExactMatrix(self.rows, self.cols, [e * scalar for e in self.entries])

@@ -2,15 +2,23 @@
 
 The search enumerates coefficient boxes |a_i| <= height * a0^2 for each
 scale factor a0, keeping forms whose discriminant is exactly disc * a0^2,
-that satisfy the divisibility conditions, and that are irreducible.  Only
-the half of a box with a2 >= 0 is visited: each irreducible hit B(x, y)
-also yields its mirror B(x, -y), the same coefficients with a2, a4, ...
-negated.  The substitution y -> -y has determinant -1, and
-disc(B o g) = det(g)^(n(n-1)) disc(B) with n(n-1) even, so the mirror has
-the same discriminant; it is irreducible exactly when B is, since
-B(x, 1) = f(x) factors exactly when f(-x) does; and it keeps a1 and |a2|,
-so a0^2 | a1, a0 | a2 and the box bounds hold for it too.  The
-inner loops run on plain integers.  Degree 2 solves for the last
+that satisfy the divisibility conditions, and that are irreducible.  A
+g in GL2(Z) gives disc(B o g) = det(g)^(n(n-1)) disc(B), n(n-1) even, and
+B o g factors exactly when B does.  Two such symmetries map a box onto
+itself: the mirror B(x, -y) (a2, a4, ... negated), which keeps a1 and |a2|
+and so a0^2 | a1 and a0 | a2; and, at a0 = 1 only, where the box is
+1 <= a1 <= height, |a_i| <= height, a_(n+1) != 0, the reversal
+sign(a_(n+1)) B(y, x), the coefficients read backwards with the lead made
+positive.  So the loops visit a2 >= 0 only, and at a0 = 1 from degree 3
+on also |a_n| <= a2, since the reversal swaps a2 and a_n up to sign.  Each
+hit stands for its orbit under {1, mirror} or {1, mirror, reversal, both};
+only on the edge a2 = 0 or a2 = |a_n| do the loops meet another member of
+it, so each orbit is decided once, on the least member they visit, and
+adds all its members.  Quadratics keep the mirror only: there a_n is a2,
+so the reversal saves no loop work, and its bookkeeping cost more than the
+irreducibility calls it saved.
+
+The inner loops run on plain integers.  Degree 2 solves for the last
 coefficient directly.  Degrees 3 and 4 list the integer points of the
 Mordell curve Y^2 = 4X^3 - k that the box can reach, with k = 27*a^2*disc
 (Cayley's cubic syzygy at (1, 0)) or k = 27*disc (4I^3 - J^2 = 27*disc
@@ -20,19 +28,21 @@ A quartic's k does not depend on a1, so its points are listed once per a0,
 at the bound of the largest a1; and since I = c^2 (mod 3) and
 J = -2c^3 (mod 9), they are bucketed by the class of c mod 3 they can
 serve, and each c meets only its own bucket.
-Degree 5 uses the explicit quintic discriminant and tries as the last
-coefficient only the divisors of the polynomial's constant term that lie
-in the box (rational root theorem).  The generators yield their hits in
-no particular order; the (a0, a1) slices of the box run in order and the
-results are sorted.  The b = 0 slice holds both B and its mirror, so only
-the smaller of the two is decided, and it adds both.  The ``jobs`` argument is accepted and
+Degree 5 uses the explicit quintic discriminant, a quartic P(f) in the last
+coefficient, and tries as f only the divisors of P(0) that lie in the box
+(rational root theorem).  It evaluates the even and odd parts of P once at
+each positive divisor x, since P(+-x) = E +- O.  The generators yield their
+hits in no particular order; the a0 slices of the box run in order and
+each slice's results are sorted.  The ``jobs`` argument is accepted and
 ignored: the loops hold the interpreter lock, so a thread pool measured
 slower than one thread.
 """
 
 from __future__ import annotations
 
+from itertools import cycle
 from math import gcd, isqrt, lcm
+from operator import mul, neg
 
 from .element import char_poly, inverse, is_integral, norm, trace
 from .errors import (
@@ -50,22 +60,24 @@ from .polyring import poly_discriminant
 
 
 class _Divisors(dict):
-    """The nonzero x of rng that divide g, in rng order, keyed by g.
+    """The x in 1..bound that divide g, each with x^2, keyed by g.
 
-    The quintic generator fixes every coefficient but the last, x, which
-    leaves disc - target as an integer polynomial P(x).  A nonzero integer
-    root of P divides P(0) (rational root theorem), and one with |x| <= B
-    divides lcm(1..B) too, so it is among self[gcd(P(0), self.lcm)].  When
-    P(0) = 0 that gcd is the lcm itself, and every x is tried.
+    The quintic generator fixes every coefficient but the last, f, which
+    leaves disc - target as an integer polynomial P(f).  A nonzero integer
+    root of P divides P(0) (rational root theorem), and one with |f| <= bound
+    divides lcm(1..bound) too, so |f| is among self[gcd(P(0), self.lcm)].
+    When P(0) = 0 that gcd is the lcm itself, and every f is tried.  The
+    generator splits P(+-x) = E +- O into its even part E and odd part O,
+    which it evaluates once in x^2 for both signs.
     """
 
-    def __init__(self, rng):
+    def __init__(self, bound):
         super().__init__()
-        self.rng = rng
-        self.lcm = lcm(*range(1, max(map(abs, rng), default=0) + 1))
+        self.bound = bound
+        self.lcm = lcm(*range(1, bound + 1))
 
     def __missing__(self, g):
-        xs = self[g] = [x for x in self.rng if x and not g % x]
+        xs = self[g] = [(x, x * x) for x in range(1, self.bound + 1) if not g % x]
         return xs
 
 
@@ -113,6 +125,12 @@ def _signed_points(k, xmax):
     return [(x, j) for x, y in _mordell_points(k, xmax) for j in ((y, -y) if y else (0,))]
 
 
+# The generators take the box as rng = range(-B, B + 1), so a coefficient c
+# lies in it when |c| <= B.  With ``folded`` (then b = a2 >= 0), they keep
+# only |a_n| <= b, the coefficient before the last: the search reaches the
+# rest of the box by the reversal.
+
+
 def _cands_deg2(a1, a2_values, rng, target):
     for b in a2_values:
         c, rem = divmod(b * b - target, 4 * a1)
@@ -120,24 +138,25 @@ def _cands_deg2(a1, a2_values, rng, target):
             yield (a1, b, c)
 
 
-def _cands_deg3(a1, a2_values, rng, target):
+def _cands_deg3(a1, a2_values, rng, target, folded=False):
     # Cayley's syzygy F^2 + 27 D C^2 = 4 Q^3 at (1, 0) makes (X, J) =
     # (b^2 - 3ac, 2b^3 - 9abc + 27a^2 d) a point of J^2 = 4X^3 - 27a^2 disc,
     # with |X| <= max|b|^2 + 3aB.  Each point gives c, then d, exactly.
     a = a1
-    B = max(map(abs, rng), default=0)
+    B = rng[-1]
     bmax = max(map(abs, a2_values), default=0)
     points = _signed_points(27 * a * a * target, bmax * bmax + 3 * a * B)
     a3 = 3 * a
     a27 = 27 * a * a
     for b in a2_values:
         b2 = b * b
+        cmax = b if folded else B
         for x, j in points:
             c, rem = divmod(b2 - x, a3)
-            if rem or c not in rng:
+            if rem or abs(c) > cmax:
                 continue
             d, rem = divmod(j - (2 * b2 - 9 * a * c) * b, a27)
-            if d and not rem and d in rng:
+            if d and not rem and abs(d) <= B:
                 yield (a, b, c, d)
 
 
@@ -148,7 +167,7 @@ def _deg4_xmax(a, a2_values, rng):
     return 12 * a * B + 3 * bmax * B + B * B
 
 
-def _cands_deg4(a1, a2_values, rng, target, points):
+def _cands_deg4(a1, a2_values, rng, target, points, folded=False):
     # The invariants I = 12ae - 3bd + c^2 and J of quartic_invariants satisfy
     # 4I^3 - J^2 = 27 disc, so (I, J) is a point of J^2 = 4X^3 - 27 disc with
     # |I| <= _deg4_xmax.  ``points`` lists them, up to that or a larger bound: d
@@ -162,27 +181,30 @@ def _cands_deg4(a1, a2_values, rng, target, points):
     # whose discriminant is s0 + s1 X - s2 J and whose roots are
     # (lin -+ sqrt(s)) / (216a^2).
     a = a1
-    by_class = [[], [], []]
-    for x, j in points:
-        for r in range(3):
-            if (x - r * r) % 3 == 0 and (j + 2 * r**3) % 9 == 0:
-                by_class[r].append((x, j))
-    cs = [c for c in rng if by_class[c % 3]]
+    B = rng[-1]
     aa = a * a
     den = 216 * aa
     a12 = 12 * a
     s2 = 1728 * aa * a
+    # each class holds (X, s2 J)
+    by_class = [[], [], []]
+    for x, j in points:
+        for r in range(3):
+            if (x - r * r) % 3 == 0 and (j + 2 * r**3) % 9 == 0:
+                by_class[r].append((x, s2 * j))
+    cs = [c for c in rng if by_class[c % 3]]
     for b in a2_values:
         b2 = b * b
         b3 = 3 * b
+        dmax = b if folded else B
         for c in cs:
             c2 = c * c
             lin = 27 * b * (4 * a * c - b2)
             q = 3 * (8 * a * c - 3 * b2)
             s0 = lin * lin - 432 * aa * c2 * (q + 8 * a * c)
             s1 = 432 * aa * q
-            for x, j in by_class[c % 3]:
-                s = s0 + s1 * x - s2 * j
+            for x, s2j in by_class[c % 3]:
+                s = s0 + s1 * x - s2j
                 if s < 0:
                     continue
                 r = isqrt(s)
@@ -190,14 +212,14 @@ def _cands_deg4(a1, a2_values, rng, target, points):
                     continue
                 for num in {lin - r, lin + r}:
                     d, rem = divmod(num, den)
-                    if rem or d not in rng:
+                    if rem or abs(d) > dmax:
                         continue
                     e, rem = divmod(x - c2 + b3 * d, a12)
-                    if e and not rem and e in rng:
+                    if e and not rem and abs(e) <= B:
                         yield (a, b, c, d, e)
 
 
-def _cands_deg5(a1, a2_values, rng, target):
+def _cands_deg5(a1, a2_values, rng, target, folded=False):
     # disc = K4 f^4 + K3 f^3 + K2 f^2 + K1 f + K0 with K4 = 3125 a^4 and
     # K_i = sum_j kij e^j; each kij is a polynomial in d whose coefficients
     # kij_m (of d^m) are set in the loop over the last coefficient they use.
@@ -212,7 +234,7 @@ def _cands_deg5(a1, a2_values, rng, target):
     k10_5 = 108 * aa
     k13_1 = -1600 * a3
     k21_2 = 2250 * a3
-    divisors = _Divisors(rng)
+    divisors = _Divisors(rng[-1])
     L = divisors.lcm
     for b in a2_values:
         b2 = b * b
@@ -223,6 +245,7 @@ def _cands_deg5(a1, a2_values, rng, target):
         k12_2 = 1020 * aab
         k20_3 = -900 * aab
         k31 = -2500 * a3 * b
+        es = range(-b, b + 1) if folded else rng
         for c in rng:
             c2 = c * c
             c3 = c2 * c
@@ -262,16 +285,19 @@ def _cands_deg5(a1, a2_values, rng, target):
                 k20 = ((k20_3 * d + k20_2) * d + k20_1) * d + k20_0
                 k21 = (k21_2 * d + k21_1) * d + k21_0
                 k30 = k30_1 * d + k30_0
-                for e in rng:
+                for e in es:
                     k0 = e * e * (((k05 * e + k04) * e + k03) * e + k02) - target
-                    fs = divisors[gcd(k0, L)]
-                    if fs:
-                        k1 = ((k13 * e + k12) * e + k11) * e + k10
-                        k2 = (k22 * e + k21) * e + k20
-                        k3 = k31 * e + k30
-                        for f in fs:
-                            if (((K4 * f + k3) * f + k2) * f + k1) * f + k0 == 0:
-                                yield (a, b, c, d, e, f)
+                    k1 = ((k13 * e + k12) * e + k11) * e + k10
+                    k2 = (k22 * e + k21) * e + k20
+                    k3 = k31 * e + k30
+                    # P(+-x) = even +- odd
+                    for x, xx in divisors[gcd(k0, L)]:
+                        even = (K4 * xx + k2) * xx + k0
+                        odd = (k3 * xx + k1) * x
+                        if even == -odd:
+                            yield (a, b, c, d, e, x)
+                        if even == odd:
+                            yield (a, b, c, d, e, -x)
 
 
 _CANDIDATE_GENS = {2: _cands_deg2, 3: _cands_deg3, 4: _cands_deg4, 5: _cands_deg5}
@@ -279,7 +305,16 @@ _CANDIDATE_GENS = {2: _cands_deg2, 3: _cands_deg3, 4: _cands_deg4, 5: _cands_deg
 
 def _mirror(coeffs):
     """The coefficients of B(x, -y): every odd-index one changes sign."""
-    return tuple(-c if i % 2 else c for i, c in enumerate(coeffs))
+    return tuple(map(mul, coeffs, cycle((1, -1))))
+
+
+def _orbit(coeffs, folded):
+    """B and its mirror, and when folded also their reversals sign(a_(n+1))
+    B(y, x), read backwards with the lead made positive (some may coincide)."""
+    members = {coeffs, _mirror(coeffs)}
+    if folded:
+        members |= {m[::-1] if m[-1] > 0 else tuple(map(neg, reversed(m))) for m in members}
+    return members
 
 
 def search_essential_pairs(
@@ -289,13 +324,14 @@ def search_essential_pairs(
 
     For each a0 up to a0_max the box is |a_i| <= height * a0^2 with a1 > 0
     restricted to multiples of a0^2 and a2 to multiples of a0.  The
-    candidate loops run over a2 >= 0 only, and each irreducible hit adds its
-    mirror B(x, -y) (a2, a4, ... negated), which has the same discriminant,
-    is irreducible with it, and meets the same divisibility conditions and
-    bounds (see the module docstring).  In the b = 0 slice, which holds both
-    members of a mirror pair, only the smaller one is decided and adds both,
-    and a form that is its own mirror is added once.  Results are sorted by
-    (a0, coefficients); an empty list is a valid outcome.
+    candidate loops run over a2 >= 0 only, and at a0 = 1 from degree 3 on
+    also over |a_n| <= a2 only.  Each hit stands for its orbit under the
+    mirror B(x, -y) (a2, a4, ... negated) and, at a0 = 1 from degree 3 on,
+    the reversal sign(a_(n+1)) B(y, x): every member has the same
+    discriminant, is irreducible with it, and lies in the box (see the
+    module docstring).  Each orbit is decided once, on the least member the
+    loops visit, and an irreducible one adds every member once.  Results
+    are sorted by (a0, coefficients); an empty list is a valid outcome.
     ``jobs`` is accepted for compatibility and ignored.
     """
     if degree not in _CANDIDATE_GENS:
@@ -306,7 +342,7 @@ def search_essential_pairs(
         raise ValueError("a0_max must be >= 1")
     gen = _CANDIDATE_GENS[degree]
 
-    results = []
+    pairs = []
     for a0 in range(1, a0_max + 1):
         target = disc * a0 * a0
         box = height * a0 * a0
@@ -320,20 +356,27 @@ def search_essential_pairs(
             # points once, up to the bound of the largest a1
             xmax = _deg4_xmax(box, a2_values, rng)
             extra["points"] = _signed_points(27 * target, xmax)
+        folded = a0 == 1 and degree > 2
+        if folded:
+            extra["folded"] = True
+        found = []
         for t in range(1, height + 1):
             for coeffs in gen(t * a0 * a0, a2_values, rng, target, **extra):
-                mirror = _mirror(coeffs)
-                if coeffs[1] == 0 and mirror < coeffs:
-                    continue  # the b = 0 slice holds both: the smaller adds them
+                # the loops meet another member of the orbit only on the edge
+                # a2 = |a_n| (a2 = 0 unfolded), where they visit every member
+                # with a2 >= 0: only the least of those is decided
+                if coeffs[1] == (abs(coeffs[-2]) if folded else 0) and coeffs != min(
+                    o for o in _orbit(coeffs, folded) if o[1] >= 0
+                ):
+                    continue
                 if is_irreducible(BinaryForm(coeffs), target):
-                    results.append((a0, coeffs))
-                    if mirror != coeffs:
-                        results.append((a0, mirror))
-
-    # Each pair validates by construction: a0^2 | a1 and a0 | a2 by the box
-    # steps, disc = disc * a0^2 by the candidate loop, irreducible by the
-    # check, and the mirrors by the symmetry in the module docstring.
-    return [EssentialPair(a0, BinaryForm(coeffs)) for a0, coeffs in sorted(results)]
+                    found += _orbit(coeffs, folded)
+        # Each pair validates by construction: a0^2 | a1 and a0 | a2 by the
+        # box steps, disc = disc * a0^2 by the candidate loop, irreducible by
+        # the check, and the other orbit members by the symmetries in the
+        # module docstring.
+        pairs += [EssentialPair(a0, BinaryForm(coeffs)) for coeffs in sorted(found)]
+    return pairs
 
 
 # ----------------------------------------------------------------------

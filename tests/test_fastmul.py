@@ -20,6 +20,7 @@ from arithmat.fastmul import (
 from arithmat.field import EssentialPair, arithmetic_matrix, make_field
 from arithmat.forms import BinaryForm
 from arithmat.polyring import ExactMatrix, UniPoly, poly_mul_schoolbook
+from arithmat.symbolic import MultiPoly
 
 import util
 
@@ -103,6 +104,48 @@ class TestRecursive:
         sxy = sum(p[0] * p[1] for p in points)
         slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
         assert slope <= math.log2(7) + 0.15
+
+
+def _value_product(A, B):
+    """AB entry by entry on the exact values, the route before numerators."""
+    return ExactMatrix.from_rows(
+        [[sum(A[i, k] * B[k, j] for k in range(A.cols)) for j in range(B.cols)] for i in range(A.rows)]
+    )
+
+
+def _rational_matrix(rng, rows, cols, q):
+    return ExactMatrix(rows, cols, [Fraction(rng.randint(-50, 50), rng.randint(1, q)) for _ in range(rows * cols)])
+
+
+class TestNumeratorProducts:
+    """`@`, schoolbook and the recursive product run on numerators over den * other.den."""
+
+    def test_equal_the_value_route_on_random_rational_matrices(self):
+        rng = random.Random(33)
+        for _ in range(40):
+            m, k, p = (rng.randint(1, 9) for _ in range(3))
+            A, B = _rational_matrix(rng, m, k, rng.choice((1, 6))), _rational_matrix(rng, k, p, 6)
+            C = _value_product(A, B)
+            assert A @ B == C
+            assert schoolbook_multiply(A, B) == C
+            A, B = _rational_matrix(rng, m, m, rng.choice((1, 6))), _rational_matrix(rng, m, m, 6)
+            assert ww_recursive(A, B) == _value_product(A, B)
+
+    def test_a_cancelling_denominator_is_reduced(self):
+        half = ExactMatrix(2, 2, [Fraction(1, 2), 0, 0, Fraction(1, 2)])
+        two = ExactMatrix(2, 2, [2, 0, 0, 2])
+        for C in (half @ two, ww_recursive(half, two)):
+            assert (C.num, C.den) == ((1, 0, 0, 1), 1)
+
+    def test_symbolic_factor_multiplies_the_values(self):
+        rng = random.Random(34)
+        x = MultiPoly.var("x")
+        S = ExactMatrix(3, 3, [x * rng.randint(-3, 3) + rng.randint(-3, 3) for _ in range(9)])
+        R = _rational_matrix(rng, 3, 3, 6)
+        for A, B in ((S, R), (R, S), (S, S)):
+            C = _value_product(A, B)
+            assert A @ B == C
+            assert ww_recursive(A, B) == C
 
 
 class TestExactConvolve:

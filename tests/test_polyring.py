@@ -19,7 +19,6 @@ from arithmat.forms import BinaryForm
 from arithmat.polyring import (
     ExactMatrix,
     UniPoly,
-    _sylvester_rows,
     coeffs_discriminant,
     det_bareiss,
     det_exact,
@@ -30,6 +29,8 @@ from arithmat.polyring import (
     sylvester_matrix,
 )
 from arithmat.symbolic import MultiPoly, collect_coeffs, det_cofactor
+
+import util
 
 
 def rand_poly(rng, degree, lo=-9, hi=9):
@@ -147,17 +148,6 @@ class TestSylvesterAndResultant:
             assert resultant(p, q) == sign * resultant(q, p)
 
 
-def _sylvester_discriminant(coeffs):
-    """The Sylvester route: the determinant of f and f' (highest degree first),
-    times (-1)^(n(n-1)/2), over a1."""
-    n = len(coeffs) - 1
-    deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
-    det = det_bareiss(_sylvester_rows(list(coeffs), deriv))
-    value, rem = divmod((-1) ** (n * (n - 1) // 2) * det, coeffs[0])
-    assert rem == 0
-    return value
-
-
 @st.composite
 def discriminant_coeffs(draw):
     """Coefficients (a1, ..., a_{n+1}) of degree 1 to 12 up to 10^40, or a
@@ -182,7 +172,7 @@ class TestBezoutDiscriminant:
     @example([-10**40, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 10**40])
     @example([18, -60, 113, -210, 175])  # (3x - 5)^2 (2x^2 + 7)
     def test_equals_sylvester_route(self, coeffs):
-        assert coeffs_discriminant(coeffs) == _sylvester_discriminant(coeffs)
+        assert coeffs_discriminant(coeffs) == util.sylvester_discriminant(coeffs)
 
 
 class TestBinomialDiscriminant:

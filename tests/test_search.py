@@ -4,7 +4,7 @@ from itertools import product
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arithmat import element as el
 from arithmat import search
@@ -387,10 +387,91 @@ def test_half_box_search_matches_the_full_box(box):
     assert search_essential_pairs(*box) == _full_box_search(*box)
 
 
+def _sign_flip(coeffs):
+    """B(x, -y), from its definition: a_i y^(i-1) picks up (-1)^(i-1)."""
+    return tuple(c * (-1) ** i for i, c in enumerate(coeffs))
+
+
+def _swap(coeffs):
+    """sign(a_(n+1)) B(y, x), from its definition."""
+    sign = 1 if coeffs[-1] > 0 else -1
+    return tuple(sign * c for c in reversed(coeffs))
+
+
+def _group_orbit(coeffs, with_swap):
+    members = {coeffs, _sign_flip(coeffs)}
+    if with_swap:
+        members |= {_swap(m) for m in members}
+    return frozenset(members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_boxes())
+def test_results_are_orbits_and_each_orbit_is_decided_once(box):
+    disc, degree, _height, _a0_max = box
+    assume(disc)  # the slice of a decided form is read from its target disc * a0^2
+    decided = []
+    real = search.is_irreducible
+
+    def record(B, target=None):
+        decided.append((isqrt(target // disc), B.coeffs))
+        return real(B, target)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "is_irreducible", record)
+        pairs = search_essential_pairs(*box)
+    found = {(p.a0, p.form.coeffs) for p in pairs}
+    for a0, coeffs in found:
+        assert (a0, _sign_flip(coeffs)) in found
+        if a0 == 1:
+            assert (a0, _swap(coeffs)) in found
+    # the search uses the swap at a0 = 1 from degree 3 on, and the sign flip
+    # everywhere: no two decided forms share an orbit of that group, and
+    # every orbit of the result holds a decided form
+    orbits = [(a0, _group_orbit(coeffs, a0 == 1 and degree > 2)) for a0, coeffs in decided]
+    assert len(set(orbits)) == len(orbits)
+    assert {(a0, coeffs) for a0, orbit in orbits for coeffs in orbit if (a0, coeffs) in found} == found
+
+
 @pytest.mark.parametrize("box", [(-275, 4, 2, 1), (513, 4, 4, 2), (-4511, 5, 2, 1)])
 def test_half_box_search_matches_the_full_box_on_documented_boxes(box):
     pairs = search_essential_pairs(*box)
     assert pairs and pairs == _full_box_search(*box)
+
+
+def _quintic_box(height, a0):
+    """(disc / a0^2, coeffs) over every form of the quintic box slice at a0,
+    a2 of any sign, where a0^2 divides the Sylvester discriminant."""
+    box = height * a0 * a0
+    for t in range(1, height + 1):
+        for a2 in range(-box, box + 1, a0):
+            for rest in product(range(-box, box + 1), repeat=4):
+                if rest[-1]:
+                    coeffs = (t * a0 * a0, a2, *rest)
+                    disc, rem = divmod(util.sylvester_discriminant(coeffs), a0 * a0)
+                    if not rem:
+                        yield disc, coeffs
+
+
+@pytest.mark.parametrize("height, a0_max, sampled", [(2, 1, None), (1, 2, 150)])
+def test_quintic_search_matches_brute_force_over_whole_boxes(height, a0_max, sampled):
+    # every form of the box, reducible ones too, grouped by its discriminant
+    # over a0^2; at height 2 every such discriminant is searched, and at
+    # a0 = 2 (a box of 29160 forms) a seeded sample of them
+    by_disc = {}
+    for a0 in range(1, a0_max + 1):
+        for disc, coeffs in _quintic_box(height, a0):
+            by_disc.setdefault(disc, []).append((a0, coeffs))
+    discs = sorted(by_disc.keys() - {0})
+    if sampled:
+        discs = random.Random(33).sample(discs, sampled)
+    for disc in discs:
+        expected = [
+            EssentialPair(a0, BinaryForm(coeffs))
+            for a0, coeffs in sorted(by_disc[disc])
+            if is_irreducible(BinaryForm(coeffs))
+        ]
+        assert search_essential_pairs(disc, 5, height, a0_max) == expected, disc
 
 
 # Rows whose own box is too slow for the suite (height 32-100 at a0 = 4-10).

@@ -11,6 +11,7 @@ from arithmat.forms import (
     irreducibility_certificate,
     is_irreducible,
 )
+from arithmat.polyring import _sylvester_rows, det_bareiss
 
 
 def random_pair(rng: random.Random, n: int, a0: int = 1, hi: int = 9) -> EssentialPair:
@@ -59,3 +60,14 @@ def random_element(F: NumberField, rng: random.Random, bound: int = 10, nonzero:
         coords = [rng.randint(-bound, bound) for _ in range(F.n)]
         if not nonzero or any(coords):
             return F.element(coords)
+
+
+def sylvester_discriminant(coeffs) -> int:
+    """The Sylvester route: the determinant of f and f' (highest degree first),
+    times (-1)^(n(n-1)/2), over a1."""
+    n = len(coeffs) - 1
+    deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
+    det = det_bareiss(_sylvester_rows(list(coeffs), deriv))
+    value, rem = divmod((-1) ** (n * (n - 1) // 2) * det, coeffs[0])
+    assert rem == 0
+    return value
