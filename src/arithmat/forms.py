@@ -5,6 +5,13 @@ with a1 the coefficient of x^n and a_{n+1} the coefficient of y^n, as ints:
 a coefficient whose exact value is not an integer raises
 NonIntegerEntryError.  Both end coefficients must be nonzero, so the
 dehomogenization B(x, 1) always has degree exactly n.
+
+Irreducibility is accepted by an Eisenstein prime or by a prime modulo
+which the form is irreducible (at degrees 4 and 5: no root and the
+Stickelberger symbol of the reduction), and refuted by an integer factor:
+a rational root, or at degrees 4 and 5 a quadratic factor, found by lifting
+a factor modulo one prime p-adically and dividing, with no divisor scan of
+the coefficients.
 """
 
 from __future__ import annotations
@@ -93,42 +100,6 @@ def _primitive_monic_sign(cs: tuple[int, ...]) -> tuple[int, ...]:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _has_rational_root(cs: tuple[int, ...]) -> bool:
-    # cs low-to-high, primitive, nonzero ends
-    lead, const = cs[-1], cs[0]
-    const_divisors = _divisors(const)
-    for q in _divisors(lead):
-        # c_k q^(n-k), high degree first
-        scaled, qk = [], 1
-        for c in reversed(cs):
-            scaled.append(c * qk)
-            qk *= q
-        for p in const_divisors:
-            if math.gcd(p, q) != 1:
-                continue
-            for sp in (p, -p):
-                # f(sp/q) * q^n by homogeneous Horner, in integers
-                acc = 0
-                for c in scaled:
-                    acc = acc * sp + c
-                if acc == 0:
-                    return True
-    return False
-
-
 # -- arithmetic in GF(p)[x], coefficient lists low-to-high, trimmed ------
 
 
@@ -136,6 +107,19 @@ def _gfp_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def _gfp_roots(f, p, residues=None):
+    """The roots of f among the residues (0 .. p - 1 by default), found by
+    evaluation: Horner in integers, one remainder per residue."""
+    roots, high = [], f[::-1]
+    for r in range(p) if residues is None else residues:
+        acc = 0
+        for c in high:
+            acc = acc * r + c
+        if not acc % p:
+            roots.append(r)
+    return roots
 
 
 def _gfp_mulmod(a, b, f, p):
@@ -175,27 +159,34 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int) -> bool:
     """Irreducibility of the reduction f of cs modulo p, degree n preserved.
 
     Degree 1 is irreducible.  A root, found by evaluating f at each residue,
-    is a linear factor.  Past that, f is irreducible exactly when
-    gcd(x^(p^k) - x, f) = 1 for k = 2 .. n/2 (no factor of degree k,
-    repeated ones included).  Row i of the Frobenius matrix Q is x^(ip) mod
-    f, so h -> h^p is hQ; row 1, x^p mod f, takes p - n + 1 steps of
-    multiplying by x and reducing (none when p < n).
+    is a linear factor.  Without one, every factor has degree >= 2, so a
+    cubic is irreducible, and at degrees 4 and 5 f is irreducible or splits
+    as (2, n - 2): irreducible exactly when it is squarefree with one factor,
+    which `_stickelberger_allows` reads off the discriminant of f itself
+    (coefficients in [0, p), lead prime to p).  Above, f made monic is
+    irreducible exactly when gcd(x^(p^k) - x, f) = 1 for k = 2 .. n/2 (no
+    factor of degree k, repeated ones included).  Row i of the Frobenius
+    matrix Q is x^(ip) mod f, so h -> h^p is hQ; row 1, x^p mod f, takes
+    p - n + 1 steps of multiplying by x and reducing (none when p < n).
     """
     if cs[-1] % p == 0:
         return False
     n = len(cs) - 1
     if n == 1:
         return True
-    inv = pow(cs[-1] % p, p - 2, p)
-    f = [(c * inv) % p for c in cs]
-    for r in range(p):
+    high = [c % p for c in reversed(cs)]
+    for r in range(p):  # `_gfp_roots`, stopping at the first root
         acc = 0
-        for c in reversed(f):
-            acc = (acc * r + c) % p
-        if not acc:
+        for c in high:
+            acc = acc * r + c
+        if not acc % p:
             return False
     if n < 4:
         return True
+    if n < 6:
+        return _stickelberger_allows(coeffs_discriminant(high), n, p)
+    inv = pow(high[0], p - 2, p)
+    f = [(c * inv) % p for c in cs]
     e = min(p, n - 1)
     h = [int(i == e) for i in range(n)]
     for _ in range(p - e):
@@ -227,24 +218,199 @@ def _stickelberger_allows(d: int, n: int, p: int) -> bool:
     return pow(d, (p - 1) // 2, p) == (1 if n % 2 else p - 1)
 
 
-def _quadratic_factor_exists(cs: tuple[int, ...]) -> bool:
-    """Whether cs (low-to-high, positive lead, no rational root) has an integer
-    quadratic factor g.  g(x) | f(x) at every integer x and f(1) != 0, so
-    g(1) = g2 + g1 + g0 is a divisor of f(1) of either sign."""
-    f = UniPoly(cs)
-    const_divisors, f1_divisors = _divisors(cs[0]), _divisors(sum(cs))
-    checks = [(x, sum(c * x**k for k, c in enumerate(cs))) for x in (-1, 2, -2)]
-    for g2 in _divisors(cs[-1]):
-        for g0 in const_divisors:
-            for sg0 in (g0, -g0):
-                for s in f1_divisors:
-                    for g1 in (s - g2 - sg0, -s - g2 - sg0):
-                        if all(
-                            (gx := (g2 * x + g1) * x + sg0) and fx % gx == 0
-                            for x, fx in checks
-                        ) and f.divmod(UniPoly((sg0, g1, g2)))[1].is_zero():
-                            return True
-    return False
+def _gfp_quadratics(q, p):
+    """The two monic quadratic factors [c, b, 1] of the monic quartic q
+    (low-to-high) without a root modulo p, or none when q is irreducible.
+    If q is (x^2 + b x + c)(x^2 + b' x + c'), then b + b' = q3,
+    c + c' = q2 - b b' = s, b c' + b' c = q1 and c c' = q0: so each b fixes c
+    when b != b', and at b = b' c is a root of y^2 - s y + q0."""
+    q0, q1, q2, q3 = q[:4]
+    for b in range(p):
+        b2 = (q3 - b) % p
+        s = (q2 - b * b2) % p
+        if b != b2:
+            options = [(q1 - b * s) * pow(b2 - b, -1, p) % p]
+        else:
+            options = range(p) if (b * s - q1) % p == 0 else ()
+        for c in options:
+            if c * (s - c) % p == q0 % p:
+                return [[c, b, 1], [(s - c) % p, b2, 1]]
+    return []
+
+
+# -- small factors over the integers, by lifting factors modulo p --------
+
+
+def _primes():
+    """2, 3, 5, ...: _ACCEPT_PRIMES, then the primes above 47."""
+    yield from _ACCEPT_PRIMES
+    q = _ACCEPT_PRIMES[-1]
+    while True:
+        q += 2
+        if all(q % k for k in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+
+
+def _reductions(cs, d):
+    """(p, f, roots) at each prime p dividing neither the lead of cs nor d,
+    in increasing order: f is cs modulo p (coefficients in [0, p)), and
+    roots lists its roots modulo p, each simple.  When d is the
+    discriminant of cs, f is squarefree; so a multiple root, or d = 0,
+    shows that d is not (the callers have seen a nonzero one).  The
+    discriminant of cs then replaces it, and when that is zero (a repeated
+    factor) nothing more is yielded."""
+    for p in _primes():
+        if not d:
+            d = coeffs_discriminant(cs[::-1])
+            if not d:
+                return
+        if cs[-1] % p and d % p:
+            f = [c % p for c in cs]
+            roots = _gfp_roots(f, p)
+            if not _gfp_roots([k * c for k, c in enumerate(f)][1:], p, roots):
+                yield p, f, roots
+            else:
+                d = 0
+
+
+def _modulus(p, bound):
+    """The least p^(2^j) above bound: the precision the lifts work to."""
+    m = p
+    while m <= bound:
+        m *= m
+    return m
+
+
+def _lift_root(cs, r, p, m):
+    """Lift the simple root r of cs modulo p to a root modulo m = p^(2^j), by
+    Newton's iteration r -> r - cs(r) / cs'(r), which doubles the exponent."""
+    k = p
+    while k < m:
+        k *= k
+        f = df = 0
+        for a in reversed(cs):
+            df = (df * r + f) % k
+            f = (f * r + a) % k
+        r = (r - f * pow(df, -1, k)) % k
+    return r
+
+
+def _lift_quadratic_root(cs, c, b, p, m):
+    """Lift the root t of x^2 + b x + c, irreducible modulo p, to a root
+    u + v t of cs in Z/m[t]/(t^2 + b t + c), m = p^(2^j), by the same
+    Newton iteration as `_lift_root`: cs has t as a simple root modulo p."""
+    u, v, k = 0, 1, p
+    while k < m:
+        k *= k
+        fu = fv = du = dv = 0  # cs and its derivative at u + v t, by Horner
+        for a in reversed(cs):
+            du, dv = (du * u - c * dv * v + fu) % k, (du * v + dv * u - b * dv * v + fv) % k
+            fu, fv = (fu * u - c * fv * v + a) % k, (fu * v + fv * u - b * fv * v) % k
+        # 1 / (du + dv t) = ((du - b dv) - dv t) / N, N = du^2 - b du dv + c dv^2
+        inv = pow(du * du - b * du * dv + c * dv * dv, -1, k)
+        wu, wv = (du - b * dv) * inv, -dv * inv
+        u = (u - fu * wu + c * fv * wv) % k
+        v = (v - fu * wv - fv * wu + b * fv * wv) % k
+    return u, v
+
+
+def _divides(g, f) -> bool:
+    """Whether g divides f in Z[x] (both low-to-high, f[0] != 0): its end
+    coefficients must divide f's, then long division."""
+    if not g[0] or f[0] % g[0]:
+        return False
+    f, dg = list(f), len(g) - 1
+    for k in range(len(f) - 1, dg - 1, -1):
+        c, r = divmod(f[k], g[-1])
+        if r:
+            return False
+        for j in range(dg):
+            f[k - dg + j] -= c * g[j]
+    return not any(f[:dg])
+
+
+def _integer_factor(cs, g, m):
+    """The integer factor of cs that the monic g (low-to-high) lifts, or
+    None.  A primitive factor G of cs with positive lead l has l | a, the
+    lead of cs; g is G / l modulo m, so a g is (a / l) G modulo m, read off
+    as the symmetric residue when m exceeds twice its coefficients, and G is
+    its primitive part, kept if it divides cs."""
+    h = []
+    for c in g:
+        c = cs[-1] * c % m
+        h.append(c - m if 2 * c > m else c)
+    k = math.gcd(*h)
+    h = tuple([c // k for c in h])
+    return h if _divides(h, cs) else None
+
+
+def _linear_factor(cs, d):
+    """An integer linear factor of cs (low-to-high, primitive, positive lead,
+    discriminant d != 0), or None when cs has no rational root, or cs itself
+    when its discriminant is zero; the factor is the witness of
+    reducibility.  At the first prime p of `_reductions`, no root modulo p
+    means no rational root; else each root is lifted p-adically past
+    2 |a_0 a_n|, which bounds a_n u / v for a root u / v in lowest terms
+    (u | a_0, v | a_n), and read off by `_integer_factor`."""
+    for p, _, roots in _reductions(cs, d):
+        m = _modulus(p, 2 * abs(cs[0] * cs[-1]))
+        for r in roots:
+            g = _integer_factor(cs, (-_lift_root(cs, r, p, m), 1), m)
+            if g:
+                return g
+        return None
+    return cs
+
+
+def _quadratic_factor(cs, d):
+    """An integer quadratic factor of cs (degree 4 or 5, low-to-high,
+    primitive, positive lead, discriminant d != 0, no rational root), or
+    None, or cs itself when its discriminant is zero.
+
+    Modulo a prime of `_reductions`, a quadratic factor is a product of two
+    roots or an irreducible quadratic factor of the reduction f.  With the
+    roots divided out, every factor of what is left, `rest`, has degree
+    >= 2: of degree 2, `rest` is the one irreducible quadratic; of degree 3
+    it is irreducible; of degree 4 it is irreducible or two quadratics
+    (`_gfp_quadratics`); and at degree 5 the prime is used only when `rest`
+    is irreducible, else the next one is tried.  Each candidate is lifted to
+    p^(2^j) > 2 |a_n| B, where B = 2 (isqrt(||f||^2) + 1) bounds the
+    coefficients of a quadratic factor (Mignotte: |g_j| <= C(2, j) M(f) and
+    M(f) <= ||f||_2; Cohen, GTM 138, 3.5), and read off by
+    `_integer_factor`."""
+    bound = 4 * cs[-1] * (math.isqrt(sum(c * c for c in cs)) + 1)
+    for p, f, roots in _reductions(cs, d):
+        inv = pow(f[-1], -1, p)
+        rest = [c * inv % p for c in f]
+        for r in roots:  # divide out x - r by synthetic division
+            acc, out = 0, []
+            for c in reversed(rest):
+                acc = (acc * r + c) % p
+                out.append(acc)
+            rest = out[-2::-1]
+        quadratics = []
+        if len(rest) == 3:
+            quadratics = [rest]
+        elif len(rest) == 5:
+            quadratics = _gfp_quadratics(rest, p)
+            if quadratics and quadratics[0] == quadratics[1]:
+                continue  # a square: d is not the discriminant of cs
+        elif len(rest) == 6 and not _gfp_is_irreducible(rest, p):
+            continue
+        m = _modulus(p, bound)
+        lifted = [_lift_root(cs, r, p, m) for r in roots]
+        candidates = [
+            (x * y, -x - y, 1) for i, x in enumerate(lifted) for y in lifted[i + 1 :]
+        ]
+        for c, b, _ in quadratics:  # x^2 - trace x + norm of the lifted root
+            u, v = _lift_quadratic_root(cs, c, b, p, m)
+            candidates.append((u * u - b * u * v + c * v * v, b * v - 2 * u, 1))
+        for g in candidates:
+            factor = _integer_factor(cs, g, m)
+            if factor:
+                return factor
+        return None
+    return cs
 
 
 def _eisenstein(f) -> bool:
@@ -261,14 +427,13 @@ def _cheap_decision(B: BinaryForm, disc: int | None):
     """A quadratic by its discriminant (irreducible unless a square).  Else
     True when Eisenstein at a small prime (either orientation), False on a
     zero discriminant, True when irreducible modulo a small prime, False on
-    a rational root, True at degree 3, else None.  The mod-p accept comes
-    before the rational-root scan, whose divisor search grows as the square
-    root of the end coefficients: a form irreducible mod p has no rational
-    root, so the order changes no decision.  The mod-p scan runs only at the
-    primes where the discriminant D of the primitive part passes the parity
-    test of `_stickelberger_allows` (p does not divide D and (D/p) is
+    a rational root, True at degree 3, else None.  The mod-p scan runs only
+    at the primes where the discriminant D of the primitive part passes the
+    parity test of `_stickelberger_allows` (p does not divide D and (D/p) is
     (-1)^(n-1)); at any other prime the form is reducible modulo p, so the
-    skip changes no decision either."""
+    skip changes no decision.  A rational root is looked for by lifting the
+    roots modulo one prime (`_linear_factor`), in time polynomial in the
+    size of the coefficients."""
     d = form_discriminant(B) if disc is None else disc
     if B.degree == 2:
         return d < 0 or math.isqrt(d) ** 2 != d
@@ -279,12 +444,10 @@ def _cheap_decision(B: BinaryForm, disc: int | None):
         return False
     n = B.degree
     d //= math.gcd(*B.coeffs) ** (2 * n - 2)  # the discriminant of cs
-    if any(
-        cs[-1] % p and _stickelberger_allows(d, n, p) and _gfp_is_irreducible(cs, p)
-        for p in _ACCEPT_PRIMES
-    ):
-        return True
-    if _has_rational_root(cs):
+    for p in _ACCEPT_PRIMES:
+        if cs[-1] % p and _stickelberger_allows(d, n, p) and _gfp_is_irreducible(cs, p):
+            return True
+    if _linear_factor(cs, d) is not None:
         return False
     return True if B.degree == 3 else None
 
@@ -297,26 +460,34 @@ def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     accepted when Eisenstein at a prime below 50 in either orientation (only
     the primes of the content of the coefficients below the lead are tried),
     then when irreducible modulo a prime below 50 (no root among the
-    residues, then a Frobenius-matrix distinct-degree scan), and rejected on
-    a rational root; a cubic without one is irreducible, and degrees 4 and 5
-    are decided by a search for an integer quadratic factor whose value at 1
-    divides the form's.  The mod-p scan skips each prime that divides the
-    discriminant D of the primitive part or has (D/p) != (-1)^(n-1): by
-    Stickelberger's theorem the form is reducible modulo such a prime.
+    residues, then at degrees 4 and 5 the Stickelberger symbol of the
+    reduction itself), and rejected on a rational root; a cubic without one
+    is irreducible, and degrees 4 and 5 are decided by a search for an
+    integer quadratic factor.  The mod-p scan skips each prime that divides
+    the discriminant D of the primitive part or has (D/p) != (-1)^(n-1): by
+    Stickelberger's theorem the form is reducible modulo such a prime.  The
+    rational root and the quadratic factor are found by lifting factors
+    modulo a prime p-adically (`_linear_factor`, `_quadratic_factor`), so a
+    reducible form is refuted in time polynomial in the size of its
+    coefficients.
 
     ``disc``, if given, must be the form's own discriminant: it decides a
     quadratic, a zero value rejects a higher degree, and a nonzero one
-    chooses the primes of the mod-p scan.  A prime accepts only an
-    irreducible form, so above degree 2 a wrong nonzero value can lose a
+    chooses the primes of the mod-p scan and of the lifting.  A prime
+    accepts only an irreducible form, and a refutation is an exact
+    division, so above degree 2 a wrong nonzero value can lose a
     certificate but never turns a reducible form into an irreducible one.
     """
     n = B.degree
     if n > 5:
         raise UnsupportedDegreeError(f"exact irreducibility supports degree <= 5, got {n}")
+    if disc is None:
+        disc = form_discriminant(B)
     decided = _cheap_decision(B, disc)
     if decided is not None:
         return decided
-    return not _quadratic_factor_exists(_primitive_monic_sign(tuple(reversed(B.coeffs))))
+    cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
+    return _quadratic_factor(cs, disc // math.gcd(*B.coeffs) ** (2 * n - 2)) is None
 
 
 def irreducibility_certificate(B: BinaryForm, disc: int | None = None):
@@ -324,11 +495,11 @@ def irreducibility_certificate(B: BinaryForm, disc: int | None = None):
 
     Degrees 2 to 5 go to `is_irreducible`.  Above, True certifies
     irreducibility (Eisenstein or irreducible modulo a prime below 50), False
-    reducibility (zero discriminant or a rational root), and None is
-    undecided, as for x^6 + 108.  ``disc``, if given, must be the form's own
-    discriminant, as for `is_irreducible`: it also chooses the primes of the
-    mod-p scan, so a wrong nonzero value can lose a certificate but never
-    make one for a reducible form of degree >= 3.
+    reducibility (zero discriminant or a rational root, found by lifting),
+    and None is undecided, as for x^6 + 108.  ``disc``, if given, must be
+    the form's own discriminant, as for `is_irreducible`: it also chooses
+    the primes of the mod-p scan, so a wrong nonzero value can lose a
+    certificate but never make one for a reducible form of degree >= 3.
     """
     if B.degree <= 5:
         return is_irreducible(B, disc)

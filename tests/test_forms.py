@@ -18,15 +18,14 @@ from arithmat.field import EssentialPair, make_field
 from arithmat.forms import (
     _ACCEPT_PRIMES,
     BinaryForm,
-    _divisors,
     _eisenstein,
     _gfp_gcd,
     _gfp_is_irreducible,
     _gfp_mulmod,
     _gfp_trim,
-    _has_rational_root,
+    _linear_factor,
     _primitive_monic_sign,
-    _quadratic_factor_exists,
+    _quadratic_factor,
     _stickelberger_allows,
     evaluate,
     form_discriminant,
@@ -34,6 +33,65 @@ from arithmat.forms import (
     is_irreducible,
 )
 from arithmat.polyring import UniPoly, coeffs_discriminant, poly_mul_schoolbook
+
+
+# -- the divisor scans that lifting replaced, kept as oracles --------------
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _has_rational_root(cs) -> bool:
+    """Whether cs (low-to-high, primitive, nonzero ends) has a root p/q: q
+    divides the lead and p the constant, tried by homogeneous Horner."""
+    lead, const = cs[-1], cs[0]
+    const_divisors = _divisors(const)
+    for q in _divisors(lead):
+        # c_k q^(n-k), high degree first
+        scaled, qk = [], 1
+        for c in reversed(cs):
+            scaled.append(c * qk)
+            qk *= q
+        for p in const_divisors:
+            if math.gcd(p, q) != 1:
+                continue
+            for sp in (p, -p):
+                acc = 0
+                for c in scaled:
+                    acc = acc * sp + c
+                if acc == 0:
+                    return True
+    return False
+
+
+def _quadratic_factor_exists(cs) -> bool:
+    """Whether cs (low-to-high, positive lead, no rational root) has an integer
+    quadratic factor g.  g(x) | f(x) at every integer x and f(1) != 0, so
+    g(1) = g2 + g1 + g0 is a divisor of f(1) of either sign."""
+    f = UniPoly(cs)
+    const_divisors, f1_divisors = _divisors(cs[0]), _divisors(sum(cs))
+    checks = [(x, sum(c * x**k for k, c in enumerate(cs))) for x in (-1, 2, -2)]
+    for g2 in _divisors(cs[-1]):
+        for g0 in const_divisors:
+            for sg0 in (g0, -g0):
+                for s in f1_divisors:
+                    for g1 in (s - g2 - sg0, -s - g2 - sg0):
+                        if all(
+                            (gx := (g2 * x + g1) * x + sg0) and fx % gx == 0
+                            for x, fx in checks
+                        ) and f.divmod(UniPoly((sg0, g1, g2)))[1].is_zero():
+                            return True
+    return False
 
 
 def rand_form(rng, n, hi=9):
@@ -161,18 +219,15 @@ class TestIrreducibility:
         B = BinaryForm([int(prod.coeff(k)) for k in range(4, -1, -1)])
         assert not is_irreducible(B)
 
-    def test_rational_root_scan_finds_divisors_twice(self, monkeypatch):
-        # once for the lead and once for the constant, not once per lead divisor
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return _divisors(n)
-
-        monkeypatch.setattr(forms, "_divisors", counted)
-        assert not _has_rational_root((5, 1, 0, 12))  # 12x^3 + x + 5
-        assert _has_rational_root((-3, -1, 2, -3, 2))  # (2x - 3)(x^3 + x + 1)
-        assert calls == [5, 12, -3, 2]
+    def test_rational_root_found_by_lifting(self):
+        # the root comes back as its integer linear factor v x - u, low-to-high
+        assert _linear_factor((5, 1, 0, 12), form_discriminant(BinaryForm([12, 0, 1, 5]))) is None
+        cs = (-3, -1, 2, -3, 2)  # (2x - 3)(x^3 + x + 1)
+        assert _linear_factor(cs, coeffs_discriminant(cs[::-1])) == (-3, 2)
+        # a root whose numerator and denominator have 200 digits: no divisor of them is listed
+        u, v = 10**200 + 3, 10**199 + 1
+        cs = tuple(poly_mul_schoolbook(UniPoly([-u, v]), UniPoly([1, 1, 0, 1])).coeffs)
+        assert _linear_factor(cs, coeffs_discriminant(cs[::-1])) == (-u, v)
 
     def test_certificate_degrees_above_five(self):
         assert irreducibility_certificate(BinaryForm([1, 0, 0, 0, 0, -1, 1])) is True
@@ -519,13 +574,17 @@ class TestQuadraticFactorStep:
         st.integers(1, 6),
     )
     def test_products_with_a_quadratic_are_found(self, g_low, g_lead, h_low, h_lead):
-        # quadratic x quadratic and quadratic x cubic
+        # quadratic x quadratic and quadratic x cubic: the lifted factor divides
         prod = poly_mul_schoolbook(UniPoly([*g_low, g_lead]), UniPoly([*h_low, h_lead]))
         cs = tuple(int(prod.coeff(k)) for k in range(prod.degree + 1))
         assume(cs[0] != 0)
         cs = _primitive_monic_sign(cs)
         assume(not _has_rational_root(cs))
-        assert _quadratic_factor_exists(cs)
+        D = coeffs_discriminant(cs[::-1])
+        assume(D != 0)
+        factor = _quadratic_factor(cs, D)
+        assert len(factor) == 3
+        assert UniPoly(cs).divmod(UniPoly(factor))[1].is_zero()
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(-5, 5), min_size=4, max_size=5), st.integers(1, 5))
@@ -534,8 +593,139 @@ class TestQuadraticFactorStep:
         assume(low[0] != 0)
         cs = _primitive_monic_sign((*low, lead))
         assume(not _has_rational_root(cs))
+        D = coeffs_discriminant(cs[::-1])
+        assume(D != 0)
         expected = _bounded_quadratic_factor_exists(cs, _mignotte_bound(cs))
-        assert _quadratic_factor_exists(cs) is expected
+        assert (_quadratic_factor(cs, D) is not None) is expected
+
+
+# every monic polynomial over GF(p) of these factor degrees
+_SHAPES = ((4,), (5,), (2, 2), (2, 3), (1, 1, 2), (1, 2, 2))
+
+
+def _gfp_product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+class TestQuarticQuinticModP:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_ACCEPT_PRIMES),
+        st.sampled_from(_SHAPES),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    @example(2, (1, 1, 2), False, 0)
+    @example(3, (2, 2), True, 0)
+    def test_root_test_and_own_symbol_decide_degrees_four_and_five(self, p, shape, square, seed):
+        # the reduction is a product of random monic irreducible factors of
+        # these degrees (a repeated one with `square`, where two degrees
+        # agree), times a unit, lifted to integers by multiples of p
+        rnd = random.Random(seed)
+        factors = []
+        for d in shape:
+            while True:
+                g = [rnd.randrange(p) for _ in range(d)] + [1]
+                if _powmod_scan(g, p):
+                    break
+            factors.append(g)
+        repeats = [i for i in range(len(shape) - 1) if shape[i] == shape[i + 1]]
+        if square and repeats:
+            factors[repeats[0] + 1] = factors[repeats[0]]
+        f = [rnd.randrange(1, p)]
+        for g in factors:
+            f = _gfp_product(f, g, p)
+        cs = tuple(c + p * rnd.randint(-3, 3) for c in f)
+        assume(cs[-1] != 0)
+        irreducible = _gfp_is_irreducible(cs, p)
+        assert irreducible is (len(shape) == 1)
+        assert irreducible is not _has_monic_divisor_mod_p(cs, p)
+        assert irreducible is _powmod_scan(cs, p)
+
+
+def _divisor_route(B):
+    """`irreducibility_certificate` before lifting: the decision before the
+    parity skip, then the quadratic-factor divisor scan at degrees 4 and 5."""
+    decided = _old_cheap_decision(B, form_discriminant(B))
+    if decided is None and B.degree <= 5:
+        return not _quadratic_factor_exists(_primitive_monic_sign(tuple(reversed(B.coeffs))))
+    return decided
+
+
+nonzero_coefficient = st.integers(-10**4, 10**4).filter(bool)
+
+
+def _same_decision(B):
+    expected = _divisor_route(B)
+    assert irreducibility_certificate(B) is expected
+    assert irreducibility_certificate(B, form_discriminant(B)) is expected
+    if B.degree <= 5:
+        assert is_irreducible(B) is expected
+    return expected
+
+
+class TestLiftingKeepsDecisions:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nonzero_coefficient,
+        st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=11),
+        nonzero_coefficient,
+    )
+    def test_random_forms(self, lead, middle, const):
+        _same_decision(BinaryForm([lead, *middle, const]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=2),
+        st.integers(-30, 30).filter(bool),
+        st.lists(st.integers(-30, 30), min_size=1, max_size=10),
+        st.integers(-30, 30).filter(bool),
+    )
+    def test_products_with_a_linear_or_quadratic_factor(self, g_low, g_lead, h_low, h_lead):
+        prod = poly_mul_schoolbook(UniPoly([*g_low, g_lead]), UniPoly([*h_low, h_lead]))
+        cs = [int(prod.coeff(k)) for k in range(prod.degree, -1, -1)]
+        assume(cs[-1] != 0 and len(cs) <= 13)
+        assert _same_decision(BinaryForm(cs)) is not True
+
+    @pytest.mark.parametrize("k", [20, 100, 400])
+    def test_a_huge_constant_is_refuted(self, k):
+        # (x^2 + 1)(x^2 + N + 1): a divisor scan of N + 1 would take sqrt(N) steps
+        N = 10**k
+        B = BinaryForm([1, 0, N + 2, 0, N + 1])
+        assert is_irreducible(B) is False
+        with pytest.raises(ReducibleFormError, match="reducible over the rationals"):
+            make_field(EssentialPair(1, B))
+        cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
+        assert _quadratic_factor(cs, form_discriminant(B)) in {(1, 0, 1), (N + 1, 0, 1)}
+
+    def test_a_quintic_with_twelve_digit_coefficients(self):
+        coeffs = [79842361704, -115935106440, -128704168198, 198463754212, -421205451656, 119947477478]
+        B = BinaryForm(coeffs)
+        assert is_irreducible(B) is False
+        cs = _primitive_monic_sign(tuple(reversed(coeffs)))
+        assert _linear_factor(cs, form_discriminant(B)) is None
+        factor = _quadratic_factor(cs, form_discriminant(B))
+        assert UniPoly(cs).divmod(UniPoly(factor))[1].is_zero()
+
+    @pytest.mark.parametrize(
+        "coeffs, old",
+        [
+            ([1, -2, 2, -2, 1], False),  # (x - 1)^2 (x^2 + 1)
+            ([1, 0, 0, 4, 0, 0, 4], None),  # (x^3 + 2)^2, no rational root
+        ],
+    )
+    def test_a_wrong_discriminant_of_a_square_refutes(self, coeffs, old):
+        # a multiple root modulo a prime that does not divide disc shows that
+        # disc is wrong; the true discriminant, zero, then refutes.  The
+        # divisor scans found no factor of (x^3 + 2)^2 above degree 5 (None)
+        B = BinaryForm(coeffs)
+        assert form_discriminant(B) == 0
+        assert irreducibility_certificate(B, 1) is False
+        assert _divisor_route(B) is False and _old_cheap_decision(B, 1) is old
 
 
 class TestTextFormat:
