@@ -82,7 +82,8 @@ def evaluate(B: BinaryForm, x: int, y: int) -> int:
 
 
 def form_discriminant(B: BinaryForm) -> int:
-    """Exact discriminant via the Bezout determinant of B(x,1) and its derivative."""
+    """Exact discriminant via the (n - 1) x (n - 1) Bezout determinant of the
+    two partial derivatives B_x(x, 1) and B_y(x, 1), over +-n^(n - 2)."""
     return coeffs_discriminant(B.coeffs)
 
 
@@ -373,7 +374,10 @@ def _quadratic_factor(cs, d):
     >= 2: of degree 2, `rest` is the one irreducible quadratic; of degree 3
     it is irreducible; of degree 4 it is irreducible or two quadratics
     (`_gfp_quadratics`); and at degree 5 the prime is used only when `rest`
-    is irreducible, else the next one is tried.  Each candidate is lifted to
+    is irreducible, else the next one is tried.  A quartic splits only as
+    g h with both factors quadratic, and one of them reduces to a product
+    with the first root, or, with no root, to the first quadratic: only
+    those candidates are tried.  Each candidate is lifted to
     p^(2^j) > 2 |a_n| B, where B = 2 (isqrt(||f||^2) + 1) bounds the
     coefficients of a quadratic factor (Mignotte: |g_j| <= C(2, j) M(f) and
     M(f) <= ||f||_2; Cohen, GTM 138, 3.5), and read off by
@@ -399,8 +403,11 @@ def _quadratic_factor(cs, d):
             continue
         m = _modulus(p, bound)
         lifted = [_lift_root(cs, r, p, m) for r in roots]
+        firsts = lifted
+        if len(cs) == 5:
+            firsts, quadratics = lifted[:1], [] if roots else quadratics[:1]
         candidates = [
-            (x * y, -x - y, 1) for i, x in enumerate(lifted) for y in lifted[i + 1 :]
+            (x * y, -x - y, 1) for i, x in enumerate(firsts) for y in lifted[i + 1 :]
         ]
         for c, b, _ in quadratics:  # x^2 - trace x + norm of the lifted root
             u, v = _lift_quadratic_root(cs, c, b, p, m)

@@ -19,8 +19,9 @@ with plain `sum`, which symbolic entries join through `0 + p`.
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads.  Determinants
 and inverses share one fraction-free (Bareiss) elimination over the integers;
-the integer discriminant is the determinant of the n x n Bezout matrix of f
-and f', and the Sylvester matrix serves `resultant`.
+the integer discriminant of a degree-n form is the determinant of the
+(n - 1) x (n - 1) Bezout matrix of its two partial derivatives over
++-n^(n - 2), and the Sylvester matrix serves `resultant`.
 """
 
 from __future__ import annotations
@@ -499,28 +500,51 @@ def _sylvester_rows(pc: list, qc: list) -> list[list]:
     ]
 
 
-def coeffs_discriminant(coeffs) -> int:
-    """Discriminant of the form with integer coefficients (a1, ..., a_{n+1}).
+_BEZOUT_PLANS: dict[int, list[list[tuple[int, int, int]]]] = {}
 
-    The determinant of the n x n Bezout matrix of f = B(x, 1) and g = f',
-    which is a1^2 times the discriminant; that division is always exact, and
-    raises if it is not.  With f_k, g_k the coefficients of x^k, entry (i, j)
-    sums f_{i+j+1-q} g_q - f_q g_{i+j+1-q} over q <= min(i, j), so each
-    anti-diagonal i + j = s is one running sum over q.
+
+def _bezout_plan(m: int) -> list[list[tuple[int, int, int]]]:
+    """For each anti-diagonal s of an m x m Bezout matrix, the triples
+    (q, s + 1 - q, s - q) over max(0, s - m + 1) <= q <= s // 2: entry
+    (q, s - q) takes the q-th term of the running sum, which reads the
+    coefficients q and s + 1 - q.  Built once per m."""
+    plan = _BEZOUT_PLANS.get(m)
+    if plan is None:
+        plan = _BEZOUT_PLANS[m] = [
+            [(q, s + 1 - q, s - q) for q in range(max(0, s - m + 1), s // 2 + 1)]
+            for s in range(2 * m - 1)
+        ]
+    return plan
+
+
+def coeffs_discriminant(coeffs) -> int:
+    """Discriminant of the form F with integer coefficients (a1, ..., a_{n+1}).
+
+    Res(F_x, F_y) = +-n^(n - 2) disc F for a binary form of degree n
+    (Gelfand, Kapranov and Zelevinsky, 1994, ch. 12).  Here the resultant is
+    the determinant of the (n - 1) x (n - 1) Bezout matrix of f = F_x(x, 1)
+    and g = F_y(x, 1), which is (-1)^(n - 1) n^(n - 2) disc F; the division
+    is always exact, and raises if it is not.  With f_k, g_k the
+    coefficients of x^k, entry (i, j) sums f_{i+j+1-q} g_q - f_q g_{i+j+1-q}
+    over q <= min(i, j), so each anti-diagonal i + j = s is one running sum
+    over q (`_bezout_plan`).  Degree 1 gives 1.
     """
     n = len(coeffs) - 1
-    f = coeffs[::-1]
-    g = [(k + 1) * c for k, c in enumerate(f[1:])] + [0]
-    rows = [[0] * n for _ in range(n)]
-    for s in range(2 * n - 1):
+    if n == 1:
+        return 1
+    m = n - 1
+    f = [(n - k) * a for k, a in enumerate(coeffs[:n])][::-1]
+    g = [k * a for k, a in enumerate(coeffs) if k][::-1]
+    rows = [[0] * m for _ in range(m)]
+    for diagonal in _bezout_plan(m):
         acc = 0
-        for q in range(max(0, s - n + 1), s // 2 + 1):
-            acc += f[s + 1 - q] * g[q] - f[q] * g[s + 1 - q]
-            rows[q][s - q] = rows[s - q][q] = acc
-    value, rem = divmod(det_bareiss(rows), coeffs[0] ** 2)
+        for q, r, c in diagonal:
+            acc += f[r] * g[q] - f[q] * g[r]
+            rows[q][c] = rows[c][q] = acc
+    value, rem = divmod(det_bareiss(rows), n ** (n - 2))
     if rem:
-        raise ArithmatError("discriminant division by a1^2 was not exact")
-    return value
+        raise ArithmatError("discriminant division by n^(n-2) was not exact")
+    return -value if n % 2 == 0 else value
 
 
 def det_bareiss(M):

@@ -40,7 +40,7 @@ slower than one thread.
 
 from __future__ import annotations
 
-from itertools import cycle
+from itertools import compress, cycle
 from math import gcd, isqrt, lcm
 from operator import mul, neg
 
@@ -85,13 +85,17 @@ class _Divisors(dict):
 # mod m for X = 0 .. m - 1.
 _SQUARES = {m: frozenset(y * y % m for y in range(m)) for m in (64, 63, 65)}
 _CUBES4 = {m: [4 * x**3 % m for x in range(m)] for m in _SQUARES}
+_CLASSES: dict[tuple[int, int], list[bool]] = {}
 
 
 def _square_classes(k, m):
-    """Whether 4X^3 - k can be a square mod m, for X = 0 .. m - 1."""
+    """Whether 4X^3 - k can be a square mod m, for X = 0 .. m - 1: one table
+    per (m, k mod m), kept once built."""
     k %= m
-    squares = _SQUARES[m]
-    return [(c - k) % m in squares for c in _CUBES4[m]]
+    table = _CLASSES.get((m, k))
+    if table is None:
+        table = _CLASSES[m, k] = [(c - k) % m in _SQUARES[m] for c in _CUBES4[m]]
+    return table
 
 
 def _mordell_points(k, xmax):
@@ -105,18 +109,22 @@ def _mordell_points(k, xmax):
         else:
             lo = mid + 1
     # 4X^3 - k mod m depends on X mod m only: step over the classes mod 64
-    # that can give a square, and look X mod 63 and mod 65 up before isqrt
-    ok64, ok63, ok65 = (_square_classes(k, m) for m in (64, 63, 65))
-    steps = [r for r in range(64) if ok64[r]]
+    # that can give a square, and look X mod 63 and mod 65 up before isqrt;
+    # only the first and the last block of 64 reach past lo or xmax
+    steps = list(compress(range(64), _square_classes(k, 64)))
+    ok63, ok65 = _square_classes(k, 63), _square_classes(k, 65)
+    first, last = lo - lo % 64, xmax - xmax % 64
+    blocks = [(first, [r for r in steps if lo <= first + r <= xmax])]
+    blocks += [(base, steps) for base in range(first + 64, last, 64)]
+    if last > first:
+        blocks.append((last, [r for r in steps if last + r <= xmax]))
+    xs = [x for base, rs in blocks for r in rs if ok63[(x := base + r) % 63] and ok65[x % 65]]
     points = []
-    for base in range(lo - lo % 64, xmax + 1, 64):
-        for r in steps:
-            x = base + r
-            if ok63[x % 63] and ok65[x % 65] and lo <= x <= xmax:
-                v = 4 * x * x * x - k
-                y = isqrt(v)
-                if y * y == v:
-                    points.append((x, y))
+    for x in xs:
+        v = 4 * x * x * x - k
+        y = isqrt(v)
+        if y * y == v:
+            points.append((x, y))
     return points
 
 

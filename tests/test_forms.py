@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -597,6 +598,74 @@ class TestQuadraticFactorStep:
         assume(D != 0)
         expected = _bounded_quadratic_factor_exists(cs, _mignotte_bound(cs))
         assert (_quadratic_factor(cs, D) is not None) is expected
+
+
+class TestQuarticCandidates:
+    """A reducible quartic g h has both factors quadratic, so only the root
+    pairs with the first root, or with no root the first quadratic, are
+    lifted and divided."""
+
+    @staticmethod
+    def _shape_and_calls(cs):
+        D = coeffs_discriminant(cs[::-1])
+        p, f, roots = next(forms._reductions(cs, D))
+        with mock.patch.object(forms, "_integer_factor", wraps=forms._integer_factor) as spy:
+            factor = _quadratic_factor(cs, D)
+        if roots:
+            shape = (1,) * len(roots) + ((2,) if len(roots) == 2 else ())
+        else:
+            inv = pow(f[-1], -1, p)
+            shape = (2, 2) if forms._gfp_quadratics([c * inv % p for c in f], p) else (4,)
+        return shape, factor, spy.call_count
+
+    @pytest.mark.parametrize(
+        "g, h, shape",
+        [
+            ((-7, 4, 1), (9, 7, 3), (1, 1, 1, 1)),  # at p = 7
+            ((-2, 3, 3), (-6, 9, 1), (1, 1, 2)),  # at p = 13
+            ((-2, -8, 1), (-6, 2, 2), (2, 2)),  # at p = 5
+        ],
+    )
+    def test_reducible_at_each_reduction_shape(self, g, h, shape):
+        prod = poly_mul_schoolbook(UniPoly(g), UniPoly(h))
+        cs = _primitive_monic_sign(tuple(int(c) for c in prod.coeffs))
+        seen, factor, calls = self._shape_and_calls(cs)
+        assert seen == shape
+        assert factor is not None and UniPoly(cs).divmod(UniPoly(factor))[1].is_zero()
+        assert calls <= (3 if shape == (1, 1, 1, 1) else 1)
+
+    @pytest.mark.parametrize(
+        "coeffs, shape, calls",
+        [
+            ((1, -2, 5, 2, 1), (1, 1, 1, 1), 3),  # at p = 7: 3 of the 6 root pairs
+            ((1, 1, 11, -12, -6), (1, 1, 2), 1),  # at p = 5: the root pair only
+            ((1, 0, 7, 0, 1), (2, 2), 1),  # at p = 7: the first quadratic only
+        ],
+    )
+    def test_irreducible_at_each_reduction_shape(self, coeffs, shape, calls):
+        # irreducible quartics that no prime below 50 accepts, so every
+        # candidate is lifted and divided before None
+        B = BinaryForm(coeffs)
+        assert forms._cheap_decision(B, form_discriminant(B)) is None
+        assert is_irreducible(B) is True
+        cs = _primitive_monic_sign(tuple(reversed(coeffs)))
+        assert self._shape_and_calls(cs) == (shape, None, calls)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+        st.integers(1, 4),
+        st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+        st.integers(1, 4),
+    )
+    def test_products_of_two_quadratics(self, g_low, g_lead, h_low, h_lead):
+        prod = poly_mul_schoolbook(UniPoly([*g_low, g_lead]), UniPoly([*h_low, h_lead]))
+        cs = _primitive_monic_sign(tuple(int(c) for c in prod.coeffs))
+        assume(cs[0] != 0 and not _has_rational_root(cs))
+        assume(coeffs_discriminant(cs[::-1]) != 0)
+        shape, factor, calls = self._shape_and_calls(cs)
+        assert factor is not None and UniPoly(cs).divmod(UniPoly(factor))[1].is_zero()
+        assert calls <= (3 if shape == (1, 1, 1, 1) else 1)
 
 
 # every monic polynomial over GF(p) of these factor degrees

@@ -19,6 +19,7 @@ from arithmat.forms import BinaryForm
 from arithmat.polyring import (
     ExactMatrix,
     UniPoly,
+    _bezout_plan,
     coeffs_discriminant,
     det_bareiss,
     det_exact,
@@ -173,6 +174,63 @@ class TestBezoutDiscriminant:
     @example([18, -60, 113, -210, 175])  # (3x - 5)^2 (2x^2 + 7)
     def test_equals_sylvester_route(self, coeffs):
         assert coeffs_discriminant(coeffs) == util.sylvester_discriminant(coeffs)
+
+
+class TestPartialDerivativeBezout:
+    """The (n - 1) x (n - 1) Bezout matrix of the two partial derivatives
+    against the Sylvester route and the n x n Bezout matrix of f and f'."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(discriminant_coeffs())
+    def test_equals_both_oracles(self, coeffs):
+        value = coeffs_discriminant(coeffs)
+        assert value == util.sylvester_discriminant(coeffs)
+        assert value == util.bezout_discriminant(coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [3, -1, 4, -2],  # n = 3
+            [4, -2, -3, 1, 1],  # n = 4
+            [2, 0, -3, 1, 0, 5],  # n = 5
+            [3, 1, -2, 0, 4, -1, 2],  # n = 6
+            [-5, 2, 7, -1, 3, 0, -4, 6],  # n = 7
+            [6, -1, 0, 2, -3, 5, 1, -2, 7],  # n = 8
+        ],
+    )
+    def test_sign_at_each_degree_mod_4(self, coeffs):
+        # leads other than +-1, so neither a1 nor the sign (-1)^(n-1) can cancel
+        assert coeffs_discriminant(coeffs) == util.sylvester_discriminant(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [[1, 0], [7, -3], [-10**30, 5]])
+    def test_degree_one_is_one(self, coeffs):
+        assert coeffs_discriminant(coeffs) == 1
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_sparse_forms_need_row_swaps(self, n):
+        # a x^n + c: the partial derivatives are n a x^(n-1) and n c, so the
+        # matrix is anti-diagonal and its elimination needs row swaps
+        for a, c in ((3, -2), (-7, 5), (2, 10**20)):
+            coeffs = [a] + [0] * (n - 1) + [c]
+            expected = (-1) ** (n * (n - 1) // 2) * n**n * a ** (n - 1) * c ** (n - 1)
+            assert coeffs_discriminant(coeffs) == expected == util.bezout_discriminant(coeffs)
+
+    def test_a_reduction_mod_p_with_zero_middle_terms(self):
+        # what the mod-p test of forms passes: coefficients in [0, p), high first
+        p = 13
+        high = [c % p for c in (5, 0, 0, -3, 0, 7)]
+        assert high == [5, 0, 0, 10, 0, 7]
+        assert coeffs_discriminant(high) == util.sylvester_discriminant(high)
+        assert coeffs_discriminant(high) == util.bezout_discriminant(high)
+
+    @pytest.mark.parametrize("m", range(0, 13))
+    def test_plan_visits_each_upper_entry_once(self, m):
+        plan = _bezout_plan(m)
+        visited = [(q, c) for diagonal in plan for q, _, c in diagonal]
+        assert sorted(visited) == [(i, j) for i in range(m) for j in range(i, m)]
+        for s, diagonal in enumerate(plan):
+            assert all(q + c == s and r == s + 1 - q for q, r, c in diagonal)
+        assert _bezout_plan(m) is plan
 
 
 class TestBinomialDiscriminant:

@@ -177,6 +177,36 @@ def test_mordell_points_match_a_scan_over_y(k, xmax):
     assert search._mordell_points(k, xmax) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.one_of(
+        st.integers(-10**7, 10**7),
+        st.integers(-150, 150).map(lambda m: 4 * m**3 - 27),
+        st.integers(-150, 150).map(lambda m: 4 * m**3),
+    ),
+    xmax=st.one_of(
+        st.integers(0, 700),
+        st.integers(0, 10).flatmap(lambda b: st.sampled_from([64 * b - 1, 64 * b, 64 * b + 1, 64 * b + 63])),
+    ),
+)
+def test_mordell_points_match_a_scan_over_x(k, xmax):
+    # several blocks of 64, and xmax or the least X with 4X^3 >= k on a block edge
+    assume(xmax >= 0)
+    expected = []
+    for x in range(-xmax, xmax + 1):
+        v = 4 * x**3 - k
+        if v >= 0 and isqrt(v) ** 2 == v:
+            expected.append((x, isqrt(v)))
+    assert search._mordell_points(k, xmax) == expected
+
+
+def test_square_classes_are_kept_per_residue():
+    for m in (64, 63, 65):
+        table = search._square_classes(5, m)
+        assert search._square_classes(5 + 7 * m, m) is table
+        assert table == [(4 * x**3 - 5) % m in {y * y % m for y in range(m)} for x in range(m)]
+
+
 def test_quartic_generator_on_a_box_8_case():
     # target 2048 at a = 1: the hits lie on three points of
     # J^2 = 4X^3 - 27*2048, one of them with J = 0, and one (c, X, J) leaves

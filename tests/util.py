@@ -71,3 +71,20 @@ def sylvester_discriminant(coeffs) -> int:
     value, rem = divmod((-1) ** (n * (n - 1) // 2) * det, coeffs[0])
     assert rem == 0
     return value
+
+
+def bezout_discriminant(coeffs) -> int:
+    """The n x n route: the determinant of the Bezout matrix of f = B(x, 1)
+    and f', which is a1^2 times the discriminant."""
+    n = len(coeffs) - 1
+    f = list(coeffs[::-1])
+    g = [(k + 1) * c for k, c in enumerate(f[1:])] + [0]
+    rows = [[0] * n for _ in range(n)]
+    for s in range(2 * n - 1):
+        acc = 0
+        for q in range(max(0, s - n + 1), s // 2 + 1):
+            acc += f[s + 1 - q] * g[q] - f[q] * g[s + 1 - q]
+            rows[q][s - q] = rows[s - q][q] = acc
+    value, rem = divmod(det_bareiss(rows), coeffs[0] ** 2)
+    assert rem == 0
+    return value
