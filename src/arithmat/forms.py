@@ -6,12 +6,12 @@ a coefficient whose exact value is not an integer raises
 NonIntegerEntryError.  Both end coefficients must be nonzero, so the
 dehomogenization B(x, 1) always has degree exactly n.
 
-Irreducibility is accepted by an Eisenstein prime or by a prime modulo
-which the form is irreducible (at degrees 4 and 5: no root and the
-Stickelberger symbol of the reduction), and refuted by an integer factor:
-a rational root, or at degrees 4 and 5 a quadratic factor, found by lifting
-a factor modulo one prime p-adically and dividing, with no divisor scan of
-the coefficients.
+Irreducibility is decided by one function, `_decide`: accepted by an
+Eisenstein prime or by a prime modulo which the form is irreducible (at
+degrees 4 and 5: no root and the Stickelberger symbol of the reduction),
+and refuted in one pass by an integer factor of degree 1, or of degree 1 or
+2 at degrees 4 and 5, found by lifting the factors of one reduction modulo
+a prime p-adically and dividing, with no divisor scan of the coefficients.
 """
 
 from __future__ import annotations
@@ -345,64 +345,60 @@ def _integer_factor(cs, g, m):
     return h if _divides(h, cs) else None
 
 
-def _linear_factor(cs, d):
-    """An integer linear factor of cs (low-to-high, primitive, positive lead,
-    discriminant d != 0), or None when cs has no rational root, or cs itself
-    when its discriminant is zero; the factor is the witness of
-    reducibility.  At the first prime p of `_reductions`, no root modulo p
-    means no rational root; else each root is lifted p-adically past
-    2 |a_0 a_n|, which bounds a_n u / v for a root u / v in lowest terms
-    (u | a_0, v | a_n), and read off by `_integer_factor`."""
-    for p, _, roots in _reductions(cs, d):
-        m = _modulus(p, 2 * abs(cs[0] * cs[-1]))
-        for r in roots:
-            g = _integer_factor(cs, (-_lift_root(cs, r, p, m), 1), m)
-            if g:
-                return g
-        return None
-    return cs
+def _small_factor(cs, d, k):
+    """An integer factor of cs of degree 1 to k (k = 1 or 2), the witness of
+    reducibility; or None when cs has none; or cs itself when its
+    discriminant is zero.  cs is low-to-high, primitive, with positive lead
+    and discriminant d != 0.
 
-
-def _quadratic_factor(cs, d):
-    """An integer quadratic factor of cs (degree 4 or 5, low-to-high,
-    primitive, positive lead, discriminant d != 0, no rational root), or
-    None, or cs itself when its discriminant is zero.
-
-    Modulo a prime of `_reductions`, a quadratic factor is a product of two
-    roots or an irreducible quadratic factor of the reduction f.  With the
-    roots divided out, every factor of what is left, `rest`, has degree
-    >= 2: of degree 2, `rest` is the one irreducible quadratic; of degree 3
-    it is irreducible; of degree 4 it is irreducible or two quadratics
-    (`_gfp_quadratics`); and at degree 5 the prime is used only when `rest`
-    is irreducible, else the next one is tried.  A quartic splits only as
-    g h with both factors quadratic, and one of them reduces to a product
-    with the first root, or, with no root, to the first quadratic: only
-    those candidates are tried.  Each candidate is lifted to
-    p^(2^j) > 2 |a_n| B, where B = 2 (isqrt(||f||^2) + 1) bounds the
-    coefficients of a quadratic factor (Mignotte: |g_j| <= C(2, j) M(f) and
-    M(f) <= ||f||_2; Cohen, GTM 138, 3.5), and read off by
-    `_integer_factor`."""
-    bound = 4 * cs[-1] * (math.isqrt(sum(c * c for c in cs)) + 1)
+    Modulo a prime p of `_reductions`, a linear factor reduces to a root of
+    f = cs mod p, and a quadratic one to a product of two roots or to an
+    irreducible quadratic factor of f.  With the roots divided out, every
+    factor of what is left, `rest`, has degree >= 2: of degree 2, `rest` is
+    the one irreducible quadratic; of degree 3 it is irreducible; of degree
+    4 it is irreducible or two quadratics (`_gfp_quadratics`); and at degree
+    5 the prime is used only when `rest` is irreducible, else the next one
+    is tried.  A quartic splits only as g h with both factors quadratic, and
+    one of them reduces to a product with the first root, or, with no root,
+    to the first quadratic: only those candidates are tried.  The
+    candidates, roots first, are lifted p-adically to one modulus p^(2^j)
+    past 2 |a_0 a_n| at k = 1, which bounds a_n u / v for a root u / v in
+    lowest terms (u | a_0, v | a_n), and past 2 |a_n| B at k = 2, where
+    B = 2 (isqrt(||f||^2) + 1) > |a_0| bounds the coefficients of a
+    quadratic factor (Mignotte: |g_j| <= C(2, j) M(f) and M(f) <= ||f||_2;
+    Cohen, GTM 138, 3.5); each is read off by `_integer_factor`."""
+    if k == 1:
+        bound = 2 * abs(cs[0] * cs[-1])
+    else:
+        bound = 4 * cs[-1] * (math.isqrt(sum(c * c for c in cs)) + 1)
     for p, f, roots in _reductions(cs, d):
-        inv = pow(f[-1], -1, p)
-        rest = [c * inv % p for c in f]
-        for r in roots:  # divide out x - r by synthetic division
-            acc, out = 0, []
-            for c in reversed(rest):
-                acc = (acc * r + c) % p
-                out.append(acc)
-            rest = out[-2::-1]
         quadratics = []
-        if len(rest) == 3:
-            quadratics = [rest]
-        elif len(rest) == 5:
-            quadratics = _gfp_quadratics(rest, p)
-            if quadratics and quadratics[0] == quadratics[1]:
-                continue  # a square: d is not the discriminant of cs
-        elif len(rest) == 6 and not _gfp_is_irreducible(rest, p):
-            continue
+        if k == 2:
+            inv = pow(f[-1], -1, p)
+            rest = [c * inv % p for c in f]
+            for r in roots:  # divide out x - r by synthetic division
+                acc, out = 0, []
+                for c in reversed(rest):
+                    acc = (acc * r + c) % p
+                    out.append(acc)
+                rest = out[-2::-1]
+            if len(rest) == 3:
+                quadratics = [rest]
+            elif len(rest) == 5:
+                quadratics = _gfp_quadratics(rest, p)
+                if quadratics and quadratics[0] == quadratics[1]:
+                    continue  # a square: d is not the discriminant of cs
+            elif len(rest) == 6 and not _gfp_is_irreducible(rest, p):
+                continue
         m = _modulus(p, bound)
-        lifted = [_lift_root(cs, r, p, m) for r in roots]
+        lifted = []
+        for r in roots:
+            lifted.append(_lift_root(cs, r, p, m))
+            factor = _integer_factor(cs, (-lifted[-1], 1), m)
+            if factor:
+                return factor
+        if k == 1:
+            return None
         firsts = lifted
         if len(cs) == 5:
             firsts, quadratics = lifted[:1], [] if roots else quadratics[:1]
@@ -430,53 +426,24 @@ def _eisenstein(f) -> bool:
     )
 
 
-def _cheap_decision(B: BinaryForm, disc: int | None):
-    """A quadratic by its discriminant (irreducible unless a square).  Else
-    True when Eisenstein at a small prime (either orientation), False on a
-    zero discriminant, True when irreducible modulo a small prime, False on
-    a rational root, True at degree 3, else None.  The mod-p scan runs only
-    at the primes where the discriminant D of the primitive part passes the
-    parity test of `_stickelberger_allows` (p does not divide D and (D/p) is
-    (-1)^(n-1)); at any other prime the form is reducible modulo p, so the
-    skip changes no decision.  A rational root is looked for by lifting the
-    roots modulo one prime (`_linear_factor`), in time polynomial in the
-    size of the coefficients."""
-    d = form_discriminant(B) if disc is None else disc
-    if B.degree == 2:
-        return d < 0 or math.isqrt(d) ** 2 != d
-    cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
-    if _eisenstein(cs) or _eisenstein(cs[::-1]):
-        return True
-    if d == 0:
-        return False
-    n = B.degree
-    d //= math.gcd(*B.coeffs) ** (2 * n - 2)  # the discriminant of cs
-    for p in _ACCEPT_PRIMES:
-        if cs[-1] % p and _stickelberger_allows(d, n, p) and _gfp_is_irreducible(cs, p):
-            return True
-    if _linear_factor(cs, d) is not None:
-        return False
-    return True if B.degree == 3 else None
-
-
-def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
-    """Exact irreducibility of B(x,1) over the rationals, degrees 2 to 5.
+def _decide(B: BinaryForm, disc: int | None):
+    """Irreducibility of B(x, 1) over the rationals: True, False, or None
+    (undecided, only above degree 5).
 
     A quadratic is irreducible exactly when its discriminant is not a
     perfect square (both end coefficients are nonzero).  A higher degree is
-    accepted when Eisenstein at a prime below 50 in either orientation (only
-    the primes of the content of the coefficients below the lead are tried),
-    then when irreducible modulo a prime below 50 (no root among the
-    residues, then at degrees 4 and 5 the Stickelberger symbol of the
-    reduction itself), and rejected on a rational root; a cubic without one
-    is irreducible, and degrees 4 and 5 are decided by a search for an
-    integer quadratic factor.  The mod-p scan skips each prime that divides
-    the discriminant D of the primitive part or has (D/p) != (-1)^(n-1): by
-    Stickelberger's theorem the form is reducible modulo such a prime.  The
-    rational root and the quadratic factor are found by lifting factors
-    modulo a prime p-adically (`_linear_factor`, `_quadratic_factor`), so a
-    reducible form is refuted in time polynomial in the size of its
-    coefficients.
+    accepted when Eisenstein at a prime below 50 in either orientation,
+    rejected on a zero discriminant, and accepted when irreducible modulo a
+    prime below 50 (`_gfp_is_irreducible`).  That scan runs only at the
+    primes where the discriminant D of the primitive part passes the parity
+    test of `_stickelberger_allows` (p does not divide D and (D/p) is
+    (-1)^(n-1)); at any other prime the form is reducible modulo p, so the
+    skip changes no decision.  Then one search refutes: `_small_factor`
+    lifts the factors of one reduction modulo a prime p-adically and
+    divides, looking for a linear factor, and at degrees 4 and 5, where a
+    reducible form has one, a linear or quadratic factor.  It takes time
+    polynomial in the size of the coefficients.  Without a factor degrees 3
+    to 5 are irreducible, and higher degrees undecided, as x^6 + 108 is.
 
     ``disc``, if given, must be the form's own discriminant: it decides a
     quadratic, a zero value rejects a higher degree, and a nonzero one
@@ -485,29 +452,39 @@ def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
     division, so above degree 2 a wrong nonzero value can lose a
     certificate but never turns a reducible form into an irreducible one.
     """
+    d = form_discriminant(B) if disc is None else disc
+    n = B.degree
+    if n == 2:
+        return d < 0 or math.isqrt(d) ** 2 != d
+    cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
+    if _eisenstein(cs) or _eisenstein(cs[::-1]):
+        return True
+    if d == 0:
+        return False
+    d //= math.gcd(*B.coeffs) ** (2 * n - 2)  # the discriminant of cs
+    for p in _ACCEPT_PRIMES:
+        if cs[-1] % p and _stickelberger_allows(d, n, p) and _gfp_is_irreducible(cs, p):
+            return True
+    if _small_factor(cs, d, 2 if n in (4, 5) else 1) is not None:
+        return False
+    return True if n < 6 else None
+
+
+def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
+    """Exact irreducibility of B(x, 1) over the rationals at degrees 2 to 5,
+    decided by `_decide`.  ``disc``, if given, must be the form's own
+    discriminant."""
     n = B.degree
     if n > 5:
         raise UnsupportedDegreeError(f"exact irreducibility supports degree <= 5, got {n}")
-    if disc is None:
-        disc = form_discriminant(B)
-    decided = _cheap_decision(B, disc)
-    if decided is not None:
-        return decided
-    cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
-    return _quadratic_factor(cs, disc // math.gcd(*B.coeffs) ** (2 * n - 2)) is None
+    return _decide(B, disc)
 
 
 def irreducibility_certificate(B: BinaryForm, disc: int | None = None):
-    """Cheap one-sided test usable at any degree.
-
-    Degrees 2 to 5 go to `is_irreducible`.  Above, True certifies
-    irreducibility (Eisenstein or irreducible modulo a prime below 50), False
-    reducibility (zero discriminant or a rational root, found by lifting),
-    and None is undecided, as for x^6 + 108.  ``disc``, if given, must be
-    the form's own discriminant, as for `is_irreducible`: it also chooses
-    the primes of the mod-p scan, so a wrong nonzero value can lose a
-    certificate but never make one for a reducible form of degree >= 3.
-    """
+    """One-sided irreducibility test usable at any degree: True certifies
+    irreducibility, False reducibility, and None, only above degree 5, is
+    undecided.  Degrees 2 to 5 go to `is_irreducible`, higher ones to
+    `_decide`; ``disc`` is as for `is_irreducible`."""
     if B.degree <= 5:
         return is_irreducible(B, disc)
-    return _cheap_decision(B, disc)
+    return _decide(B, disc)

@@ -24,9 +24,8 @@ from arithmat.forms import (
     _gfp_is_irreducible,
     _gfp_mulmod,
     _gfp_trim,
-    _linear_factor,
     _primitive_monic_sign,
-    _quadratic_factor,
+    _small_factor,
     _stickelberger_allows,
     evaluate,
     form_discriminant,
@@ -222,13 +221,13 @@ class TestIrreducibility:
 
     def test_rational_root_found_by_lifting(self):
         # the root comes back as its integer linear factor v x - u, low-to-high
-        assert _linear_factor((5, 1, 0, 12), form_discriminant(BinaryForm([12, 0, 1, 5]))) is None
+        assert _small_factor((5, 1, 0, 12), form_discriminant(BinaryForm([12, 0, 1, 5])), 1) is None
         cs = (-3, -1, 2, -3, 2)  # (2x - 3)(x^3 + x + 1)
-        assert _linear_factor(cs, coeffs_discriminant(cs[::-1])) == (-3, 2)
+        assert _small_factor(cs, coeffs_discriminant(cs[::-1]), 1) == (-3, 2)
         # a root whose numerator and denominator have 200 digits: no divisor of them is listed
         u, v = 10**200 + 3, 10**199 + 1
         cs = tuple(poly_mul_schoolbook(UniPoly([-u, v]), UniPoly([1, 1, 0, 1])).coeffs)
-        assert _linear_factor(cs, coeffs_discriminant(cs[::-1])) == (-u, v)
+        assert _small_factor(cs, coeffs_discriminant(cs[::-1]), 1) == (-u, v)
 
     def test_certificate_degrees_above_five(self):
         assert irreducibility_certificate(BinaryForm([1, 0, 0, 0, 0, -1, 1])) is True
@@ -423,13 +422,15 @@ def _random_forms(rng, count):
 
 class TestParitySkipKeepsDecisions:
     def test_matches_the_scan_at_every_prime(self):
+        # the decision before the parity skip, then at degrees 4 and 5 the
+        # quadratic-factor divisor scan
         forms_seen = _random_forms(random.Random(18), 5000)
         outcomes = set()
         for B in forms_seen:
             D = form_discriminant(B)
-            decided = forms._cheap_decision(B, D)
-            assert decided is _old_cheap_decision(B, D), B
-            assert forms._cheap_decision(B, None) is decided
+            decided = forms._decide(B, D)
+            assert decided is _divisor_route(B), B
+            assert forms._decide(B, None) is decided
             outcomes.add(decided)
         assert outcomes == {True, False, None}
 
@@ -445,7 +446,7 @@ class TestParitySkipKeepsDecisions:
         # -2^2 5^2 229, so 2 and 5 divide D and (D/p) = -1 leaves seven primes
         B = BinaryForm([1, 0, 1, 1, 1, 1, 1])
         assert form_discriminant(B) == -22900
-        assert forms._cheap_decision(B, -22900) is None
+        assert forms._decide(B, -22900) is None
         assert primes == [3, 11, 13, 19, 29, 41, 43]
 
     @settings(max_examples=200, deadline=None)
@@ -583,8 +584,29 @@ class TestQuadraticFactorStep:
         assume(not _has_rational_root(cs))
         D = coeffs_discriminant(cs[::-1])
         assume(D != 0)
-        factor = _quadratic_factor(cs, D)
+        factor = _small_factor(cs, D, 2)
         assert len(factor) == 3
+        assert UniPoly(cs).divmod(UniPoly(factor))[1].is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(-9, 9),
+        st.integers(1, 9),
+        st.lists(st.integers(-9, 9), min_size=3, max_size=4),
+        st.integers(1, 9),
+    )
+    def test_forms_with_a_rational_root_give_a_small_factor(self, u, v, h_low, h_lead):
+        # linear x cubic and linear x quartic: the one search at k = 2 reads
+        # off the root first, so it returns a factor of degree <= 2 that divides
+        prod = poly_mul_schoolbook(UniPoly([u, v]), UniPoly([*h_low, h_lead]))
+        cs = tuple(int(prod.coeff(k)) for k in range(prod.degree + 1))
+        assume(cs[0] != 0)
+        cs = _primitive_monic_sign(cs)
+        D = coeffs_discriminant(cs[::-1])
+        assume(D != 0)
+        assert _has_rational_root(cs)
+        factor = _small_factor(cs, D, 2)
+        assert factor is not None and 2 <= len(factor) <= 3
         assert UniPoly(cs).divmod(UniPoly(factor))[1].is_zero()
 
     @settings(max_examples=150, deadline=None)
@@ -597,26 +619,28 @@ class TestQuadraticFactorStep:
         D = coeffs_discriminant(cs[::-1])
         assume(D != 0)
         expected = _bounded_quadratic_factor_exists(cs, _mignotte_bound(cs))
-        assert (_quadratic_factor(cs, D) is not None) is expected
+        assert (_small_factor(cs, D, 2) is not None) is expected
 
 
 class TestQuarticCandidates:
-    """A reducible quartic g h has both factors quadratic, so only the root
-    pairs with the first root, or with no root the first quadratic, are
-    lifted and divided."""
+    """A reducible quartic g h without a rational root has both factors
+    quadratic, so only the root pairs with the first root, or with no root
+    the first quadratic, are lifted and divided.  The roots themselves are
+    read off first; the counts are of the quadratic candidates."""
 
     @staticmethod
     def _shape_and_calls(cs):
         D = coeffs_discriminant(cs[::-1])
         p, f, roots = next(forms._reductions(cs, D))
         with mock.patch.object(forms, "_integer_factor", wraps=forms._integer_factor) as spy:
-            factor = _quadratic_factor(cs, D)
+            factor = _small_factor(cs, D, 2)
+        calls = sum(len(call.args[1]) == 3 for call in spy.call_args_list)
         if roots:
             shape = (1,) * len(roots) + ((2,) if len(roots) == 2 else ())
         else:
             inv = pow(f[-1], -1, p)
             shape = (2, 2) if forms._gfp_quadratics([c * inv % p for c in f], p) else (4,)
-        return shape, factor, spy.call_count
+        return shape, factor, calls
 
     @pytest.mark.parametrize(
         "g, h, shape",
@@ -643,12 +667,15 @@ class TestQuarticCandidates:
         ],
     )
     def test_irreducible_at_each_reduction_shape(self, coeffs, shape, calls):
-        # irreducible quartics that no prime below 50 accepts, so every
-        # candidate is lifted and divided before None
+        # irreducible quartics that no prime below 50 accepts, so the factor
+        # search runs, and every candidate is lifted and divided before None
         B = BinaryForm(coeffs)
-        assert forms._cheap_decision(B, form_discriminant(B)) is None
+        with mock.patch.object(forms, "_small_factor", wraps=forms._small_factor) as search:
+            assert forms._decide(B, form_discriminant(B)) is True
+        assert search.call_count == 1
         assert is_irreducible(B) is True
         cs = _primitive_monic_sign(tuple(reversed(coeffs)))
+        assert not _has_rational_root(cs) and not _quadratic_factor_exists(cs)
         assert self._shape_and_calls(cs) == (shape, None, calls)
 
     @settings(max_examples=150, deadline=None)
@@ -769,15 +796,15 @@ class TestLiftingKeepsDecisions:
         with pytest.raises(ReducibleFormError, match="reducible over the rationals"):
             make_field(EssentialPair(1, B))
         cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
-        assert _quadratic_factor(cs, form_discriminant(B)) in {(1, 0, 1), (N + 1, 0, 1)}
+        assert _small_factor(cs, form_discriminant(B), 2) in {(1, 0, 1), (N + 1, 0, 1)}
 
     def test_a_quintic_with_twelve_digit_coefficients(self):
         coeffs = [79842361704, -115935106440, -128704168198, 198463754212, -421205451656, 119947477478]
         B = BinaryForm(coeffs)
         assert is_irreducible(B) is False
         cs = _primitive_monic_sign(tuple(reversed(coeffs)))
-        assert _linear_factor(cs, form_discriminant(B)) is None
-        factor = _quadratic_factor(cs, form_discriminant(B))
+        assert _small_factor(cs, form_discriminant(B), 1) is None
+        factor = _small_factor(cs, form_discriminant(B), 2)
         assert UniPoly(cs).divmod(UniPoly(factor))[1].is_zero()
 
     @pytest.mark.parametrize(

@@ -504,11 +504,11 @@ def test_quintic_search_matches_brute_force_over_whole_boxes(height, a0_max, sam
         assert search_essential_pairs(disc, 5, height, a0_max) == expected, disc
 
 
-# Rows whose own box is too slow for the suite (height 32-100 at a0 = 4-10).
-# On a 2-core VM, with the half box and its mirrors: 5.1-7.4 s for 1040;4
-# (10-14 s over every a2) and 47-97 s for 1225;6 (107-123 s); -1975;10 does
-# not finish in two minutes.
-_SLOW_ROWS = {(-1975, 10), (1040, 4), (1225, 6)}
+# Rows whose own box is too slow for the suite (height 42 and 100 at a0 = 6
+# and 10).  In-process on a 2-core VM (Python 3.11): about 18.6 s for 1225;6,
+# and -1975;10 does not finish in two minutes.  1040;4 (height 32) takes
+# about 2 s and runs.
+_SLOW_ROWS = {(-1975, 10), (1225, 6)}
 
 
 def _table_rows():
