@@ -358,20 +358,24 @@ def _small_factor(cs, d, k):
     the one irreducible quadratic; of degree 3 it is irreducible; of degree
     4 it is irreducible or two quadratics (`_gfp_quadratics`); and at degree
     5 the prime is used only when `rest` is irreducible, else the next one
-    is tried.  A quartic splits only as g h with both factors quadratic, and
-    one of them reduces to a product with the first root, or, with no root,
-    to the first quadratic: only those candidates are tried.  The
-    candidates, roots first, are lifted p-adically to one modulus p^(2^j)
-    past 2 |a_0 a_n| at k = 1, which bounds a_n u / v for a root u / v in
-    lowest terms (u | a_0, v | a_n), and past 2 |a_n| B at k = 2, where
-    B = 2 (isqrt(||f||^2) + 1) > |a_0| bounds the coefficients of a
-    quadratic factor (Mignotte: |g_j| <= C(2, j) M(f) and M(f) <= ||f||_2;
-    Cohen, GTM 138, 3.5); each is read off by `_integer_factor`."""
+    is tried.  No root at one prime rules out a rational root, so no later
+    prime divides by a single root.  A quartic splits only as g h with both
+    factors quadratic, and one of them reduces to a product with the first
+    root, or, with no root, to the first quadratic: only those candidates
+    are tried.  The candidates, roots first, are lifted p-adically to one
+    modulus p^(2^j) past 2 |a_0 a_n| at k = 1, which bounds a_n u / v for a
+    root u / v in lowest terms (u | a_0, v | a_n), and past 2 |a_n| B at
+    k = 2, where B = 2 (isqrt(||f||^2) + 1) > |a_0| bounds the
+    coefficients of a quadratic factor (Mignotte: |g_j| <= C(2, j) M(f) and
+    M(f) <= ||f||_2; Cohen, GTM 138, 3.5); each is read off by
+    `_integer_factor`."""
     if k == 1:
         bound = 2 * abs(cs[0] * cs[-1])
     else:
         bound = 4 * cs[-1] * (math.isqrt(sum(c * c for c in cs)) + 1)
+    rootless = False  # no root at an earlier prime: no rational root either
     for p, f, roots in _reductions(cs, d):
+        rootless = rootless or not roots
         quadratics = []
         if k == 2:
             inv = pow(f[-1], -1, p)
@@ -394,7 +398,7 @@ def _small_factor(cs, d, k):
         lifted = []
         for r in roots:
             lifted.append(_lift_root(cs, r, p, m))
-            factor = _integer_factor(cs, (-lifted[-1], 1), m)
+            factor = not rootless and _integer_factor(cs, (-lifted[-1], 1), m)
             if factor:
                 return factor
         if k == 1:

@@ -18,10 +18,10 @@ a rational factor's Fractions.  Matrix products and traces add their terms
 with plain `sum`, which symbolic entries join through `0 + p`.
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads.  Determinants
-and inverses share one fraction-free (Bareiss) elimination over the integers;
-the integer discriminant of a degree-n form is the determinant of the
-(n - 1) x (n - 1) Bezout matrix of its two partial derivatives over
-+-n^(n - 2), and the Sylvester matrix serves `resultant`.
+and inverses share one fraction-free (Bareiss) elimination over the integers,
+and resultants and discriminants one Bezout determinant: the integer
+discriminant of a degree-n form is that of its two partial derivatives,
+(n - 1) x (n - 1), over +-n^(n - 2).
 """
 
 from __future__ import annotations
@@ -491,15 +491,6 @@ def _eliminate(a: list[list[int]], n: int) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def _sylvester_rows(pc: list, qc: list) -> list[list]:
-    """The Sylvester rows of two coefficient lists, highest degree first:
-    deg q shifted copies of pc, then deg p shifted copies of qc."""
-    m, l = len(pc) - 1, len(qc) - 1
-    return [[0] * i + pc + [0] * (l - 1 - i) for i in range(l)] + [
-        [0] * i + qc + [0] * (m - 1 - i) for i in range(m)
-    ]
-
-
 _BEZOUT_PLANS: dict[int, list[list[tuple[int, int, int]]]] = {}
 
 
@@ -517,31 +508,37 @@ def _bezout_plan(m: int) -> list[list[tuple[int, int, int]]]:
     return plan
 
 
-def coeffs_discriminant(coeffs) -> int:
-    """Discriminant of the form F with integer coefficients (a1, ..., a_{n+1}).
-
-    Res(F_x, F_y) = +-n^(n - 2) disc F for a binary form of degree n
-    (Gelfand, Kapranov and Zelevinsky, 1994, ch. 12).  Here the resultant is
-    the determinant of the (n - 1) x (n - 1) Bezout matrix of f = F_x(x, 1)
-    and g = F_y(x, 1), which is (-1)^(n - 1) n^(n - 2) disc F; the division
-    is always exact, and raises if it is not.  With f_k, g_k the
-    coefficients of x^k, entry (i, j) sums f_{i+j+1-q} g_q - f_q g_{i+j+1-q}
-    over q <= min(i, j), so each anti-diagonal i + j = s is one running sum
-    over q (`_bezout_plan`).  Degree 1 gives 1.
-    """
-    n = len(coeffs) - 1
-    if n == 1:
-        return 1
-    m = n - 1
-    f = [(n - k) * a for k, a in enumerate(coeffs[:n])][::-1]
-    g = [k * a for k, a in enumerate(coeffs) if k][::-1]
+def _bezout_det(f, g) -> int:
+    """Determinant of the m x m Bezout matrix of integer coefficient lists f
+    and g of length m + 1, low-to-high: (-1)^(m(m - 1)/2) lc(f)^(m - k)
+    Res(f, g) for deg f = m >= k = deg g (Gelfand, Kapranov and Zelevinsky,
+    1994, ch. 12).  Entry (i, j) sums f_{i+j+1-q} g_q - f_q g_{i+j+1-q} over
+    q <= min(i, j), a running sum along each anti-diagonal (`_bezout_plan`)."""
+    m = len(f) - 1
     rows = [[0] * m for _ in range(m)]
     for diagonal in _bezout_plan(m):
         acc = 0
         for q, r, c in diagonal:
             acc += f[r] * g[q] - f[q] * g[r]
             rows[q][c] = rows[c][q] = acc
-    value, rem = divmod(det_bareiss(rows), n ** (n - 2))
+    return det_bareiss(rows)
+
+
+def coeffs_discriminant(coeffs) -> int:
+    """Discriminant of the form F with integer coefficients (a1, ..., a_{n+1}).
+
+    Res(F_x, F_y) = +-n^(n - 2) disc F for a binary form of degree n
+    (Gelfand, Kapranov and Zelevinsky, 1994, ch. 12).  Here the resultant is
+    `_bezout_det` of f = F_x(x, 1) and g = F_y(x, 1), both of length n (the
+    lead of g, a2, may be 0), which is (-1)^(n - 1) n^(n - 2) disc F; the
+    division is always exact, and raises if it is not.  Degree 1 gives 1.
+    """
+    n = len(coeffs) - 1
+    if n == 1:
+        return 1
+    f = [(n - k) * a for k, a in enumerate(coeffs[:n])][::-1]
+    g = [k * a for k, a in enumerate(coeffs) if k][::-1]
+    value, rem = divmod(_bezout_det(f, g), n ** (n - 2))
     if rem:
         raise ArithmatError("discriminant division by n^(n-2) was not exact")
     return -value if n % 2 == 0 else value
@@ -567,21 +564,18 @@ def det_exact(M):
     return det_bareiss(M)
 
 
-def sylvester_matrix(p: UniPoly, q: UniPoly) -> ExactMatrix:
-    """Sylvester matrix of two nonzero polynomials.
-
-    The matrix is (deg p + deg q) square: deg q shifted rows of p's
-    coefficients (highest first) followed by deg p shifted rows of q's.
-    """
-    if p.is_zero() or q.is_zero():
-        raise ZeroPolynomialError("Sylvester matrix needs nonzero polynomials")
-    pc, qc = list(reversed(p.coeffs)), list(reversed(q.coeffs))
-    return ExactMatrix.from_rows(_sylvester_rows(pc, qc))
-
-
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:
-    """Resultant of p and q, the exact determinant of their Sylvester matrix."""
-    return det_bareiss(sylvester_matrix(p, q))
+    """Resultant of two nonzero polynomials: for deg p = m >= k = deg q (else
+    they swap, at the sign (-1)^(m k)) and integral P = c p, Q = e q, it is
+    (-1)^(m(m - 1)/2) `_bezout_det`(P, Q) / (lc(P)^(m - k) c^k e^m)."""
+    if p.is_zero() or q.is_zero():
+        raise ZeroPolynomialError("resultant needs nonzero polynomials")
+    m, k = p.degree, q.degree
+    if k > m:
+        return (-1) ** (m * k) * resultant(q, p)
+    (P, c), (Q, e) = scaled_coords(p.coeffs), scaled_coords(q.coeffs)
+    det = _bezout_det(P, Q + [0] * (m - k))
+    return Fraction((-1) ** (m * (m - 1) // 2) * det, P[-1] ** (m - k) * c**k * e**m)
 
 
 def poly_discriminant(p: UniPoly) -> Fraction:

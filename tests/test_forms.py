@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from unittest import mock
 
 import numpy as np
@@ -693,6 +693,24 @@ class TestQuarticCandidates:
         shape, factor, calls = self._shape_and_calls(cs)
         assert factor is not None and UniPoly(cs).divmod(UniPoly(factor))[1].is_zero()
         assert calls <= (3 if shape == (1, 1, 1, 1) else 1)
+
+
+class TestRootlessPrime:
+    """A prime of `_reductions` divides no lead, so no root modulo it rules
+    out a rational root: a later prime lifts its roots only to pair them."""
+
+    def test_quadratic_times_cubic_divides_by_no_single_root(self):
+        # (x^2 + 1)(x^3 - x^2 - 2x + 1): no root modulo 3, where it splits as
+        # (2, 3), then two roots modulo 5, whose pair lifts to x^2 + 1
+        B = BinaryForm([1, -1, -1, 0, -2, 1])
+        cs = _primitive_monic_sign(tuple(reversed(B.coeffs)))
+        D = form_discriminant(B)
+        first, second = islice(forms._reductions(cs, D), 2)
+        assert (first[0], len(first[2]), second[0], len(second[2])) == (3, 0, 5, 2)
+        with mock.patch.object(forms, "_integer_factor", wraps=forms._integer_factor) as spy:
+            assert _small_factor(cs, D, 2) == (1, 0, 1)
+        assert [len(call.args[1]) for call in spy.call_args_list] == [3]
+        assert is_irreducible(B) is False
 
 
 # every monic polynomial over GF(p) of these factor degrees

@@ -27,7 +27,6 @@ from arithmat.polyring import (
     poly_discriminant,
     poly_mul_schoolbook,
     resultant,
-    sylvester_matrix,
 )
 from arithmat.symbolic import MultiPoly, collect_coeffs, det_cofactor
 
@@ -108,19 +107,19 @@ class TestSylvesterAndResultant:
     def test_quadratic_with_derivative_shape(self):
         for a, b, c in [(3, 5, 7), (1, -2, 4), (2, 0, -3)]:
             p = UniPoly([c, b, a])
-            S = sylvester_matrix(p, p.derivative())
+            S = util.sylvester_matrix(p, p.derivative())
             assert S == ExactMatrix.from_rows(
                 [[a, b, c], [2 * a, b, 0], [0, 2 * a, b]]
             )
 
     def test_linear_case(self):
-        S = sylvester_matrix(UniPoly([-1, 1]), UniPoly([1, 1]))
+        S = util.sylvester_matrix(UniPoly([-1, 1]), UniPoly([1, 1]))
         assert S == ExactMatrix.from_rows([[1, -1], [1, 1]])
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomialError):
-            sylvester_matrix(UniPoly.zero(), UniPoly([1, 1]))
-        with pytest.raises(ZeroPolynomialError):
+            util.sylvester_matrix(UniPoly.zero(), UniPoly([1, 1]))
+        with pytest.raises(ZeroPolynomialError, match="resultant needs nonzero polynomials"):
             resultant(UniPoly([1, 1]), UniPoly.zero())
 
     def test_resultant_examples(self):
@@ -147,6 +146,41 @@ class TestSylvesterAndResultant:
             q = rand_poly(rng, rng.randint(1, 4))
             sign = (-1) ** (p.degree * q.degree)
             assert resultant(p, q) == sign * resultant(q, p)
+
+
+@st.composite
+def resultant_polys(draw, max_degree=12):
+    """A nonzero polynomial of degree 0 to max_degree with a lead of either
+    sign: integer coefficients up to 10^40, or rational ones."""
+    n = draw(st.integers(0, max_degree))
+    if draw(st.booleans()):
+        coeff = st.integers(-10**40, 10**40)
+    else:
+        coeff = st.fractions(-10**6, 10**6, max_denominator=10**6)
+    lead = draw(coeff.filter(bool))
+    return UniPoly(draw(st.lists(coeff, min_size=n, max_size=n)) + [lead])
+
+
+class TestBezoutResultant:
+    """`resultant` on the Bezout kernel against the Sylvester oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(resultant_polys(), resultant_polys())
+    @example(UniPoly([Fraction(1, 3), 2, Fraction(-5, 7), 1]), UniPoly([Fraction(3, 2), 0, 4]))
+    @example(UniPoly([5]), UniPoly([1, 2, 3]))
+    @example(UniPoly([-7]), UniPoly([Fraction(-2, 3)]))
+    @example(UniPoly([0, 0, 0, -3]), UniPoly([0, 0, 2]))  # a common root: 0
+    def test_equals_sylvester_route(self, p, q):
+        for a, b in ((p, q), (q, p)):
+            value = resultant(a, b)
+            assert type(value) is Fraction
+            assert value == det_bareiss(util.sylvester_matrix(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(resultant_polys(6), resultant_polys(6), resultant_polys(6))
+    def test_multiplicative_in_each_argument(self, f, g, h):
+        assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
+        assert resultant(g * h, f) == resultant(g, f) * resultant(h, f)
 
 
 @st.composite

@@ -19,7 +19,7 @@ from arithmat.forms import (
     irreducibility_certificate,
     is_irreducible,
 )
-from arithmat.polyring import UniPoly, poly_mul_schoolbook, sylvester_matrix
+from arithmat.polyring import UniPoly, poly_mul_schoolbook
 from arithmat.search import (
     essential_pair_from_element,
     load_bundled_table,
@@ -61,7 +61,7 @@ class TestFastDiscriminants:
                 continue
             # independent route: cofactor expansion of the rational Sylvester matrix
             f = BinaryForm(cs).dehomogenized()
-            det = det_cofactor(sylvester_matrix(f, f.derivative()))
+            det = det_cofactor(util.sylvester_matrix(f, f.derivative()))
             expected = (-det if n % 4 in (2, 3) else det) / cs[0]
             assert form_discriminant(BinaryForm(cs)) == expected
 

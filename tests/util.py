@@ -11,7 +11,8 @@ from arithmat.forms import (
     irreducibility_certificate,
     is_irreducible,
 )
-from arithmat.polyring import _sylvester_rows, det_bareiss
+from arithmat.errors import ZeroPolynomialError
+from arithmat.polyring import ExactMatrix, UniPoly, det_bareiss
 
 
 def random_pair(rng: random.Random, n: int, a0: int = 1, hi: int = 9) -> EssentialPair:
@@ -60,6 +61,27 @@ def random_element(F: NumberField, rng: random.Random, bound: int = 10, nonzero:
         coords = [rng.randint(-bound, bound) for _ in range(F.n)]
         if not nonzero or any(coords):
             return F.element(coords)
+
+
+def _sylvester_rows(pc: list, qc: list) -> list[list]:
+    """The Sylvester rows of two coefficient lists, highest degree first:
+    deg q shifted copies of pc, then deg p shifted copies of qc."""
+    m, l = len(pc) - 1, len(qc) - 1
+    return [[0] * i + pc + [0] * (l - 1 - i) for i in range(l)] + [
+        [0] * i + qc + [0] * (m - 1 - i) for i in range(m)
+    ]
+
+
+def sylvester_matrix(p: UniPoly, q: UniPoly) -> ExactMatrix:
+    """Sylvester matrix of two nonzero polynomials, the resultant's oracle.
+
+    The matrix is (deg p + deg q) square: deg q shifted rows of p's
+    coefficients (highest first) followed by deg p shifted rows of q's.
+    """
+    if p.is_zero() or q.is_zero():
+        raise ZeroPolynomialError("Sylvester matrix needs nonzero polynomials")
+    pc, qc = list(reversed(p.coeffs)), list(reversed(q.coeffs))
+    return ExactMatrix.from_rows(_sylvester_rows(pc, qc))
 
 
 def sylvester_discriminant(coeffs) -> int:
