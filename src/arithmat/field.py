@@ -215,18 +215,19 @@ def check_scale(pair: EssentialPair) -> None:
         raise DivisibilityError(f"a0 = {a0} does not divide a2 = {a2}")
 
 
-def field_with_discriminant(pair: EssentialPair, D: int) -> NumberField:
-    """The field context of a pair whose form has discriminant D: D must be
-    nonzero and divisible by a0^2, the form certified, and the pair must pass
-    `check_scale`, which `NumberField` runs after the other checks."""
+def field_with_discriminant(pair: EssentialPair) -> NumberField:
+    """The field context of a pair from the discriminant D its form keeps: D
+    nonzero and divisible by a0^2, the form certified, and `check_scale`,
+    which `NumberField` runs after the other checks."""
     a0, form = pair.a0, pair.form
+    D = form_discriminant(form)
     if D == 0:
         raise ZeroDiscriminantError("form has a repeated root")
     if D % (a0 * a0) != 0:
         raise DivisibilityError(
             f"form discriminant {D} is not divisible by a0^2 = {a0 * a0}"
         )
-    cert = irreducibility_certificate(form, D)
+    cert = irreducibility_certificate(form)
     if cert is False:
         raise ReducibleFormError("form is reducible over the rationals")
     if cert is None:
@@ -244,7 +245,7 @@ def make_field(pair: EssentialPair) -> NumberField:
     degree 5; a form it cannot decide "could not be certified irreducible".
     """
     check_scale(pair)
-    return field_with_discriminant(pair, form_discriminant(pair.form))
+    return field_with_discriminant(pair)
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,12 @@ A degree-n binary form is stored as its coefficient tuple (a1, ..., a_{n+1})
 with a1 the coefficient of x^n and a_{n+1} the coefficient of y^n, as ints:
 a coefficient whose exact value is not an integer raises
 NonIntegerEntryError.  Both end coefficients must be nonzero, so the
-dehomogenization B(x, 1) always has degree exactly n.
+dehomogenization B(x, 1) always has degree exactly n.  A form keeps the
+discriminant `form_discriminant` computes, so no public function takes one.
 
 Irreducibility is decided by one function, `_decide`: accepted by an
 Eisenstein prime or by a prime modulo which the form is irreducible (at
-degrees 4 and 5: no root and the Stickelberger symbol of the reduction),
+degrees 4 and 5: no root and the Stickelberger symbol of the discriminant),
 and refuted in one pass by an integer factor of degree 1, or of degree 1 or
 2 at degrees 4 and 5, found by lifting the factors of one reduction modulo
 a prime p-adically and dividing, with no divisor scan of the coefficients.
@@ -29,7 +30,7 @@ _ACCEPT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class BinaryForm:
     """Integer binary form a1*x^n + a2*x^(n-1)*y + ... + a_{n+1}*y^n."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_disc")
 
     def __init__(self, coeffs):
         cs = tuple(exact_int(c, "form coefficient") for c in coeffs)
@@ -40,6 +41,7 @@ class BinaryForm:
                 "both end coefficients of a binary form must be nonzero"
             )
         self.coeffs = cs
+        self._disc = None  # set by `form_discriminant`, once
 
     @property
     def degree(self) -> int:
@@ -83,8 +85,19 @@ def evaluate(B: BinaryForm, x: int, y: int) -> int:
 
 def form_discriminant(B: BinaryForm) -> int:
     """Exact discriminant via the (n - 1) x (n - 1) Bezout determinant of the
-    two partial derivatives B_x(x, 1) and B_y(x, 1), over +-n^(n - 2)."""
-    return coeffs_discriminant(B.coeffs)
+    two partial derivatives B_x(x, 1) and B_y(x, 1), over +-n^(n - 2);
+    computed on the first call and kept on the form."""
+    if B._disc is None:
+        B._disc = coeffs_discriminant(B.coeffs)
+    return B._disc
+
+
+def _form_of_discriminant(coeffs, d: int) -> BinaryForm:
+    """The form of coeffs, keeping d as its discriminant, which d must be:
+    the search's candidate loops solve disc = d exactly."""
+    B = BinaryForm(coeffs)
+    B._disc = d
+    return B
 
 
 # ----------------------------------------------------------------------
@@ -110,11 +123,11 @@ def _gfp_trim(a):
     return a
 
 
-def _gfp_roots(f, p, residues=None):
-    """The roots of f among the residues (0 .. p - 1 by default), found by
-    evaluation: Horner in integers, one remainder per residue."""
+def _gfp_roots(f, p):
+    """The roots of f modulo p, found by evaluation: Horner in integers, one
+    remainder per residue."""
     roots, high = [], f[::-1]
-    for r in range(p) if residues is None else residues:
+    for r in range(p):
         acc = 0
         for c in high:
             acc = acc * r + c
@@ -156,15 +169,16 @@ def _gfp_gcd(a, b, p):
     return _gfp_trim(a)
 
 
-def _gfp_is_irreducible(cs: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of the reduction f of cs modulo p, degree n preserved.
+def _gfp_is_irreducible(cs: tuple[int, ...], p: int, d: int) -> bool:
+    """Irreducibility of the reduction f of cs modulo p, degree n preserved;
+    d is the discriminant of cs.
 
     Degree 1 is irreducible.  A root, found by evaluating f at each residue,
     is a linear factor.  Without one, every factor has degree >= 2, so a
     cubic is irreducible, and at degrees 4 and 5 f is irreducible or splits
     as (2, n - 2): irreducible exactly when it is squarefree with one factor,
-    which `_stickelberger_allows` reads off the discriminant of f itself
-    (coefficients in [0, p), lead prime to p).  Above, f made monic is
+    which `_stickelberger_allows` reads off d (Swan's form of the theorem
+    holds for any integer lift with lead prime to p).  Above, f made monic is
     irreducible exactly when gcd(x^(p^k) - x, f) = 1 for k = 2 .. n/2 (no
     factor of degree k, repeated ones included).  Row i of the Frobenius
     matrix Q is x^(ip) mod f, so h -> h^p is hQ; row 1, x^p mod f, takes
@@ -185,7 +199,7 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int) -> bool:
     if n < 4:
         return True
     if n < 6:
-        return _stickelberger_allows(coeffs_discriminant(high), n, p)
+        return _stickelberger_allows(d, n, p)
     inv = pow(high[0], p - 2, p)
     f = [(c * inv) % p for c in cs]
     e = min(p, n - 1)
@@ -253,25 +267,14 @@ def _primes():
 
 
 def _reductions(cs, d):
-    """(p, f, roots) at each prime p dividing neither the lead of cs nor d,
-    in increasing order: f is cs modulo p (coefficients in [0, p)), and
-    roots lists its roots modulo p, each simple.  When d is the
-    discriminant of cs, f is squarefree; so a multiple root, or d = 0,
-    shows that d is not (the callers have seen a nonzero one).  The
-    discriminant of cs then replaces it, and when that is zero (a repeated
-    factor) nothing more is yielded."""
+    """(p, f, roots) at each prime p dividing neither the lead of cs nor its
+    discriminant d != 0, in increasing order: f is cs modulo p (coefficients
+    in [0, p)), squarefree since p does not divide d, and roots lists its
+    roots modulo p, each simple."""
     for p in _primes():
-        if not d:
-            d = coeffs_discriminant(cs[::-1])
-            if not d:
-                return
         if cs[-1] % p and d % p:
             f = [c % p for c in cs]
-            roots = _gfp_roots(f, p)
-            if not _gfp_roots([k * c for k, c in enumerate(f)][1:], p, roots):
-                yield p, f, roots
-            else:
-                d = 0
+            yield p, f, _gfp_roots(f, p)
 
 
 def _modulus(p, bound):
@@ -347,9 +350,8 @@ def _integer_factor(cs, g, m):
 
 def _small_factor(cs, d, k):
     """An integer factor of cs of degree 1 to k (k = 1 or 2), the witness of
-    reducibility; or None when cs has none; or cs itself when its
-    discriminant is zero.  cs is low-to-high, primitive, with positive lead
-    and discriminant d != 0.
+    reducibility, or None when cs has none.  cs is low-to-high, primitive,
+    with positive lead and discriminant d != 0.
 
     Modulo a prime p of `_reductions`, a linear factor reduces to a root of
     f = cs mod p, and a quadratic one to a product of two roots or to an
@@ -357,9 +359,9 @@ def _small_factor(cs, d, k):
     factor of what is left, `rest`, has degree >= 2: of degree 2, `rest` is
     the one irreducible quadratic; of degree 3 it is irreducible; of degree
     4 it is irreducible or two quadratics (`_gfp_quadratics`); and at degree
-    5 the prime is used only when `rest` is irreducible, else the next one
-    is tried.  No root at one prime rules out a rational root, so no later
-    prime divides by a single root.  A quartic splits only as g h with both
+    5 the prime is used only when `rest` is irreducible, as d's Stickelberger
+    symbol tells, else the next one is tried.  No root at one prime rules
+    out a rational root, so no later prime divides by a single root.  A quartic splits only as g h with both
     factors quadratic, and one of them reduces to a product with the first
     root, or, with no root, to the first quadratic: only those candidates
     are tried.  The candidates, roots first, are lifted p-adically to one
@@ -390,9 +392,7 @@ def _small_factor(cs, d, k):
                 quadratics = [rest]
             elif len(rest) == 5:
                 quadratics = _gfp_quadratics(rest, p)
-                if quadratics and quadratics[0] == quadratics[1]:
-                    continue  # a square: d is not the discriminant of cs
-            elif len(rest) == 6 and not _gfp_is_irreducible(rest, p):
+            elif len(rest) == 6 and not _stickelberger_allows(d, 5, p):
                 continue
         m = _modulus(p, bound)
         lifted = []
@@ -417,7 +417,6 @@ def _small_factor(cs, d, k):
             if factor:
                 return factor
         return None
-    return cs
 
 
 def _eisenstein(f) -> bool:
@@ -430,7 +429,7 @@ def _eisenstein(f) -> bool:
     )
 
 
-def _decide(B: BinaryForm, disc: int | None):
+def _decide(B: BinaryForm):
     """Irreducibility of B(x, 1) over the rationals: True, False, or None
     (undecided, only above degree 5).
 
@@ -448,15 +447,9 @@ def _decide(B: BinaryForm, disc: int | None):
     reducible form has one, a linear or quadratic factor.  It takes time
     polynomial in the size of the coefficients.  Without a factor degrees 3
     to 5 are irreducible, and higher degrees undecided, as x^6 + 108 is.
-
-    ``disc``, if given, must be the form's own discriminant: it decides a
-    quadratic, a zero value rejects a higher degree, and a nonzero one
-    chooses the primes of the mod-p scan and of the lifting.  A prime
-    accepts only an irreducible form, and a refutation is an exact
-    division, so above degree 2 a wrong nonzero value can lose a
-    certificate but never turns a reducible form into an irreducible one.
+    The discriminant is the one B keeps, computed here if it has none yet.
     """
-    d = form_discriminant(B) if disc is None else disc
+    d = form_discriminant(B) if B._disc is None else B._disc
     n = B.degree
     if n == 2:
         return d < 0 or math.isqrt(d) ** 2 != d
@@ -467,28 +460,27 @@ def _decide(B: BinaryForm, disc: int | None):
         return False
     d //= math.gcd(*B.coeffs) ** (2 * n - 2)  # the discriminant of cs
     for p in _ACCEPT_PRIMES:
-        if cs[-1] % p and _stickelberger_allows(d, n, p) and _gfp_is_irreducible(cs, p):
+        if cs[-1] % p and _stickelberger_allows(d, n, p) and _gfp_is_irreducible(cs, p, d):
             return True
     if _small_factor(cs, d, 2 if n in (4, 5) else 1) is not None:
         return False
     return True if n < 6 else None
 
 
-def is_irreducible(B: BinaryForm, disc: int | None = None) -> bool:
+def is_irreducible(B: BinaryForm) -> bool:
     """Exact irreducibility of B(x, 1) over the rationals at degrees 2 to 5,
-    decided by `_decide`.  ``disc``, if given, must be the form's own
-    discriminant."""
+    decided by `_decide`."""
     n = B.degree
     if n > 5:
         raise UnsupportedDegreeError(f"exact irreducibility supports degree <= 5, got {n}")
-    return _decide(B, disc)
+    return _decide(B)
 
 
-def irreducibility_certificate(B: BinaryForm, disc: int | None = None):
+def irreducibility_certificate(B: BinaryForm):
     """One-sided irreducibility test usable at any degree: True certifies
     irreducibility, False reducibility, and None, only above degree 5, is
     undecided.  Degrees 2 to 5 go to `is_irreducible`, higher ones to
-    `_decide`; ``disc`` is as for `is_irreducible`."""
+    `_decide`."""
     if B.degree <= 5:
-        return is_irreducible(B, disc)
-    return _decide(B, disc)
+        return is_irreducible(B)
+    return _decide(B)

@@ -33,7 +33,7 @@ def _floats(values) -> list[float]:
         ) from None
 
 
-def find_roots(B: BinaryForm, disc: int | None = None) -> list[complex]:
+def find_roots(B: BinaryForm) -> list[complex]:
     """All n complex roots of B(x, 1), polished and deterministically ordered.
 
     Companion-matrix eigenvalues give the starting points; Newton iteration
@@ -41,10 +41,10 @@ def find_roots(B: BinaryForm, disc: int | None = None) -> list[complex]:
     diagonalization certificate under its 1e-8 bound at degrees 8-12:
     without it, the certificate misses of the benchmark's ring workload over
     seeds 1-12 doubled (44 to 88).  Roots are sorted by (real,
-    imaginary).  Raises when a polished residual stays above tolerance.
-    ``disc`` is the form's discriminant, if known.
+    imaginary).  Raises on a zero discriminant, read from the form, which
+    keeps it, and when a polished residual stays above tolerance.
     """
-    if (form_discriminant(B) if disc is None else disc) == 0:
+    if form_discriminant(B) == 0:
         raise ZeroDiscriminantError("root finder requires distinct roots")
     coeffs_high = _floats(B.coeffs)
     roots = np.roots(coeffs_high)
@@ -103,7 +103,7 @@ class EmbeddingData:
 
     def __init__(self, F: NumberField):
         self.field = F
-        self.roots = find_roots(F.pair.form, F.disc * F.a0 * F.a0)
+        self.roots = find_roots(F.pair.form)
         n = F.n
         xi = np.array([[z**j for j in range(n)] for z in self.roots], dtype=complex)
         self.gamma = xi @ _float_matrix(basis_change_matrix(F))

@@ -51,11 +51,7 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .field import Element, EssentialPair, NumberField, check_scale, field_with_discriminant
-from .forms import (
-    BinaryForm,
-    form_discriminant,
-    is_irreducible,
-)
+from .forms import BinaryForm, _form_of_discriminant, form_discriminant, is_irreducible
 from .polyring import poly_discriminant
 
 
@@ -377,7 +373,7 @@ def search_essential_pairs(
                     o for o in _orbit(coeffs, folded) if o[1] >= 0
                 ):
                     continue
-                if is_irreducible(BinaryForm(coeffs), target):
+                if is_irreducible(_form_of_discriminant(coeffs, target)):
                     found += _orbit(coeffs, folded)
         # Each pair validates by construction: a0^2 | a1 and a0 | a2 by the
         # box steps, disc = disc * a0^2 by the candidate loop, irreducible by
@@ -460,7 +456,7 @@ def verify_tables(rows: list[tuple[int, int, tuple[int, ...]]]) -> TableReport:
         pair = EssentialPair(a0, B)
         try:
             check_scale(pair)
-            field_with_discriminant(pair, D)
+            field_with_discriminant(pair)
         except ArithmatError as exc:
             report.failures.append((idx, row, str(exc)))
     return report

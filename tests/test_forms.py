@@ -33,6 +33,7 @@ from arithmat.forms import (
     is_irreducible,
 )
 from arithmat.polyring import UniPoly, coeffs_discriminant, poly_mul_schoolbook
+from arithmat.search import verify_tables
 
 
 # -- the divisor scans that lifting replaced, kept as oracles --------------
@@ -301,10 +302,11 @@ class TestModPIrreducibility:
     def test_matches_brute_force_divisor_search(self, case):
         p, low, lead = case
         cs = (*low, lead)
+        d = coeffs_discriminant(cs[::-1])
         if lead % p == 0:
-            assert _gfp_is_irreducible(cs, p) is False
+            assert _gfp_is_irreducible(cs, p, d) is False
         else:
-            assert _gfp_is_irreducible(cs, p) is not _has_monic_divisor_mod_p(cs, p)
+            assert _gfp_is_irreducible(cs, p, d) is not _has_monic_divisor_mod_p(cs, p)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -315,13 +317,14 @@ class TestModPIrreducibility:
     @example([1, 0, 1, 0], 1)
     def test_matches_powmod_scan_at_every_accept_prime(self, low, lead):
         cs = (*low, lead)
+        d = coeffs_discriminant(cs[::-1])
         for p in _ACCEPT_PRIMES:
-            assert _gfp_is_irreducible(cs, p) is _powmod_scan(cs, p), p
+            assert _gfp_is_irreducible(cs, p, d) is _powmod_scan(cs, p), p
 
     def test_repeated_factor_is_reducible(self):
         # (x^2 + x + 1)^2 mod 2: no linear factor, a repeated quadratic one
-        assert _gfp_is_irreducible((1, 0, 1, 0, 1), 2) is False
-        assert _gfp_is_irreducible((1, 1, 1), 2) is True
+        assert _gfp_is_irreducible((1, 0, 1, 0, 1), 2, coeffs_discriminant((1, 0, 1, 0, 1))) is False
+        assert _gfp_is_irreducible((1, 1, 1), 2, -3) is True
 
 
 def _kronecker(d, p):
@@ -351,7 +354,7 @@ class TestStickelbergerParity:
         n = len(cs) - 1
         D = coeffs_discriminant(cs[::-1])
         for p in _ACCEPT_PRIMES:
-            if lead % p and _gfp_is_irreducible(cs, p):
+            if lead % p and _gfp_is_irreducible(cs, p, D):
                 assert _kronecker(D, p) == (-1) ** (n - 1), p
                 assert _stickelberger_allows(D, n, p), p
 
@@ -387,7 +390,8 @@ def _old_cheap_decision(B, disc):
         return True
     if disc == 0:
         return False
-    if any(cs[-1] % p and _gfp_is_irreducible(cs, p) for p in _ACCEPT_PRIMES):
+    d = coeffs_discriminant(cs[::-1])
+    if any(cs[-1] % p and _gfp_is_irreducible(cs, p, d) for p in _ACCEPT_PRIMES):
         return True
     if _termwise_rational_root(cs):
         return False
@@ -427,45 +431,26 @@ class TestParitySkipKeepsDecisions:
         forms_seen = _random_forms(random.Random(18), 5000)
         outcomes = set()
         for B in forms_seen:
-            D = form_discriminant(B)
-            decided = forms._decide(B, D)
+            decided = forms._decide(BinaryForm(B.coeffs))
             assert decided is _divisor_route(B), B
-            assert forms._decide(B, None) is decided
+            assert forms._decide(B) is decided
             outcomes.add(decided)
         assert outcomes == {True, False, None}
 
     def test_scan_runs_at_fewer_primes(self, monkeypatch):
         primes = []
 
-        def counted(cs, p):
+        def counted(cs, p, d):
             primes.append(p)
-            return _gfp_is_irreducible(cs, p)
+            return _gfp_is_irreducible(cs, p, d)
 
         monkeypatch.setattr(forms, "_gfp_is_irreducible", counted)
         # (x^2 + 1)(x^4 + x + 1) has no rational root and D = -22900 =
         # -2^2 5^2 229, so 2 and 5 divide D and (D/p) = -1 leaves seven primes
         B = BinaryForm([1, 0, 1, 1, 1, 1, 1])
         assert form_discriminant(B) == -22900
-        assert forms._decide(B, -22900) is None
+        assert forms._decide(B) is None
         assert primes == [3, 11, 13, 19, 29, 41, 43]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
-        nonzero_lead,
-        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
-        nonzero_lead,
-        st.integers(-10**6, 10**6).filter(bool),
-    )
-    def test_a_wrong_discriminant_never_certifies_a_product(self, g_low, g_lead, h_low, h_lead, wrong):
-        # the parity test only skips primes, so a wrong nonzero disc can lose
-        # a certificate but never make one for a reducible form of degree >= 3
-        prod = poly_mul_schoolbook(UniPoly([*g_low, g_lead]), UniPoly([*h_low, h_lead]))
-        cs = [int(prod.coeff(k)) for k in range(prod.degree, -1, -1)]
-        assume(cs[-1] != 0 and len(cs) >= 4)
-        B = BinaryForm(cs)
-        for disc in (wrong, -wrong, wrong * form_discriminant(B) or wrong):
-            assert irreducibility_certificate(B, disc) is not True
 
 
 class TestEisensteinAccept:
@@ -513,8 +498,7 @@ class TestQuadraticRule:
         B = BinaryForm(coeffs)
         no_root = not _has_rational_root(_primitive_monic_sign(tuple(reversed(coeffs))))
         assert is_irreducible(B) is no_root
-        assert is_irreducible(B, form_discriminant(B)) is no_root
-        assert irreducibility_certificate(B) is no_root
+        assert irreducibility_certificate(B) is no_root  # from the kept discriminant
 
 
 def _old_eisenstein(f):
@@ -671,7 +655,7 @@ class TestQuarticCandidates:
         # search runs, and every candidate is lifted and divided before None
         B = BinaryForm(coeffs)
         with mock.patch.object(forms, "_small_factor", wraps=forms._small_factor) as search:
-            assert forms._decide(B, form_discriminant(B)) is True
+            assert forms._decide(B) is True
         assert search.call_count == 1
         assert is_irreducible(B) is True
         cs = _primitive_monic_sign(tuple(reversed(coeffs)))
@@ -755,7 +739,7 @@ class TestQuarticQuinticModP:
             f = _gfp_product(f, g, p)
         cs = tuple(c + p * rnd.randint(-3, 3) for c in f)
         assume(cs[-1] != 0)
-        irreducible = _gfp_is_irreducible(cs, p)
+        irreducible = _gfp_is_irreducible(cs, p, coeffs_discriminant(cs[::-1]))
         assert irreducible is (len(shape) == 1)
         assert irreducible is not _has_monic_divisor_mod_p(cs, p)
         assert irreducible is _powmod_scan(cs, p)
@@ -775,8 +759,8 @@ nonzero_coefficient = st.integers(-10**4, 10**4).filter(bool)
 
 def _same_decision(B):
     expected = _divisor_route(B)
+    assert irreducibility_certificate(BinaryForm(B.coeffs)) is expected
     assert irreducibility_certificate(B) is expected
-    assert irreducibility_certificate(B, form_discriminant(B)) is expected
     if B.degree <= 5:
         assert is_irreducible(B) is expected
     return expected
@@ -825,21 +809,27 @@ class TestLiftingKeepsDecisions:
         factor = _small_factor(cs, form_discriminant(B), 2)
         assert UniPoly(cs).divmod(UniPoly(factor))[1].is_zero()
 
-    @pytest.mark.parametrize(
-        "coeffs, old",
-        [
-            ([1, -2, 2, -2, 1], False),  # (x - 1)^2 (x^2 + 1)
-            ([1, 0, 0, 4, 0, 0, 4], None),  # (x^3 + 2)^2, no rational root
-        ],
-    )
-    def test_a_wrong_discriminant_of_a_square_refutes(self, coeffs, old):
-        # a multiple root modulo a prime that does not divide disc shows that
-        # disc is wrong; the true discriminant, zero, then refutes.  The
-        # divisor scans found no factor of (x^3 + 2)^2 above degree 5 (None)
-        B = BinaryForm(coeffs)
-        assert form_discriminant(B) == 0
-        assert irreducibility_certificate(B, 1) is False
-        assert _divisor_route(B) is False and _old_cheap_decision(B, 1) is old
+
+class TestKeptDiscriminant:
+    """A form keeps the discriminant `form_discriminant` computed, and the
+    degree 4 and 5 accepts read its Stickelberger symbol from that value."""
+
+    @pytest.mark.parametrize("pair", ["2:4,-2,-3,1,1", "1:1,0,-2,-1,0,1"])
+    def test_make_field_computes_one_discriminant(self, pair):
+        pair = EssentialPair.from_text(pair)
+        cs = _primitive_monic_sign(tuple(reversed(pair.form.coeffs)))
+        assert not _eisenstein(cs) and not _eisenstein(cs[::-1])
+        with mock.patch.object(forms, "coeffs_discriminant", wraps=coeffs_discriminant) as disc, \
+                mock.patch.object(forms, "_small_factor", wraps=forms._small_factor) as search:
+            F = make_field(pair)
+        assert search.call_count == 0  # accepted modulo a prime
+        assert disc.call_count == 1
+        assert F.disc * pair.a0**2 == coeffs_discriminant(pair.form.coeffs)
+
+    def test_a_table_row_computes_one_discriminant(self):
+        with mock.patch.object(forms, "coeffs_discriminant", wraps=coeffs_discriminant) as disc:
+            assert verify_tables([(-275, 1, (1, 1, 0, -2, -1))]).ok
+        assert disc.call_count == 1
 
 
 class TestTextFormat:

@@ -185,7 +185,7 @@ class TestEmbeddingCache:
         rng = random.Random(13)
         F = util.random_field(rng, 3)
 
-        def fail(B, disc=None):
+        def fail(B):
             raise RootConvergenceError("forced")
 
         monkeypatch.setattr(numeric, "find_roots", fail)

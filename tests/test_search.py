@@ -4,7 +4,7 @@ from itertools import product
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arithmat import element as el
 from arithmat import search
@@ -240,7 +240,7 @@ def test_each_mirror_pair_is_decided_once(box, monkeypatch):
     decided = []
     real = search.is_irreducible
     monkeypatch.setattr(
-        search, "is_irreducible", lambda B, disc=None: decided.append(B.coeffs) or real(B, disc)
+        search, "is_irreducible", lambda B: decided.append(B.coeffs) or real(B)
     )
     pairs = search_essential_pairs(*box)
     assert any(p.form.coeffs[1] == 0 for p in pairs)
@@ -387,7 +387,7 @@ def _full_box_search(disc, degree, height, a0_max):
             extra["points"] = search._signed_points(27 * target, xmax)
         for t in range(1, height + 1):
             for coeffs in gen(t * a0 * a0, a2_values, rng, target, **extra):
-                if is_irreducible(BinaryForm(coeffs), target):
+                if is_irreducible(BinaryForm(coeffs)):
                     results.append((a0, coeffs))
     return [EssentialPair(a0, BinaryForm(coeffs)) for a0, coeffs in sorted(set(results))]
 
@@ -417,6 +417,27 @@ def test_half_box_search_matches_the_full_box(box):
     assert search_essential_pairs(*box) == _full_box_search(*box)
 
 
+@settings(max_examples=100, deadline=None)
+@given(search_boxes())
+@example((-275, 4, 2, 1))
+@example((-4511, 5, 2, 2))
+def test_each_decided_form_keeps_its_own_discriminant(box):
+    # the search hands `is_irreducible` forms that keep the target it solved
+    # for; each must be the form's own discriminant
+    kept = []
+    real = search.is_irreducible
+
+    def record(B):
+        kept.append((B.coeffs, B._disc))
+        return real(B)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "is_irreducible", record)
+        search_essential_pairs(*box)
+    for coeffs, disc in kept:
+        assert disc == coeffs_discriminant(coeffs), coeffs
+
+
 def _sign_flip(coeffs):
     """B(x, -y), from its definition: a_i y^(i-1) picks up (-1)^(i-1)."""
     return tuple(c * (-1) ** i for i, c in enumerate(coeffs))
@@ -443,9 +464,9 @@ def test_results_are_orbits_and_each_orbit_is_decided_once(box):
     decided = []
     real = search.is_irreducible
 
-    def record(B, target=None):
-        decided.append((isqrt(target // disc), B.coeffs))
-        return real(B, target)
+    def record(B):
+        decided.append((isqrt(form_discriminant(B) // disc), B.coeffs))
+        return real(B)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "is_irreducible", record)
@@ -577,7 +598,7 @@ def assert_found_pair(F, pair):
     """A found pair's form has discriminant F.disc * a0^2, and no certificate calls it reducible."""
     D = form_discriminant(pair.form)
     assert D == F.disc * pair.a0**2
-    assert irreducibility_certificate(pair.form, D) is not False
+    assert irreducibility_certificate(pair.form) is not False
 
 
 class TestPairFromElement:
