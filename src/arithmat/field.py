@@ -81,20 +81,24 @@ class EssentialPair:
 
 
 class NumberField:
-    """Field context: pair (its scale checked here), trusted discriminant, and the form's degree."""
+    """Field context: pair (its scale checked here) and the form's degree."""
 
-    __slots__ = ("pair", "n", "disc", "embedding")
+    __slots__ = ("pair", "n", "embedding")
 
-    def __init__(self, pair: EssentialPair, disc: int):
+    def __init__(self, pair: EssentialPair):
         check_scale(pair)
         self.pair = pair
         self.n = pair.form.degree
-        self.disc = disc
         self.embedding = None  # numeric.EmbeddingData, kept once built
 
     @property
     def a0(self) -> int:
         return self.pair.a0
+
+    @property
+    def disc(self) -> int:
+        """The field discriminant: the one the form keeps, over a0^2."""
+        return _over_a0_squared(form_discriminant(self.pair.form), self.pair.a0)
 
     def coeff(self, k: int) -> int:
         """Form coefficient a_k, 1-indexed as written."""
@@ -219,20 +223,25 @@ def field_with_discriminant(pair: EssentialPair) -> NumberField:
     """The field context of a pair from the discriminant D its form keeps: D
     nonzero and divisible by a0^2, the form certified, and `check_scale`,
     which `NumberField` runs after the other checks."""
-    a0, form = pair.a0, pair.form
-    D = form_discriminant(form)
+    D = form_discriminant(pair.form)
     if D == 0:
         raise ZeroDiscriminantError("form has a repeated root")
-    if D % (a0 * a0) != 0:
-        raise DivisibilityError(
-            f"form discriminant {D} is not divisible by a0^2 = {a0 * a0}"
-        )
-    cert = irreducibility_certificate(form)
+    _over_a0_squared(D, pair.a0)
+    cert = irreducibility_certificate(pair.form)
     if cert is False:
         raise ReducibleFormError("form is reducible over the rationals")
     if cert is None:
         raise ReducibleFormError("form could not be certified irreducible")
-    return NumberField(pair, D // (a0 * a0))
+    return NumberField(pair)
+
+
+def _over_a0_squared(D: int, a0: int) -> int:
+    """A form's discriminant D over a0^2, or DivisibilityError."""
+    if D % (a0 * a0) != 0:
+        raise DivisibilityError(
+            f"form discriminant {D} is not divisible by a0^2 = {a0 * a0}"
+        )
+    return D // (a0 * a0)
 
 
 def make_field(pair: EssentialPair) -> NumberField:

@@ -9,7 +9,9 @@ discriminant `form_discriminant` computes, so no public function takes one.
 
 Irreducibility is decided by one function, `_decide`: accepted by an
 Eisenstein prime or by a prime modulo which the form is irreducible (at
-degrees 4 and 5: no root and the Stickelberger symbol of the discriminant),
+degrees 4 and 5: no root and the Stickelberger symbol of the discriminant;
+above, a distinct-degree scan on packed residues, where each product modulo
+p is one integer multiplication and one gcd tests factor degrees 3 and up),
 and refuted in one pass by an integer factor of degree 1, or of degree 1 or
 2 at degrees 4 and 5, found by lifting the factors of one reduction modulo
 a prime p-adically and dividing, with no divisor scan of the coefficients.
@@ -18,6 +20,8 @@ a prime p-adically and dividing, with no divisor scan of the coefficients.
 from __future__ import annotations
 
 import math
+import struct
+from operator import mul
 
 from .errors import UnsupportedDegreeError, ZeroPolynomialError
 from .polyring import UniPoly, coeffs_discriminant, exact_int
@@ -136,37 +140,59 @@ def _gfp_roots(f, p):
     return roots
 
 
-def _gfp_mulmod(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    # reduce modulo monic f, taking residues once at the end
-    df = len(f) - 1
-    for k in range(len(out) - 1, df - 1, -1):
-        c = out[k] % p
-        if c:
-            for j in range(df):
-                out[k - df + j] -= c * f[j]
-    return _gfp_trim([v % p for v in out[:df]])
-
-
 def _gfp_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        # a mod b with b made monic
+        # a mod b with b made monic: each step drops a's lead
         inv = pow(b[-1], p - 2, p)
         b = [(c * inv) % p for c in b]
         db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            c = a[-1]
-            da = len(a) - 1
-            for j in range(db + 1):
-                a[da - db + j] = (a[da - db + j] - c * b[j]) % p
+        while len(a) > db:
+            c, k = a.pop(), len(a) - db
+            for j in range(db):
+                a[k + j] = (a[k + j] - c * b[j]) % p
             _gfp_trim(a)
         a, b = b, a
     return _gfp_trim(a)
+
+
+def _gfp_packing(f, p):
+    """Arithmetic modulo the monic f (low-to-high, degree n >= 2) over GF(p)
+    on packed residues (Kronecker substitution): a polynomial below degree n
+    is one integer, with its coefficient i, in [0, p), in slot i.  Returns
+    pack (list to integer), residues (integer to list), mulmod and power(e),
+    x^e mod f for e <= 2n - 2.  mulmod makes one integer product, folds its
+    n - 1 high slots back with the table of x^(n + j) mod f, j = 0 .. n - 2,
+    built once, and takes each slot mod p.  A slot holds at most
+    n (p - 1)^2 (1 + (n - 1)(p - 1)) on the way, so it is 4 bytes wide, or 8
+    when that bound needs them."""
+    n = len(f) - 1
+    code = "I" if n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1)) < 1 << 32 else "Q"
+    low, top = struct.Struct(f"<{n}{code}"), struct.Struct(f"<{n - 1}{code}")
+    w = 8 * low.size // n
+    mask = (1 << w * n) - 1
+
+    def pack(a):
+        return int.from_bytes(low.pack(*a), "little")
+
+    def residues(v):
+        return [c % p for c in low.unpack(v.to_bytes(low.size, "little"))]
+
+    def mulmod(a, b):
+        c = a * b
+        folds = map(mul, top.unpack((c >> w * n).to_bytes(top.size, "little")), table)
+        return pack(residues((c & mask) + sum(folds)))
+
+    def power(e):
+        return table[e - n] if e >= n else 1 << w * e
+
+    g = [-c % p for c in f[:n]]  # x^n mod f
+    rows = [g]
+    while len(rows) < n - 1:  # x^(n + j + 1): shift x^(n + j), fold its top by g
+        t, lead = rows[-1], rows[-1][-1]
+        rows.append([lead * g[0] % p] + [(a + lead * b) % p for a, b in zip(t, g[1:])])
+    table = [pack(r) for r in rows]
+    return pack, residues, mulmod, power
 
 
 def _gfp_is_irreducible(cs: tuple[int, ...], p: int, d: int) -> bool:
@@ -180,9 +206,12 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int, d: int) -> bool:
     which `_stickelberger_allows` reads off d (Swan's form of the theorem
     holds for any integer lift with lead prime to p).  Above, f made monic is
     irreducible exactly when gcd(x^(p^k) - x, f) = 1 for k = 2 .. n/2 (no
-    factor of degree k, repeated ones included).  Row i of the Frobenius
-    matrix Q is x^(ip) mod f, so h -> h^p is hQ; row 1, x^p mod f, takes
-    p - n + 1 steps of multiplying by x and reducing (none when p < n).
+    factor of degree k, repeated ones included), on `_gfp_packing`'s
+    residues.  x^p is x^r times (x^(2n - 2))^q for p = q (2n - 2) + r, so
+    none is multiplied when p < 2n - 1; row i of the Frobenius matrix Q is
+    x^(ip) mod f, so h -> h^p is hQ.  The k = 2 step has its own gcd; the
+    x^(p^k) - x of k >= 3 are multiplied mod f and tested by one gcd, which
+    is 1 exactly when each factor's is (a zero factor makes the product 0).
     """
     if cs[-1] % p == 0:
         return False
@@ -202,24 +231,22 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int, d: int) -> bool:
         return _stickelberger_allows(d, n, p)
     inv = pow(high[0], p - 2, p)
     f = [(c * inv) % p for c in cs]
-    e = min(p, n - 1)
-    h = [int(i == e) for i in range(n)]
-    for _ in range(p - e):
-        top = h[-1]
-        h = [-top * f[0] % p] + [(a - top * b) % p for a, b in zip(h, f[1:n])]
-    xp, rows = h, [[1]]
-    for _ in range(2, n // 2 + 1):
-        while len(rows) < n:
-            rows.append(_gfp_mulmod(rows[-1], xp, f, p))
-        out = [0] * n
-        for c, row in zip(h, rows):
-            for j, q in enumerate(row):
-                out[j] += c * q
-        h = [v % p for v in out]
-        diff = _gfp_trim([h[0], (h[1] - 1) % p] + h[2:])
-        if not diff or len(_gfp_gcd(f, diff, p)) != 1:
+    pack, residues, mulmod, power = _gfp_packing(f, p)
+    q, r = divmod(p, 2 * n - 2)
+    rows = [1, power(r)]
+    for _ in range(q):
+        rows[1] = mulmod(rows[1], power(2 * n - 2))
+    while len(rows) < n:
+        rows.append(mulmod(rows[-1], rows[1]))
+    h, acc = residues(rows[1]), 1
+    for k in range(2, n // 2 + 1):
+        h = residues(sum(map(mul, h, rows)))
+        diff = [h[0], (h[1] - 1) % p] + h[2:]
+        if k > 2:
+            acc = mulmod(acc, pack(diff))
+        elif len(_gfp_gcd(f, _gfp_trim(diff), p)) != 1:
             return False
-    return True
+    return len(_gfp_gcd(f, _gfp_trim(residues(acc)), p)) == 1
 
 
 def _stickelberger_allows(d: int, n: int, p: int) -> bool:

@@ -19,7 +19,7 @@ from arithmat.field import (
     integral_basis_description,
     make_field,
 )
-from arithmat.forms import BinaryForm
+from arithmat.forms import BinaryForm, form_discriminant
 from arithmat.polyring import ExactMatrix, UniPoly
 from arithmat.symbolic import (
     SYMBOLIC_DEGREE_CAP,
@@ -81,6 +81,29 @@ class TestMakeField:
     def test_pair_text_roundtrip(self):
         pair = EssentialPair(2, BinaryForm([4, -2, -3, 1, 1]))
         assert EssentialPair.from_text(pair.text()) == pair
+
+    def test_field_reads_its_discriminant_off_the_form(self):
+        from arithmat.numeric import diagonalization_residual
+
+        # a field built directly takes no discriminant: x^2 + x - 1 gives 5
+        F = field.NumberField(EssentialPair(1, BinaryForm([1, 1, -1])))
+        assert F.disc == 5
+        assert diagonalization_residual(F, F.element([1, 2])) < 1e-8
+
+    def test_scale_conditions_make_a0_squared_divide_the_discriminant(self):
+        # D = a2^2 D' mod a1, D' the discriminant of (a2, ..., a_{n+1}), so a0^2 | a1
+        # and a0 | a2 give a0^2 | D, and every field has an integer discriminant
+        rng = random.Random(40)
+        for _ in range(300):
+            a0, n = rng.randint(2, 5), rng.randint(2, 8)
+            cs = [a0 * a0 * rng.randint(1, 9), a0 * rng.randint(-9, 9)]
+            cs += [rng.randint(-9, 9) for _ in range(n - 2)] + [rng.choice((-1, 1)) * rng.randint(1, 9)]
+            F = field.NumberField(EssentialPair(a0, BinaryForm(cs)))
+            assert F.disc * a0 * a0 == form_discriminant(F.pair.form)
+
+    def test_unscaled_pair_reports_the_discriminant_before_the_scale(self):
+        with pytest.raises(DivisibilityError, match=r"^form discriminant 9 is not divisible by a0\^2 = 4$"):
+            field.field_with_discriminant(EssentialPair(2, BinaryForm([2, 1, -1])))
 
 
 class TestSymbolicMatrices:

@@ -22,7 +22,7 @@ from arithmat.forms import (
     _eisenstein,
     _gfp_gcd,
     _gfp_is_irreducible,
-    _gfp_mulmod,
+    _gfp_packing,
     _gfp_trim,
     _primitive_monic_sign,
     _small_factor,
@@ -34,6 +34,8 @@ from arithmat.forms import (
 )
 from arithmat.polyring import UniPoly, coeffs_discriminant, poly_mul_schoolbook
 from arithmat.search import verify_tables
+
+import util
 
 
 # -- the divisor scans that lifting replaced, kept as oracles --------------
@@ -265,14 +267,14 @@ def _powmod_scan(cs, p):
     xp, base, e = [1], [0, 1], p
     while e:
         if e & 1:
-            xp = _gfp_mulmod(xp, base, f, p)
-        base = _gfp_mulmod(base, base, f, p)
+            xp = util.gfp_mulmod(xp, base, f, p)
+        base = util.gfp_mulmod(base, base, f, p)
         e >>= 1
     h, rows = xp + [0] * (n - len(xp)), [[1]]
     for k in range(1, n // 2 + 1):
         if k > 1:
             while len(rows) < n:
-                rows.append(_gfp_mulmod(rows[-1], xp, f, p))
+                rows.append(util.gfp_mulmod(rows[-1], xp, f, p))
             out = [0] * n
             for c, row in zip(h, rows):
                 for j, q in enumerate(row):
@@ -310,7 +312,7 @@ class TestModPIrreducibility:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=16),
         st.integers(-10**6, 10**6).filter(bool),
     )
     @example([3], 1)
@@ -325,6 +327,41 @@ class TestModPIrreducibility:
         # (x^2 + x + 1)^2 mod 2: no linear factor, a repeated quadratic one
         assert _gfp_is_irreducible((1, 0, 1, 0, 1), 2, coeffs_discriminant((1, 0, 1, 0, 1))) is False
         assert _gfp_is_irreducible((1, 1, 1), 2, -3) is True
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(6, 16).flatmap(
+            lambda n: st.lists(st.integers(0, 46), min_size=3 * n, max_size=3 * n)
+        )
+    )
+    @example([46] * 48)  # every coefficient p - 1 at p = 47 and degree 16
+    def test_packed_product_matches_schoolbook_at_every_accept_prime(self, draws):
+        n = len(draws) // 3
+        for p in _ACCEPT_PRIMES:
+            f, a, b = ([c % p for c in draws[i * n : (i + 1) * n]] for i in range(3))
+            # the largest product slots (every coefficient p - 1), folded by the table of
+            # x^n = 1 + x + ... (low coefficients p - 1) and of x^n = -1 - x - ...
+            # (first row all p - 1), and a random product under f
+            worst = [p - 1] * n
+            for low, x, y in ((f, a, b), (worst, worst, worst), ([1] * n, worst, worst)):
+                g = low + [1]
+                pack, residues, mulmod, power = _gfp_packing(g, p)
+                got = residues(mulmod(pack(x), pack(y)))
+                assert _gfp_trim(got) == util.gfp_mulmod(_gfp_trim(x), _gfp_trim(y), g, p)
+                xe = [1]
+                for e in range(2 * n - 1):
+                    assert _gfp_trim(residues(power(e))) == xe, (p, e)
+                    xe = util.gfp_mulmod(xe, [0, 1], g, p)
+
+    def test_packed_product_widens_its_slots_when_the_bound_needs_it(self):
+        # n (p - 1)^2 (1 + (n - 1)(p - 1)) passes 2^32 at p = 47 from n = 211
+        rnd = random.Random(40)
+        for n, width in ((210, 32), (211, 64)):
+            f = [rnd.randrange(47) for _ in range(n)] + [1]
+            a, b = [46] * n, [rnd.randrange(47) for _ in range(n)]
+            pack, residues, mulmod, power = _gfp_packing(f, 47)
+            assert power(1) == 1 << width
+            assert _gfp_trim(residues(mulmod(pack(a), pack(b)))) == util.gfp_mulmod(a, b, f, 47)
 
 
 def _kronecker(d, p):

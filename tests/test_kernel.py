@@ -105,7 +105,7 @@ def raw_pairs(draw):
 @given(raw_pairs())
 def test_kernel_matches_explicit_formulas_and_substitution(case):
     a0, coeffs, coords = case
-    F = NumberField(EssentialPair(a0, BinaryForm(coeffs)), 0)
+    F = NumberField(EssentialPair(a0, BinaryForm(coeffs)))
     rows, d = integer_matrix(F, F.element(coords))
     kernel = [v for row in rows for v in row]
     explicit = matrix_from_coefficients(coeffs, a0, coords, "explicit")
@@ -127,7 +127,7 @@ def test_unscaled_pair_raises_when_the_field_is_built(coeffs, message):
     # every reader of a1/a0 and a2/a0 (the kernel, trace, the basis change,
     # the transform route) relies on this check, so no field skips it
     with pytest.raises(DivisibilityError, match=message):
-        NumberField(EssentialPair(2, BinaryForm(coeffs)), 1)
+        NumberField(EssentialPair(2, BinaryForm(coeffs)))
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 from arithmat.field import EssentialPair, NumberField, make_field
 from arithmat.forms import (
     BinaryForm,
+    _gfp_trim,
     form_discriminant,
     irreducibility_certificate,
     is_irreducible,
@@ -61,6 +62,24 @@ def random_element(F: NumberField, rng: random.Random, bound: int = 10, nonzero:
         coords = [rng.randint(-bound, bound) for _ in range(F.n)]
         if not nonzero or any(coords):
             return F.element(coords)
+
+
+def gfp_mulmod(a, b, f, p):
+    """The schoolbook product of a and b modulo the monic f over GF(p), all
+    coefficient lists low-to-high: the oracle of the packed product."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    # reduce modulo monic f, taking residues once at the end
+    df = len(f) - 1
+    for k in range(len(out) - 1, df - 1, -1):
+        c = out[k] % p
+        if c:
+            for j in range(df):
+                out[k - df + j] -= c * f[j]
+    return _gfp_trim([v % p for v in out[:df]])
 
 
 def _sylvester_rows(pc: list, qc: list) -> list[list]:
