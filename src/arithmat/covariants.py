@@ -34,7 +34,7 @@ from .element import char_poly, inverse, mul, norm
 from .errors import ArithmatError, UnsupportedDegreeError
 from .field import NumberField, integer_matrix, integer_trace
 from .forms import BinaryForm, form_discriminant
-from .polyring import ExactMatrix, exact_int, poly_discriminant
+from .polyring import ExactMatrix, _quartic_ij, exact_int, poly_discriminant
 from .symbolic import MultiPoly, _symbolic_matrix, collect_coeffs, det_cofactor, generic_form_coeffs
 
 _XYZ = ("x", "y", "z")
@@ -118,17 +118,6 @@ def _scaled_norm(coeffs) -> tuple[MultiPoly, MultiPoly]:
 # ----------------------------------------------------------------------
 # Quartic forms
 # ----------------------------------------------------------------------
-
-
-def _quartic_ij(coeffs):
-    """I and J of the quartic with coefficients a..e (integers or symbolic).
-
-    They satisfy 4*I^3 - J^2 = 27*disc, which the search solves on.
-    """
-    a, b, c, d, e = coeffs
-    i_inv = 12 * a * e - 3 * b * d + c * c
-    j_inv = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
-    return i_inv, j_inv
 
 
 def quartic_invariants(V: BinaryForm) -> tuple[int, int]:

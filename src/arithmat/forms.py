@@ -88,9 +88,9 @@ def evaluate(B: BinaryForm, x: int, y: int) -> int:
 
 
 def form_discriminant(B: BinaryForm) -> int:
-    """Exact discriminant via the (n - 1) x (n - 1) Bezout determinant of the
-    two partial derivatives B_x(x, 1) and B_y(x, 1), over +-n^(n - 2);
-    computed on the first call and kept on the form."""
+    """Exact discriminant by `coeffs_discriminant`: closed forms at degrees
+    2 to 4, the Bezout determinant of B_x(x, 1) and B_y(x, 1) at 5 to 8, and
+    the subresultant PRS from 9; computed on the first call and kept on the form."""
     if B._disc is None:
         B._disc = coeffs_discriminant(B.coeffs)
     return B._disc

@@ -19,9 +19,10 @@ with plain `sum`, which symbolic entries join through `0 + p`.
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads.  Determinants
 and inverses share one fraction-free (Bareiss) elimination over the integers,
-and resultants and discriminants one Bezout determinant: the integer
-discriminant of a degree-n form is that of its two partial derivatives,
-(n - 1) x (n - 1), over +-n^(n - 2).
+and resultants one Bezout determinant.  Discriminants choose their route by
+degree: closed forms at degrees 2 to 4, the subresultant PRS from degree 9,
+and between them the Bezout determinant of a form's two partial
+derivatives, (n - 1) x (n - 1), over +-n^(n - 2).
 """
 
 from __future__ import annotations
@@ -524,18 +525,85 @@ def _bezout_det(f, g) -> int:
     return det_bareiss(rows)
 
 
+def _subresultant(a, b) -> int:
+    """Res(A, B) of integer coefficient lists a and b, highest degree first,
+    with nonzero leads and deg A > deg B, by the subresultant PRS (Cohen,
+    GTM 138, Alg. 3.3.7, without its content step).  A step of degree drop 1
+    forms lb^2 A - (lb a_0 x + c) B, for lb = lc(B) and c = lb a_1 - a_0 b_1,
+    and its division by g h in one pass."""
+    s = g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        lb = b[0]
+        if delta == 1:
+            a0 = a[0]
+            c, lb2, lba0, gh = lb * a[1] - a0 * b[1], lb * lb, lb * a0, g * h
+            b2 = b[2:]
+            b2.append(0)
+            r = [(lb2 * x - lba0 * y - c * z) // gh for x, y, z in zip(a[2:], b2, b[1:])]
+            g = h = lb
+        else:  # the pseudo-remainder lb^(delta + 1) A mod B, term by term
+            r = list(a)
+            for k in range(delta + 1):
+                q = r[k]
+                r[k + 1 :] = [lb * x - q * y for x, y in zip(r[k + 1 :], b[1:] + [0] * (delta - k))]
+            r = [x // (g * h**delta) for x in r[delta + 1 :]]
+            g, h = lb, lb**delta // h ** (delta - 1)
+        while r and not r[0]:
+            r.pop(0)
+        if not r:
+            return 0
+        a, b = b, r
+    da = len(a) - 1
+    return s * b[0] ** da // h ** (da - 1)
+
+
+def _quartic_ij(coeffs):
+    """I and J of the quartic with coefficients a..e (integers or symbolic).
+
+    They satisfy 4*I^3 - J^2 = 27*disc, which the search solves on.
+    """
+    a, b, c, d, e = coeffs
+    i_inv = 12 * a * e - 3 * b * d + c * c
+    j_inv = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+    return i_inv, j_inv
+
+
 def coeffs_discriminant(coeffs) -> int:
     """Discriminant of the form F with integer coefficients (a1, ..., a_{n+1}).
 
-    Res(F_x, F_y) = +-n^(n - 2) disc F for a binary form of degree n
-    (Gelfand, Kapranov and Zelevinsky, 1994, ch. 12).  Here the resultant is
-    `_bezout_det` of f = F_x(x, 1) and g = F_y(x, 1), both of length n (the
-    lead of g, a2, may be 0), which is (-1)^(n - 1) n^(n - 2) disc F; the
-    division is always exact, and raises if it is not.  Degree 1 gives 1.
+    The route depends on the degree n.  Degree 1 gives 1, and degrees
+    2 to 4 closed forms, the quartic's (4 I^3 - J^2) / 27.  From degree 9,
+    with a1 != 0, it is (-1)^(n(n - 1)/2) Res(f, f') / a1 for f = F(x, 1).
+    Otherwise Res(F_x, F_y) = +-n^(n - 2) disc F for a binary form of degree
+    n (Gelfand, Kapranov and Zelevinsky, 1994, ch. 12): `_bezout_det` of
+    f = F_x(x, 1) and g = F_y(x, 1), both of length n (the lead of g, a2,
+    may be 0), is (-1)^(n - 1) n^(n - 2) disc F.  Degrees 5 to 8 stay on
+    this kernel because the traced benchmark reads `det_bareiss` through
+    this call (ROADMAP item 17).  The divisions by a1 and
+    by n^(n - 2) are always exact, and raise if they are not.
     """
     n = len(coeffs) - 1
     if n == 1:
         return 1
+    if n == 2:
+        a, b, c = coeffs
+        return b * b - 4 * a * c
+    if n == 3:
+        a, b, c, d = coeffs
+        return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+    if n == 4:
+        i_inv, j_inv = _quartic_ij(coeffs)
+        return (4 * i_inv**3 - j_inv * j_inv) // 27
+    if n >= 9 and coeffs[0]:
+        res = _subresultant(coeffs, [(n - k) * a for k, a in enumerate(coeffs[:n])])
+        value, rem = divmod(res, coeffs[0])
+        if rem:
+            raise ArithmatError("discriminant division by a1 was not exact")
+        return -value if n * (n - 1) // 2 % 2 else value
     f = [(n - k) * a for k, a in enumerate(coeffs[:n])][::-1]
     g = [k * a for k, a in enumerate(coeffs) if k][::-1]
     value, rem = divmod(_bezout_det(f, g), n ** (n - 2))

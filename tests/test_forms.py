@@ -14,7 +14,7 @@ from arithmat.errors import (
     UnsupportedDegreeError,
     ZeroPolynomialError,
 )
-from arithmat import forms
+from arithmat import forms, polyring
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import (
     _ACCEPT_PRIMES,
@@ -867,6 +867,22 @@ class TestKeptDiscriminant:
         with mock.patch.object(forms, "coeffs_discriminant", wraps=coeffs_discriminant) as disc:
             assert verify_tables([(-275, 1, (1, 1, 0, -2, -1))]).ok
         assert disc.call_count == 1
+
+
+class TestTracedDiscriminantEdge:
+    """`form_discriminant` reaches `polyring.det_bareiss` at degrees 5 to 8
+    only: closed forms serve degrees 2 to 4 and the subresultant PRS degree 9
+    and up.  The traced benchmark run reports `polyring.det_bareiss_ms` from
+    that edge, and fails when a per-layer metric is missing; CI's "Traced
+    benchmark smoke run" runs it, and this suite does not."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_bezout_band_alone_reaches_det_bareiss(self, n):
+        B = BinaryForm([3, -1] + [2] * (n - 2) + [5])
+        with mock.patch.object(polyring, "det_bareiss", wraps=polyring.det_bareiss) as det:
+            value = form_discriminant(B)
+        assert det.call_count == (1 if 5 <= n <= 8 else 0)
+        assert value == util.sylvester_discriminant(B.coeffs)
 
 
 class TestTextFormat:

@@ -184,17 +184,46 @@ class TestBezoutResultant:
 
 
 @st.composite
+def high_degree_polys(draw):
+    """A polynomial of degree 9 to 16 with a lead of either sign and integer
+    coefficients up to 10^30; half the draws are sparse."""
+    m = draw(st.integers(9, 16))
+    coeff = st.integers(-10**30, 10**30)
+    if draw(st.booleans()):
+        coeff = st.one_of(st.just(0), st.just(0), coeff)
+    lead = draw(st.integers(-10**30, 10**30).filter(bool))
+    return UniPoly(draw(st.lists(coeff, min_size=m, max_size=m)) + [lead])
+
+
+class TestHighDegreeResultant:
+    """`resultant` at degrees 9 to 16 against the Sylvester oracle in both
+    orders, with unequal degrees and constants."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(high_degree_polys(), resultant_polys(16))
+    @example(UniPoly([1] + [0] * 8 + [-2]), UniPoly([3]))
+    @example(UniPoly([2] + [0] * 11 + [1]), UniPoly([0] * 12 + [5]))
+    @example(UniPoly([1, 0, 1] * 4), UniPoly([-1, 0, 1] * 3))  # a common root: -1
+    def test_equals_sylvester_route(self, p, q):
+        for a, b in ((p, q), (q, p)):
+            value = resultant(a, b)
+            assert type(value) is Fraction
+            assert value == det_bareiss(util.sylvester_matrix(a, b))
+
+
+@st.composite
 def discriminant_coeffs(draw):
-    """Coefficients (a1, ..., a_{n+1}) of degree 1 to 12 up to 10^40, or a
-    product g^2 h with a repeated factor g, whose discriminant is 0."""
-    n = draw(st.integers(1, 12))
+    """Coefficients (a1, ..., a_{n+1}) of degree 1 to 16 up to 10^40 or
+    10^100, which every route of `coeffs_discriminant` meets, or a product
+    g^2 h with a repeated factor g, whose discriminant is 0."""
+    n = draw(st.integers(1, 16))
 
     def coeffs(k, bound):
         lead = draw(st.integers(-bound, bound).filter(bool))
         return [lead] + draw(st.lists(st.integers(-bound, bound), min_size=k, max_size=k))
 
     if n == 1 or draw(st.booleans()):
-        return coeffs(n, 10**40)
+        return coeffs(n, draw(st.sampled_from((10**40, 10**100))))
     k = draw(st.integers(1, n // 2))
     g, h = UniPoly(coeffs(k, 10**13)[::-1]), UniPoly(coeffs(n - 2 * k, 10**14)[::-1])
     return list((g * g * h).coeffs[::-1])
@@ -206,6 +235,11 @@ class TestBezoutDiscriminant:
     @example([6, -4, 2, 0, 7])
     @example([-10**40, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 10**40])
     @example([18, -60, 113, -210, 175])  # (3x - 5)^2 (2x^2 + 7)
+    # negative leads and a zero last coefficient at each side of a route's edge
+    @example([-3, 5, -1, 2, 0])  # n = 4, the closed form
+    @example([-2, 0, 7, -1, 4, 0])  # n = 5, the Bezout kernel
+    @example([-5, 1, 0, -3, 2, 6, -1, 4, 0])  # n = 8, the Bezout kernel
+    @example([-7, 2, -1, 0, 5, -3, 1, 8, -2, 0])  # n = 9, the subresultant PRS
     def test_equals_sylvester_route(self, coeffs):
         assert coeffs_discriminant(coeffs) == util.sylvester_discriminant(coeffs)
 
@@ -230,6 +264,10 @@ class TestPartialDerivativeBezout:
             [3, 1, -2, 0, 4, -1, 2],  # n = 6
             [-5, 2, 7, -1, 3, 0, -4, 6],  # n = 7
             [6, -1, 0, 2, -3, 5, 1, -2, 7],  # n = 8
+            [-4, 3, 1, -5, 0, 2, -2, 6, 1, 3],  # n = 9
+            [5, -2, 0, 3, 1, -4, 2, 0, -1, 6, -3],  # n = 10
+            [-3, 0, 2, 4, -1, 5, 0, -6, 3, 1, -2, 7],  # n = 11
+            [7, 1, -3, 0, 2, -5, 4, 1, 0, -2, 6, -1, 3],  # n = 12
         ],
     )
     def test_sign_at_each_degree_mod_4(self, coeffs):
@@ -240,14 +278,22 @@ class TestPartialDerivativeBezout:
     def test_degree_one_is_one(self, coeffs):
         assert coeffs_discriminant(coeffs) == 1
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_sparse_forms_need_row_swaps(self, n):
         # a x^n + c: the partial derivatives are n a x^(n-1) and n c, so the
-        # matrix is anti-diagonal and its elimination needs row swaps
+        # matrix is anti-diagonal and its elimination needs row swaps; from
+        # n = 9 the PRS of f and f' = n a x^(n-1) drops n - 1 degrees at once
         for a, c in ((3, -2), (-7, 5), (2, 10**20)):
             coeffs = [a] + [0] * (n - 1) + [c]
             expected = (-1) ** (n * (n - 1) // 2) * n**n * a ** (n - 1) * c ** (n - 1)
             assert coeffs_discriminant(coeffs) == expected == util.bezout_discriminant(coeffs)
+
+    @pytest.mark.parametrize("n", [5, 9, 12])
+    def test_zero_lead_takes_the_bezout_kernel(self, n):
+        # F = y G has disc F = G(1, 0)^2 disc G; with a1 = 0 the Bezout kernel
+        # serves every degree, since the PRS route divides by a1
+        g = [-3, 1, 0, 4, -2, 5, 1, -1, 2, 3, -4, 1][: n]
+        assert coeffs_discriminant([0] + g) == g[0] ** 2 * util.sylvester_discriminant(g)
 
     def test_a_reduction_mod_p_with_zero_middle_terms(self):
         # what the mod-p test of forms passes: coefficients in [0, p), high first

@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from arithmat import element as el
 from arithmat import search
-from arithmat.covariants import _quartic_ij
 from arithmat.errors import ArithmatError, DegenerateElementError, UnsupportedDegreeError
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import (
@@ -19,7 +18,7 @@ from arithmat.forms import (
     irreducibility_certificate,
     is_irreducible,
 )
-from arithmat.polyring import UniPoly, poly_mul_schoolbook
+from arithmat.polyring import UniPoly, _quartic_ij, poly_mul_schoolbook
 from arithmat.search import (
     essential_pair_from_element,
     load_bundled_table,
@@ -121,8 +120,9 @@ leading = st.integers(-50, 50).filter(bool)
 @settings(max_examples=200, deadline=None)
 @given(leading, coefficient, coefficient, coefficient, coefficient)
 def test_quartic_invariants_lie_on_the_disc_curve(a, b, c, d, e):
+    # against the Sylvester route: `coeffs_discriminant` itself reads a quartic's off I and J
     i_inv, j_inv = _quartic_ij((a, b, c, d, e))
-    assert 4 * i_inv**3 - j_inv**2 == 27 * coeffs_discriminant((a, b, c, d, e))
+    assert 4 * i_inv**3 - j_inv**2 == 27 * util.sylvester_discriminant((a, b, c, d, e))
 
 
 @settings(max_examples=200, deadline=None)
