@@ -34,7 +34,7 @@ from .element import char_poly, inverse, mul, norm
 from .errors import ArithmatError, UnsupportedDegreeError
 from .field import NumberField, integer_matrix, integer_trace
 from .forms import BinaryForm, form_discriminant
-from .polyring import ExactMatrix, _quartic_ij, exact_int, poly_discriminant
+from .polyring import ExactMatrix, _quartic_ij, coeffs_discriminant, exact_int, poly_discriminant
 from .symbolic import MultiPoly, _symbolic_matrix, collect_coeffs, det_cofactor, generic_form_coeffs
 
 _XYZ = ("x", "y", "z")
@@ -221,17 +221,9 @@ def _poly_to_binary_coeffs(poly: MultiPoly, degree: int) -> tuple:
 def cubic_syzygy_check(C: BinaryForm | None = None) -> bool:
     """Exact check of Cayley's syzygy F^2 + 27*D*C^2 = 4*Q^3 for this cubic."""
     coeffs = _coeffs(C, 3)
-    a, b, c, d = coeffs
     q_poly, f_poly = _cubic_covariant_polys(coeffs)
-    disc = (
-        18 * a * b * c * d
-        - 4 * b**3 * d
-        + b * b * c * c
-        - 4 * a * c**3
-        - 27 * a * a * d * d
-    )
     cpoly = _binary_poly(coeffs)
-    return (f_poly**2 + 27 * disc * cpoly**2 - 4 * q_poly**3).is_zero()
+    return (f_poly**2 + 27 * coeffs_discriminant(coeffs) * cpoly**2 - 4 * q_poly**3).is_zero()
 
 
 def cubic_norm_equation_check(C: BinaryForm | None = None) -> bool:

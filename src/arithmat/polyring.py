@@ -576,7 +576,8 @@ def coeffs_discriminant(coeffs) -> int:
     """Discriminant of the form F with integer coefficients (a1, ..., a_{n+1}).
 
     The route depends on the degree n.  Degree 1 gives 1, and degrees
-    2 to 4 closed forms, the quartic's (4 I^3 - J^2) / 27.  From degree 9,
+    2 to 4 closed forms, the quartic's (4 I^3 - J^2) / 27; degree 0 or
+    none raises `UnsupportedDegreeError`.  From degree 9,
     with a1 != 0, it is (-1)^(n(n - 1)/2) Res(f, f') / a1 for f = F(x, 1).
     Otherwise Res(F_x, F_y) = +-n^(n - 2) disc F for a binary form of degree
     n (Gelfand, Kapranov and Zelevinsky, 1994, ch. 12): `_bezout_det` of
@@ -604,6 +605,8 @@ def coeffs_discriminant(coeffs) -> int:
         if rem:
             raise ArithmatError("discriminant division by a1 was not exact")
         return -value if n * (n - 1) // 2 % 2 else value
+    if n < 1:
+        raise UnsupportedDegreeError("discriminant needs degree >= 1")
     f = [(n - k) * a for k, a in enumerate(coeffs[:n])][::-1]
     g = [k * a for k, a in enumerate(coeffs) if k][::-1]
     value, rem = divmod(_bezout_det(f, g), n ** (n - 2))
@@ -652,7 +655,5 @@ def poly_discriminant(p: UniPoly) -> Fraction:
     n = p.degree
     if p.is_zero():
         raise ZeroPolynomialError("discriminant of the zero polynomial")
-    if n < 1:
-        raise UnsupportedDegreeError("discriminant needs degree >= 1")
     scaled, d = scaled_coords(p.coeffs[::-1])
     return Fraction(coeffs_discriminant(scaled), d ** (2 * n - 2))

@@ -278,6 +278,12 @@ class TestPartialDerivativeBezout:
     def test_degree_one_is_one(self, coeffs):
         assert coeffs_discriminant(coeffs) == 1
 
+    @pytest.mark.parametrize("coeffs", [[], [5], [0]])
+    def test_below_degree_one_is_a_typed_error(self, coeffs):
+        # the guard sits on the Bezout fall-through, which degrees 0 and -1 reach
+        with pytest.raises(UnsupportedDegreeError, match=r"^discriminant needs degree >= 1$"):
+            coeffs_discriminant(coeffs)
+
     @pytest.mark.parametrize("n", range(2, 17))
     def test_sparse_forms_need_row_swaps(self, n):
         # a x^n + c: the partial derivatives are n a x^(n-1) and n c, so the
@@ -331,7 +337,7 @@ class TestBinomialDiscriminant:
         assert poly_discriminant(UniPoly(coeffs[::-1])) == expected
 
     def test_constant_is_an_unsupported_degree_and_zero_a_zero_polynomial(self):
-        with pytest.raises(UnsupportedDegreeError, match="degree >= 1"):
+        with pytest.raises(UnsupportedDegreeError, match=r"^discriminant needs degree >= 1$"):
             poly_discriminant(UniPoly([5]))
         with pytest.raises(ZeroPolynomialError):
             poly_discriminant(UniPoly.zero())
