@@ -102,9 +102,6 @@ def _build_parser(command: str | None = None) -> _Parser:
     s.add_argument("--degree", required=True, type=int)
     s.add_argument("--height", required=True, type=int)
     s.add_argument("--max-a0", required=True, type=int)
-    s.add_argument(
-        "--jobs", type=int, default=1, help="accepted and ignored; the search runs in one thread"
-    )
 
     v = add_parser("verify-tables", help="check table fixture rows")
     v.add_argument("--file", required=True)
@@ -213,9 +210,7 @@ def _cmd_element_op(args) -> int:
 def _cmd_search(args) -> int:
     from .search import search_essential_pairs
 
-    pairs = search_essential_pairs(
-        args.disc, args.degree, args.height, args.max_a0, jobs=args.jobs
-    )
+    pairs = search_essential_pairs(args.disc, args.degree, args.height, args.max_a0)
     if args.json:
         _print_json({"command": "search", "disc": args.disc, "pairs": [p.text() for p in pairs]})
     else:

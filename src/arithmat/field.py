@@ -98,7 +98,9 @@ class NumberField:
     @property
     def disc(self) -> int:
         """The field discriminant: the one the form keeps, over a0^2."""
-        return _over_a0_squared(form_discriminant(self.pair.form), self.pair.a0)
+        # exact: disc B = a2^2 disc(a2, ..., a_{n+1}) (mod a1), so a0^2 | a1
+        # and a0 | a2, checked when the field was built, give a0^2 | disc B
+        return form_discriminant(self.pair.form) // (self.a0 * self.a0)
 
     def coeff(self, k: int) -> int:
         """Form coefficient a_k, 1-indexed as written."""
@@ -219,42 +221,26 @@ def check_scale(pair: EssentialPair) -> None:
         raise DivisibilityError(f"a0 = {a0} does not divide a2 = {a2}")
 
 
-def field_with_discriminant(pair: EssentialPair) -> NumberField:
-    """The field context of a pair from the discriminant D its form keeps: D
-    nonzero and divisible by a0^2, the form certified, and `check_scale`,
-    which `NumberField` runs after the other checks."""
-    D = form_discriminant(pair.form)
-    if D == 0:
+def make_field(pair: EssentialPair) -> NumberField:
+    """Validate an essential pair and return the field context.
+
+    Checks, in order: positivity of a0, the divisibility conditions
+    a0^2 | a1 and a0 | a2 (`check_scale`, run by `NumberField`), a nonzero
+    form discriminant, and irreducibility of the form.  Each failure raises
+    its own error type.  Irreducibility is one `irreducibility_certificate`
+    call, exact through degree 5; a form it cannot decide "could not be
+    certified irreducible".  This is the one validity decision: table
+    verification and the CLI build their fields here too.
+    """
+    F = NumberField(pair)
+    if form_discriminant(pair.form) == 0:
         raise ZeroDiscriminantError("form has a repeated root")
-    _over_a0_squared(D, pair.a0)
     cert = irreducibility_certificate(pair.form)
     if cert is False:
         raise ReducibleFormError("form is reducible over the rationals")
     if cert is None:
         raise ReducibleFormError("form could not be certified irreducible")
-    return NumberField(pair)
-
-
-def _over_a0_squared(D: int, a0: int) -> int:
-    """A form's discriminant D over a0^2, or DivisibilityError."""
-    if D % (a0 * a0) != 0:
-        raise DivisibilityError(
-            f"form discriminant {D} is not divisible by a0^2 = {a0 * a0}"
-        )
-    return D // (a0 * a0)
-
-
-def make_field(pair: EssentialPair) -> NumberField:
-    """Validate an essential pair and return the field context.
-
-    Checks, in order: positivity of a0, the divisibility conditions
-    a0^2 | a1 and a0 | a2, a nonzero form discriminant divisible by a0^2,
-    and irreducibility of the form.  Each failure raises its own error type.
-    Irreducibility is one `irreducibility_certificate` call, exact through
-    degree 5; a form it cannot decide "could not be certified irreducible".
-    """
-    check_scale(pair)
-    return field_with_discriminant(pair)
+    return F
 
 
 # ----------------------------------------------------------------------

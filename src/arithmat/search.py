@@ -44,13 +44,14 @@ from itertools import compress, cycle
 from math import gcd, isqrt, lcm
 from operator import mul, neg
 
-from .element import char_poly, inverse, is_integral, norm, trace
+from .element import char_poly, is_integral
 from .errors import (
     ArithmatError,
     DegenerateElementError,
+    DivisibilityError,
     UnsupportedDegreeError,
 )
-from .field import Element, EssentialPair, NumberField, check_scale, field_with_discriminant
+from .field import Element, EssentialPair, NumberField, check_scale, make_field
 from .forms import BinaryForm, _form_of_discriminant, form_discriminant, is_irreducible
 from .polyring import poly_discriminant
 
@@ -436,8 +437,8 @@ def parse_table_rows(text: str) -> list[tuple[int, int, tuple[int, ...]]]:
 
 
 def verify_tables(rows: list[tuple[int, int, tuple[int, ...]]]) -> TableReport:
-    """Recheck every row: the exact discriminant, then `make_field`'s checks
-    (`check_scale`, `field_with_discriminant`), whose error message is the reason."""
+    """Recheck every row: the exact discriminant, then `make_field`, whose
+    error message is the reason."""
     report = TableReport()
     for idx, row in enumerate(rows, start=1):
         disc, a0, coeffs = row
@@ -453,10 +454,8 @@ def verify_tables(rows: list[tuple[int, int, tuple[int, ...]]]) -> TableReport:
                 (idx, row, f"discriminant {D} != {disc} * {a0}^2 = {disc * a0 * a0}")
             )
             continue
-        pair = EssentialPair(a0, B)
         try:
-            check_scale(pair)
-            field_with_discriminant(pair)
+            make_field(EssentialPair(a0, B))
         except ArithmatError as exc:
             report.failures.append((idx, row, str(exc)))
     return report
@@ -479,12 +478,6 @@ def load_bundled_table(name: str) -> list[tuple[int, int, tuple[int, ...]]]:
 # ----------------------------------------------------------------------
 
 
-def _integral(value, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmatError(f"integral element with a non-integral {what}: {value}")
-    return int(value)
-
-
 def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair | None:
     """Build an essential pair from a degree-n integral element, if one results.
 
@@ -502,22 +495,21 @@ def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair
         )
     if not is_integral(F, alpha):
         return None
-    D = _integral(D, "discriminant")
-    n_val = _integral(norm(F, alpha), "norm")
-    if (F.disc * n_val) % D:
-        return None
-    k = _integral(n_val * trace(F, inverse(F, alpha)), "N * Tr(1/alpha)")
-    if (F.disc * k * k) % D:
-        return None
-    ratio, rem = divmod(D, F.disc)
+    # an integral element's characteristic polynomial has integer coefficients
+    ratio, rem = divmod(int(D), F.disc)
     if rem or ratio <= 0:
         return None
     a0 = isqrt(ratio)
     if a0 * a0 != ratio:
         return None
-    # x^n f(y/x): the form coefficients are the monic polynomial's, low first
+    # x^n f(y/x): the form coefficients are the monic polynomial's, low first,
+    # so a1 = +-N and a2 = +-N * Tr(1/alpha); with D = disc * a0^2 the two
+    # divisibility conditions are a0^2 | a1 and a0 | a2, `check_scale`'s
     pair = EssentialPair(a0, BinaryForm(g.coeffs))
-    check_scale(pair)
+    try:
+        check_scale(pair)
+    except DivisibilityError:
+        return None
     # D != 0 makes the characteristic polynomial squarefree, so it is the
     # minimal polynomial of a degree-n element and irreducible, even where no
     # modular certificate exists (degree >= 6); the reversed form has

@@ -112,6 +112,15 @@ class TestSearchCommand:
         assert (code, out) == (1, "")
         assert "must be >= 1" in err
 
+    def test_jobs_is_not_an_option(self, capsys):
+        # the search runs in one thread, so the CLI takes no thread count
+        code, out, err = run(
+            capsys, "search", "--disc", "-275", "--degree", "4", "--height", "2", "--max-a0", "1",
+            "--jobs", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: arithmat") and "unrecognized arguments: --jobs 2" in err
+
 
 class TestVerifyTablesCommand:
     def test_bundled_fixture_passes(self, capsys):
@@ -482,7 +491,7 @@ _FLAG_VALUES = {
     "--pair": _PAIRS, "--coords": _COORDS, "--a": _COORDS, "--b": _COORDS,
     "--form": _FORMS, "--cubic": _FORMS, "--quartic": _FORMS,
     "--disc": _INTS, "--degree": _INTS,
-    "--height": _SIZES, "--max-a0": _SIZES, "--jobs": _SIZES, "--size": _SIZES,
+    "--height": _SIZES, "--max-a0": _SIZES, "--size": _SIZES,
     "--via": ["matrix", "fft", "x"], "--algo": ["schoolbook", "ww", "recursive", "x"],
     "--file": [str(bundled_table_path("quintic")), "nope.txt", ".", ""],
     "--json": None, "--symbolic": None,
@@ -494,7 +503,7 @@ _COMMAND_FLAGS = {
     **{name: _ELEMENT for name in ("inv", "norm", "trace", "charpoly")},
     "add": _ELEMENT + ["--b"],
     "mul": _ELEMENT + ["--b", "--via"],
-    "search": ["--disc", "--degree", "--height", "--max-a0", "--jobs"],
+    "search": ["--disc", "--degree", "--height", "--max-a0"],
     "verify-tables": ["--file"],
     "syzygy": ["--cubic", "--quartic"],
     "diag-check": ["--pair", "--coords"],

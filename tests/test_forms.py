@@ -14,7 +14,7 @@ from arithmat.errors import (
     UnsupportedDegreeError,
     ZeroPolynomialError,
 )
-from arithmat import forms, polyring
+from arithmat import element, fastmul, forms, numeric, polyring
 from arithmat.field import EssentialPair, make_field
 from arithmat.forms import (
     _ACCEPT_PRIMES,
@@ -883,6 +883,46 @@ class TestTracedDiscriminantEdge:
             value = form_discriminant(B)
         assert det.call_count == (1 if 5 <= n <= 8 else 0)
         assert value == util.sylvester_discriminant(B.coeffs)
+
+
+# caller, (owner, name) of the callee it must reach, and a call on a quartic field
+_TRACED_EDGES = {
+    "element.norm -> det_exact": ((element, "det_exact"), lambda F, a, b: element.norm(F, a)),
+    "element.inverse -> ExactMatrix.inverse": (
+        (polyring.ExactMatrix, "inverse"), lambda F, a, b: element.inverse(F, a)
+    ),
+    "fastmul.mul_via_fft -> exact_convolve": (
+        (fastmul, "exact_convolve"), lambda F, a, b: fastmul.mul_via_fft(F, a, b)
+    ),
+    "numeric.diagonalization_residual -> arithmetic_matrix": (
+        (numeric, "arithmetic_matrix"), lambda F, a, b: numeric.diagonalization_residual(F, a)
+    ),
+}
+
+
+class TestTracedCallEdges:
+    """The traced benchmark run averages each of these callees over the spans
+    it finds under its caller (`SpanView.mean_ms`), so an edge that goes
+    makes it divide by zero, as the discriminant edge above would; CI's traced
+    smoke run would fail, and this suite would not without these tests."""
+
+    @pytest.mark.parametrize("edge", sorted(_TRACED_EDGES))
+    def test_caller_reaches_callee(self, edge):
+        (owner, name), call = _TRACED_EDGES[edge]
+        F = make_field(EssentialPair.from_text("1:1,1,0,-2,-1"))
+        original = getattr(owner, name)
+        # a method needs autospec to be called with its instance
+        wrap = {"autospec": True, "side_effect": original} if isinstance(owner, type) else {"wraps": original}
+        with mock.patch.object(owner, name, **wrap) as callee:
+            call(F, F.element([1, 2, 0, -1]), F.element([3, 0, 1, 1]))
+        assert callee.call_count >= 1
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_certificate_reaches_is_irreducible_through_degree_five(self, n):
+        B = BinaryForm([1] + [0] * (n - 2) + [1, 3])
+        with mock.patch.object(forms, "is_irreducible", wraps=is_irreducible) as decide:
+            irreducibility_certificate(B)
+        assert decide.call_count == 1
 
 
 class TestTextFormat:

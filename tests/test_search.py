@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import isqrt
@@ -652,6 +653,51 @@ class TestPairFromElement:
             else:
                 assert_found_pair(F, pair)
         assert seen_none >= 10
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("a0", range(1, 4))
+    def test_pair_exactly_when_the_paper_conditions_hold(self, a0, n):
+        # the oracle is the paper's statement, on the norm, the inverse and the
+        # trace: D / disc a positive square, D | disc * N and D | disc * (N Tr(1/alpha))^2
+        from arithmat.polyring import poly_discriminant
+
+        rng = random.Random(100 * a0 + n)
+        pair = util.random_pair(rng, n, a0=a0, hi=3)
+        while pair.form.coeffs[-1] != 1:
+            pair = util.random_pair(rng, n, a0=a0, hi=3)
+        F = make_field(pair)
+        # with a_{n+1} = 1, 1/zeta = -a_n - omega_{n-1} (n >= 3; -a2 - a0 omega_1 at
+        # n = 2) is integral, and its reversed characteristic polynomial is B
+        coords = [-pair.form.coeffs[-2]] + [0] * (n - 1)
+        coords[-1] = -a0 if n == 2 else -1
+        assert essential_pair_from_element(F, F.element(coords)) == pair
+        refused = 0
+        for k in range(60):
+            alpha = util.random_element(F, rng, bound=1 + k % 2, nonzero=True)
+            if k % 6 == 0:
+                alpha = el.scale(F, Fraction(1, rng.choice((2, 3))), alpha)
+            D = poly_discriminant(el.char_poly(F, alpha))
+            if D == 0:
+                with pytest.raises(DegenerateElementError):
+                    essential_pair_from_element(F, alpha)
+                continue
+            found = essential_pair_from_element(F, alpha)
+            expected = False
+            if el.is_integral(F, alpha):
+                ratio = D / F.disc
+                N = el.norm(F, alpha)
+                k2 = (N * el.trace(F, el.inverse(F, alpha))) ** 2
+                expected = (
+                    ratio.denominator == 1 and ratio > 0 and isqrt(int(ratio)) ** 2 == ratio
+                    and (F.disc * N / D).denominator == 1 and (F.disc * k2 / D).denominator == 1
+                )
+                refused += not expected
+            assert (found is not None) == expected, alpha
+            if found is not None:
+                assert found.a0**2 == D / F.disc
+                assert found.form.coeffs == el.char_poly(F, alpha).coeffs
+                assert_found_pair(F, found)
+        assert refused  # an integral element whose pair fails the conditions
 
     def test_degree_six_field_supported(self):
         rng = random.Random(4)
