@@ -225,20 +225,12 @@ def _cmd_verify_tables(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         rows = parse_table_rows(fh.read())
     report = verify_tables(rows)
-    if args.json:
-        _print_json(
-            {
-                "command": "verify-tables",
-                "rows_checked": report.rows_checked,
-                "failures": [
-                    {"row": idx, "disc": row[0], "a0": row[1],
-                     "coeffs": list(row[2]), "reason": reason}
-                    for idx, row, reason in report.failures
-                ],
-            }
-        )
-    else:
-        print(report)
+    failures = [
+        {"row": idx, "disc": row[0], "a0": row[1], "coeffs": list(row[2]), "reason": reason}
+        for idx, row, reason in report.failures
+    ]
+    record = {"command": "verify-tables", "rows_checked": report.rows_checked, "failures": failures}
+    _emit(args, str(report), record)
     return 0 if report.ok else 3
 
 

@@ -105,14 +105,11 @@ def _binary_poly(coeffs) -> MultiPoly:
 
 
 def _scaled_norm(coeffs) -> tuple[MultiPoly, MultiPoly]:
-    """n^n * det(N) on the coordinate symbols, and s with the trace t = n*u - s.
-
-    s is the sum of k * a_{k+1} * x_k over the coordinates x_k after u.
-    """
+    """n^n * det(N) on the coordinate symbols, and s with the trace t = n*u - s,
+    read off N: u is N[0, 0], the first coordinate."""
     n = len(coeffs) - 1
     N = _symbolic_matrix(coeffs, 1)
-    s = sum((k * coeffs[k] * x for k, x in enumerate(N.column(0)[1:], start=1)), MultiPoly.const(0))
-    return n**n * det_cofactor(N), s
+    return n**n * det_cofactor(N), n * N[0, 0] - N.trace()
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,8 @@ import operator
 from fractions import Fraction
 
 from .errors import ZeroElementError
-from .field import Element, NumberField, basis_change_matrix
-from .field import integer_matrix, integer_trace, require_same_field
+from .field import Element, NumberField, integer_matrix, integer_trace, require_same_field
+from .field import to_power_basis
 from .polyring import ExactMatrix, UniPoly, det_exact, exact, resultant
 
 
@@ -65,8 +65,7 @@ def norm_resultant_oracle(F: NumberField, alpha: Element) -> Fraction:
     require_same_field(F, alpha)
     if alpha.is_zero():
         raise ZeroElementError("the zero element has no resultant norm")
-    power_coeffs = basis_change_matrix(F).apply(list(alpha.coords))
-    P = UniPoly(power_coeffs)
+    P = UniPoly(to_power_basis(F, alpha.coords))
     f = F.pair.form.dehomogenized()
     return resultant(f, P) / Fraction(F.coeff(1)) ** P.degree
 

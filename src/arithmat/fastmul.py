@@ -19,8 +19,8 @@ Polynomial products are exact integer convolutions by Kronecker
 substitution: each coefficient sequence is packed into one integer, the two
 integers are multiplied once, and the coefficients are read back as signed
 digits.  The transform multiplication route maps elements to the power
-basis, convolves, pseudo-divides by the defining polynomial and maps back,
-all in integers.
+basis and back through `field`'s basis change, and between the two it
+convolves and pseudo-divides by the defining polynomial, all in integers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from __future__ import annotations
 import operator
 
 from .errors import ArithmatError, DimensionMismatchError
-from .field import Element, NumberField, common_numerators, integer_matrix, require_same_field
+from .field import Element, NumberField, common_numerators, from_power_basis, integer_matrix
+from .field import require_same_field, to_power_basis
 from .polyring import ExactMatrix, exact_int
 
 
@@ -231,28 +232,15 @@ def exact_convolve(F: list[int], G: list[int]) -> list[int]:
 def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
     """Multiply by converting to the power basis, convolving, and converting back.
 
-    The basis change from omega-coordinates to zeta-power coefficients is
-    upper triangular with diagonal 1, a1/a0, a1, ..., a1 and entry a_{j-i+1}
-    above it (`field.basis_change_matrix`); a1/a0 is an integer because
-    a0^2 | a1.  The integer numerators of both elements are mapped through
-    it, convolved exactly, pseudo-reduced modulo f = B(x, 1) with one factor
-    a1 per step, and mapped back by exact integer divisions.  The result is
-    those integers over the product of both denominators and the factors a1.
+    The integer numerators of both elements are mapped to zeta-power
+    coefficients (`field.to_power_basis`), convolved exactly, pseudo-reduced
+    modulo f = B(x, 1) with one factor a1 per step, and mapped back by exact
+    back substitution (`field.from_power_basis`).  The result is those
+    integers over the product of both denominators and the factors a1.
     """
     require_same_field(F, alpha, beta)
-    n = F.n
-    a = F.pair.form.coeffs
-    diag = [1, a[0] // F.a0] + [a[0]] * (n - 2)
-
-    def above(i: int, v: list[int]) -> int:
-        """Row i of the basis change applied to v, diagonal left out."""
-        return sum(map(operator.mul, a[1 : n - i], v[i + 1 : n])) if i else 0
-
-    xa, xb = alpha.num, beta.num
-    prod = exact_convolve(
-        [diag[i] * xa[i] + above(i, xa) for i in range(n)],
-        [diag[i] * xb[i] + above(i, xb) for i in range(n)],
-    )
+    n, a = F.n, F.pair.form.coeffs
+    prod = exact_convolve(to_power_basis(F, alpha.num), to_power_basis(F, beta.num))
     scale = alpha.den * beta.den
     for top in range(len(prod) - 1, n - 1, -1):
         lead = prod.pop()
@@ -260,11 +248,7 @@ def mul_via_fft(F: NumberField, alpha: Element, beta: Element) -> Element:
         for k in range(1, n + 1):
             prod[top - k] -= lead * a[k]
         scale *= a[0]
-    for i in range(n - 1, 0, -1):
-        prod[i], rem = divmod(prod[i] - above(i, prod), diag[i])
-        if rem:
-            raise ArithmatError("the product's basis change back was not exact")
-    return Element.over(F, prod, scale)
+    return Element.over(F, from_power_basis(F, prod), scale)
 
 
 def batch_multiply(

@@ -9,9 +9,12 @@ The context fixes the integral basis
     omega_0 = 1,  omega_1 = (a1/a0) * zeta,
     omega_j = a1*zeta^j + a2*zeta^(j-1) + ... + aj*zeta   (j >= 2)
 
-where zeta is a root of B(x, 1).  Multiplication by an element alpha with
-coordinates (x0, ..., x_{n-1}) over this basis is encoded in an n x n matrix
-whose first column is the coordinate vector; the remaining entries are
+where zeta is a root of B(x, 1).  This module is the basis's one home: the
+basis change to the coefficients of zeta^0 .. zeta^(n-1), `to_power_basis`,
+its exact inverse `from_power_basis` and `basis_change_matrix` share one set
+of rows, kept on the field once built.  Multiplication by an element alpha
+with coordinates (x0, ..., x_{n-1}) over this basis is encoded in an n x n
+matrix whose first column is the coordinate vector; the remaining entries are
 integer-coefficient polynomials in the coordinates.  The integer kernel
 (`integer_matrix`) evaluates those entries on integer coordinates in O(n^2)
 by running sums along the matrix's diagonals, in one pass for every a0;
@@ -23,10 +26,12 @@ and in `element` and `fastmul`.
 
 from __future__ import annotations
 
+import operator
 from math import lcm
 from typing import Sequence
 
 from .errors import (
+    ArithmatError,
     DimensionMismatchError,
     DivisibilityError,
     FieldMismatchError,
@@ -83,13 +88,14 @@ class EssentialPair:
 class NumberField:
     """Field context: pair (its scale checked here) and the form's degree."""
 
-    __slots__ = ("pair", "n", "embedding")
+    __slots__ = ("pair", "n", "embedding", "_basis")
 
     def __init__(self, pair: EssentialPair):
         check_scale(pair)
         self.pair = pair
         self.n = pair.form.degree
         self.embedding = None  # numeric.EmbeddingData, kept once built
+        self._basis = None  # `_basis_rows`, kept once built
 
     @property
     def a0(self) -> int:
@@ -338,22 +344,47 @@ def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") 
 # ----------------------------------------------------------------------
 
 
+def _basis_rows(F: NumberField) -> list[tuple[int, ...]]:
+    """Rows 2 .. n of the basis change, row i from its diagonal on:
+    a_1, ..., a_{n-i+1}, with a1/a0 for a1 in row 2, an integer because F
+    checked a0^2 | a1.  Row 1 is e1: omega_0 = 1, and no other omega_j has a
+    constant term.  Kept on F, where callers read it first."""
+    a, n = F.pair.form.coeffs, F.n
+    rows = F._basis = [(a[0] // F.pair.a0,) + a[1 : n - 1]]
+    for i in range(2, n):
+        rows.append((a[0],) + a[1 : n - i])
+    return rows
+
+
+def to_power_basis(F: NumberField, xs: Sequence) -> list:
+    """The zeta^0 .. zeta^(n-1) coefficients of the element with
+    omega-coordinates xs (ints or Fractions): `basis_change_matrix` times xs."""
+    rows = F._basis or _basis_rows(F)
+    return [xs[0]] + [sum(map(operator.mul, row, xs[i:])) for i, row in enumerate(rows, 1)]
+
+
+def from_power_basis(F: NumberField, ys: Sequence[int]) -> list[int]:
+    """The integer omega-coordinates of the element with zeta-power
+    coefficients ys, by exact back substitution through the triangular basis
+    change; ArithmatError when they are not integers."""
+    rows, xs = F._basis or _basis_rows(F), list(ys)
+    for i in range(F.n - 1, 0, -1):
+        row = rows[i - 1]
+        xs[i], rem = divmod(xs[i] - sum(map(operator.mul, row[1:], xs[i + 1 :])), row[0])
+        if rem:
+            raise ArithmatError("the basis change back to omega-coordinates was not exact")
+    return xs
+
+
 def basis_change_matrix(F: NumberField) -> ExactMatrix:
     """Integer matrix sending omega-basis coordinates to zeta-power coefficients.
 
     Row 1 is e1; for i >= 2 the (i, j) entry is a_{j-i+1}, with the (2, 2)
-    entry scaled to a1/a0, an integer because F checked a0^2 | a1 when it
-    was built.  The matrix is upper triangular and invertible.
+    entry scaled to a1/a0 (`_basis_rows`).  The matrix is upper triangular
+    and invertible.
     """
-    n = F.n
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = 1
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            rows[i - 1][j - 1] = F.coeff(j - i + 1)
-    if n >= 2:
-        rows[1][1] = F.coeff(1) // F.a0
-    return ExactMatrix.from_rows(rows)
+    rows = [(0,) * i + row for i, row in enumerate(F._basis or _basis_rows(F), 1)]
+    return ExactMatrix.from_rows([(1,) + (0,) * (F.n - 1)] + rows)
 
 
 def integral_basis_description(F: NumberField) -> list[UniPoly]:

@@ -128,16 +128,15 @@ def _gfp_trim(a):
 
 
 def _gfp_roots(f, p):
-    """The roots of f modulo p, found by evaluation: Horner in integers, one
-    remainder per residue."""
-    roots, high = [], f[::-1]
+    """The roots of f modulo p, yielded in increasing order as they are found
+    by evaluation: Horner in integers, one remainder per residue."""
+    high = f[::-1]
     for r in range(p):
         acc = 0
         for c in high:
             acc = acc * r + c
         if not acc % p:
-            roots.append(r)
-    return roots
+            yield r
 
 
 def _gfp_gcd(a, b, p):
@@ -199,8 +198,8 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int, d: int) -> bool:
     """Irreducibility of the reduction f of cs modulo p, degree n preserved;
     d is the discriminant of cs.
 
-    Degree 1 is irreducible.  A root, found by evaluating f at each residue,
-    is a linear factor.  Without one, every factor has degree >= 2, so a
+    Degree 1 is irreducible.  A root, the first `_gfp_roots` finds, is a
+    linear factor.  Without one, every factor has degree >= 2, so a
     cubic is irreducible, and at degrees 4 and 5 f is irreducible or splits
     as (2, n - 2): irreducible exactly when it is squarefree with one factor,
     which `_stickelberger_allows` reads off d (Swan's form of the theorem
@@ -218,19 +217,15 @@ def _gfp_is_irreducible(cs: tuple[int, ...], p: int, d: int) -> bool:
     n = len(cs) - 1
     if n == 1:
         return True
-    high = [c % p for c in reversed(cs)]
-    for r in range(p):  # `_gfp_roots`, stopping at the first root
-        acc = 0
-        for c in high:
-            acc = acc * r + c
-        if not acc % p:
-            return False
+    f = [c % p for c in cs]
+    if next(_gfp_roots(f, p), None) is not None:
+        return False
     if n < 4:
         return True
     if n < 6:
         return _stickelberger_allows(d, n, p)
-    inv = pow(high[0], p - 2, p)
-    f = [(c * inv) % p for c in cs]
+    inv = pow(f[-1], p - 2, p)
+    f = [(c * inv) % p for c in f]
     pack, residues, mulmod, power = _gfp_packing(f, p)
     q, r = divmod(p, 2 * n - 2)
     rows = [1, power(r)]
@@ -301,7 +296,7 @@ def _reductions(cs, d):
     for p in _primes():
         if cs[-1] % p and d % p:
             f = [c % p for c in cs]
-            yield p, f, _gfp_roots(f, p)
+            yield p, f, list(_gfp_roots(f, p))
 
 
 def _modulus(p, bound):

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithmat import covariants, field, symbolic
 from arithmat.errors import (
+    ArithmatError,
     DimensionMismatchError,
     DivisibilityError,
     ReducibleFormError,
@@ -13,11 +15,14 @@ from arithmat.errors import (
 from arithmat.field import (
     Element,
     EssentialPair,
+    NumberField,
     _diagonal_sums,
     arithmetic_matrix,
     basis_change_matrix,
+    from_power_basis,
     integral_basis_description,
     make_field,
+    to_power_basis,
 )
 from arithmat.forms import BinaryForm, form_discriminant
 from arithmat.polyring import ExactMatrix, UniPoly
@@ -299,7 +304,52 @@ class TestArithmeticMatrix:
             F.element([1, 2])
 
 
+_BIG = st.integers(-10**200, 10**200)
+
+
+@st.composite
+def _scaled_fields(draw, steep=False):
+    """A field context of degree 2-16 at a0 = 1-4 with coefficients up to
+    10^200; NumberField checks only the scale, which the basis change needs.
+    steep asks for |a1/a0| > 1, so that zeta is not integral over omega."""
+    n, a0 = draw(st.integers(2, 16)), draw(st.integers(1, 4))
+    c1 = draw(_BIG.filter(lambda c: abs(c * a0) > 1 if steep else c))
+    rest = draw(st.lists(_BIG, min_size=n, max_size=n))
+    rest[0] *= a0
+    rest[-1] = rest[-1] or 1
+    return NumberField(EssentialPair(a0, BinaryForm([c1 * a0 * a0] + rest)))
+
+
+def _coords(F, rational=False):
+    entry = st.one_of(_BIG, st.builds(Fraction, _BIG, st.integers(1, 10**200))) if rational else _BIG
+    return st.lists(entry, min_size=F.n, max_size=F.n)
+
+
 class TestBasisData:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_to_power_basis_is_the_basis_change_matrix(self, data):
+        F = data.draw(_scaled_fields())
+        xs = data.draw(_coords(F, rational=True))
+        assert to_power_basis(F, xs) == basis_change_matrix(F).apply(xs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_from_power_basis_inverts_it_on_integers(self, data):
+        F = data.draw(_scaled_fields())
+        xs = data.draw(_coords(F))
+        assert from_power_basis(F, to_power_basis(F, xs)) == xs
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_from_power_basis_rejects_a_point_outside_the_image(self, data):
+        # an image point plus zeta = e1 needs the coordinate 1/(a1/a0) on omega_1
+        F = data.draw(_scaled_fields(steep=True))
+        ys = to_power_basis(F, data.draw(_coords(F)))
+        ys[1] += 1
+        with pytest.raises(ArithmatError):
+            from_power_basis(F, ys)
+
     def test_basis_change_degree_three_readoff(self):
         F = make_field(EssentialPair(1, BinaryForm([2, 1, -3, -1])))
         A = basis_change_matrix(F)

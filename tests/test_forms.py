@@ -23,6 +23,7 @@ from arithmat.forms import (
     _gfp_gcd,
     _gfp_is_irreducible,
     _gfp_packing,
+    _gfp_roots,
     _gfp_trim,
     _primitive_monic_sign,
     _small_factor,
@@ -304,6 +305,9 @@ class TestModPIrreducibility:
     def test_matches_brute_force_divisor_search(self, case):
         p, low, lead = case
         cs = (*low, lead)
+        roots = _gfp_roots([c % p for c in cs], p)
+        assert iter(roots) is roots  # lazy, so the accept scan can stop at the first
+        assert list(roots) == [r for r in range(p) if sum(c * r**k for k, c in enumerate(cs)) % p == 0]
         d = coeffs_discriminant(cs[::-1])
         if lead % p == 0:
             assert _gfp_is_irreducible(cs, p, d) is False
