@@ -21,7 +21,7 @@ import argparse
 import importlib.util
 import sys
 
-from .errors import ArithmatError, DimensionMismatchError, MissingDependencyError
+from .errors import ArithmatError, DimensionMismatchError
 
 
 def _lazy_submodule(name: str):
@@ -252,21 +252,12 @@ def _cmd_syzygy(args) -> int:
 
 
 def _cmd_diag_check(args) -> int:
-    # field and its imports compile before numpy loads, which keeps the peak RSS down
+    from .embedding import diagonalization_residual  # plain floats: no numpy import
     from .field import Element, EssentialPair, make_field
-
-    try:
-        from . import numeric  # numpy is imported for this command only
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        raise MissingDependencyError(
-            "diag-check needs numpy, which is not installed (pip install numpy)"
-        ) from exc
 
     F = make_field(EssentialPair.from_text(args.pair))
     alpha = Element.from_text(F, args.coords)
-    residual = numeric.diagonalization_residual(F, alpha)
+    residual = diagonalization_residual(F, alpha)
     _emit(
         args,
         repr(residual),
@@ -340,6 +331,10 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # a value past Python's int-to-str digit limit is a value, not an argument error
+    lift_digit_limit = getattr(sys, "set_int_max_str_digits", None)  # Python 3.10.7 and later
+    if lift_digit_limit is not None:
+        lift_digit_limit(0)
     sys.exit(run_command(sys.argv[1:]))
 
 

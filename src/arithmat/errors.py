@@ -64,7 +64,3 @@ class FloatRangeError(ArithmatError):
 
 class NonIntegerEntryError(ArithmatError):
     """An exact integer algorithm received non-integer entries."""
-
-
-class MissingDependencyError(ArithmatError):
-    """An optional third-party package that the operation needs is not installed."""

@@ -1,90 +1,36 @@
-"""Floating-point verification layer: roots, embeddings, diagonalization.
+"""Floating-point verification layer on numpy: roots, embeddings, diagonalization.
 
 Everything exact lives elsewhere; this module computes complex roots and the
 embedding matrix, and certifies the diagonalization of the multiplication
 matrices numerically.  No exact result is read off a float here: the cubic
-index form and the quartic subforms are computed in `covariants`.
+index form and the quartic subforms are computed in `covariants`.  numpy
+serves batches of certificates: the embedding is kept on the field and each
+certificate is a few matrix products.  A one-shot call, such as `arithmat
+diag-check`, uses the plain-float route in `embedding`, which shares this
+module's polish and checks and spares the process numpy's import.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import ArithmatError, FloatRangeError, RootConvergenceError, ZeroDiscriminantError
+from .embedding import _floats, form_floats, polish
+from .errors import ArithmatError
 from .field import Element, NumberField, arithmetic_matrix, basis_change_matrix
-from .forms import BinaryForm, form_discriminant
-
-_ROOT_TOL = 1e-10
-_MAX_NEWTON = 60
-
-
-def _floats(values) -> list[float]:
-    """float() of each int or Fraction; one beyond float64 range raises a
-    FloatRangeError that names the size of the largest."""
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        big = max(values, key=abs)
-        bits = big.numerator.bit_length() - big.denominator.bit_length()
-        raise FloatRangeError(
-            f"a value of about 10^{round(bits * math.log10(2))} does not fit a float64"
-        ) from None
+from .forms import BinaryForm
 
 
 def find_roots(B: BinaryForm) -> list[complex]:
     """All n complex roots of B(x, 1), polished and deterministically ordered.
 
-    Companion-matrix eigenvalues give the starting points; Newton iteration
-    sharpens them to near machine precision.  The polish is what keeps the
-    diagonalization certificate under its 1e-8 bound at degrees 8-12:
-    without it, the certificate misses of the benchmark's ring workload over
-    seeds 1-12 doubled (44 to 88).  Roots are sorted by (real,
-    imaginary).  Raises on a zero discriminant, read from the form, which
-    keeps it, and when a polished residual stays above tolerance.
+    Companion-matrix eigenvalues give the starting points, and
+    `embedding.polish` sharpens them to near machine precision, checks each
+    against its tolerance and sorts them by (real, imaginary).  Raises on a
+    zero discriminant, read from the form, which keeps it, and when a
+    polished residual stays above tolerance.
     """
-    if form_discriminant(B) == 0:
-        raise ZeroDiscriminantError("root finder requires distinct roots")
-    coeffs_high = _floats(B.coeffs)
-    roots = np.roots(coeffs_high)
-
-    def f(z: complex) -> complex:
-        acc = 0j
-        for c in coeffs_high:
-            acc = acc * z + c
-        return acc
-
-    def fp(z: complex) -> complex:
-        n = len(coeffs_high) - 1
-        acc = 0j
-        for k, c in enumerate(coeffs_high[:-1]):
-            acc = acc * z + c * (n - k)
-        return acc
-
-    polished = []
-    for z in roots:
-        z = complex(z)
-        for _ in range(_MAX_NEWTON):
-            d = fp(z)
-            if d == 0:
-                break
-            step = f(z) / d
-            z -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(z)):
-                break
-        try:
-            scale = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(reversed(coeffs_high)))
-        except OverflowError:
-            raise FloatRangeError(
-                f"a root of about 10^{round(math.log10(abs(z)))} has powers beyond float64 range"
-            ) from None
-        if abs(f(z)) > _ROOT_TOL * scale:
-            raise RootConvergenceError(
-                f"residual {abs(f(z)):.3e} exceeds tolerance for root {z}"
-            )
-        polished.append(z)
-    return sorted(polished, key=lambda w: (w.real, w.imag))
+    coeffs = form_floats(B)
+    return polish(coeffs, np.roots(coeffs))
 
 
 def _float_matrix(M) -> np.ndarray:

@@ -7,11 +7,12 @@ an interpreter without it) and checks two sets of records:
 
 * every record of `cli_golden.json`, replayed in this process by `replay`,
   which `test_cli_golden.py` also checks and records with.  Each must match
-  within 60 s.  `diag-check`, the one command that needs
-  numpy, must instead exit 2 with a typed `MissingDependencyError`;
+  within 60 s.  That includes `diag-check`: numpy serves batches of
+  certificates (`arithmat.numeric`), and a one-shot call certifies in plain
+  floats (`arithmat.embedding`), so every command runs without numpy;
 * `PINS`: the checks that transcript cannot hold, because they need a `-c`
-  snippet, stderr text, a tighter time bound or `--help`.  Each runs in a
-  fresh interpreter with numpy blocked the same way.
+  snippet, stderr text, a tighter time bound, `--help` or the CLI's own
+  `main`.  Each runs in a fresh interpreter with numpy blocked the same way.
 
 No record may print a traceback.  The script prints one line per failing
 record, naming it, and exits 1 if any fails.  It imports nothing beyond the
@@ -169,6 +170,24 @@ PINS = [
         "print(ExactMatrix.from_rows([[1, 2], [3, 4]]).inverse())",
         "[-2, 1]\n[3/2, -1/2]\n",
     ),
+    # a degree-8 certificate in plain floats; the residual's last digits are the platform's
+    Pin(
+        "diag-check-degree-8",
+        "import contextlib, io\n"
+        "from arithmat.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = run_command(['diag-check', '--pair', '1:1,0,0,0,0,0,0,0,2', '--coords', '1,2,3,4,5,6,7,8'])\n"
+        "print(code, float(out.getvalue()) < 1e-8)",
+        "0 True\n",
+    ),
+    # values past Python's 4300-digit int-to-str limit, which `main` lifts: in x^2 - 2 the
+    # trace of a 5000-digit omega_1 coordinate is 0, and in x^8 + 2 the norm of 10^600 is 10^4800
+    Pin("input-past-digit-limit", ["trace", "--pair", "1:1,0,-2", "--a", "0," + "9" * 5000], "0\n"),
+    Pin(
+        "output-past-digit-limit",
+        ["norm", "--pair", "1:1,0,0,0,0,0,0,0,2", "--a", "1" + "0" * 600 + ",0,0,0,0,0,0,0"],
+        "1" + "0" * 4800 + "\n",
+    ),
     # a call parses with its own subparser; help and usage errors print what the full parser prints
     Pin(
         "help",
@@ -282,10 +301,6 @@ def check_golden(entries: list[dict]) -> list[str]:
     for entry in entries:
         name = " ".join(entry["argv"])
         name = name if len(name) <= 80 else name[:77] + "..."
-        if "diag-check" in entry["argv"]:
-            want_code, want_stderr = 2, "MissingDependencyError"
-        else:
-            want_code, want_stderr = entry["code"], ""
         watchdog = threading.Timer(_GOLDEN_BOUND_S, _overrun, [name])
         watchdog.start()
         try:
@@ -295,7 +310,7 @@ def check_golden(entries: list[dict]) -> list[str]:
             continue
         finally:
             watchdog.cancel()
-        problem = _mismatch(record["code"], record["stdout"], stderr, want_code, entry["stdout"], want_stderr)
+        problem = _mismatch(record["code"], record["stdout"], stderr, entry["code"], entry["stdout"], "")
         if problem:
             failures.append(f"{name}: {problem}")
     return failures

@@ -1,9 +1,11 @@
-"""The package's source runs the same under `python -O`.
+"""Checks on the package's source: it runs the same under `python -O`, and
+only `numeric` imports numpy.
 
 Optimisation changes a module only through what it strips or exposes: assert
 statements, the name `__debug__` and the interpreter flags in `sys.flags`.
 Source without any of them behaves the same with asserts stripped, so the
-suite need not run twice.
+suite need not run twice.  numpy serves `numeric`'s batches of certificates;
+every other module, and so every CLI command, runs without it.
 """
 
 import ast
@@ -46,3 +48,26 @@ def test_source_does_not_depend_on_optimization(path):
 )
 def test_each_construct_is_found(snippet):
     assert list(_optimization_dependent(ast.parse(snippet)))
+
+
+def _imports_numpy(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            return True
+    return False
+
+
+def test_only_numeric_imports_numpy():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert [name for name, tree in trees.items() if _imports_numpy(tree)] == ["numeric.py"]
+
+
+@pytest.mark.parametrize("snippet", ["import numpy as np", "import numpy.linalg", "from numpy import roots"])
+def test_each_numpy_import_is_found(snippet):
+    assert _imports_numpy(ast.parse(snippet))

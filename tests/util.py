@@ -12,7 +12,7 @@ from arithmat.forms import (
     irreducibility_certificate,
     is_irreducible,
 )
-from arithmat.errors import ZeroPolynomialError
+from arithmat.errors import ArithmatError, ZeroPolynomialError
 from arithmat.polyring import ExactMatrix, UniPoly, det_bareiss
 
 
@@ -129,3 +129,72 @@ def bezout_discriminant(coeffs) -> int:
     value, rem = divmod(det_bareiss(rows), coeffs[0] ** 2)
     assert rem == 0
     return value
+
+
+def newton_polish_oracle(coeffs_high, z: complex) -> tuple[complex, int]:
+    """The Newton polish as a plain 60-step loop, and the steps it ran: the
+    oracle of `embedding._newton`, which stops early on a cycle."""
+    n = len(coeffs_high) - 1
+
+    def f(z):
+        acc = 0j
+        for c in coeffs_high:
+            acc = acc * z + c
+        return acc
+
+    def fp(z):
+        acc = 0j
+        for k, c in enumerate(coeffs_high[:-1]):
+            acc = acc * z + c * (n - k)
+        return acc
+
+    for steps in range(1, 61):
+        d = fp(z)
+        if d == 0:
+            return z, steps - 1
+        step = f(z) / d
+        z -= step
+        if abs(step) <= 1e-16 * max(1.0, abs(z)):
+            return z, steps
+    return z, 60
+
+
+# the ring workload's pool slots (perfbench/workloads.py, `Ring`): scales a0 per degree
+RING_SLOTS = {n: (1,) * 16 + (2,) * 4 + (3,) * 4 if n <= 5 else (1, 1, 1, 1, 2, 2) for n in range(2, 13)}
+RING_COUNTS = {2: 60, 3: 60, 4: 100, 5: 20, 6: 16, 7: 14, 8: 12, 9: 10, 10: 10, 11: 8, 12: 20}
+
+
+def ring_pool(seed: int) -> dict[int, list[NumberField]]:
+    """The ring workload's field pool at `seed`, drawn as `Ring.setup` draws it."""
+    rng = random.Random(f"ring-pool:{seed}")
+    pool = {}
+    for n, a0s in RING_SLOTS.items():
+        pool[n] = []
+        for a0 in a0s:
+            while True:
+                rest = [rng.randint(-9, 9) for _ in range(n)]
+                rest[0] *= a0
+                while rest[-1] == 0:
+                    rest[-1] = rng.randint(-9, 9)
+                try:
+                    lead = rng.randint(1, 9) * a0 * a0
+                    pool[n].append(make_field(EssentialPair(a0, BinaryForm([lead, *rest]))))
+                    break
+                except ArithmatError:
+                    pass
+    return pool
+
+
+def ring_certificates(seed: int):
+    """(field, element) of each ring request at `seed` and ten seconds, in plan order
+    before the shuffle, drawn as `Ring.__init__` draws them."""
+    rng, pool = random.Random(f"ring:{seed}"), ring_pool(seed)
+    for n, count in RING_COUNTS.items():
+        for k in range(count):
+            alpha = [0] * n
+            while not any(alpha):
+                alpha = [rng.randint(-10, 10) for _ in range(n)]
+            for _ in range(n):  # beta, the second operand, which no certificate reads
+                rng.randint(-10, 10)
+            F = pool[n][k % len(RING_SLOTS[n])]
+            yield F, F.element(alpha)
