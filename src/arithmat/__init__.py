@@ -14,7 +14,9 @@ of an element over the distinguished integral basis.  Submodules:
     covariants  cubic/quartic covariants, syzygies, norm equations,
                 the cubic index form and the quartic subforms
     fastmul     counted fast matrix products and exact convolution
-    numeric     floating-point verification layer
+    numeric     floating-point verification layer, on numpy for batches
+    embedding   plain-float roots and the one-shot diagonalization
+                certificate, with no numpy
     search      essential-pair search and table verification
     cli         command line front end
 

@@ -221,16 +221,16 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     if abs(det2 - disc) > 1e-6 * max(1.0, abs(disc)):
         raise ArithmatError(f"det(Gamma)^2 = {det2:.6g} does not match the discriminant {F.disc}")
     M = arithmetic_matrix(F, alpha)
-    N = [_floats(M.row(i)) for i in range(M.rows)]
+    N_columns = list(zip(*[_floats(M.row(i)) for i in range(M.rows)]))
     x = _floats(alpha.coords)
     residuals = []
     try:
         for row in gamma:
             theta = sum(g * c for g, c in zip(row, x))
-            for j, col in enumerate(zip(*N)):
+            for j, col in enumerate(N_columns):
                 residuals.append(abs(sum(g * c for g, c in zip(row, col)) - theta * row[j]))
     except OverflowError:  # finite parts whose modulus is not
         residuals.append(math.inf)
-    if not math.isfinite(sum(residuals)):
+    if not all(map(math.isfinite, residuals)):
         raise FloatRangeError("the diagonalization residual does not fit a float64")
     return max(residuals)
