@@ -18,6 +18,7 @@ of an element over the distinguished integral basis.  Submodules:
     embedding   plain-float roots and the one-shot diagonalization
                 certificate, with no numpy
     search      essential-pair search and table verification
+    errors      the exception hierarchy, rooted at ArithmatError
     cli         command line front end
 
 The package is lazy (PEP 562): `import arithmat` loads no submodule, and each

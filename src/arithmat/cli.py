@@ -147,6 +147,7 @@ def _print_json(record: dict) -> None:
 
 
 def _emit(args, plain: str, record: dict) -> None:
+    """Print the plain text, or under --json the record, for every subcommand but search."""
     if args.json:
         _print_json(record)
     else:
@@ -211,6 +212,7 @@ def _cmd_search(args) -> int:
     from .search import search_essential_pairs
 
     pairs = search_essential_pairs(args.disc, args.degree, args.height, args.max_a0)
+    # not `_emit`: with no pairs the plain output is empty, not one blank line
     if args.json:
         _print_json({"command": "search", "disc": args.disc, "pairs": [p.text() for p in pairs]})
     else:

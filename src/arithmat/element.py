@@ -1,19 +1,19 @@
 """Ring arithmetic on elements, on their integer multiplication matrices.
 
 An element with coordinates x over the common denominator d has the matrix
-N = A / d, with A the integer matrix of d*x (``field.integer_matrix``, built
-in O(n^2) by running sums along its diagonals).  The numerators d*x and A are
-built once per element and kept on it, so every operation below on the same
-element shares them.  Each operation is integer linear algebra on A, divided
-by a power of d once: mul applies A to the other element's column, trace is
-the linear trace form on d*x, norm is det A by Bareiss elimination, inverse
-is d * A^-1 e1 by a fraction-free solve, and char_poly is Le Verrier over the
-integers.  Since A^k is the matrix of (d*alpha)^k, whose coordinates
-A^(k-1) (d*x) cost one matrix-vector product, each power sum tr(A^k) is one
-trace-form evaluation.  Elements hold integer numerators over one denominator
-(`field.Element`), and every result is built from integers by `Element.over`,
-so no Fraction is made between operations.  An independent resultant-based
-norm is provided as a cross-check oracle.
+N = A / d, with A the integer matrix of d*x (``field.integer_matrix``).  The
+numerators d*x and A are built once per element and kept on it, so every
+operation below on the same element shares them.  Each operation is integer
+linear algebra on A, divided by a power of d once: mul applies A to the other
+element's column, trace is the linear trace form on d*x, norm is det A by
+Bareiss elimination, inverse is d * A^-1 e1 by a fraction-free solve, and
+char_poly is Le Verrier over the integers.  Since A^k is the matrix of
+(d*alpha)^k, whose coordinates A^(k-1) (d*x) cost one matrix-vector product,
+each power sum tr(A^k) is one trace-form evaluation.  Elements hold integer
+numerators over one denominator (`field.Element`), and every result is built
+from integers by `Element.over`, so no Fraction is made between operations.
+An independent resultant-based norm, on the power-basis coefficients of
+`field.to_power_basis`, is provided as a cross-check oracle.
 """
 
 from __future__ import annotations

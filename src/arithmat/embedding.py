@@ -9,8 +9,9 @@ for one certificate in one process, which `arithmat diag-check` runs:
 `diagonalization_residual` builds Gamma, checks det(Gamma)^2 against the
 field discriminant and measures max |Gamma N - Theta Gamma| in plain complex
 arithmetic.  Both raise what their `numeric` namesakes raise, in the same
-order and with the same messages.  `numeric` keeps numpy for batches of
-certificates, where its matrix products pay for the import.
+order and with the same messages: both routes run `check_det_squared` and
+`fitting_residual`.  `numeric` keeps numpy for batches of certificates, where
+its matrix products pay for the import.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def _newton(coeffs: list[float], z: complex) -> complex:
 
 def polish(coeffs: list[float], starts) -> list[complex]:
     """The roots that Newton's iteration reaches from `starts`, sorted by
-    (real, imaginary), each checked against its polynomial's tolerance.
+    (real, imaginary), each residual checked against 1e-10 times
+    sum |c_k| max(1, |z|)^k: relative to the root's size, with no fixed bound.
 
     The polish is what keeps the diagonalization certificate under its 1e-8
     bound at degrees 8-12: without it, the certificate misses of the
@@ -204,11 +206,26 @@ def _det_squared(roots: list[complex], diagonal: list[float]) -> complex:
         return complex(math.inf)
 
 
+def check_det_squared(F: NumberField, det2: complex) -> None:
+    """Raise ArithmatError unless det(Gamma)^2 = det2 matches F's
+    discriminant to 1e-6, relative to its size when that passes 1."""
+    disc = _floats([F.disc])[0]
+    if abs(det2 - disc) > 1e-6 * max(1.0, abs(disc)):
+        raise ArithmatError(f"det(Gamma)^2 = {det2:.6g} does not match the discriminant {F.disc}")
+
+
+def fitting_residual(residuals) -> float:
+    """The largest of the residuals, after a FloatRangeError when one is
+    not a finite float: an overflow past float64 leaves inf or nan."""
+    if not all(map(math.isfinite, residuals)):
+        raise FloatRangeError("the diagonalization residual does not fit a float64")
+    return max(residuals)
+
+
 def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     """Max-norm of Gamma*N - Theta*Gamma, Theta the diagonal of embedded
     images, in plain floats; `numeric.diagonalization_residual` computes the
-    same with numpy.  A residual that is not a finite float raises
-    FloatRangeError."""
+    same with numpy."""
     roots = find_roots(F.pair.form)
     B = basis_change_matrix(F)
     columns = [_floats(B.column(k)) for k in range(F.n)]
@@ -216,10 +233,7 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     for z in roots:
         powers = [z**j for j in range(F.n)]
         gamma.append([sum(p * b for p, b in zip(powers, col)) for col in columns])
-    disc = _floats([F.disc])[0]
-    det2 = _det_squared(roots, [col[k] for k, col in enumerate(columns)])
-    if abs(det2 - disc) > 1e-6 * max(1.0, abs(disc)):
-        raise ArithmatError(f"det(Gamma)^2 = {det2:.6g} does not match the discriminant {F.disc}")
+    check_det_squared(F, _det_squared(roots, [col[k] for k, col in enumerate(columns)]))
     M = arithmetic_matrix(F, alpha)
     N_columns = list(zip(*[_floats(M.row(i)) for i in range(M.rows)]))
     x = _floats(alpha.coords)
@@ -231,6 +245,4 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
                 residuals.append(abs(sum(g * c for g, c in zip(row, col)) - theta * row[j]))
     except OverflowError:  # finite parts whose modulus is not
         residuals.append(math.inf)
-    if not all(map(math.isfinite, residuals)):
-        raise FloatRangeError("the diagonalization residual does not fit a float64")
-    return max(residuals)
+    return fitting_residual(residuals)

@@ -8,19 +8,13 @@ multiplications by forming, for row i and column j,
 
 so that X + Z is twice a rank-one correction R_i + S_j and X - (X+Z)/2
 recovers AB.  Z is only needed for j in {1, i}; the remaining corrections
-follow from Y[i][j] = Y[i][1] + Y[1][j] - Y[1][1].  It runs on the integer
-numerators of A and B (`ExactMatrix.integer_rows`) and divides by the product
-of their denominators once.  The recursive variant splits into half-size
-blocks and uses the seven-product scheme, padding to an even dimension at
-every level; it runs on the numerators too, and since it uses no division
-it also takes symbolic entries, on their values.
+follow from Y[i][j] = Y[i][1] + Y[1][j] - Y[1][1].  The recursive variant
+splits into half-size blocks and uses the seven-product scheme, padding to an
+even dimension at every level.  Both run on the integer numerators.
 
-Polynomial products are exact integer convolutions by Kronecker
-substitution: each coefficient sequence is packed into one integer, the two
-integers are multiplied once, and the coefficients are read back as signed
-digits.  The transform multiplication route maps elements to the power
-basis and back through `field`'s basis change, and between the two it
-convolves and pseudo-divides by the defining polynomial, all in integers.
+Polynomial products are exact integer convolutions by Kronecker substitution
+(`exact_convolve`), which the transform multiplication route `mul_via_fft`
+runs between `field`'s basis changes.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from .polyring import (
 
 
 class EssentialPair:
-    """A scale factor a0 >= 1 together with a binary form."""
+    """An integer scale factor a0 >= 1 together with a binary form."""
 
     __slots__ = ("a0", "form")
 
@@ -149,8 +149,9 @@ class Element:
 
     Stored as integer numerators `num` over one denominator `den` >= 1 with
     gcd(den, *num) = 1, the one form of each value, which equality and hashing
-    use; `coords` builds the exact values on demand.  `Element(F, coords)`
-    checks outside values, and operations build results with `Element.over`.
+    use; the read-only `coords` builds the exact values on demand.
+    `Element(F, coords)` checks outside values, and operations build results
+    with `Element.over`.
     The integer matrix (`integer_matrix`) is built on first use and kept.
     """
 
@@ -216,7 +217,8 @@ def require_same_field(F: NumberField, *elements: Element) -> None:
 
 
 def check_scale(pair: EssentialPair) -> None:
-    """The discriminant-free conditions: a0 >= 1, a0^2 | a1 and a0 | a2."""
+    """The discriminant-free conditions, a DivisibilityError each: a0 >= 1,
+    a0^2 | a1 and a0 | a2."""
     a0 = pair.a0
     if a0 < 1:
         raise DivisibilityError("a0 must be a positive integer")
@@ -326,9 +328,9 @@ def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") 
     Column 1 carries alpha's coordinates; integer coordinates give integer
     entries and conversely.  The default "explicit" is the integer kernel: it
     divides `integer_matrix` by its common denominator.  The "substitution"
-    route is an independent oracle at every a0 (at a0 = 1 it evaluates the
-    paper's formula, which `symbolic.matrix_from_coefficients(..., "explicit")`
-    builds at any a0).
+    route, which imports `symbolic`, is an independent oracle at every a0 (at
+    a0 = 1 it evaluates the paper's formula, which
+    `symbolic.matrix_from_coefficients(..., "explicit")` builds at any a0).
     """
     require_same_field(F, alpha)
     if method != "explicit":

@@ -1,21 +1,20 @@
 """Floating-point verification layer on numpy: roots, embeddings, diagonalization.
 
-Everything exact lives elsewhere; this module computes complex roots and the
-embedding matrix, and certifies the diagonalization of the multiplication
-matrices numerically.  No exact result is read off a float here: the cubic
-index form and the quartic subforms are computed in `covariants`.  numpy
-serves batches of certificates: the embedding is kept on the field and each
-certificate is a few matrix products.  A one-shot call, such as `arithmat
-diag-check`, uses the plain-float route in `embedding`, which shares this
-module's polish and checks and spares the process numpy's import.
+Everything exact lives elsewhere: no exact result is read off a float here,
+and the cubic index form and the quartic subforms are computed in
+`covariants`.  This is the one module that imports numpy, which serves
+batches of certificates: the embedding is kept on the field and each
+certificate is a few matrix products.  No CLI command imports it: a one-shot
+call, such as `arithmat diag-check`, takes the plain-float route in
+`embedding`.  The two routes keep their own arithmetic and run `embedding`'s
+checks: the polish, the det(Gamma)^2 comparison and the float64 range test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .embedding import _floats, form_floats, polish
-from .errors import ArithmatError
+from .embedding import _floats, check_det_squared, fitting_residual, form_floats, polish
 from .field import Element, NumberField, arithmetic_matrix, basis_change_matrix
 from .forms import BinaryForm
 
@@ -41,8 +40,9 @@ class EmbeddingData:
     """Roots, the Vandermonde matrix, and the complex basis-embedding matrix.
 
     Gamma's rows are the embeddings applied to the basis (1, omega_1, ...);
-    its squared determinant must reproduce the field discriminant, which is
-    asserted on construction.
+    its squared determinant must reproduce the field discriminant, which
+    `embedding.check_det_squared` checks on construction.  The roots are
+    checked distinct against the discriminant the field's form holds.
     """
 
     __slots__ = ("field", "roots", "gamma")
@@ -54,12 +54,7 @@ class EmbeddingData:
         xi = np.array([[z**j for j in range(n)] for z in self.roots], dtype=complex)
         self.gamma = xi @ _float_matrix(basis_change_matrix(F))
         self.gamma.flags.writeable = False
-        disc = _floats([F.disc])[0]
-        det2 = complex(np.linalg.det(self.gamma)) ** 2
-        if abs(det2 - disc) > 1e-6 * max(1.0, abs(disc)):
-            raise ArithmatError(
-                f"det(Gamma)^2 = {det2:.6g} does not match the discriminant {F.disc}"
-            )
+        check_det_squared(F, complex(np.linalg.det(self.gamma)) ** 2)
 
     def embed(self, alpha: Element) -> np.ndarray:
         """Images of alpha under each embedding (Gamma times the coordinates)."""
@@ -81,12 +76,14 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     """Max-norm of Gamma*N - Theta*Gamma, Theta the diagonal of embedded images.
 
     A small residual certifies numerically that the eigenvalues of the
-    multiplication matrix are the embedding images of the element.
+    multiplication matrix are the embedding images of the element.  One
+    that is not a finite float raises FloatRangeError (`fitting_residual`).
     """
     emb = embedding_data(F)
     Nf = _float_matrix(arithmetic_matrix(F, alpha))
     theta = np.diag(emb.embed(alpha))
-    return float(np.max(np.abs(emb.gamma @ Nf - theta @ emb.gamma)))
+    # numpy's max carries an inf or nan through, so one test covers every entry
+    return fitting_residual((float(np.max(np.abs(emb.gamma @ Nf - theta @ emb.gamma))),))
 
 
 def eigenvalue_match_residual(F: NumberField, alpha: Element) -> float:

@@ -5,24 +5,23 @@ scalar they store passes through `exact`: an integral value is an int, and a
 Fraction is made only when a division leaves a remainder; `exact_int` is the
 same rule for a value that must be an integer, and raises
 NonIntegerEntryError otherwise.  Polynomials display their signed terms
-through one renderer.  ExactMatrix is stored as field elements are: integer
-numerators over one denominator, put in lowest terms by `reduced`, with the
-exact entries built on demand by `values`.  Its determinant, inverse
-and products (`@` and the `fastmul` strategies) run on the numerators and
-divide by a power of the denominator once.  A symbolic matrix holds
-`SymbolicEntry` values (`symbolic.MultiPoly`, which this module never
-imports) over denominator 1; its determinant and inverse raise
-NonIntegerEntryError, and `symbolic.det_cofactor` expands the determinant.
+through one renderer, which `symbolic` shares.  ExactMatrix is stored as
+field elements are: integer numerators over one denominator, put in lowest
+terms by `reduced`, with the exact entries built on demand by `values`.  Its
+determinant, inverse and products (`@` and the `fastmul` strategies) run on
+the numerators and divide by a power of the denominator once.  A symbolic
+matrix holds `SymbolicEntry` values (`symbolic.MultiPoly`, which this module
+never imports) over denominator 1; its determinant, inverse and
+`fastmul.ww_multiply` raise NonIntegerEntryError naming the operation, and
+`symbolic.det_cofactor` expands the determinant.
 A product with a symbolic factor multiplies the values, which may then meet
 a rational factor's Fractions.  Matrix products and traces add their terms
 with plain `sum`, which symbolic entries join through `0 + p`.
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads.  Determinants
 and inverses share one fraction-free (Bareiss) elimination over the integers,
-and resultants one Bezout determinant.  Discriminants choose their route by
-degree: closed forms at degrees 2 to 4, the subresultant PRS from degree 9,
-and between them the Bezout determinant of a form's two partial
-derivatives, (n - 1) x (n - 1), over +-n^(n - 2).
+and resultants one Bezout determinant; `coeffs_discriminant` picks a form's
+discriminant route by degree.
 """
 
 from __future__ import annotations
@@ -303,7 +302,9 @@ class ExactMatrix:
     """Dense matrix held, row by row, as integer numerators `num` over one
     denominator `den` >= 1 with gcd(den, *num) = 1, which equality and hashing
     use; `entries`, `row`, `column` and `[i, j]` build the values on demand.  A
-    symbolic matrix keeps its entries, MultiPoly or exact scalars, over den = 1."""
+    symbolic matrix keeps its entries, MultiPoly or exact scalars, over den = 1.
+    `ExactMatrix(rows, cols, entries)` checks outside values; integer
+    operations build their results with `ExactMatrix.over`."""
 
     __slots__ = ("rows", "cols", "num", "den")
 
@@ -564,7 +565,8 @@ def _subresultant(a, b) -> int:
 def _quartic_ij(coeffs):
     """I and J of the quartic with coefficients a..e (integers or symbolic).
 
-    They satisfy 4*I^3 - J^2 = 27*disc, which the search solves on.
+    They satisfy 4*I^3 - J^2 = 27*disc, which the search solves on; this is
+    their one definition, which `covariants` imports.
     """
     a, b, c, d, e = coeffs
     i_inv = 12 * a * e - 3 * b * d + c * c
@@ -616,8 +618,9 @@ def coeffs_discriminant(coeffs) -> int:
 
 
 def det_bareiss(M):
-    """Fraction-free determinant of square integer rows (an int) or of a
-    rational ExactMatrix A / den, which is det A / den^n (a Fraction)."""
+    """Fraction-free determinant of square integer rows (an int; ragged rows
+    raise DimensionMismatchError) or of a rational ExactMatrix A / den, which
+    is det A / den^n (a Fraction)."""
     if isinstance(M, ExactMatrix):
         if not M.is_square():  # a 0 x k matrix has no row to show its width
             raise NonSquareMatrixError("determinant of a non-square matrix")

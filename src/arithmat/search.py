@@ -328,16 +328,11 @@ def search_essential_pairs(
     """All essential pairs for the given discriminant inside the search box.
 
     For each a0 up to a0_max the box is |a_i| <= height * a0^2 with a1 > 0
-    restricted to multiples of a0^2 and a2 to multiples of a0.  The
-    candidate loops run over a2 >= 0 only, and at a0 = 1 from degree 3 on
-    also over |a_n| <= a2 only.  Each hit stands for its orbit under the
-    mirror B(x, -y) (a2, a4, ... negated) and, at a0 = 1 from degree 3 on,
-    the reversal sign(a_(n+1)) B(y, x): every member has the same
-    discriminant, is irreducible with it, and lies in the box (see the
-    module docstring).  Each orbit is decided once, on the least member the
-    loops visit, and an irreducible one adds every member once.  Results
-    are sorted by (a0, coefficients); an empty list is a valid outcome.
-    ``jobs`` is accepted for compatibility and ignored.
+    restricted to multiples of a0^2 and a2 to multiples of a0.  The loops
+    visit part of it, and each irreducible hit adds its orbit under the
+    symmetries of the module docstring.  Results are sorted by (a0,
+    coefficients); an empty list is a valid outcome.  ``jobs`` is accepted
+    for compatibility and ignored.
     """
     if degree not in _CANDIDATE_GENS:
         raise UnsupportedDegreeError("search supports degrees 2 to 5")
@@ -437,8 +432,8 @@ def parse_table_rows(text: str) -> list[tuple[int, int, tuple[int, ...]]]:
 
 
 def verify_tables(rows: list[tuple[int, int, tuple[int, ...]]]) -> TableReport:
-    """Recheck every row: the exact discriminant, then `make_field`, whose
-    error message is the reason."""
+    """Recheck every row: the exact discriminant, which must be disc * a0^2,
+    then `make_field`, whose error message is the reason."""
     report = TableReport()
     for idx, row in enumerate(rows, start=1):
         disc, a0, coeffs = row

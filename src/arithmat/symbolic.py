@@ -44,10 +44,10 @@ class MultiPoly(SymbolicEntry):
     `terms` maps each monomial (a name-sorted tuple of (name, exponent)
     pairs, exponents > 0, and () for the constant) to its nonzero
     coefficient.  That is the one stored form: equal polynomials have equal
-    `terms` whatever variables built them, so polynomials over different
-    variables combine with no alignment, and `vars` lists the names that
-    occur.  The constructor's input format is exponent tuples aligned to
-    `variables`.
+    `terms` and hashes (a constant hashes as its value) whatever variables
+    built them, so polynomials over different variables combine with no
+    alignment, and `vars` lists the names that occur.  The constructor's input
+    format is exponent tuples aligned to `variables`.
     """
 
     __slots__ = ("terms",)

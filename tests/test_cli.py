@@ -14,6 +14,7 @@ import arithmat
 from arithmat import cli
 from arithmat.cli import run_command
 from arithmat.search import bundled_table_path
+from test_cli_golden import _ARGVS
 
 _REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -378,6 +379,11 @@ _README_EXAMPLES = _readme_examples()
 
 def test_readme_lists_every_subcommand_example():
     assert len(_README_EXAMPLES) == 14
+
+
+def test_readme_examples_are_the_first_golden_argvs():
+    # so `cli_golden.json` pins the stdout of every example the README shows
+    assert _README_EXAMPLES == _ARGVS[: len(_README_EXAMPLES)]
 
 
 @pytest.mark.parametrize("argv", _README_EXAMPLES, ids=[a[0] for a in _README_EXAMPLES])

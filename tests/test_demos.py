@@ -1,10 +1,20 @@
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+_REPO = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((_REPO / "demos").glob("*.py"))
+
+
+def test_readme_lists_every_demo():
+    lines = (_REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    block = lines[lines.index("## Demos"):]
+    block = block[block.index("```sh") + 1:]
+    listed = [shlex.split(line, comments=True)[1] for line in block[: block.index("```")]]
+    assert listed == [f"demos/{p.name}" for p in DEMOS]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from arithmat import embedding, numeric
-from arithmat.errors import FloatRangeError, RootConvergenceError, ZeroDiscriminantError
+from arithmat.errors import (
+    ArithmatError,
+    FloatRangeError,
+    RootConvergenceError,
+    ZeroDiscriminantError,
+)
+from arithmat.field import EssentialPair, make_field
 from arithmat.forms import BinaryForm
 
 import util
@@ -100,3 +106,27 @@ def test_det_squared_survives_a_product_past_float64():
     # the squared differences multiply to 2.56e902, and the squared diagonal brings it back
     det2 = embedding._det_squared([-2e150, 0j, 2e150], [1e-200, 1e-200])
     assert det2 == pytest.approx(2.56e102)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_both_routes_refuse_a_residual_past_float64():
+    # every input fits a float64, but Gamma N does not: numpy's products leave nan
+    F = make_field(EssentialPair.from_text(f"1:1,{10**154},1"))
+    alpha = F.element([1, 10**100])
+    messages = set()
+    for residual in (embedding.diagonalization_residual, numeric.diagonalization_residual):
+        with pytest.raises(FloatRangeError) as raised:
+            residual(F, alpha)
+        messages.add(str(raised.value))
+    assert messages == {"the diagonalization residual does not fit a float64"}
+
+
+def test_both_routes_check_det_squared_alike(monkeypatch):
+    # a discriminant 1 % off fails the one det(Gamma)^2 comparison, on both routes
+    F = make_field(EssentialPair.from_text("2:4,-2,-3,1,1"))
+    monkeypatch.setattr(type(F), "disc", property(lambda self: 513 + 513 // 100))
+    for residual in (embedding.diagonalization_residual, numeric.diagonalization_residual):
+        # the routes' det(Gamma)^2 differ in their last bits, so only the value's head is pinned
+        message = r"^det\(Gamma\)\^2 = 513\S* does not match the discriminant 518$"
+        with pytest.raises(ArithmatError, match=message):
+            residual(F, F.element([1, 2, 0, -1]))

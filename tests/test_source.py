@@ -1,5 +1,6 @@
-"""Checks on the package's source: it runs the same under `python -O`, and
-only `numeric` imports numpy.
+"""Checks on the package's source: it runs the same under `python -O`, only
+`numeric` imports numpy, and every module is listed once in the package
+docstring and once in the README's layout table.
 
 Optimisation changes a module only through what it strips or exposes: assert
 statements, the name `__debug__` and the interpreter flags in `sys.flags`.
@@ -10,10 +11,12 @@ every other module, and so every CLI command, runs without it.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "arithmat").glob("*.py"))
+_REPO = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((_REPO / "src" / "arithmat").glob("*.py"))
 
 
 def _optimization_dependent(tree: ast.AST):
@@ -71,3 +74,18 @@ def test_only_numeric_imports_numpy():
 @pytest.mark.parametrize("snippet", ["import numpy as np", "import numpy.linalg", "from numpy import roots"])
 def test_each_numpy_import_is_found(snippet):
     assert _imports_numpy(ast.parse(snippet))
+
+
+_MODULES = sorted(p.stem for p in SOURCES if p.stem != "__init__")
+
+
+def test_package_docstring_lists_each_module_once():
+    doc = ast.get_docstring(ast.parse((_REPO / "src" / "arithmat" / "__init__.py").read_text()))
+    listed = re.findall(r"^    (\w+) ", doc, flags=re.MULTILINE)
+    assert sorted(listed) == _MODULES
+
+
+def test_readme_layout_has_one_row_per_module():
+    readme = (_REPO / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `arithmat\.(\w+)`", readme, flags=re.MULTILINE)
+    assert sorted(rows) == _MODULES
