@@ -58,24 +58,28 @@ def _horner(coeffs: list[float], z: complex) -> complex:
     return acc
 
 
-def _newton(coeffs: list[float], z: complex) -> complex:
+def _newton(coeffs: list[float], slopes: list[float], z: complex) -> complex:
     """z after Newton's iteration on the polynomial with coefficients
-    `coeffs` (leading first), stopped by a zero derivative, by a step at
-    float64 resolution or after `_MAX_NEWTON` steps.
+    `coeffs` and derivative `slopes` (leading first; `_horner`'s loops,
+    inline), stopped by a zero derivative, by a step at float64 resolution
+    or after `_MAX_NEWTON` steps.
 
     A converged root can cycle between neighbouring floats without its step
     ever meeting the resolution test.  The map is a function of z alone, so
     once an iterate repeats, the one the last step would reach is read off
     the cycle.
     """
-    n = len(coeffs) - 1
-    slopes = [c * (n - k) for k, c in enumerate(coeffs[:-1])]
     iterates, seen = [z], {z: 0}
     for k in range(1, _MAX_NEWTON + 1):
-        d = _horner(slopes, z)
+        d = 0j
+        for c in slopes:
+            d = d * z + c
         if d == 0:
             return z
-        step = _horner(coeffs, z) / d
+        value = 0j
+        for c in coeffs:
+            value = value * z + c
+        step = value / d
         z -= step
         if abs(step) <= 1e-16 * max(1.0, abs(z)):
             return z
@@ -91,17 +95,21 @@ def polish(coeffs: list[float], starts) -> list[complex]:
     (real, imaginary), each residual checked against 1e-10 times
     sum |c_k| max(1, |z|)^k: relative to the root's size, with no fixed bound.
 
-    The polish is what keeps the diagonalization certificate under its 1e-8
-    bound at degrees 8-12: without it, the certificate misses of the
-    benchmark's ring workload over seeds 1-12 doubled (44 to 88).  A root
-    whose powers pass float64 range raises FloatRangeError, and one whose
-    residual is above tolerance, or not a number, RootConvergenceError.
+    f' and the |c_k| are computed once per polynomial.  The polish is what
+    keeps the diagonalization certificate under its 1e-8 bound at degrees
+    8-12: without it, the certificate misses of the benchmark's ring
+    workload over seeds 1-12 doubled (44 to 88).  A root whose powers pass
+    float64 range raises FloatRangeError, and one whose residual is above
+    tolerance, or not a number, RootConvergenceError.
     """
+    slopes = [c * k for c, k in zip(coeffs, range(len(coeffs) - 1, 0, -1))]
+    sizes = [abs(c) for c in reversed(coeffs)]
     polished = []
     for z in starts:
-        z = _newton(coeffs, complex(z))
+        z = _newton(coeffs, slopes, complex(z))
         try:
-            scale = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(reversed(coeffs)))
+            radius = max(1.0, abs(z))
+            scale = sum(s * radius**k for k, s in enumerate(sizes))
         except OverflowError:
             raise FloatRangeError(
                 f"a root of about 10^{round(math.log10(abs(z)))} has powers beyond float64 range"

@@ -18,7 +18,9 @@ matrix whose first column is the coordinate vector; the remaining entries are
 integer-coefficient polynomials in the coordinates.  The integer kernel
 (`integer_matrix`) evaluates those entries on integer coordinates in O(n^2)
 by running sums along the matrix's diagonals, in one pass for every a0;
-`symbolic` runs the same kernel on symbols.  The paper's explicit entry
+`symbolic` runs the same kernel on symbols.  The trace is linear: the
+traces of the basis elements are kept on the field beside the basis rows,
+built on first use and never by `make_field`.  The paper's explicit entry
 formulas and the substitution route, the kernel's oracles, live there.  Every
 operation that takes an element checks it with `require_same_field`, here
 and in `element` and `fastmul`.
@@ -88,7 +90,7 @@ class EssentialPair:
 class NumberField:
     """Field context: pair (its scale checked here) and the form's degree."""
 
-    __slots__ = ("pair", "n", "embedding", "_basis")
+    __slots__ = ("pair", "n", "embedding", "_basis", "_trace")
 
     def __init__(self, pair: EssentialPair):
         check_scale(pair)
@@ -96,6 +98,7 @@ class NumberField:
         self.n = pair.form.degree
         self.embedding = None  # numeric.EmbeddingData, kept once built
         self._basis = None  # `_basis_rows`, kept once built
+        self._trace = None  # the traces of the basis, kept by `integer_trace`
 
     @property
     def a0(self) -> int:
@@ -316,10 +319,13 @@ def integer_matrix(F: NumberField, alpha: Element) -> tuple[tuple[tuple[int, ...
 
 
 def integer_trace(F: NumberField, xs: Sequence[int]) -> int:
-    """Trace of the arithmetic matrix on integer coordinates:
-    n*x0 - (a2/a0)*x1 - sum_{j>=2} j*a_{j+1}*x_j, with a0 | a2 checked by F."""
-    a = F.pair.form.coeffs
-    return F.n * xs[0] - a[1] // F.a0 * xs[1] - sum(j * a[j] * xs[j] for j in range(2, F.n))
+    """Trace of the arithmetic matrix on integer coordinates: xs dotted with
+    the traces of omega_0 .. omega_{n-1}, which are n, -a2/a0 (a0 | a2
+    checked by F) and -j*a_{j+1} for j >= 2, kept on F once built."""
+    if F._trace is None:
+        a = F.pair.form.coeffs
+        F._trace = (F.n, -(a[1] // F.a0)) + tuple(-j * a[j] for j in range(2, F.n))
+    return sum(map(operator.mul, F._trace, xs))
 
 
 def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") -> ExactMatrix:

@@ -3,11 +3,12 @@
 Everything exact lives elsewhere: no exact result is read off a float here,
 and the cubic index form and the quartic subforms are computed in
 `covariants`.  This is the one module that imports numpy, which serves
-batches of certificates: the embedding is kept on the field and each
-certificate is a few matrix products.  No CLI command imports it: a one-shot
-call, such as `arithmat diag-check`, takes the plain-float route in
-`embedding`.  The two routes keep their own arithmetic and run `embedding`'s
-checks: the polish, the det(Gamma)^2 comparison and the float64 range test.
+batches of certificates: the roots and Gamma are kept on the field once
+built, and each certificate is a few matrix products on N's numerators over
+its denominator.  No CLI command imports it: a one-shot call, such as
+`arithmat diag-check`, takes the plain-float route in `embedding`.  The two
+routes keep their own arithmetic and run `embedding`'s checks: the polish,
+the det(Gamma)^2 comparison and the float64 range test.
 """
 
 from __future__ import annotations
@@ -15,32 +16,40 @@ from __future__ import annotations
 import numpy as np
 
 from .embedding import _floats, check_det_squared, fitting_residual, form_floats, polish
-from .field import Element, NumberField, arithmetic_matrix, basis_change_matrix
+from .field import Element, NumberField, _basis_rows, arithmetic_matrix, require_same_field
 from .forms import BinaryForm
 
 
 def find_roots(B: BinaryForm) -> list[complex]:
     """All n complex roots of B(x, 1), polished and deterministically ordered.
 
-    Companion-matrix eigenvalues give the starting points, and
+    Starts are the eigenvalues of the companion matrix `np.roots` builds
+    (a form's end coefficients are nonzero, so it trims none), and
     `embedding.polish` sharpens them to near machine precision, checks each
     against its tolerance and sorts them by (real, imaginary).  Raises on a
     zero discriminant, read from the form, which keeps it, and when a
     polished residual stays above tolerance.
     """
     coeffs = form_floats(B)
-    return polish(coeffs, np.roots(coeffs))
+    companion = np.diag(np.ones(len(coeffs) - 2), -1)
+    companion[0] = -np.array(coeffs[1:]) / coeffs[0]
+    return polish(coeffs, np.linalg.eigvals(companion))
 
 
 def _float_matrix(M) -> np.ndarray:
-    return np.array([_floats(M.row(i)) for i in range(M.rows)])
+    """M's entries as floats: x / den rounds once, as float(Fraction(x, den)) does."""
+    try:
+        return np.array([x / M.den for x in M.num]).reshape(M.rows, M.cols)
+    except OverflowError:  # `_floats` raises on the first row past float64 range
+        return np.array([_floats(M.row(i)) for i in range(M.rows)])
 
 
 class EmbeddingData:
     """Roots, the Vandermonde matrix, and the complex basis-embedding matrix.
 
-    Gamma's rows are the embeddings applied to the basis (1, omega_1, ...);
-    its squared determinant must reproduce the field discriminant, which
+    Gamma's rows are the embeddings applied to the basis (1, omega_1, ...),
+    the roots' Vandermonde matrix times the basis rows the field keeps; its
+    squared determinant must reproduce the field discriminant, which
     `embedding.check_det_squared` checks on construction.  The roots are
     checked distinct against the discriminant the field's form holds.
     """
@@ -52,14 +61,15 @@ class EmbeddingData:
         self.roots = find_roots(F.pair.form)
         n = F.n
         xi = np.array([[z**j for j in range(n)] for z in self.roots], dtype=complex)
-        self.gamma = xi @ _float_matrix(basis_change_matrix(F))
+        basis = [[0.0] * i + _floats(row) for i, row in enumerate(F._basis or _basis_rows(F), 1)]
+        self.gamma = xi @ np.array([[1.0] + [0.0] * (n - 1)] + basis)
         self.gamma.flags.writeable = False
         check_det_squared(F, complex(np.linalg.det(self.gamma)) ** 2)
 
     def embed(self, alpha: Element) -> np.ndarray:
         """Images of alpha under each embedding (Gamma times the coordinates)."""
-        x = np.array(_floats(alpha.coords))
-        return self.gamma @ x
+        require_same_field(self.field, alpha)
+        return self.gamma @ np.array(_floats(alpha.coords))
 
 
 def embedding_data(F: NumberField) -> EmbeddingData:
@@ -76,14 +86,15 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     """Max-norm of Gamma*N - Theta*Gamma, Theta the diagonal of embedded images.
 
     A small residual certifies numerically that the eigenvalues of the
-    multiplication matrix are the embedding images of the element.  One
-    that is not a finite float raises FloatRangeError (`fitting_residual`).
+    multiplication matrix are the embedding images of the element, Gamma
+    times N's first column, so `arithmetic_matrix` alone checks alpha's
+    field.  One not finite raises FloatRangeError (`fitting_residual`).
     """
-    emb = embedding_data(F)
+    gamma = embedding_data(F).gamma
     Nf = _float_matrix(arithmetic_matrix(F, alpha))
-    theta = np.diag(emb.embed(alpha))
+    theta = np.diag(gamma @ Nf[:, 0])
     # numpy's max carries an inf or nan through, so one test covers every entry
-    return fitting_residual((float(np.max(np.abs(emb.gamma @ Nf - theta @ emb.gamma))),))
+    return fitting_residual((float(np.max(np.abs(gamma @ Nf - theta @ gamma))),))
 
 
 def eigenvalue_match_residual(F: NumberField, alpha: Element) -> float:

@@ -38,12 +38,54 @@ def test_polish_stops_at_the_iterate_the_full_loop_reaches(pools):
         for fields in pools[seed].values():
             for F in fields:
                 coeffs = embedding.form_floats(F.pair.form)
+                slopes = [c * (F.n - k) for k, c in enumerate(coeffs[:-1])]
                 for z in np.roots(coeffs):
                     want, steps = util.newton_polish_oracle(coeffs, complex(z))
-                    got = embedding._newton(coeffs, complex(z))
+                    got = embedding._newton(coeffs, slopes, complex(z))
                     assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
                     stalled += steps == 60
     assert stalled >= 10
+
+
+def _attempt(call, *args):
+    try:
+        return call(*args)
+    except ArithmatError as exc:
+        return exc
+
+
+def _hexes(roots):
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_numeric_route_is_bit_identical_to_its_oracle(seed):
+    # per field: the roots bit by bit and Gamma byte by byte; per request: the residual's
+    # repr, or the repr of what the build or the certificate raised
+    oracles, requests = {}, 0
+    for F, alpha in util.ring_certificates(seed):
+        if F not in oracles:
+            want = oracles[F] = _attempt(util.numeric_embedding_oracle, F)
+            got = _attempt(numeric.embedding_data, F)
+            if isinstance(want, Exception):
+                assert repr(got) == repr(want), F.pair.text()
+            else:
+                assert _hexes(got.roots) == _hexes(want[0]), F.pair.text()
+                assert got.gamma.tobytes() == want[1].tobytes(), F.pair.text()
+        want = oracles[F]
+        if not isinstance(want, Exception):
+            want = _attempt(util.numeric_residual_oracle, F, alpha, want[1])
+        assert repr(_attempt(numeric.diagonalization_residual, F, alpha)) == repr(want)
+        requests += 1
+    assert requests == sum(util.RING_COUNTS.values())
+
+
+def test_plain_route_is_bit_identical_with_the_oracle_polish(monkeypatch):
+    requests = [(F, alpha) for F, alpha in util.ring_certificates(1) if F.n <= 7]
+    got = [repr(_attempt(embedding.diagonalization_residual, F, alpha)) for F, alpha in requests]
+    monkeypatch.setattr(embedding, "polish", util.polish_oracle)
+    assert got == [repr(_attempt(embedding.diagonalization_residual, F, alpha)) for F, alpha in requests]
+    assert len(got) == 270
 
 
 def test_every_numpy_root_has_a_plain_root_nearby(pools):
@@ -130,3 +172,11 @@ def test_both_routes_check_det_squared_alike(monkeypatch):
         message = r"^det\(Gamma\)\^2 = 513\S* does not match the discriminant 518$"
         with pytest.raises(ArithmatError, match=message):
             residual(F, F.element([1, 2, 0, -1]))
+
+
+def test_certificate_digest_tool_runs_on_one_seed():
+    import certificates
+
+    digest, misses = certificates.certificates(range(1, 2))
+    assert len(digest) == 16 and int(digest, 16) >= 0
+    assert list(misses) == [1] and 0 <= misses[1] <= sum(util.RING_COUNTS.values())

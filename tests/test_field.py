@@ -20,6 +20,8 @@ from arithmat.field import (
     arithmetic_matrix,
     basis_change_matrix,
     from_power_basis,
+    integer_matrix,
+    integer_trace,
     integral_basis_description,
     make_field,
     to_power_basis,
@@ -308,13 +310,14 @@ _BIG = st.integers(-10**200, 10**200)
 
 
 @st.composite
-def _scaled_fields(draw, steep=False):
+def _scaled_fields(draw, steep=False, max_degree=16, big=_BIG):
     """A field context of degree 2-16 at a0 = 1-4 with coefficients up to
-    10^200; NumberField checks only the scale, which the basis change needs.
-    steep asks for |a1/a0| > 1, so that zeta is not integral over omega."""
-    n, a0 = draw(st.integers(2, 16)), draw(st.integers(1, 4))
-    c1 = draw(_BIG.filter(lambda c: abs(c * a0) > 1 if steep else c))
-    rest = draw(st.lists(_BIG, min_size=n, max_size=n))
+    10^200, or as `max_degree` and `big` say; NumberField checks only the
+    scale, which the basis change needs.  steep asks for |a1/a0| > 1, so
+    that zeta is not integral over omega."""
+    n, a0 = draw(st.integers(2, max_degree)), draw(st.integers(1, 4))
+    c1 = draw(big.filter(lambda c: abs(c * a0) > 1 if steep else c))
+    rest = draw(st.lists(big, min_size=n, max_size=n))
     rest[0] *= a0
     rest[-1] = rest[-1] or 1
     return NumberField(EssentialPair(a0, BinaryForm([c1 * a0 * a0] + rest)))
@@ -323,6 +326,23 @@ def _scaled_fields(draw, steep=False):
 def _coords(F, rational=False):
     entry = st.one_of(_BIG, st.builds(Fraction, _BIG, st.integers(1, 10**200))) if rational else _BIG
     return st.lists(entry, min_size=F.n, max_size=F.n)
+
+
+class TestTraceForm:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_integer_trace_is_the_matrix_diagonal(self, data):
+        height = st.integers(-10**50, 10**50)
+        F = data.draw(_scaled_fields(max_degree=12, big=height))
+        xs = data.draw(st.lists(height, min_size=F.n, max_size=F.n))
+        rows, _ = integer_matrix(F, F.element(xs))
+        assert integer_trace(F, xs) == sum(rows[i][i] for i in range(F.n))
+
+    def test_make_field_leaves_it_unbuilt(self):
+        F = make_field(EssentialPair(2, BinaryForm([4, -2, -3, 1, 1])))
+        assert F._trace is None
+        assert integer_trace(F, [1, 0, 0, 0]) == 4
+        assert F._trace == (4, 1, 6, -3)
 
 
 class TestBasisData:

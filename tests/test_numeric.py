@@ -1,14 +1,17 @@
 import cmath
+import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from arithmat import element as el
-from arithmat import numeric
+from arithmat import field, numeric
 from arithmat.covariants import dh_cubic_form, quartic_subform
 from arithmat.errors import (
     ArithmatError,
+    FieldMismatchError,
     RootConvergenceError,
     UnsupportedDegreeError,
     ZeroDiscriminantError,
@@ -197,6 +200,26 @@ class TestEmbeddingCache:
         assert diagonalization_residual(F, F.one()) < 1e-12
         assert F.embedding is not None
 
+    def test_embed_refuses_an_element_of_another_field(self):
+        F = make_field(EssentialPair.from_text("1:1,1,-1"))
+        G = make_field(EssentialPair.from_text("1:1,0,-2"))
+        with pytest.raises(FieldMismatchError):
+            embedding_data(F).embed(G.element([0, 1]))
+
+    def test_the_certificate_checks_its_operand_as_arithmetic_matrix_does(self):
+        # embed's check is not run a second time: the residual reads the images off N
+        F = util.random_field(random.Random(15), 4)
+        alpha = util.random_element(F, random.Random(16))
+        embedding_data(F)
+        counts = []
+        for call in (field.arithmetic_matrix, diagonalization_residual):
+            check = mock.Mock(wraps=field.require_same_field)
+            with mock.patch.object(field, "require_same_field", check), \
+                    mock.patch.object(numeric, "require_same_field", check):
+                call(F, alpha)
+            counts.append(check.call_count)
+        assert counts[0] == counts[1] >= 1
+
     def test_cached_arrays_are_read_only(self):
         F = util.random_field(random.Random(14), 3)
         with pytest.raises(ValueError):
@@ -315,6 +338,18 @@ class TestQuarticSubform:
                 form, claimed = quartic_subform(F, i, j)
                 assert form_discriminant(form) == claimed
                 assert list(form.coeffs) == float_quartic_subform(F, i, j)
+
+    def test_pool_outputs_are_unchanged(self):
+        # a digest of every output on the pool above, recorded while `integer_trace`
+        # still evaluated its formula on each call
+        rng = random.Random(9)
+        pool = [util.random_field(rng, 4, hi=5) for _ in range(20)] + _scaled_fields(4)
+        digest = hashlib.sha256()
+        for F in pool:
+            for i, j in ((3, 4), (2, 4), (2, 3)):
+                form, claimed = quartic_subform(F, i, j)
+                digest.update(f"{form.text()};{claimed}\n".encode())
+        assert digest.hexdigest()[:16] == "f2fd26278a771199"
 
     def test_height_1e6_fields(self):
         # the float oracle cannot round at this height; the exact route decides

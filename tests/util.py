@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
-from arithmat.field import EssentialPair, NumberField, make_field
+import numpy as np
+
+from arithmat import embedding
+from arithmat.field import EssentialPair, NumberField, arithmetic_matrix, basis_change_matrix, make_field
 from arithmat.forms import (
     BinaryForm,
     _gfp_trim,
@@ -12,7 +16,7 @@ from arithmat.forms import (
     irreducibility_certificate,
     is_irreducible,
 )
-from arithmat.errors import ArithmatError, ZeroPolynomialError
+from arithmat.errors import ArithmatError, FloatRangeError, RootConvergenceError, ZeroPolynomialError
 from arithmat.polyring import ExactMatrix, UniPoly, det_bareiss
 
 
@@ -157,6 +161,47 @@ def newton_polish_oracle(coeffs_high, z: complex) -> tuple[complex, int]:
         if abs(step) <= 1e-16 * max(1.0, abs(z)):
             return z, steps
     return z, 60
+
+
+def polish_oracle(coeffs_high, starts) -> list[complex]:
+    """`embedding.polish` as it ran with no constant kept per polynomial: the
+    plain Newton loop from each start, then |c_k| and the scale per root."""
+    polished = []
+    for z in starts:
+        z = newton_polish_oracle(coeffs_high, complex(z))[0]
+        try:
+            scale = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(reversed(coeffs_high)))
+        except OverflowError:
+            raise FloatRangeError(
+                f"a root of about 10^{round(math.log10(abs(z)))} has powers beyond float64 range"
+            ) from None
+        residual = abs(embedding._horner(coeffs_high, z))
+        if not residual <= 1e-10 * scale:
+            raise RootConvergenceError(f"residual {residual:.3e} exceeds tolerance for root {z}")
+        polished.append(z)
+    return sorted(polished, key=lambda w: (w.real, w.imag))
+
+
+def numeric_embedding_oracle(F: NumberField) -> tuple[list[complex], np.ndarray]:
+    """The roots and Gamma of `numeric.EmbeddingData` in the float operations
+    they were first built with: `np.roots` starts, the oracle polish, and
+    the basis change read from `basis_change_matrix`'s values row by row."""
+    coeffs = embedding.form_floats(F.pair.form)
+    roots = polish_oracle(coeffs, np.roots(coeffs))
+    xi = np.array([[z**j for j in range(F.n)] for z in roots], dtype=complex)
+    B = basis_change_matrix(F)
+    gamma = xi @ np.array([embedding._floats(B.row(i)) for i in range(F.n)])
+    embedding.check_det_squared(F, complex(np.linalg.det(gamma)) ** 2)
+    return roots, gamma
+
+
+def numeric_residual_oracle(F: NumberField, alpha, gamma: np.ndarray) -> float:
+    """`numeric.diagonalization_residual` on the oracle's Gamma, with N read
+    from `arithmetic_matrix`'s values row by row and Theta from alpha's."""
+    M = arithmetic_matrix(F, alpha)
+    Nf = np.array([embedding._floats(M.row(i)) for i in range(F.n)])
+    theta = np.diag(gamma @ np.array(embedding._floats(alpha.coords)))
+    return embedding.fitting_residual((float(np.max(np.abs(gamma @ Nf - theta @ gamma))),))
 
 
 # the ring workload's pool slots (perfbench/workloads.py, `Ring`): scales a0 per degree
