@@ -42,7 +42,7 @@ def scale(F: NumberField, c, alpha: Element) -> Element:
 
 def mul(F: NumberField, alpha: Element, beta: Element) -> Element:
     """Exact product: alpha's matrix applied to beta's coordinate column."""
-    require_same_field(F, alpha, beta)
+    require_same_field(F, beta)
     rows, d = integer_matrix(F, alpha)
     return Element.over(F, [sum(map(operator.mul, row, beta.num)) for row in rows], d * beta.den)
 
@@ -55,7 +55,6 @@ def trace(F: NumberField, alpha: Element) -> Fraction:
 
 def norm(F: NumberField, alpha: Element) -> Fraction:
     """Norm of alpha: the determinant of its multiplication matrix."""
-    require_same_field(F, alpha)
     rows, d = integer_matrix(F, alpha)
     return Fraction(det_exact(rows), d**F.n)
 
@@ -72,10 +71,9 @@ def norm_resultant_oracle(F: NumberField, alpha: Element) -> Fraction:
 
 def inverse(F: NumberField, alpha: Element) -> Element:
     """Coordinates of 1/alpha: column 1 of the exact inverse matrix."""
-    require_same_field(F, alpha)
+    rows, d = integer_matrix(F, alpha)
     if alpha.is_zero():
         raise ZeroElementError("cannot invert the zero element")
-    rows, d = integer_matrix(F, alpha)
     inv = ExactMatrix.from_rows(rows).inverse(columns=(0,))
     return Element.over(F, [d * x for x in inv.num], inv.den)
 
@@ -85,7 +83,6 @@ def char_poly(F: NumberField, alpha: Element) -> UniPoly:
 
     Power sums p_k = tr(A^k), then Newton's identities, exact over the integers.
     """
-    require_same_field(F, alpha)
     n = F.n
     rows, d = integer_matrix(F, alpha)
     power = alpha.num

@@ -1,7 +1,8 @@
 """Plain-float embeddings: complex roots and the diagonalization certificate.
 
 This module imports no numpy.  It holds what both float routes share: the
-conversion of exact values to float64 (`_floats`), and the Newton polish and
+conversion of exact values to float64 (`_floats`), of N (`matrix_floats`)
+and of Gamma's basis factor (`basis_floats`), and the Newton polish and
 tolerance check that every root passes (`polish`).  It also holds the route
 for one certificate in one process, which `arithmat diag-check` runs:
 `find_roots` takes its starting points from Aberth's simultaneous iteration
@@ -20,7 +21,7 @@ import cmath
 import math
 
 from .errors import ArithmatError, FloatRangeError, RootConvergenceError, ZeroDiscriminantError
-from .field import Element, NumberField, arithmetic_matrix, basis_change_matrix
+from .field import Element, NumberField, _basis_rows, arithmetic_matrix
 from .forms import BinaryForm, form_discriminant
 
 _ROOT_TOL = 1e-10
@@ -41,6 +42,21 @@ def _floats(values) -> list[float]:
         raise FloatRangeError(
             f"a value of about 10^{round(bits * math.log10(2))} does not fit a float64"
         ) from None
+
+
+def matrix_floats(M) -> list[list[float]]:
+    """M's rows in floats x / den, each rounded once; past float64 range `_floats` raises."""
+    n, d = M.cols, M.den
+    try:
+        return [[x / d for x in M.num[i : i + n]] for i in range(0, len(M.num), n)]
+    except OverflowError:
+        return [_floats(M.row(i)) for i in range(M.rows)]
+
+
+def basis_floats(F: NumberField) -> list[list[float]]:
+    """`field.basis_change_matrix` in floats, read from the rows F keeps: Gamma's basis factor."""
+    rows = [[0.0] * i + _floats(row) for i, row in enumerate(_basis_rows(F), 1)]
+    return [[1.0] + [0.0] * (F.n - 1)] + rows
 
 
 def form_floats(B: BinaryForm) -> list[float]:
@@ -232,23 +248,20 @@ def fitting_residual(residuals) -> float:
 
 def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     """Max-norm of Gamma*N - Theta*Gamma, Theta the diagonal of embedded
-    images, in plain floats; `numeric.diagonalization_residual` computes the
-    same with numpy."""
+    images, Gamma times N's first column, in plain floats;
+    `numeric.diagonalization_residual` computes the same with numpy."""
     roots = find_roots(F.pair.form)
-    B = basis_change_matrix(F)
-    columns = [_floats(B.column(k)) for k in range(F.n)]
+    columns = list(zip(*basis_floats(F)))
     gamma = []
     for z in roots:
         powers = [z**j for j in range(F.n)]
         gamma.append([sum(p * b for p, b in zip(powers, col)) for col in columns])
     check_det_squared(F, _det_squared(roots, [col[k] for k, col in enumerate(columns)]))
-    M = arithmetic_matrix(F, alpha)
-    N_columns = list(zip(*[_floats(M.row(i)) for i in range(M.rows)]))
-    x = _floats(alpha.coords)
+    N_columns = list(zip(*matrix_floats(arithmetic_matrix(F, alpha))))
     residuals = []
     try:
         for row in gamma:
-            theta = sum(g * c for g, c in zip(row, x))
+            theta = sum(g * c for g, c in zip(row, N_columns[0]))
             for j, col in enumerate(N_columns):
                 residuals.append(abs(sum(g * c for g, c in zip(row, col)) - theta * row[j]))
     except OverflowError:  # finite parts whose modulus is not

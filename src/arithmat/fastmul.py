@@ -264,7 +264,7 @@ def batch_multiply(
     n = F.n
     if len(betas) > n:
         raise DimensionMismatchError(f"at most {n} multiplicands per batch")
-    require_same_field(F, *betas, alpha)
+    require_same_field(F, *betas)
     count = len(betas)
     rows, d = integer_matrix(F, alpha)
     columns, e = common_numerators(betas)

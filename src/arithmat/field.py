@@ -21,9 +21,9 @@ by running sums along the matrix's diagonals, in one pass for every a0;
 `symbolic` runs the same kernel on symbols.  The trace is linear: the
 traces of the basis elements are kept on the field beside the basis rows,
 built on first use and never by `make_field`.  The paper's explicit entry
-formulas and the substitution route, the kernel's oracles, live there.  Every
-operation that takes an element checks it with `require_same_field`, here
-and in `element` and `fastmul`.
+formulas and the substitution route, the kernel's oracles, live there.  Each
+operand is checked for its field once: by `integer_matrix` if it builds the
+operand's matrix, else by the operation itself (`require_same_field`).
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ def integer_matrix(F: NumberField, alpha: Element) -> tuple[tuple[tuple[int, ...
     quotients a1/a0, a1/a0^2 and a2/a0, which the field's construction
     checked.  The explicit entry formulas and the substitution route are its
     oracles.  The rows are built on the first call and kept on the element,
-    so later calls return the same tuples.
+    so later calls return the same tuples.  Alpha's field is checked here.
     """
     require_same_field(F, alpha)
     if alpha._rows is None:
@@ -338,8 +338,8 @@ def arithmetic_matrix(F: NumberField, alpha: Element, method: str = "explicit") 
     a0 = 1 it evaluates the paper's formula, which
     `symbolic.matrix_from_coefficients(..., "explicit")` builds at any a0).
     """
-    require_same_field(F, alpha)
     if method != "explicit":
+        require_same_field(F, alpha)
         from .symbolic import matrix_from_coefficients
 
         return matrix_from_coefficients(F.pair.form.coeffs, F.a0, alpha.coords, method)
@@ -356,18 +356,17 @@ def _basis_rows(F: NumberField) -> list[tuple[int, ...]]:
     """Rows 2 .. n of the basis change, row i from its diagonal on:
     a_1, ..., a_{n-i+1}, with a1/a0 for a1 in row 2, an integer because F
     checked a0^2 | a1.  Row 1 is e1: omega_0 = 1, and no other omega_j has a
-    constant term.  Kept on F, where callers read it first."""
-    a, n = F.pair.form.coeffs, F.n
-    rows = F._basis = [(a[0] // F.pair.a0,) + a[1 : n - 1]]
-    for i in range(2, n):
-        rows.append((a[0],) + a[1 : n - i])
-    return rows
+    constant term.  Built on the first call and kept on F."""
+    if F._basis is None:
+        a, n = F.pair.form.coeffs, F.n
+        F._basis = [(a[0] // F.a0,) + a[1 : n - 1]] + [(a[0],) + a[1 : n - i] for i in range(2, n)]
+    return F._basis
 
 
 def to_power_basis(F: NumberField, xs: Sequence) -> list:
     """The zeta^0 .. zeta^(n-1) coefficients of the element with
     omega-coordinates xs (ints or Fractions): `basis_change_matrix` times xs."""
-    rows = F._basis or _basis_rows(F)
+    rows = _basis_rows(F)
     return [xs[0]] + [sum(map(operator.mul, row, xs[i:])) for i, row in enumerate(rows, 1)]
 
 
@@ -375,7 +374,7 @@ def from_power_basis(F: NumberField, ys: Sequence[int]) -> list[int]:
     """The integer omega-coordinates of the element with zeta-power
     coefficients ys, by exact back substitution through the triangular basis
     change; ArithmatError when they are not integers."""
-    rows, xs = F._basis or _basis_rows(F), list(ys)
+    rows, xs = _basis_rows(F), list(ys)
     for i in range(F.n - 1, 0, -1):
         row = rows[i - 1]
         xs[i], rem = divmod(xs[i] - sum(map(operator.mul, row[1:], xs[i + 1 :])), row[0])
@@ -391,7 +390,7 @@ def basis_change_matrix(F: NumberField) -> ExactMatrix:
     entry scaled to a1/a0 (`_basis_rows`).  The matrix is upper triangular
     and invertible.
     """
-    rows = [(0,) * i + row for i, row in enumerate(F._basis or _basis_rows(F), 1)]
+    rows = [(0,) * i + row for i, row in enumerate(_basis_rows(F), 1)]
     return ExactMatrix.from_rows([(1,) + (0,) * (F.n - 1)] + rows)
 
 

@@ -7,16 +7,18 @@ batches of certificates: the roots and Gamma are kept on the field once
 built, and each certificate is a few matrix products on N's numerators over
 its denominator.  No CLI command imports it: a one-shot call, such as
 `arithmat diag-check`, takes the plain-float route in `embedding`.  The two
-routes keep their own arithmetic and run `embedding`'s checks: the polish,
-the det(Gamma)^2 comparison and the float64 range test.
+routes keep their own arithmetic, read N and Gamma's basis factor into
+floats with `embedding`'s `matrix_floats` and `basis_floats`, and run its
+checks: the polish, the det(Gamma)^2 comparison and the float64 range test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .embedding import _floats, check_det_squared, fitting_residual, form_floats, polish
-from .field import Element, NumberField, _basis_rows, arithmetic_matrix, require_same_field
+from .embedding import _floats, basis_floats, check_det_squared, fitting_residual, form_floats
+from .embedding import matrix_floats, polish
+from .field import Element, NumberField, arithmetic_matrix, require_same_field
 from .forms import BinaryForm
 
 
@@ -36,14 +38,6 @@ def find_roots(B: BinaryForm) -> list[complex]:
     return polish(coeffs, np.linalg.eigvals(companion))
 
 
-def _float_matrix(M) -> np.ndarray:
-    """M's entries as floats: x / den rounds once, as float(Fraction(x, den)) does."""
-    try:
-        return np.array([x / M.den for x in M.num]).reshape(M.rows, M.cols)
-    except OverflowError:  # `_floats` raises on the first row past float64 range
-        return np.array([_floats(M.row(i)) for i in range(M.rows)])
-
-
 class EmbeddingData:
     """Roots, the Vandermonde matrix, and the complex basis-embedding matrix.
 
@@ -59,10 +53,8 @@ class EmbeddingData:
     def __init__(self, F: NumberField):
         self.field = F
         self.roots = find_roots(F.pair.form)
-        n = F.n
-        xi = np.array([[z**j for j in range(n)] for z in self.roots], dtype=complex)
-        basis = [[0.0] * i + _floats(row) for i, row in enumerate(F._basis or _basis_rows(F), 1)]
-        self.gamma = xi @ np.array([[1.0] + [0.0] * (n - 1)] + basis)
+        xi = np.array([[z**j for j in range(F.n)] for z in self.roots], dtype=complex)
+        self.gamma = xi @ np.array(basis_floats(F))
         self.gamma.flags.writeable = False
         check_det_squared(F, complex(np.linalg.det(self.gamma)) ** 2)
 
@@ -91,7 +83,7 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
     field.  One not finite raises FloatRangeError (`fitting_residual`).
     """
     gamma = embedding_data(F).gamma
-    Nf = _float_matrix(arithmetic_matrix(F, alpha))
+    Nf = np.array(matrix_floats(arithmetic_matrix(F, alpha)))
     theta = np.diag(gamma @ Nf[:, 0])
     # numpy's max carries an inf or nan through, so one test covers every entry
     return fitting_residual((float(np.max(np.abs(gamma @ Nf - theta @ gamma))),))
@@ -100,7 +92,7 @@ def diagonalization_residual(F: NumberField, alpha: Element) -> float:
 def eigenvalue_match_residual(F: NumberField, alpha: Element) -> float:
     """Distance between the eigenvalues of N and the embedded images of alpha."""
     emb = embedding_data(F)
-    Nf = _float_matrix(arithmetic_matrix(F, alpha))
+    Nf = np.array(matrix_floats(arithmetic_matrix(F, alpha)))
     eigs = sorted(np.linalg.eigvals(Nf), key=lambda w: (w.real, w.imag))
     images = sorted(emb.embed(alpha), key=lambda w: (w.real, w.imag))
     return float(max(abs(e - k) for e, k in zip(eigs, images)))

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from arithmat import element as el, polyring
+from arithmat import element as el, fastmul, numeric, polyring
 from arithmat.errors import FieldMismatchError, ZeroElementError
-from arithmat.field import EssentialPair, arithmetic_matrix, make_field
+from arithmat.field import EssentialPair, NumberField, arithmetic_matrix, make_field
 from arithmat.forms import BinaryForm
 from arithmat.polyring import UniPoly
 from arithmat.symbolic import MultiPoly, symbolic_arithmetic_matrix
@@ -283,3 +283,56 @@ class TestIntegrality:
             assert el.is_integral(F, alpha) == all(
                 entry.denominator == 1 for entry in M.entries
             )
+
+
+
+# each call of a ring request (perfbench's `Ring.run`) and the field checks it makes: one
+# per operand, since `integer_matrix` alone checks the operand whose matrix it builds
+_RING_REQUEST = {
+    "add": (lambda F, a, b: el.add(F, a, b), 2),
+    "mul": (lambda F, a, b: el.mul(F, a, b), 2),
+    "mul_via_fft": (lambda F, a, b: fastmul.mul_via_fft(F, a, b), 2),
+    "trace": (lambda F, a, b: el.trace(F, a), 1),
+    "norm": (lambda F, a, b: el.norm(F, a), 1),
+    "inverse": (lambda F, a, b: el.inverse(F, a), 1),
+    "char_poly": (lambda F, a, b: el.char_poly(F, a), 1),
+    "certificate": (lambda F, a, b: numeric.diagonalization_residual(F, a), 1),
+}
+_CALLS = {**_RING_REQUEST, "batch_multiply": (lambda F, a, b: fastmul.batch_multiply(F, a, [b]), 2)}
+
+
+class TestOperandChecks:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The operands of the `NumberField.__eq__` calls made, one per field check."""
+        seen, eq = [], NumberField.__eq__
+
+        def counted(self, other):
+            seen.append(other)
+            return eq(self, other)
+
+        monkeypatch.setattr(NumberField, "__eq__", counted)
+        return seen
+
+    def test_each_operand_is_checked_once(self, checks):
+        F, alpha = next(util.ring_certificates(1))
+        beta = util.random_element(F, random.Random(1))
+        numeric.embedding_data(F)
+        counts = {}
+        for name, (call, _want) in _CALLS.items():
+            checks.clear()
+            call(F, alpha, beta)
+            counts[name] = len(checks)
+        assert counts == {name: want for name, (_call, want) in _CALLS.items()}
+        assert sum(counts[name] for name in _RING_REQUEST) == 11
+
+    @pytest.mark.parametrize("name", sorted(_CALLS))
+    def test_a_foreign_operand_still_raises(self, name):
+        # a foreign zero too: inverse builds the matrix, which checks, before its zero test
+        call, operands = _CALLS[name]
+        F, G = table_field(), make_field(EssentialPair.from_text("1:1,0,0,-2,-1"))
+        alpha, beta = F.element([1, 2, 0, -1]), F.element([3, 0, 1, 1])
+        for alien in (G.element([1, 2, 0, -1]), G.zero()):
+            for a, b in [(alien, beta), (alpha, alien)][:operands]:
+                with pytest.raises(FieldMismatchError):
+                    call(F, a, b)

@@ -6,6 +6,8 @@ tolerance check, so they must find the same roots and, on the ring
 workload's requests, reach the same verdicts.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ def test_polish_stops_at_the_iterate_the_full_loop_reaches(pools):
                     assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
                     stalled += steps == 60
     assert stalled >= 10
+
+
+def test_polish_decides_at_the_edge_of_its_tolerance():
+    # 17x^3 - 34x^2 + 17x + c at its critical point 1: Newton stops on the zero derivative,
+    # the residual is c and the scale 68 + c, summed from c up.  The largest c accepted is
+    # the scale's last bit: summed from the top down, the scale is one ulp less, and this
+    # c is rejected
+    edge = float.fromhex("0x1.d34add781c4cdp-28")
+    assert embedding.polish([17.0, -34.0, 17.0, edge], [1.0]) == [1.0]
+    with pytest.raises(RootConvergenceError, match="exceeds tolerance for root"):
+        embedding.polish([17.0, -34.0, 17.0, math.nextafter(edge, math.inf)], [1.0])
 
 
 def _attempt(call, *args):
@@ -150,6 +163,15 @@ def test_det_squared_survives_a_product_past_float64():
     assert det2 == pytest.approx(2.56e102)
 
 
+def test_both_routes_refuse_a_matrix_past_float64():
+    # N's first column is alpha's coordinates, so N holds 10^400 (`embedding.matrix_floats`)
+    F = make_field(EssentialPair.from_text("1:1,1,-1"))
+    alpha = F.element([10**400, 0])
+    for residual in (embedding.diagonalization_residual, numeric.diagonalization_residual):
+        with pytest.raises(FloatRangeError, match=r"^a value of about 10\^400 does not fit a float64$"):
+            residual(F, alpha)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_both_routes_refuse_a_residual_past_float64():
     # every input fits a float64, but Gamma N does not: numpy's products leave nan
@@ -177,6 +199,11 @@ def test_both_routes_check_det_squared_alike(monkeypatch):
 def test_certificate_digest_tool_runs_on_one_seed():
     import certificates
 
-    digest, misses = certificates.certificates(range(1, 2))
-    assert len(digest) == 16 and int(digest, 16) >= 0
-    assert list(misses) == [1] and 0 <= misses[1] <= sum(util.RING_COUNTS.values())
+    digests = set()
+    for _label, residual in certificates.ROUTES:
+        digest, misses = certificates.certificates(range(1, 2), residual)
+        assert len(digest) == 16 and int(digest, 16) >= 0
+        assert list(misses) == [1] and 0 <= misses[1] <= sum(util.RING_COUNTS.values())
+        digests.add(digest)
+    # the routes' residuals differ in their last bits, so each digest covers its own route
+    assert len(digests) == 2

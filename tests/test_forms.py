@@ -720,6 +720,9 @@ class TestQuarticCandidates:
         assert calls <= (3 if shape == (1, 1, 1, 1) else 1)
 
 
+_P47 = 614889782588491410  # 47#, the product of the primes up to 47
+
+
 class TestRootlessPrime:
     """A prime of `_reductions` divides no lead, so no root modulo it rules
     out a rational root: a later prime lifts its roots only to pair them."""
@@ -736,6 +739,21 @@ class TestRootlessPrime:
             assert _small_factor(cs, D, 2) == (1, 0, 1)
         assert [len(call.args[1]) for call in spy.call_args_list] == [3]
         assert is_irreducible(B) is False
+
+    @pytest.mark.parametrize(
+        "coeffs, factor",
+        [([_P47, _P47 - 1, _P47 - 1, -1], (-1, _P47)), ([_P47, 0, 1, 1], None)],
+        ids=["reducible", "irreducible"],
+    )
+    def test_a_lead_divisible_by_every_accept_prime_is_decided_above_47(self, coeffs, factor):
+        # the lead rules out each of _ACCEPT_PRIMES, so the first reduction is at 53, the
+        # first prime `_primes` yields past them; (47# x - 1)(x^2 + x + 1) is refuted there
+        assert math.prod(forms._ACCEPT_PRIMES) == _P47
+        B = BinaryForm(coeffs)
+        cs, D = _primitive_monic_sign(tuple(reversed(B.coeffs))), form_discriminant(B)
+        assert next(forms._reductions(cs, D))[0] == 53
+        assert _small_factor(cs, D, 1) == factor
+        assert irreducibility_certificate(B) is (factor is None)
 
 
 # every monic polynomial over GF(p) of these factor degrees

@@ -11,6 +11,7 @@ from arithmat.errors import (
     DimensionMismatchError,
     NonIntegerEntryError,
     NonSquareMatrixError,
+    SingularMatrixError,
     UnsupportedDegreeError,
     ZeroPolynomialError,
 )
@@ -394,6 +395,14 @@ class TestDeterminants:
             if det_exact(M) != 0:
                 break
         assert M @ M.inverse() == ExactMatrix.identity(4)
+
+    def test_inverse_of_a_singular_matrix_is_a_typed_error(self):
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+            ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 5]]).inverse()
+
+    def test_trace_of_a_non_square_matrix_is_a_typed_error(self):
+        with pytest.raises(NonSquareMatrixError, match="^trace of a non-square matrix$"):
+            ExactMatrix(2, 3, [1, 2, 3, 4, 5, 6]).trace()
 
 
 class TestIndexChecks:

@@ -581,6 +581,14 @@ class TestVerifyTables:
         assert not report.ok
         assert report.failures[0][2] == "a0 must be a positive integer"
 
+    @pytest.mark.parametrize("coeffs", [(1, 1, 0), (0, 1, 1)])
+    def test_zero_end_coefficient_reported_as_a_bad_form(self, coeffs):
+        report = verify_tables([(5, 1, coeffs)])
+        assert report.rows_checked == 1
+        assert report.failures == [
+            (1, (5, 1, coeffs), "bad form: both end coefficients of a binary form must be nonzero")
+        ]
+
     def test_certified_sextic_row_passes(self):
         assert verify_tables([(-11337408, 1, (1, 0, 0, 0, 0, 0, 3))]).ok
 
