@@ -39,7 +39,15 @@ def _lazy_submodule(name: str):
 covariants = _lazy_submodule("covariants")
 
 
-_ELEMENT_OPS = ("mul", "add", "inv", "norm", "trace", "charpoly")
+# The tables name functions, looked up when a command runs: a tracer may wrap a module's
+# functions after this one is imported, and a function bound here would be the original.
+# each element command: the `element` function it runs and its coordinate arguments
+_ELEMENT_OPS = {
+    "mul": ("mul", "a", "b"), "add": ("add", "a", "b"), "inv": ("inverse", "a"),
+    "norm": ("norm", "a"), "trace": ("trace", "a"), "charpoly": ("char_poly", "a"),
+}
+# each bench --algo: the `fastmul` product it counts
+_PRODUCTS = {"schoolbook": "schoolbook_multiply", "ww": "ww_multiply", "recursive": "ww_recursive"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,12 +96,11 @@ def _build_parser(command: str | None = None) -> _Parser:
     g.add_argument("--coords", help="coordinates x0,x1,...")
     g.add_argument("--symbolic", action="store_true")
 
-    for name in _ELEMENT_OPS:
+    for name, (_, *operands) in _ELEMENT_OPS.items():
         e = add_parser(name, help=f"element {name}")
         e.add_argument("--pair", required=True)
-        e.add_argument("--a", required=True, help="element coordinates")
-        if name in ("mul", "add"):
-            e.add_argument("--b", required=True, help="second element coordinates")
+        for flag, help in zip(operands, ("element coordinates", "second element coordinates")):
+            e.add_argument(f"--{flag}", required=True, help=help)
         if name == "mul":
             e.add_argument("--via", choices=("matrix", "fft"), default="matrix")
 
@@ -117,9 +124,7 @@ def _build_parser(command: str | None = None) -> _Parser:
 
     b = add_parser("bench", help="matrix multiplication counters")
     b.add_argument("--size", required=True, type=int)
-    b.add_argument(
-        "--algo", required=True, choices=("schoolbook", "ww", "recursive")
-    )
+    b.add_argument("--algo", required=True, choices=_PRODUCTS)
     return p
 
 
@@ -154,6 +159,14 @@ def _emit(args, plain: str, record: dict) -> None:
         print(plain)
 
 
+def _operands(args, *names) -> list:
+    """The field of --pair, then the element of each named coordinate argument."""
+    from .field import Element, EssentialPair, make_field
+
+    F = make_field(EssentialPair.from_text(args.pair))
+    return [F, *(Element.from_text(F, getattr(args, name)) for name in names)]
+
+
 def _cmd_disc(args) -> int:
     from .forms import BinaryForm, form_discriminant
 
@@ -163,47 +176,32 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    from .field import Element, EssentialPair, arithmetic_matrix, make_field
-
-    F = make_field(EssentialPair.from_text(args.pair))
     if args.symbolic:
         from .symbolic import symbolic_arithmetic_matrix
 
-        M = symbolic_arithmetic_matrix(F)
+        M = symbolic_arithmetic_matrix(*_operands(args))
     else:
-        M = arithmetic_matrix(F, Element.from_text(F, args.coords))
+        from .field import arithmetic_matrix
+
+        M = arithmetic_matrix(*_operands(args, "coords"))
     _emit(args, repr(M), {"command": "matrix", "pair": args.pair, "matrix": _matrix_json(M)})
     return 0
 
 
 def _cmd_element_op(args) -> int:
     from . import element
-    from .field import Element, EssentialPair, make_field
     from .polyring import format_rational
 
-    F = make_field(EssentialPair.from_text(args.pair))
-    operands = [Element.from_text(F, args.a)]
-    record = {"command": args.command, "pair": args.pair, "a": args.a}
-    if args.command in ("mul", "add"):
-        operands.append(Element.from_text(F, args.b))
-        record["b"] = args.b
-    op = {
-        "mul": element.mul,
-        "add": element.add,
-        "inv": element.inverse,
-        "norm": element.norm,
-        "trace": element.trace,
-        "charpoly": element.char_poly,
-    }[args.command]
-    if args.command == "mul":
-        record["via"] = args.via
-        if args.via == "fft":
-            from .fastmul import mul_via_fft
-
-            op = mul_via_fft
-    out = op(F, *operands)
-    # norm and trace are numbers, the others an element or a polynomial
-    record["result"] = format_rational(out) if args.command in ("norm", "trace") else out.text()
+    function, *names = _ELEMENT_OPS[args.command]
+    operands = _operands(args, *names)
+    op = getattr(element, function)
+    if getattr(args, "via", None) == "fft":
+        from .fastmul import mul_via_fft as op
+    out = op(*operands)
+    # the record holds every argument but --json; norm and trace are numbers, the others
+    # an element or a polynomial
+    record = {key: value for key, value in vars(args).items() if key != "json"}
+    record["result"] = out.text() if hasattr(out, "text") else format_rational(out)
     _emit(args, record["result"], record)
     return 0
 
@@ -239,27 +237,19 @@ def _cmd_verify_tables(args) -> int:
 def _cmd_syzygy(args) -> int:
     from .forms import BinaryForm
 
-    if args.cubic is not None:
-        form = BinaryForm.from_text(args.cubic)
-        ok = covariants.cubic_syzygy_check(form) and covariants.cubic_norm_equation_check(form)
-    else:
-        form = BinaryForm.from_text(args.quartic)
-        ok = covariants.quartic_syzygy_check(form) and covariants.quartic_norm_equation_check(form)
-    _emit(
-        args,
-        "PASS" if ok else "FAIL",
-        {"command": "syzygy", "form": args.cubic or args.quartic, "pass": ok},
-    )
+    kind = "cubic" if args.cubic is not None else "quartic"
+    text = getattr(args, kind)
+    form = BinaryForm.from_text(text)
+    checks = (getattr(covariants, f"{kind}_{name}_check") for name in ("syzygy", "norm_equation"))
+    ok = all(check(form) for check in checks)
+    _emit(args, "PASS" if ok else "FAIL", {"command": "syzygy", "form": text, "pass": ok})
     return 0 if ok else 3
 
 
 def _cmd_diag_check(args) -> int:
     from .embedding import diagonalization_residual  # plain floats: no numpy import
-    from .field import Element, EssentialPair, make_field
 
-    F = make_field(EssentialPair.from_text(args.pair))
-    alpha = Element.from_text(F, args.coords)
-    residual = diagonalization_residual(F, alpha)
+    residual = diagonalization_residual(*_operands(args, "coords"))
     _emit(
         args,
         repr(residual),
@@ -279,19 +269,15 @@ def _cmd_bench(args) -> int:
     m = args.size
     if m < 1:
         raise DimensionMismatchError(f"size must be at least 1, got {m}")
+    if args.algo == "ww" and m % 2:
+        raise ArithmatError("ww needs an even size; use recursive for odd")
     rng = random.Random(20259)
     A = ExactMatrix(m, m, [rng.randint(-99, 99) for _ in range(m * m)])
     B = ExactMatrix(m, m, [rng.randint(-99, 99) for _ in range(m * m)])
     counter = fastmul.MulCounter()
+    multiply = getattr(fastmul, _PRODUCTS[args.algo])
     start = time.perf_counter_ns()
-    if args.algo == "schoolbook":
-        fastmul.schoolbook_multiply(A, B, counter)
-    elif args.algo == "ww":
-        if m % 2:
-            raise ArithmatError("ww needs an even size; use recursive for odd")
-        fastmul.ww_multiply(A, B, counter)
-    else:
-        fastmul.ww_recursive(A, B, counter)
+    multiply(A, B, counter)
     elapsed = time.perf_counter_ns() - start
     row = f"{m},{args.algo},{counter.scalar_mults},{counter.scalar_adds},{elapsed}"
     _emit(

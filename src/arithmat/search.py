@@ -476,11 +476,13 @@ def load_bundled_table(name: str) -> list[tuple[int, int, tuple[int, ...]]]:
 def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair | None:
     """Build an essential pair from a degree-n integral element, if one results.
 
-    Requires the discriminant D of the element's characteristic polynomial to
-    divide both disc * N and disc * (N * Tr(1/alpha))^2, and D / disc to be a
-    perfect square; the form is the reversed homogenization x^n f(y/x) of the
-    minimal polynomial.  Returns None when the conditions fail; raises for
-    elements of degree < n (zero characteristic-polynomial discriminant).
+    An integral element lies in the order O of F's pair, so the discriminant D
+    of its characteristic polynomial is [O : Z[alpha]]^2 * disc, and the pair's
+    a0 is the index.  The pair results when D divides both disc * N and
+    disc * (N * Tr(1/alpha))^2; the form is the reversed homogenization
+    x^n f(y/x) of the minimal polynomial.  Returns None for an element that is
+    not integral or fails the conditions; raises for elements of degree < n
+    (zero characteristic-polynomial discriminant).
     """
     g = char_poly(F, alpha)
     D = poly_discriminant(g)
@@ -491,12 +493,9 @@ def essential_pair_from_element(F: NumberField, alpha: Element) -> EssentialPair
     if not is_integral(F, alpha):
         return None
     # an integral element's characteristic polynomial has integer coefficients
-    ratio, rem = divmod(int(D), F.disc)
-    if rem or ratio <= 0:
-        return None
-    a0 = isqrt(ratio)
-    if a0 * a0 != ratio:
-        return None
+    a0 = isqrt(max(int(D) // F.disc, 0))
+    if a0 * a0 * F.disc != D:
+        raise ArithmatError("element discriminant over disc was not an integer square")
     # x^n f(y/x): the form coefficients are the monic polynomial's, low first,
     # so a1 = +-N and a2 = +-N * Tr(1/alpha); with D = disc * a0^2 the two
     # divisibility conditions are a0^2 | a1 and a0 | a2, `check_scale`'s

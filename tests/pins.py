@@ -6,8 +6,8 @@ blocks numpy (`sys.modules["numpy"] = None`, so `import numpy` raises as in
 an interpreter without it) and checks two sets of records:
 
 * every record of `cli_golden.json`, replayed in this process by `replay`,
-  which `test_cli_golden.py` also checks and records with.  Each must match
-  within 60 s.  That includes `diag-check`: numpy serves batches of
+  which `test_cli_golden.py --record` also records with.  This is tier 1's
+  only replay of that file.  Each must match within 60 s.  That includes `diag-check`: numpy serves batches of
   certificates (`arithmat.numeric`), and a one-shot call certifies in plain
   floats (`arithmat.embedding`), so every command runs without numpy;
 * `PINS`: the checks that transcript cannot hold, because they need a `-c`

@@ -25,18 +25,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-class TestDisc:
-    def test_table_anchor(self, capsys):
-        code, out, _ = run(capsys, "disc", "--form", "1,1,0,-2,-1")
-        assert (code, out.strip()) == (0, "-275")
-
-    def test_json_matches_plain(self, capsys):
-        _, plain, _ = run(capsys, "disc", "--form", "4,-2,-3,1,1")
-        code, out, _ = run(capsys, "--json", "disc", "--form", "4,-2,-3,1,1")
-        assert code == 0
-        assert json.loads(out)["disc"] == int(plain.strip()) == 2052
-
-
 class TestMatrix:
     def test_identity_coordinates(self, capsys):
         code, out, _ = run(
@@ -50,17 +38,8 @@ class TestMatrix:
             "[0, 0, 0, 1]",
         ]
 
-    def test_symbolic_scaled_example(self, capsys):
-        code, out, _ = run(capsys, "matrix", "--pair", "2:4,-2,-3,1,1", "--symbolic")
-        assert code == 0
-        assert out.splitlines()[2] == "[y, x, u + 3*y - z, -y - z]"
-
 
 class TestElementOps:
-    def test_mul(self, capsys):
-        code, out, _ = run(capsys, "mul", "--pair", "1:1,1,-1", "--a", "0,1", "--b", "1,1")
-        assert (code, out.strip()) == (0, "1,0")
-
     def test_mul_via_fft_matches(self, capsys):
         _, direct, _ = run(
             capsys, "mul", "--pair", "2:4,-2,-3,1,1", "--a", "1,2,3,4", "--b", "2,0,-1,5"
@@ -72,16 +51,6 @@ class TestElementOps:
         )
         assert code == 0
         assert fft == direct
-
-    def test_add_inv_norm_trace(self, capsys):
-        assert run(capsys, "add", "--pair", "1:1,1,-1", "--a", "1,2", "--b", "3,-1")[1].strip() == "4,1"
-        assert run(capsys, "inv", "--pair", "1:1,1,-1", "--a", "0,1")[1].strip() == "1,1"
-        assert run(capsys, "norm", "--pair", "1:1,1,-1", "--a", "0,1")[1].strip() == "-1"
-        assert run(capsys, "trace", "--pair", "1:1,1,-1", "--a", "0,1")[1].strip() == "-1"
-
-    def test_charpoly(self, capsys):
-        code, out, _ = run(capsys, "charpoly", "--pair", "2:4,-2,-3,1,1", "--a", "0,1,0,0")
-        assert (code, out.strip()) == (0, "4,2,-3,-1,1")
 
     def test_rational_coordinates(self, capsys):
         code, out, _ = run(capsys, "norm", "--pair", "1:1,1,-1", "--a", "1/2,1/3")
@@ -124,11 +93,6 @@ class TestSearchCommand:
 
 
 class TestVerifyTablesCommand:
-    def test_bundled_fixture_passes(self, capsys):
-        code, out, _ = run(capsys, "verify-tables", "--file", str(bundled_table_path("quartic")))
-        assert code == 0
-        assert "all passed" in out
-
     def test_corrupt_file_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("-275;1;1,1,0,-2,-2\n")
@@ -169,10 +133,6 @@ class TestVerifyTablesCommand:
 
 
 class TestSyzygyCommand:
-    def test_quartic_pass(self, capsys):
-        code, out, _ = run(capsys, "syzygy", "--quartic", "4,-2,-3,1,1")
-        assert (code, out.strip()) == (0, "PASS")
-
     def test_cubic_pass(self, capsys):
         code, out, _ = run(capsys, "syzygy", "--cubic", "1,1,-2,-1")
         assert (code, out.strip()) == (0, "PASS")
@@ -274,23 +234,17 @@ _LAZY = ("numpy", "dataclasses", "json", "arithmat.fastmul", "arithmat.search", 
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # and so does every golden argv, diag-check included
+    # every golden argv, diag-check included, runs with numpy blocked in `pins.py`
     result = _fresh_python(
         "-c",
-        "import json, sys; before = set(sys.modules); import arithmat.cli; "
-        "print(*sorted(set(sys.modules) - before))\n"
-        "sys.path.insert(0, 'tests'); from pins import replay\n"
-        "argvs = [entry['argv'] for entry in json.load(open('tests/cli_golden.json'))]\n"
-        "for argv in argvs: replay(argv)\n"
-        "print(sum('diag-check' in argv for argv in argvs), 'numpy' in sys.modules)"
+        "import sys; before = set(sys.modules); import arithmat.cli; "
+        "print(*sorted(set(sys.modules) - before))"
     )
     assert result.returncode == 0, result.stderr
-    imported, replayed = result.stdout.splitlines()
-    added = imported.split()
+    added = result.stdout.split()
     assert "arithmat.cli" in added
     assert "numpy" not in added
     assert [m for m in _LAZY if m in added] == []
-    assert replayed == "2 False"
 
 
 _ELEMENT_OP = ("--pair", "2:4,-2,-3,1,1", "--a", "1/2,1/3,0,0")

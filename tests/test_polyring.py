@@ -242,19 +242,15 @@ class TestBezoutDiscriminant:
     @example([-5, 1, 0, -3, 2, 6, -1, 4, 0])  # n = 8, the Bezout kernel
     @example([-7, 2, -1, 0, 5, -3, 1, 8, -2, 0])  # n = 9, the subresultant PRS
     def test_equals_sylvester_route(self, coeffs):
-        assert coeffs_discriminant(coeffs) == util.sylvester_discriminant(coeffs)
-
-
-class TestPartialDerivativeBezout:
-    """The (n - 1) x (n - 1) Bezout matrix of the two partial derivatives
-    against the Sylvester route and the n x n Bezout matrix of f and f'."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(discriminant_coeffs())
-    def test_equals_both_oracles(self, coeffs):
+        # each route by degree against the Sylvester route and the n x n Bezout matrix of f and f'
         value = coeffs_discriminant(coeffs)
         assert value == util.sylvester_discriminant(coeffs)
         assert value == util.bezout_discriminant(coeffs)
+
+
+class TestPartialDerivativeBezout:
+    """Signs, degree edges, sparse forms and zero leads of the discriminant
+    routes, and the plan of the Bezout kernel's elimination."""
 
     @pytest.mark.parametrize(
         "coeffs",

@@ -610,6 +610,12 @@ def assert_found_pair(F, pair):
     assert irreducibility_certificate(pair.form) is not False
 
 
+def assert_index_square(F, D):
+    """D = [O : Z[alpha]]^2 * disc for an integral alpha, O the order of F's pair."""
+    ratio = D / F.disc
+    assert ratio.denominator == 1 and ratio > 0 and isqrt(int(ratio)) ** 2 == ratio
+
+
 class TestPairFromElement:
     def test_basis_element_roundtrip_reverses_form(self):
         F = make_field(EssentialPair(1, BinaryForm([1, 1, 0, -2, -1])))
@@ -641,17 +647,10 @@ class TestPairFromElement:
                 continue
             if pair is None:
                 D = poly_discriminant(el.char_poly(F, alpha))
-                ratio = D / F.disc
-                from math import isqrt
-
-                square = (
-                    ratio.denominator == 1
-                    and ratio > 0
-                    and isqrt(int(ratio)) ** 2 == int(ratio)
-                )
-                # None must be explained by a failed condition; brute-check
-                # that it is not a square with both divisibility conditions
-                if square:
+                # None must be explained by a failed condition: alpha is not integral,
+                # or, with D / disc a square, a divisibility condition fails
+                if el.is_integral(F, alpha):
+                    assert_index_square(F, D)
                     nval = el.norm(F, alpha)
                     cond1 = (F.disc * int(nval)) % int(D) == 0
                     k = nval * el.trace(F, el.inverse(F, alpha))
@@ -692,13 +691,10 @@ class TestPairFromElement:
             found = essential_pair_from_element(F, alpha)
             expected = False
             if el.is_integral(F, alpha):
-                ratio = D / F.disc
+                assert_index_square(F, D)
                 N = el.norm(F, alpha)
                 k2 = (N * el.trace(F, el.inverse(F, alpha))) ** 2
-                expected = (
-                    ratio.denominator == 1 and ratio > 0 and isqrt(int(ratio)) ** 2 == ratio
-                    and (F.disc * N / D).denominator == 1 and (F.disc * k2 / D).denominator == 1
-                )
+                expected = (F.disc * N / D).denominator == 1 and (F.disc * k2 / D).denominator == 1
                 refused += not expected
             assert (found is not None) == expected, alpha
             if found is not None:
