@@ -7,17 +7,20 @@ an interpreter without it) and checks two sets of records:
 
 * every record of `cli_golden.json`, replayed in this process by `replay`,
   which `test_cli_golden.py --record` also records with.  This is tier 1's
-  only replay of that file.  Each must match within 60 s.  That includes `diag-check`: numpy serves batches of
-  certificates (`arithmat.numeric`), and a one-shot call certifies in plain
+  only replay of that file.  Each must match within 60 s.  That includes
+  `diag-check`: numpy serves batches of certificates (`arithmat.numeric`), and a one-shot call certifies in plain
   floats (`arithmat.embedding`), so every command runs without numpy;
 * `PINS`: the checks that transcript cannot hold, because they need a `-c`
   snippet, stderr text, a tighter time bound, `--help` or the CLI's own
   `main`.  Each runs in a fresh interpreter with numpy blocked the same way.
 
 No record may print a traceback.  The script prints one line per failing
-record, naming it, and exits 1 if any fails.  It imports nothing beyond the
+record, naming it, and exits 1 if any fails.  With `--json` it prints
+instead a JSON list of `[name, problem]` pairs, one per record, with a null
+problem where the record matches; `test_pins.py` runs it so in tier 1 and
+reports each record as its own test.  It imports nothing beyond the
 standard library and `src/`, so it runs under a bare `venv --without-pip`
-interpreter; `test_pins.py` runs it in tier 1.
+interpreter.
 """
 
 from __future__ import annotations
@@ -239,26 +242,29 @@ def _mismatch(code, stdout, stderr, want_code, want_stdout, want_stderr) -> str 
     return None
 
 
+def _pin_env() -> dict[str, str]:
+    path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, "COLUMNS": _COLUMNS}
+
+
+def _pin_problem(pin: Pin, env: dict[str, str]) -> str | None:
+    """Run one pin in a fresh interpreter: what is wrong with it, or None."""
+    snippet = isinstance(pin.command, str)
+    args = ["-c", _NO_NUMPY + (pin.command if snippet else _CLI_MODULE)]
+    try:
+        run = subprocess.run(
+            [sys.executable, *args, *([] if snippet else pin.command)],
+            capture_output=True, text=True, cwd=_REPO, env=env, timeout=pin.bound,
+        )
+    except subprocess.TimeoutExpired:
+        return f"still running after {pin.bound:g} s"
+    return _mismatch(run.returncode, run.stdout, run.stderr, pin.code, pin.stdout, pin.stderr)
+
+
 def check_pins(pins: list[Pin]) -> list[str]:
     """Run each pin in a fresh interpreter; one `name: problem` line per failure."""
-    path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": _COLUMNS}
-    failures = []
-    for pin in pins:
-        snippet = isinstance(pin.command, str)
-        args = ["-c", _NO_NUMPY + (pin.command if snippet else _CLI_MODULE)]
-        try:
-            run = subprocess.run(
-                [sys.executable, *args, *([] if snippet else pin.command)],
-                capture_output=True, text=True, cwd=_REPO, env=env, timeout=pin.bound,
-            )
-        except subprocess.TimeoutExpired:
-            failures.append(f"{pin.name}: still running after {pin.bound:g} s")
-            continue
-        problem = _mismatch(run.returncode, run.stdout, run.stderr, pin.code, pin.stdout, pin.stderr)
-        if problem:
-            failures.append(f"{pin.name}: {problem}")
-    return failures
+    env = _pin_env()
+    return [f"{pin.name}: {problem}" for pin in pins if (problem := _pin_problem(pin, env))]
 
 
 def replay(argv: list[str]) -> tuple[dict, str]:
@@ -294,40 +300,58 @@ def _overrun(name: str) -> None:
     os._exit(1)
 
 
+def golden_name(argv: list[str]) -> str:
+    """A golden record's argv as one line of at most 80 characters."""
+    name = " ".join(argv)
+    return name if len(name) <= 80 else name[:77] + "..."
+
+
+def _golden_problem(entry: dict) -> str | None:
+    """Replay one golden record in this process: what is wrong with it, or None."""
+    watchdog = threading.Timer(_GOLDEN_BOUND_S, _overrun, [golden_name(entry["argv"])])
+    watchdog.start()
+    try:
+        record, stderr = replay(entry["argv"])
+    except Exception as exc:  # the CLI would print this traceback
+        return f"raised {exc!r}\n{traceback.format_exc()}"
+    finally:
+        watchdog.cancel()
+    return _mismatch(record["code"], record["stdout"], stderr, entry["code"], entry["stdout"], "")
+
+
 def check_golden(entries: list[dict]) -> list[str]:
     """Replay golden records in this process, where `main` blocks numpy; one
     `argv: problem` line per failure."""
-    failures = []
-    for entry in entries:
-        name = " ".join(entry["argv"])
-        name = name if len(name) <= 80 else name[:77] + "..."
-        watchdog = threading.Timer(_GOLDEN_BOUND_S, _overrun, [name])
-        watchdog.start()
-        try:
-            record, stderr = replay(entry["argv"])
-        except Exception as exc:  # the CLI would print this traceback
-            failures.append(f"{name}: raised {exc!r}\n{traceback.format_exc()}")
-            continue
-        finally:
-            watchdog.cancel()
-        problem = _mismatch(record["code"], record["stdout"], stderr, entry["code"], entry["stdout"], "")
-        if problem:
-            failures.append(f"{name}: {problem}")
-    return failures
+    return [
+        f"{golden_name(entry['argv'])}: {problem}"
+        for entry in entries if (problem := _golden_problem(entry))
+    ]
 
 
-def main() -> int:
+def outcomes() -> list[tuple[str, str | None]]:
+    """Each record's name and what is wrong with it, or None: every golden
+    record in file order, then every pin."""
+    entries = json.loads(_GOLDEN.read_text(encoding="utf-8"))
+    env = _pin_env()
+    return [(golden_name(entry["argv"]), _golden_problem(entry)) for entry in entries] + [
+        (pin.name, _pin_problem(pin, env)) for pin in PINS
+    ]
+
+
+def main(argv: list[str]) -> int:
     sys.modules["numpy"] = None
     sys.path.insert(0, str(_SRC))
     os.chdir(_REPO)
-    entries = json.loads(_GOLDEN.read_text(encoding="utf-8"))
-    failures = check_golden(entries) + check_pins(PINS)
-    for line in failures:
-        print("FAIL", line)
-    total = len(entries) + len(PINS)
-    print(f"{total - len(failures)} of {total} pinned outputs match")
+    results = outcomes()
+    failures = [f"{name}: {problem}" for name, problem in results if problem]
+    if argv == ["--json"]:
+        print(json.dumps(results))
+    else:
+        for line in failures:
+            print("FAIL", line)
+        print(f"{len(results) - len(failures)} of {len(results)} pinned outputs match")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,18 +1,44 @@
-"""`pins.py` passes with numpy blocked, and its checks fail and name a bad record."""
+"""`pins.py` passes with numpy blocked, record by record, and its checks fail
+and name a bad record."""
 
+import json
 import subprocess
 import sys
 
+import pytest
+
 import pins
 
+_NAMES = [
+    *(pins.golden_name(entry["argv"]) for entry in json.loads(pins._GOLDEN.read_text(encoding="utf-8"))),
+    *(pin.name for pin in pins.PINS),
+]
 
-def test_every_pinned_output_matches_without_numpy():
-    # the script blocks numpy itself, as CI's bare interpreter lacks it
+
+@pytest.fixture(scope="module")
+def run():
+    # one run of the script for every record; it blocks numpy itself, as CI's bare interpreter lacks it
     result = subprocess.run(
-        [sys.executable, pins.__file__], capture_output=True, text=True, timeout=300,
+        [sys.executable, pins.__file__, "--json"], capture_output=True, text=True, timeout=300,
     )
+    try:
+        results = json.loads(result.stdout)
+    except json.JSONDecodeError:  # a record overran its bound and stopped the script
+        results = None
+    return result, results
+
+
+def test_every_pinned_output_matches_without_numpy(run):
+    result, results = run
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.endswith(" pinned outputs match\n")
+    assert [name for name, _ in results] == _NAMES
+
+
+@pytest.mark.parametrize("index", range(len(_NAMES)), ids=_NAMES)
+def test_pinned_output_matches(run, index):
+    result, results = run
+    assert results is not None, result.stdout + result.stderr
+    assert tuple(results[index]) == (_NAMES[index], None)
 
 
 def test_each_bad_pin_fails_and_is_named():
