@@ -38,6 +38,8 @@ from .polyring import ExactMatrix, _quartic_ij, coeffs_discriminant, exact_int, 
 from .symbolic import MultiPoly, _symbolic_matrix, collect_coeffs, det_cofactor, generic_form_coeffs
 
 _XYZ = ("x", "y", "z")
+# the variables of a binary form
+_X, _Y = MultiPoly.variables("x y")
 
 
 class TernaryForm:
@@ -97,9 +99,8 @@ def _coeffs(V: BinaryForm | None, n: int) -> tuple:
 def _binary_poly(coeffs) -> MultiPoly:
     """Binary form as a MultiPoly in (x, y); coefficients scalar or symbolic."""
     n = len(coeffs) - 1
-    x, y = MultiPoly.var("x"), MultiPoly.var("y")
     return sum(
-        (c * x ** (n + 1 - k) * y ** (k - 1) for k, c in enumerate(coeffs, start=1)),
+        (c * _X ** (n + 1 - k) * _Y ** (k - 1) for k, c in enumerate(coeffs, start=1)),
         MultiPoly.const(0),
     )
 
@@ -151,9 +152,8 @@ def quartic_syzygy_check(V: BinaryForm | None = None) -> bool:
     coeffs = _coeffs(V, 4)
     g, h = _ghf_from_coeffs(coeffs)[:2]
     i_inv, j_inv = _quartic_ij(coeffs)
-    x = MultiPoly.var("x")
-    g4 = g(x * x, x, 1)
-    g6 = h(x * x, x, 1)
+    g4 = g(_X * _X, _X, 1)
+    g6 = h(_X * _X, _X, 1)
     v = _binary_poly(coeffs).subs({"y": 1})
     return (g4**3 - 48 * i_inv * g4 * v**2 - 64 * j_inv * v**3 - 27 * g6**2).is_zero()
 
@@ -170,9 +170,8 @@ def quartic_hessian_identity_check(V: BinaryForm | None = None) -> bool:
     coeffs = _coeffs(V, 4)
     g = _ghf_from_coeffs(coeffs)[0]
     v = _binary_poly(coeffs)
-    x, y = MultiPoly.var("x"), MultiPoly.var("y")
     hess = v.diff("x").diff("x") * v.diff("y").diff("y") - v.diff("x").diff("y") ** 2
-    return (g(x * x, x * y, y * y) + hess * Fraction(1, 3)).is_zero()
+    return (g(_X * _X, _X * _Y, _Y * _Y) + hess * Fraction(1, 3)).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -196,11 +195,10 @@ def cubic_covariants(C: BinaryForm):
 def _cubic_covariant_polys(coeffs: tuple) -> tuple[MultiPoly, MultiPoly]:
     """Q and F as MultiPolys in (x, y), cached on the coefficient tuple."""
     a, b, c, d = coeffs
-    x, y = MultiPoly.var("x"), MultiPoly.var("y")
     q_poly = (
-        (b * b - 3 * a * c) * x * x
-        + (b * c - 9 * a * d) * x * y
-        + (c * c - 3 * b * d) * y * y
+        (b * b - 3 * a * c) * _X * _X
+        + (b * c - 9 * a * d) * _X * _Y
+        + (c * c - 3 * b * d) * _Y * _Y
     )
     cpoly = _binary_poly(coeffs)
     f_poly = cpoly.diff("x") * q_poly.diff("y") - cpoly.diff("y") * q_poly.diff("x")

@@ -10,7 +10,8 @@ so that X + Z is twice a rank-one correction R_i + S_j and X - (X+Z)/2
 recovers AB.  Z is only needed for j in {1, i}; the remaining corrections
 follow from Y[i][j] = Y[i][1] + Y[1][j] - Y[1][1].  The recursive variant
 splits into half-size blocks and uses the seven-product scheme, padding to an
-even dimension at every level.  Both run on the integer numerators.
+even dimension at every level.  Both run on the integer numerators, and
+`batch_multiply` picks one, or the schoolbook product, from its strategy table.
 
 Polynomial products are exact integer convolutions by Kronecker substitution
 (`exact_convolve`), which the transform multiplication route `mul_via_fft`
@@ -46,8 +47,6 @@ class MulCounter:
 
 def schoolbook_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = None) -> ExactMatrix:
     """Plain cubic matrix product with exact counting (m*n*p multiplications)."""
-    if A.cols != B.rows:
-        raise DimensionMismatchError("matrix product shape mismatch")
     C = A @ B
     if counter is not None:
         counter.tally(
@@ -57,6 +56,13 @@ def schoolbook_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | No
     return C
 
 
+def _square_pair(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None) -> tuple[int, MulCounter]:
+    """The dimension of a pair of square matrices of equal dimension, and the counter to tally on."""
+    if not (A.is_square() and B.is_square() and A.rows == B.rows):
+        raise DimensionMismatchError("need square matrices of equal dimension")
+    return A.rows, MulCounter() if counter is None else counter
+
+
 def ww_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = None) -> ExactMatrix:
     """Counted even-dimension product, run on the integer numerators.
 
@@ -64,15 +70,11 @@ def ww_multiply(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = Non
     in the correction step is an exact shift: X + Z is always even because
     the cross terms cancel.  Odd dimensions must be padded by the caller.
     """
-    if not (A.is_square() and B.is_square() and A.rows == B.rows):
-        raise DimensionMismatchError("need square matrices of equal dimension")
-    m = A.rows
+    m, counter = _square_pair(A, B, counter)
     if m % 2:
         raise DimensionMismatchError("dimension must be even; pad before calling")
     a = A.integer_rows("product")
     b = B.integer_rows("product")
-    if counter is None:
-        counter = MulCounter()
     h = m // 2
 
     def entry(i, j, sign):
@@ -176,11 +178,7 @@ def ww_recursive(A: ExactMatrix, B: ExactMatrix, counter: MulCounter | None = No
     and divides by the product of the denominators once, and a symbolic
     matrix (den = 1) goes through it on its values.
     """
-    if not (A.is_square() and B.is_square() and A.rows == B.rows):
-        raise DimensionMismatchError("need square matrices of equal dimension")
-    if counter is None:
-        counter = MulCounter()
-    m = A.rows
+    m, counter = _square_pair(A, B, counter)
     if A.symbolic or B.symbolic:
         rows = _rec([list(A.row(i)) for i in range(m)], [list(B.row(i)) for i in range(m)], counter)
         return ExactMatrix.from_rows(rows)
@@ -273,12 +271,9 @@ def batch_multiply(
     columns = [(*c, *[0] * (m - n)) for c in columns] + [(0,) * m] * (m - count)
     N = ExactMatrix.from_rows(rows)
     U = ExactMatrix.from_rows(list(zip(*columns)))
-    if strategy == "schoolbook":
-        C = schoolbook_multiply(N, U, counter)
-    elif strategy == "ww":
-        C = ww_multiply(N, U, counter)
-    elif strategy == "ww_recursive":
-        C = ww_recursive(N, U, counter)
-    else:
+    # the strategy table, built per call so it holds the module's current products
+    product = {"schoolbook": schoolbook_multiply, "ww": ww_multiply, "ww_recursive": ww_recursive}.get(strategy)
+    if product is None:
         raise ValueError(f"unknown strategy {strategy!r}")
+    C = product(N, U, counter)
     return [Element.over(F, C.column(j)[:n], d * e) for j in range(count)]

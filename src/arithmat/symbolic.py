@@ -6,9 +6,8 @@ form, known only to this module: its terms are keyed by monomials, name-sorted
 tuples of (name, exponent) pairs with positive exponents, so equal polynomials
 are stored alike whatever variables built them.  The symbolic matrices are
 `field`'s running-sum kernel on symbols.  The paper's explicit entry formulas
-and the substitution route (x1 -> x1/a0 in the a0 = 1 matrix, then
-conjugation by diag(1, 1/a0, 1, ..., 1)) are only its oracles, reached
-through `matrix_from_coefficients`; polyring never imports this module.
+and the substitution route are only its oracles, `matrix_from_coefficients`
+is the one entry to both, and polyring never imports this module.
 """
 from __future__ import annotations
 
@@ -328,27 +327,6 @@ def _explicit_entry(n: int, a, a0: int, xs):
     return entry
 
 
-def _entries_substitution(n: int, coeffs, a0: int, xs):
-    """Generalized entries via x1 -> x1/a0 followed by diag(1, 1/a0, 1, ...) conjugation."""
-    subbed = list(xs)
-    subbed[1] = xs[1] * Fraction(1, a0)
-    rows = _matrix_rows(n, coeffs, 1, subbed)
-    for j in range(n):
-        rows[1][j] = rows[1][j] * a0
-    for i in range(n):
-        rows[i][1] = rows[i][1] * Fraction(1, a0)
-    return rows
-
-
-def _matrix_rows(n: int, coeffs, a0: int, xs, method: str = "explicit"):
-    if method not in ("explicit", "substitution"):
-        raise ValueError(f"unknown construction method {method!r}")
-    if a0 == 1 or method == "explicit":
-        entry = _explicit_entry(n, {k + 1: c for k, c in enumerate(coeffs)}, a0, xs)
-        return [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return _entries_substitution(n, coeffs, a0, xs)
-
-
 def _symbols(count: int, letters: str, prefix: str, first: int) -> list[MultiPoly]:
     """The first `count` letters if there are enough, else indexed names from prefix + first."""
     names = letters[:count] if count <= len(letters) else [f"{prefix}{first + i}" for i in range(count)]
@@ -388,13 +366,25 @@ def generic_arithmetic_matrix(n: int, a0: int = 1) -> ExactMatrix:
 def matrix_from_coefficients(coeffs, a0: int = 1, coords=None, method: str = "explicit") -> ExactMatrix:
     """The oracle entry: a matrix for raw coefficient values, without field validation.
 
-    It runs the paper's explicit entry formulas or the substitution route,
-    never the running-sum kernel that builds the library's matrices, on
-    numbers or symbols alike.  Coordinates default to the symbolic letters.
+    "explicit" runs the paper's entry formulas at a0, "substitution" runs them
+    at a0 = 1 on x1/a0 and conjugates by diag(1, 1/a0, 1, ..., 1); never the
+    kernel, on numbers or symbols alike.  Coordinates default to the symbols.
     """
     n = len(coeffs) - 1
     if coords is None:
         coords = symbolic_coords(n)
     if len(coords) != n:
         raise DimensionMismatchError(f"expected {n} coordinates")
-    return ExactMatrix.from_rows(_matrix_rows(n, list(coeffs), a0, list(coords), method))
+    if method not in ("explicit", "substitution"):
+        raise ValueError(f"unknown construction method {method!r}")
+    xs = list(coords)
+    substitute = method == "substitution" and a0 != 1
+    if substitute:
+        xs[1] = xs[1] * Fraction(1, a0)
+    entry = _explicit_entry(n, {k + 1: c for k, c in enumerate(coeffs)}, 1 if substitute else a0, xs)
+    rows = [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    if substitute:
+        rows[1] = [v * a0 for v in rows[1]]
+        for row in rows:
+            row[1] = row[1] * Fraction(1, a0)
+    return ExactMatrix.from_rows(rows)

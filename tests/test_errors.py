@@ -11,11 +11,12 @@ from arithmat.cli import run_command
 from arithmat.errors import (
     ArithmatError,
     DimensionMismatchError,
+    FieldMismatchError,
     NonSquareMatrixError,
     UnsupportedDegreeError,
     ZeroPolynomialError,
 )
-from arithmat.field import EssentialPair, make_field
+from arithmat.field import EssentialPair, arithmetic_matrix, make_field
 from arithmat.polyring import ExactMatrix, UniPoly
 from arithmat.symbolic import MultiPoly, det_cofactor, matrix_from_coefficients
 
@@ -28,9 +29,13 @@ def _matrix(rows, cols):
     return ExactMatrix(rows, cols, list(range(1, rows * cols + 1)))
 
 
-def _batch_with_unknown_strategy():
+def _batch_with_unknown_strategy(betas=lambda F: [F.one()], strategy="strassen"):
     F = _field("1:1,1,-1")
-    return fastmul.batch_multiply(F, F.one(), [F.one()], strategy="strassen")
+    return fastmul.batch_multiply(F, F.one(), betas(F), strategy=strategy)
+
+
+def _foreign_element():
+    return _field("1:1,1,0,-2,-1").one()
 
 
 _CASES = [
@@ -73,6 +78,19 @@ _CASES = [
                  "determinant of a non-square matrix", id="det_cofactor-non-square"),
     pytest.param(lambda: matrix_from_coefficients([1, 0, 1], coords=[1]), DimensionMismatchError,
                  "expected 2 coordinates", id="matrix_from_coefficients-coords"),
+    # a shape or field error comes before an unknown method or strategy
+    pytest.param(lambda: matrix_from_coefficients([1, 0, 1], coords=[1], method="bogus"),
+                 DimensionMismatchError, "expected 2 coordinates",
+                 id="matrix_from_coefficients-coords-before-method"),
+    pytest.param(lambda: arithmetic_matrix(_field("1:1,1,-1"), _foreign_element(), "bogus"),
+                 FieldMismatchError, "element belongs to a different field",
+                 id="arithmetic_matrix-field-before-method"),
+    pytest.param(lambda: _batch_with_unknown_strategy(lambda F: [F.one()] * 3, "bogus"),
+                 DimensionMismatchError, "at most 2 multiplicands per batch",
+                 id="batch_multiply-count-before-strategy"),
+    pytest.param(lambda: _batch_with_unknown_strategy(lambda F: [_foreign_element()], "bogus"),
+                 FieldMismatchError, "element belongs to a different field",
+                 id="batch_multiply-field-before-strategy"),
     pytest.param(lambda: MultiPoly.var("x").constant_value(), ValueError,
                  "polynomial is not constant", id="constant_value-non-constant"),
 ]

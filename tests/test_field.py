@@ -231,6 +231,25 @@ class TestSymbolicMatrices:
         ):
             assert check(V)
 
+    def test_substitution_evaluates_the_formula_at_a0_one(self, monkeypatch):
+        # both routes give equal matrices, so only the a0 that reaches the formula
+        # tells the substitution oracle from the explicit one
+        formula, seen = symbolic._explicit_entry, []
+
+        def record(n, a, a0, xs):
+            seen.append(a0)
+            return formula(n, a, a0, xs)
+
+        monkeypatch.setattr(symbolic, "_explicit_entry", record)
+        rng = random.Random(19)
+        for a0 in (2, 3):
+            F = util.random_field(rng, 4, a0=a0)
+            coords = F.element([3, Fraction(-1, 2), 0, 5]).coords
+            for method, formula_a0 in (("substitution", 1), ("explicit", a0)):
+                seen.clear()
+                matrix_from_coefficients(F.pair.form.coeffs, F.a0, coords, method)
+                assert seen == [formula_a0]
+
     def test_symbolic_entries_have_integer_coefficients(self):
         rng = random.Random(12)
         for n, a0 in ((2, 1), (3, 1), (4, 2), (5, 1), (3, 3)):

@@ -631,7 +631,7 @@ class TestPairFromElement:
         with pytest.raises(DegenerateElementError):
             essential_pair_from_element(F, F.one())
 
-    def test_non_square_ratio_returns_none(self):
+    def test_failed_divisibility_returns_none(self):
         rng = random.Random(2)
         F = make_field(EssentialPair(1, BinaryForm([1, 1, 0, -2, -1])))
         from arithmat.polyring import poly_discriminant
