@@ -4,8 +4,11 @@ Univariate polynomials (UniPoly) are dense coefficient lists.  Every exact
 scalar they store passes through `exact`: an integral value is an int, and a
 Fraction is made only when a division leaves a remainder; `exact_int` is the
 same rule for a value that must be an integer, and raises
-NonIntegerEntryError otherwise.  Polynomials display their signed terms
-through one renderer, which `symbolic` shares.  ExactMatrix is stored as
+NonIntegerEntryError otherwise.  `_Polynomial` gives UniPoly and
+`symbolic.MultiPoly` truthiness, `-`, the reflected `+`, `-` and `*`, and
+powers by squaring, from each one's own `is_zero`, `+`, unary `-`, `*` and
+`_coerce`.  Polynomials display their signed terms through one renderer,
+which `symbolic` shares.  ExactMatrix is stored as
 field elements are: integer numerators over one denominator, put in lowest
 terms by `reduced`, with the exact entries built on demand by `values`.  Its
 determinant, inverse and products (`@` and the `fastmul` strategies) run on
@@ -115,8 +118,41 @@ def format_rational(x: Scalar) -> str:
 # ----------------------------------------------------------------------
 
 
-class UniPoly:
-    """Dense univariate polynomial with exact rational coefficients.
+class _Polynomial:
+    """The ring operators both polynomial types share; a negative power is a ValueError."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
+        out, base = self._coerce(1), self
+        while k > 0:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+
+class UniPoly(_Polynomial):
+    """Dense univariate `_Polynomial` with exact rational coefficients.
 
     Coefficients are stored low-to-high; the zero polynomial has an empty
     coefficient tuple and degree -1.
@@ -157,9 +193,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
@@ -189,32 +222,12 @@ class UniPoly:
             [self.coeff(k) + other.coeff(k) for k in range(n)], self.var
         )
 
-    def __radd__(self, other) -> UniPoly:
-        return self + other
-
     def __neg__(self) -> UniPoly:
         return UniPoly([-c for c in self.coeffs], self.var)
-
-    def __sub__(self, other) -> UniPoly:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> UniPoly:
-        return (-self) + other
 
     def __mul__(self, other) -> UniPoly:
         other = self._coerce(other)
         return poly_mul_schoolbook(self, other)
-
-    def __rmul__(self, other) -> UniPoly:
-        return self * other
-
-    def __pow__(self, k: int) -> UniPoly:
-        if k < 0:
-            raise ValueError(f"negative power {k} of a polynomial")
-        out = UniPoly.constant(1, self.var)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def _coerce(self, other) -> UniPoly:
         if isinstance(other, UniPoly):
@@ -276,8 +289,6 @@ def _signed_terms(terms) -> str:
 
 def poly_mul_schoolbook(p: UniPoly, q: UniPoly) -> UniPoly:
     """Exact convolution of coefficient sequences (the quadratic algorithm)."""
-    if p.is_zero() or q.is_zero():
-        return UniPoly.zero(p.var)
     out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
     for i, a in enumerate(p.coeffs):
         if not a:
@@ -292,7 +303,7 @@ def poly_mul_schoolbook(p: UniPoly, q: UniPoly) -> UniPoly:
 # ----------------------------------------------------------------------
 
 
-class SymbolicEntry:
+class SymbolicEntry(_Polynomial):
     """Base class of the symbolic matrix entries, `symbolic.MultiPoly`."""
 
     __slots__ = ()

@@ -38,7 +38,7 @@ def _monomial_product(m1: Monomial, m2: Monomial) -> Monomial:
 
 
 class MultiPoly(SymbolicEntry):
-    """Sparse multivariate polynomial with exact coefficients.
+    """Sparse multivariate `polyring._Polynomial` with exact coefficients.
 
     `terms` maps each monomial (a name-sorted tuple of (name, exponent)
     pairs, exponents > 0, and () for the constant) to its nonzero
@@ -103,9 +103,6 @@ class MultiPoly(SymbolicEntry):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def total_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
@@ -146,17 +143,8 @@ class MultiPoly(SymbolicEntry):
             terms[m] = terms.get(m, 0) + c
         return MultiPoly._of(terms)
 
-    def __radd__(self, other) -> MultiPoly:
-        return self + other
-
     def __neg__(self) -> MultiPoly:
         return MultiPoly._of({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> MultiPoly:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> MultiPoly:
-        return (-self) + other
 
     def __mul__(self, other) -> MultiPoly:
         if not isinstance(other, MultiPoly):
@@ -169,25 +157,9 @@ class MultiPoly(SymbolicEntry):
                 terms[m] = terms.get(m, 0) + c1 * c2
         return MultiPoly._of(terms)
 
-    def __rmul__(self, other) -> MultiPoly:
-        return self * other
-
     def __truediv__(self, scalar) -> MultiPoly:
         s = Fraction(scalar)
         return MultiPoly._of({m: c / s for m, c in self.terms.items()})
-
-    def __pow__(self, k: int) -> MultiPoly:
-        if k < 0:
-            raise ValueError(f"negative power {k} of a polynomial")
-        out = MultiPoly.const(1)
-        base = self
-        while k > 0:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     # -- evaluation and substitution ------------------------------------
 

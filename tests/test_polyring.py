@@ -40,6 +40,14 @@ def rand_poly(rng, degree, lo=-9, hi=9):
     return UniPoly(coeffs)
 
 
+def rand_multipoly(rng, names=("s", "t")):
+    terms = {
+        (rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-9, 9)
+        for _ in range(5)
+    }
+    return MultiPoly(names, terms)
+
+
 class TestUniPolyMul:
     def test_binomial_square(self):
         p = UniPoly([1, 1])
@@ -88,20 +96,40 @@ class TestRingAxioms:
     def test_multipoly_axioms_at_random_points(self):
         rng = random.Random(4)
         names = ("s", "t")
-
-        def rand_mp():
-            terms = {
-                (rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-9, 9)
-                for _ in range(5)
-            }
-            return MultiPoly(names, terms)
-
-        p, q, r = rand_mp(), rand_mp(), rand_mp()
+        p, q, r = rand_multipoly(rng), rand_multipoly(rng), rand_multipoly(rng)
         for _ in range(5):
             pt = {n: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for n in names}
             assert (p * q).evaluate(pt) == (q * p).evaluate(pt)
             assert ((p * q) * r).evaluate(pt) == (p * (q * r)).evaluate(pt)
             assert (p * (q + r)).evaluate(pt) == (p * q + p * r).evaluate(pt)
+
+    # each type's random polynomial, and its constant c
+    KINDS = {
+        "UniPoly": (lambda rng: UniPoly(rand_poly(rng, 3).coeffs, "t"), lambda c: UniPoly.constant(c, "t")),
+        "MultiPoly": (rand_multipoly, MultiPoly.const),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_derived_operators_follow_the_shared_rules(self, kind):
+        # the rules `polyring._Polynomial` states once for both types
+        draw, const = self.KINDS[kind]
+        rng = random.Random(5)
+        p, q, zero = draw(rng), draw(rng), const(0)
+        for a, b in ((p, q), (q, p), (p, zero), (zero, p)):
+            assert a - b == a + (-b)
+        for c in (0, 3, -2, Fraction(5, 7), Fraction(-1, 3)):
+            assert c + p == p + c
+            assert c - p == -(p - c)
+            assert c * p == p * c
+        for base in (p, q, zero, const(Fraction(-2, 3))):
+            product = const(1)
+            for k in range(7):
+                assert base**k == product
+                if kind == "UniPoly":
+                    assert (base**k).var == "t"
+                product = product * base
+        for r in (p, zero, const(Fraction(1, 2)), p - p):
+            assert bool(r) == (not r.is_zero())
 
 
 class TestSylvesterAndResultant:
